@@ -38,7 +38,7 @@ from .closedform import build_table, power_db
 from .filterbank import phydyas_k4
 from .montecarlo import estimate_ofdm_to_ofdm, estimate_ofdm_to_oqam, estimate_oqam_to_ofdm
 from .psdmodel import psd_interference, psd_ofdm_subcarrier, psd_oqam_subcarrier
-from .txrx import CoexConfig
+from .txrx import CoexConfig, ConfigError
 
 __all__ = ["main", "load_config", "ConfigError"]
 
@@ -46,10 +46,6 @@ _CONFIG_KEYS = ("M", "cp_ratio", "incumbent_set", "secondary_set",
                 "var_qam", "var_pam", "delta_f", "seed")
 
 _DIRECTIONS = {"s2i": "oqam_to_ofdm", "i2s": "ofdm_to_oqam", "o2o": "ofdm_to_ofdm_mc"}
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def _parse_subcarrier_set(value, name: str) -> frozenset:
@@ -82,19 +78,21 @@ def load_config(path: str) -> CoexConfig:
         if key not in raw:
             continue
         value = raw[key]
-        if key in ("incumbent_set", "secondary_set"):
-            value = _parse_subcarrier_set(value, key)
-        elif key == "cp_ratio":
-            value = Fraction(str(value))
-        elif key in ("M", "seed"):
-            value = int(value)
-        else:
-            value = float(value)
+        try:
+            if key in ("incumbent_set", "secondary_set"):
+                value = _parse_subcarrier_set(value, key)
+            elif key == "cp_ratio":
+                value = Fraction(str(value))
+            elif key in ("M", "seed"):
+                value = int(value)
+            else:
+                value = float(value)
+        except ConfigError:
+            raise
+        except (TypeError, ValueError, ZeroDivisionError) as e:
+            raise ConfigError(f"{key}: {e}") from e
         kw[key] = value
-    try:
-        return CoexConfig(**kw)
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    return CoexConfig(**kw)
 
 
 def _apply_overrides(config: CoexConfig, args) -> CoexConfig:
@@ -104,7 +102,10 @@ def _apply_overrides(config: CoexConfig, args) -> CoexConfig:
     if getattr(args, "delta_f", None) is not None:
         kw["delta_f"] = args.delta_f
     if getattr(args, "cp_ratio", None) is not None:
-        kw["cp_ratio"] = Fraction(args.cp_ratio)
+        try:
+            kw["cp_ratio"] = Fraction(args.cp_ratio)
+        except (ValueError, ZeroDivisionError) as e:
+            raise ConfigError(f"--cp-ratio: {e}") from e
     return config.with_(**kw) if kw else config
 
 
@@ -142,7 +143,8 @@ def cmd_table(args) -> int:
         raise ConfigError("table computes closed forms: --direction must be s2i or i2s")
     table = build_table(_DIRECTIONS[args.direction], _l_grid(args), config, phydyas_k4())
     _write_csv(args.out, ["l", "power_linear", "power_db"],
-               ((_fmt_l(l), _fmt_lin(p), _fmt_db(db)) for l, p, db in table.entries))
+               ((_fmt_l(l), _fmt_lin(p), _fmt_db(db))
+                for l, p, db in zip(table.l_values, table.powers, power_db(table.powers))))
     return 0
 
 
@@ -163,7 +165,7 @@ def cmd_simulate(args) -> int:
     closed = build_table(closed_dir, est.l_values, config, filt)
     psd_dir = _DIRECTIONS[args.direction]
     rows = []
-    for (l, p, err), (_, pc, _) in zip(est.per_l, closed.entries):
+    for l, p, err, pc in zip(est.l_values, est.powers, est.std_errors, closed.powers):
         ppsd = psd_interference(psd_dir, l, config, filt)
         rows.append((_fmt_l(l), _fmt_lin(p), _fmt_lin(err), _fmt_lin(pc), _fmt_lin(ppsd)))
     _write_csv(args.out, ["l", "power_mc", "std_err", "power_closed", "power_psd"], rows)
@@ -242,9 +244,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -20,18 +20,21 @@ Direction conventions (time in symbol periods, l possibly fractional):
                  cycle of interferer-lattice offsets seen by successive
                  victim slots.  At cp_ratio = 0 this reduces exactly to the
                  oqam_to_ofdm sum, so equal-energy systems interfere equally.
+
+The contributing shifts of each victim frame are enumerated here from exact
+rational bounds, independently of the quadrature oracle's geometry; a test
+checks that the two enumerations agree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil, floor, gcd
 
 import numpy as np
 
 from .filterbank import PrototypeFilter, _usinc
-from .oracle import victim_slot_offsets, window_overlap
 
 __all__ = [
     "InterferenceTable",
@@ -51,10 +54,12 @@ def power_db(power) -> np.ndarray | float:
 
 def _window_integral_grid(filt: PrototypeFilter, l_grid: np.ndarray, tau: float,
                           width: float) -> np.ndarray:
-    """Exact integral over [0, width] of g(u - tau) exp(j 2 pi l u) du for every l."""
-    a, b = window_overlap(tau, width, filt.support_halfwidth)
-    if b <= a:
-        return np.zeros_like(l_grid, dtype=complex)
+    """Exact integral over [0, width] of g(u - tau) exp(j 2 pi l u) du for every l.
+
+    The pulse support must meet the window (see _lattice_taus).
+    """
+    hw = filt.support_halfwidth
+    a, b = max(0.0, tau - hw), min(width, tau + hw)
     K = filt.overlap_K
     out = np.zeros_like(l_grid, dtype=complex)
     for k in range(-K + 1, K):
@@ -64,21 +69,34 @@ def _window_integral_grid(filt: PrototypeFilter, l_grid: np.ndarray, tau: float,
     return out
 
 
+def _lattice_taus(filt: PrototypeFilter, spacing: Fraction, offset: Fraction,
+                  width: Fraction) -> list[Fraction]:
+    """Ascending tau in spacing*Z + offset whose pulse support meets [0, width].
+
+    The overlap must have nonzero measure: -K/2 < tau < width + K/2.
+    """
+    hw = Fraction(filt.overlap_K, 2)
+    n_lo = floor((-hw - offset) / spacing) + 1
+    n_hi = ceil((width + hw - offset) / spacing) - 1
+    return [offset + n * spacing for n in range(n_lo, n_hi + 1)]
+
+
 def _lattice_power_sum(filt: PrototypeFilter, l_grid: np.ndarray, spacing: Fraction,
                        offset: Fraction, width: Fraction) -> np.ndarray:
-    """sum over tau in spacing*Z + offset (with support overlap) of |window integral|^2."""
-    hw = filt.support_halfwidth
-    wf = float(width)
-    n_lo = floor((-hw - float(offset)) / float(spacing)) - 1
-    n_hi = ceil((wf + hw - float(offset)) / float(spacing)) + 1
+    """sum over the contributing tau of |window integral|^2."""
     total = np.zeros_like(l_grid, dtype=float)
-    for n in range(n_lo, n_hi + 1):
-        tau = float(offset + n * spacing)
-        a, b = window_overlap(tau, wf, hw)
-        if b <= a:
-            continue
-        total += np.abs(_window_integral_grid(filt, l_grid, tau, wf)) ** 2
+    for tau in _lattice_taus(filt, spacing, offset, width):
+        total += np.abs(_window_integral_grid(filt, l_grid, float(tau), float(width))) ** 2
     return total
+
+
+def _slot_offsets(cp: Fraction) -> list[Fraction]:
+    """Interferer-lattice offsets (cp + n/2) mod (1+cp) of victim slots n over one cycle.
+
+    At cp = p/q the offsets repeat after 2(p+q)/gcd(2, q) slots.
+    """
+    cycle = 2 * (cp.numerator + cp.denominator) // gcd(2, cp.denominator)
+    return [(cp + Fraction(n, 2)) % (1 + cp) for n in range(cycle)]
 
 
 def _oqam_to_ofdm_grid(l_grid: np.ndarray, filt: PrototypeFilter, var_pam: float) -> np.ndarray:
@@ -89,7 +107,7 @@ def _ofdm_to_oqam_grid(l_grid: np.ndarray, filt: PrototypeFilter, cp_ratio,
                        var_qam: float) -> np.ndarray:
     cp = Fraction(cp_ratio)
     width = 1 + cp
-    offsets = victim_slot_offsets(cp)
+    offsets = _slot_offsets(cp)
     acc = np.zeros_like(np.asarray(l_grid, dtype=float))
     for off in offsets:
         acc += _lattice_power_sum(filt, l_grid, width, off, width)
@@ -121,30 +139,15 @@ def interference_ofdm_to_oqam(l: float, filt: PrototypeFilter, cp_ratio, var_qam
     return float(_ofdm_to_oqam_grid(grid, filt, cp_ratio, var_qam)[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InterferenceTable:
     """Mean interference power per spectral distance, with provenance tags."""
 
-    entries: tuple[tuple[float, float, float], ...]  # (l, power, power_db)
-    direction: str  # oqam_to_ofdm | ofdm_to_oqam | ofdm_to_ofdm_mc | psd_*
+    l_values: np.ndarray
+    powers: np.ndarray
+    direction: str  # oqam_to_ofdm | ofdm_to_oqam
     cp_ratio: Fraction
     variance: float
-
-    @property
-    def l_values(self) -> np.ndarray:
-        return np.array([e[0] for e in self.entries])
-
-    @property
-    def powers(self) -> np.ndarray:
-        return np.array([e[1] for e in self.entries])
-
-
-def make_table(l_grid, powers, direction: str, cp_ratio, variance: float) -> InterferenceTable:
-    entries = tuple(
-        (float(l), float(p), float(power_db(p))) for l, p in zip(l_grid, powers)
-    )
-    return InterferenceTable(entries=entries, direction=direction,
-                             cp_ratio=Fraction(cp_ratio), variance=float(variance))
 
 
 def build_table(direction: str, l_grid, config, filt: PrototypeFilter) -> InterferenceTable:
@@ -157,9 +160,12 @@ def build_table(direction: str, l_grid, config, filt: PrototypeFilter) -> Interf
     if grid.size == 0:
         raise ValueError("l_grid must be non-empty")
     if direction == "oqam_to_ofdm":
-        powers = _oqam_to_ofdm_grid(grid, filt, config.var_pam)
-        return make_table(grid, powers, direction, config.cp_ratio, config.var_pam)
-    if direction == "ofdm_to_oqam":
-        powers = _ofdm_to_oqam_grid(grid, filt, config.cp_ratio, config.var_qam)
-        return make_table(grid, powers, direction, config.cp_ratio, config.var_qam)
-    raise ValueError(f"build_table computes closed forms only, not {direction!r}")
+        variance = config.var_pam
+        powers = _oqam_to_ofdm_grid(grid, filt, variance)
+    elif direction == "ofdm_to_oqam":
+        variance = config.var_qam
+        powers = _ofdm_to_oqam_grid(grid, filt, config.cp_ratio, variance)
+    else:
+        raise ValueError(f"build_table computes closed forms only, not {direction!r}")
+    return InterferenceTable(l_values=grid, powers=powers, direction=direction,
+                             cp_ratio=Fraction(config.cp_ratio), variance=float(variance))

@@ -29,10 +29,10 @@ from math import ceil, floor
 
 import numpy as np
 
-from .closedform import InterferenceTable, make_table
 from .filterbank import PrototypeFilter, phydyas_k4, sample_taps
 from .txrx import (
     CoexConfig,
+    ConfigError,
     apply_frequency_shift,
     ofdm_modulate,
     oqam_modulate,
@@ -47,7 +47,6 @@ __all__ = [
     "estimate_ofdm_to_oqam",
     "estimate_ofdm_to_ofdm",
     "self_reconstruction_floor",
-    "table_from_estimate",
 ]
 
 # substream tags keep the per-direction random streams disjoint
@@ -56,32 +55,21 @@ _TAG_S2I, _TAG_I2S, _TAG_O2O, _TAG_FLOOR = 0, 1, 2, 3
 DEFAULT_BURST = 256
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class McEstimate:
-    """Per-subcarrier mean interference power with trial bookkeeping."""
+    """Mean interference power and its standard error per victim l, ascending in l."""
 
-    per_l: tuple[tuple[float, float, float], ...]  # (l, power_mean, std_error)
+    l_values: np.ndarray
+    powers: np.ndarray
+    std_errors: np.ndarray
     trials: int
     config_snapshot: CoexConfig
-    seed: int
     direction: str
-
-    @property
-    def l_values(self) -> np.ndarray:
-        return np.array([e[0] for e in self.per_l])
-
-    @property
-    def powers(self) -> np.ndarray:
-        return np.array([e[1] for e in self.per_l])
-
-    @property
-    def std_errors(self) -> np.ndarray:
-        return np.array([e[2] for e in self.per_l])
 
 
 def _single_member(s, what: str) -> int:
     if len(s) != 1:
-        raise ValueError(f"estimator needs exactly one {what} subcarrier, got {sorted(s)}")
+        raise ConfigError(f"estimator needs exactly one {what} subcarrier, got {sorted(s)}")
     return next(iter(s))
 
 
@@ -107,8 +95,8 @@ def _burst_sizes(n_total: int, burst: int) -> list[int]:
     return sizes
 
 
-class _Welford:
-    """Streaming per-subcarrier mean/variance accumulator."""
+class _MomentSums:
+    """Per-bin running count, sum and sum of squares; mean and standard error from them."""
 
     def __init__(self, width: int):
         self.count = 0
@@ -130,13 +118,12 @@ class _Welford:
         return np.sqrt(np.maximum(var, 0.0) / self.count)
 
 
-def _finish(acc: _Welford, l_of_bin, victims, config, direction, scale=1.0) -> McEstimate:
-    rows = sorted((float(l_of_bin(m)), m) for m in victims)
-    mean, err = acc.mean(), acc.std_error()
-    per_l = tuple((l, scale * float(mean[m % config.M]), scale * float(err[m % config.M]))
-                  for l, m in rows)
-    return McEstimate(per_l=per_l, trials=acc.count, config_snapshot=config,
-                      seed=config.seed, direction=direction)
+def _finish(acc: _MomentSums, l_of_bin, victims, config, direction, scale=1.0) -> McEstimate:
+    ls, ms = zip(*sorted((float(l_of_bin(m)), m) for m in victims))
+    bins = np.asarray(ms) % config.M
+    return McEstimate(l_values=np.array(ls), powers=scale * acc.mean()[bins],
+                      std_errors=scale * acc.std_error()[bins], trials=acc.count,
+                      config_snapshot=config, direction=direction)
 
 
 def _oqam_slot_span(n_windows: int, cp: Fraction, K: int) -> tuple[int, int]:
@@ -148,8 +135,7 @@ def _oqam_slot_span(n_windows: int, cp: Fraction, K: int) -> tuple[int, int]:
 def estimate_oqam_to_ofdm(config: CoexConfig, n_symbols: int, *,
                           burst_symbols: int = DEFAULT_BURST,
                           window_classes=None,
-                          filt: PrototypeFilter | None = None,
-                          phase_convention: str = "standard") -> McEstimate:
+                          filt: PrototypeFilter | None = None) -> McEstimate:
     """Mean |interference|^2 seen by every incumbent subcarrier from the OQAM interferer.
 
     n_symbols victim CP-OFDM windows are measured (bursts synthesized with
@@ -157,17 +143,16 @@ def estimate_oqam_to_ofdm(config: CoexConfig, n_symbols: int, *,
     restricts measurement to windows with n_i mod 4 in the given set.
     """
     if n_symbols < 1:
-        raise ValueError("n_symbols must be >= 1")
+        raise ConfigError("n_symbols must be >= 1")
     m_s = _single_member(config.secondary_set, "secondary (interferer)")
     victims = sorted(config.incumbent_set)
     filt = filt or phydyas_k4()
-    acc = _Welford(config.M)
+    acc = _MomentSums(config.M)
     for b, size in enumerate(_burst_sizes(n_symbols, burst_symbols)):
         rng = _rng(config.seed, _TAG_S2I, b)
         n_lo, n_hi = _oqam_slot_span(size, config.cp_ratio, filt.overlap_K)
         data = {m_s: _draw_pam(rng, n_hi - n_lo, config.var_pam)}
-        sig = oqam_modulate(config, data, (n_lo, n_hi), filt=filt,
-                            phase_convention=phase_convention)
+        sig = oqam_modulate(config, data, (n_lo, n_hi), filt=filt)
         if config.delta_f:
             sig = apply_frequency_shift(sig, config.delta_f)
         windows = np.arange(size)
@@ -186,22 +171,21 @@ def estimate_oqam_to_ofdm(config: CoexConfig, n_symbols: int, *,
 
 def estimate_ofdm_to_oqam(config: CoexConfig, n_symbols: int, *,
                           burst_symbols: int = DEFAULT_BURST,
-                          filt: PrototypeFilter | None = None,
-                          phase_convention: str = "standard") -> McEstimate:
+                          filt: PrototypeFilter | None = None) -> McEstimate:
     """Mean interference per complex symbol seen by every secondary subcarrier.
 
     n_symbols victim half-symbol slots are measured; the reported power is
     twice the per-slot mean (the sum over a staggered slot pair).
     """
     if n_symbols < 1:
-        raise ValueError("n_symbols must be >= 1")
+        raise ConfigError("n_symbols must be >= 1")
     m_i = _single_member(config.incumbent_set, "incumbent (interferer)")
     victims = sorted(config.secondary_set)
     filt = filt or phydyas_k4()
     taps = sample_taps(filt, config.M)
     K = filt.overlap_K
     cp = config.cp_ratio
-    acc = _Welford(config.M)
+    acc = _MomentSums(config.M)
     for b, size in enumerate(_burst_sizes(n_symbols, burst_symbols)):
         rng = _rng(config.seed, _TAG_I2S, b)
         # interferer symbols covering every victim slot's filter span
@@ -212,7 +196,7 @@ def estimate_ofdm_to_oqam(config: CoexConfig, n_symbols: int, *,
         sig = ofdm_modulate(config, data, (n_lo, n_hi))
         if config.delta_f:
             sig = apply_frequency_shift(sig, -config.delta_f)
-        vals = _oqam_demod_slots(config, sig, np.arange(size), taps, phase_convention)
+        vals = _oqam_demod_slots(config, sig, np.arange(size), taps)
         acc.add(vals ** 2)
     return _finish(acc, lambda m: m_i - config.delta_f - m, victims, config,
                    "ofdm_to_oqam", scale=2.0)
@@ -230,7 +214,7 @@ def estimate_ofdm_to_ofdm(config: CoexConfig, n_symbols: int,
     dominates the estimator variance under the uniform policy.
     """
     if n_symbols < 1:
-        raise ValueError("n_symbols must be >= 1")
+        raise ConfigError("n_symbols must be >= 1")
     if timing_offset_policy == "uniform_random":
         fixed = None
     elif (isinstance(timing_offset_policy, tuple) and len(timing_offset_policy) == 2
@@ -241,7 +225,7 @@ def estimate_ofdm_to_ofdm(config: CoexConfig, n_symbols: int,
     m_s = _single_member(config.secondary_set, "secondary (interferer)")
     victims = sorted(config.incumbent_set)
     S = config.symbol_samples
-    acc = _Welford(config.M)
+    acc = _MomentSums(config.M)
     for b, size in enumerate(_burst_sizes(n_symbols, burst_symbols)):
         rng = _rng(config.seed, _TAG_O2O, b)
         off = int(rng.integers(0, S)) if fixed is None else fixed % S
@@ -259,8 +243,7 @@ def estimate_ofdm_to_ofdm(config: CoexConfig, n_symbols: int,
 
 
 def self_reconstruction_floor(config: CoexConfig, n_symbols: int, *,
-                              filt: PrototypeFilter | None = None,
-                              phase_convention: str = "standard") -> float:
+                              filt: PrototypeFilter | None = None) -> float:
     """Own-signal reconstruction error of an isolated OQAM link.
 
     Synthesizes a random burst on the secondary subcarriers, recovers the
@@ -268,7 +251,7 @@ def self_reconstruction_floor(config: CoexConfig, n_symbols: int, *,
     by the symbol variance (linear ratio; 10*log10 gives the floor in dB).
     """
     if n_symbols < 1:
-        raise ValueError("n_symbols must be >= 1")
+        raise ConfigError("n_symbols must be >= 1")
     filt = filt or phydyas_k4()
     taps = sample_taps(filt, config.M)
     active = sorted(config.secondary_set)
@@ -276,18 +259,11 @@ def self_reconstruction_floor(config: CoexConfig, n_symbols: int, *,
     rng = _rng(config.seed, _TAG_FLOOR, 0)
     n_lo, n_hi = -2 * K, n_symbols + 2 * K
     data = {m: _draw_pam(rng, n_hi - n_lo, config.var_pam) for m in active}
-    sig = oqam_modulate(config, data, (n_lo, n_hi), filt=filt,
-                        phase_convention=phase_convention)
-    vals = _oqam_demod_slots(config, sig, np.arange(n_symbols), taps, phase_convention)
+    sig = oqam_modulate(config, data, (n_lo, n_hi), filt=filt)
+    vals = _oqam_demod_slots(config, sig, np.arange(n_symbols), taps)
     err = 0.0
     for m in active:
         sent = data[m][-n_lo:-n_lo + n_symbols]
         err += np.sum((vals[:, m % config.M] - sent) ** 2)
     return float(err / (n_symbols * len(active)) / config.var_pam)
 
-
-def table_from_estimate(est: McEstimate) -> InterferenceTable:
-    """Interference table view of a Monte-Carlo estimate (drops standard errors)."""
-    cfg = est.config_snapshot
-    variance = cfg.var_pam if est.direction == "oqam_to_ofdm" else cfg.var_qam
-    return make_table(est.l_values, est.powers, est.direction, cfg.cp_ratio, variance)

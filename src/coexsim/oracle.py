@@ -2,11 +2,12 @@
 
 Ground truth for the closed forms: every value here is obtained by direct
 numerical integration of the pulse against the victim receive window, with
-the contributing symbol shifts enumerated geometrically from the pulse
-support and window placement (never from any fixed a-priori range).
+the contributing symbol shifts enumerated exactly (rational arithmetic) from
+the pulse support and the absolute placement of victim and interferer
+symbols (never from any fixed a-priori range).
 
-Built and validated independently of the closedform module; closedform
-imports the lattice helpers from here, not the other way around.
+Built and validated independently of the closedform module, which has its
+own relative-frame shift enumeration; neither imports the other.
 """
 
 from __future__ import annotations
@@ -103,7 +104,8 @@ def victim_slot_offsets(cp_ratio: Fraction) -> list[Fraction]:
 
     For victim half-symbol slot n the interferer lattice (spacing 1+cp) sits
     at offset (cp + n/2) mod (1+cp).  For rational cp the offsets cycle;
-    the full cycle is returned (length 2 at cp=0, p+q at cp=p/q).
+    the full cycle is returned (length 2(p+q)/gcd(2, q) at cp=p/q: 2 at
+    cp=0, 9 at 1/8, 8 at 1/3).
     """
     cp = Fraction(cp_ratio)
     if cp < 0:
@@ -160,6 +162,20 @@ def contributing_shifts(direction: str, n_victim: int, cp_ratio, filt: Prototype
     raise ValueError(f"unknown direction {direction!r}")
 
 
+def _window_taus(direction: str, n_victim: int, cp: Fraction,
+                 filt: PrototypeFilter) -> list[Fraction]:
+    """Contributing pulse centers relative to the victim window start, ascending.
+
+    s2i: OQAM slot centers against CP-OFDM window n_victim.  i2s: OQAM slot
+    n_victim's center against the start of each CP-OFDM symbol's whole
+    extent (prefix included), so ascending tau is descending symbol index.
+    """
+    shifts = contributing_shifts(direction, n_victim, cp, filt)
+    if direction == "s2i":
+        return sorted(Fraction(n, 2) - n_victim * (1 + cp) for n in shifts)
+    return sorted(Fraction(n_victim, 2) + cp - n * (1 + cp) for n in shifts)
+
+
 def quadrature_I(direction: str, l: float, filt: PrototypeFilter | None = None,
                  cp_ratio=Fraction(0), *, n_victim: int | None = None,
                  panels: int | None = None) -> float:
@@ -167,43 +183,28 @@ def quadrature_I(direction: str, l: float, filt: PrototypeFilter | None = None,
 
     Unit interferer symbol variance.  direction "s2i": per victim CP-OFDM
     symbol (canonical window n_i = 0 unless n_victim overrides).  direction
-    "i2s": per victim complex symbol period, i.e. twice the mean over the
-    victim half-symbol slots of the per-slot power including the real-part
-    factor 1/2; with n_victim given, the value a full cycle of slots at that
-    slot's lattice offset would produce.
+    "i2s": per victim complex symbol period, i.e. twice the mean, over the
+    victim half-symbol slots of one offset cycle, of the per-slot power
+    including the real-part factor 1/2; with n_victim given, the value a
+    full cycle of slots at that slot's lattice offset would produce.
     """
     filt = filt or phydyas_k4()
     cp = Fraction(cp_ratio)
     l = float(l)
     if direction == "s2i":
-        nv = 0 if n_victim is None else n_victim
-        total = 0.0
-        for n_s in sorted(contributing_shifts("s2i", nv, cp, filt)):
-            tau = float(Fraction(n_s, 2) - nv * (1 + cp))
-            total += abs(_window_integral(filt, l, tau, 1.0, panels=panels)) ** 2
-        return total
-    if direction == "i2s":
-        width = float(1 + cp)
-        if n_victim is None:
-            offsets = victim_slot_offsets(cp)
-        else:
-            offsets = [(cp + Fraction(n_victim, 2)) % (1 + cp)]
-        hw = filt.support_halfwidth
-        acc = 0.0
-        for off in offsets:
-            # lattice positions tau = off + n*(1+cp) with support overlap
-            n_lo = floor((-hw - float(off)) / width) - 1
-            n_hi = ceil((width + hw - float(off)) / width) + 1
-            for n in range(n_lo, n_hi + 1):
-                tau = float(off + n * (1 + cp))
-                a, b = window_overlap(tau, width, hw)
-                if b <= a:
-                    continue
-                acc += abs(_window_integral(filt, l, tau, width, panels=panels)) ** 2
-        # per-slot power carries the real-part factor 1/2; the per-complex-symbol
-        # convention doubles the slot mean, so the two factors cancel
-        return acc / len(offsets)
-    raise ValueError(f"unknown direction {direction!r}")
+        victims, width = [0 if n_victim is None else n_victim], 1.0
+    elif direction == "i2s":
+        cycle = range(len(victim_slot_offsets(cp)))
+        victims, width = (cycle if n_victim is None else [n_victim]), float(1 + cp)
+    else:
+        raise ValueError(f"unknown direction {direction!r}")
+    acc = 0.0
+    for nv in victims:
+        for tau in _window_taus(direction, nv, cp, filt):
+            acc += abs(_window_integral(filt, l, float(tau), width, panels=panels)) ** 2
+    # i2s: the per-slot real-part factor 1/2 cancels against the
+    # per-complex-symbol convention's doubling of the slot mean
+    return acc / len(victims)
 
 
 def quadrature_window_energy(filt: PrototypeFilter, tau: float, width: float,
@@ -222,10 +223,5 @@ def oracle_parseval_constant(filt: PrototypeFilter | None = None) -> float:
     the unit-variance interference table must equal it exactly.
     """
     filt = filt or phydyas_k4()
-    hw = filt.support_halfwidth
-    total = 0.0
-    n_lo = floor(2 * (0 - hw)) - 1
-    n_hi = ceil(2 * (1 + hw)) + 1
-    for n in range(n_lo, n_hi + 1):
-        total += quadrature_window_energy(filt, n / 2, 1.0)
-    return total
+    return sum(quadrature_window_energy(filt, float(tau), 1.0)
+               for tau in _window_taus("s2i", 0, Fraction(0), filt))

@@ -9,13 +9,13 @@ CP-OFDM symbol n occupies samples [n(M+L) - L, n(M+L) + M) with L cyclic
 prefix samples; the useful window is the last M of those.  OQAM half-symbol
 slot n centers its pulse at sample n M/2 and spans K M + 1 samples.
 
-OQAM phase conventions: the default "standard" convention uses
-theta_m[n] = j^(m+n), which keeps the intrinsic own-signal interference
-purely imaginary (near-perfect reconstruction).  The alternative "floor"
-convention theta_m[n] = exp(j pi/2 floor((n+m)/2)) is provided as a toggle;
-cross-system interference powers are invariant to the choice, own-signal
-reconstruction is not.  Both apply the (-1)^(m n) sign at the modulator and
-demodulator.
+OQAM phase map: slot n of subcarrier m carries (-1)^(m n) theta_m[n] with
+theta_m[n] = j^(m+n), applied at the modulator and conjugated at the
+demodulator.  Adjacent slots and subcarriers sit in quadrature, which keeps
+the intrinsic own-signal interference purely imaginary (near-perfect
+reconstruction).  Cross-system interference powers do not depend on the
+phase map (each slot contributes one unimodular factor); own-signal
+reconstruction does.
 """
 
 from __future__ import annotations
@@ -39,10 +39,12 @@ __all__ = [
     "add_awgn",
     "oqam_theta",
     "oqam_phase",
-    "signed_subcarrier",
+    "ConfigError",
 ]
 
-PHASE_CONVENTIONS = ("standard", "floor")
+
+class ConfigError(ValueError):
+    """An invalid scenario: bad config values or a setup an operation cannot run."""
 
 
 def _as_fraction(x) -> Fraction:
@@ -79,19 +81,19 @@ class CoexConfig:
         object.__setattr__(self, "incumbent_set", frozenset(int(m) for m in self.incumbent_set))
         object.__setattr__(self, "secondary_set", frozenset(int(m) for m in self.secondary_set))
         if self.M < 8:
-            raise ValueError("M must be >= 8")
+            raise ConfigError("M must be >= 8")
         if self.cp_ratio < 0:
-            raise ValueError("cp_ratio must be non-negative")
+            raise ConfigError("cp_ratio must be non-negative")
         if (self.M * self.cp_ratio).denominator != 1:
-            raise ValueError("M * cp_ratio must be an integer number of samples")
+            raise ConfigError("M * cp_ratio must be an integer number of samples")
         lo, hi = -self.M // 2, self.M // 2 - 1
         for name, s in (("incumbent_set", self.incumbent_set), ("secondary_set", self.secondary_set)):
             if any(m < lo or m > hi for m in s):
-                raise ValueError(f"{name} entries must lie in [{lo}, {hi}]")
+                raise ConfigError(f"{name} entries must lie in [{lo}, {hi}]")
         if self.var_qam <= 0 or self.var_pam <= 0:
-            raise ValueError("symbol variances must be positive")
+            raise ConfigError("symbol variances must be positive")
         if not (-0.5 < self.delta_f <= 0.5):
-            raise ValueError("delta_f must lie in (-0.5, 0.5]")
+            raise ConfigError("delta_f must lie in (-0.5, 0.5]")
 
     @property
     def cp_samples(self) -> int:
@@ -204,51 +206,33 @@ def ofdm_demodulate(config: CoexConfig, signal: DiscreteSignal, n_i: int, m_i: i
 # OFDM/OQAM
 # ---------------------------------------------------------------------------
 
-def signed_subcarrier(bin_index: int, M: int) -> int:
-    """Canonical signed subcarrier index in [-M/2, M/2-1] for an FFT bin."""
-    return bin_index - M if bin_index >= M // 2 else bin_index
+def oqam_theta(m: int, n: int) -> complex:
+    """Per-symbol unit phase theta_m[n] = j^(m+n) (without the (-1)^(m n) sign)."""
+    return 1j ** ((m + n) % 4)
 
 
-def oqam_theta(m: int, n: int, convention: str = "standard") -> complex:
-    """Per-symbol unit phase theta_m[n] (without the (-1)^(m n) sign)."""
-    if convention == "standard":
-        return 1j ** ((m + n) % 4)
-    if convention == "floor":
-        return 1j ** (((n + m) // 2) % 4)
-    raise ValueError(f"unknown phase convention {convention!r}")
-
-
-def oqam_phase(m: int, n: int, convention: str = "standard") -> complex:
+def oqam_phase(m: int, n: int) -> complex:
     """Full modulation phase (-1)^(m n) * theta_m[n]."""
     sign = -1.0 if (m * n) % 2 else 1.0
-    return sign * oqam_theta(m, n, convention)
+    return sign * oqam_theta(m, n)
 
 
-def _phase_matrix(M: int, slots: np.ndarray, convention: str) -> np.ndarray:
-    """conj(phase) for every (slot, FFT bin) pair, using signed subcarrier indices."""
+def _phase_matrix(M: int, slots: np.ndarray) -> np.ndarray:
+    """conj(oqam_phase) for every (slot, FFT bin) pair, using signed subcarrier indices."""
     bins = np.arange(M)
-    m_signed = np.where(bins >= M // 2, bins - M, bins)
-    out = np.empty((len(slots), M), dtype=complex)
-    for i, n in enumerate(slots):
-        if convention == "standard":
-            th = 1j ** ((m_signed + int(n)) % 4)
-        else:
-            th = 1j ** (((m_signed + int(n)) // 2) % 4)
-        sign = np.where((m_signed * int(n)) % 2 == 0, 1.0, -1.0)
-        out[i] = np.conj(sign * th)
-    return out
+    m = np.where(bins >= M // 2, bins - M, bins)[None, :]
+    n = slots[:, None]
+    sign = np.where((m * n) % 2 == 0, 1.0, -1.0)
+    return np.conj(sign * 1j ** ((m + n) % 4))
 
 
 def oqam_modulate(config: CoexConfig, data: dict, n_range: tuple[int, int],
-                  *, filt: PrototypeFilter | None = None,
-                  phase_convention: str = "standard") -> DiscreteSignal:
+                  *, filt: PrototypeFilter | None = None) -> DiscreteSignal:
     """Synthesize the OQAM signal for real PAM symbols on the secondary subcarriers.
 
     data maps subcarrier index -> real vector covering half-symbol slots
     n_range[0] .. n_range[1]-1; successive slots are offset by M/2 samples.
     """
-    if phase_convention not in PHASE_CONVENTIONS:
-        raise ValueError(f"unknown phase convention {phase_convention!r}")
     n0, n1 = n_range
     if n1 <= n0:
         raise ValueError("n_range must be non-empty")
@@ -257,7 +241,7 @@ def oqam_modulate(config: CoexConfig, data: dict, n_range: tuple[int, int],
         raise ValueError(f"data on subcarriers outside the secondary set: {sorted(bad)}")
     M = config.M
     if M % 2:
-        raise ValueError("OQAM requires even M (half-period slots must be whole samples)")
+        raise ConfigError("OQAM requires even M (half-period slots must be whole samples)")
     filt = filt or phydyas_k4()
     taps = sample_taps(filt, M)
     half = filt.overlap_K * M // 2
@@ -275,13 +259,13 @@ def oqam_modulate(config: CoexConfig, data: dict, n_range: tuple[int, int],
         for j, n in enumerate(range(n0, n1)):
             center = n * M // 2
             p = center - half + rel
-            amp = oqam_phase(m, n, phase_convention) * vec[j] / np.sqrt(M)
+            amp = oqam_phase(m, n) * vec[j] / np.sqrt(M)
             sig.samples[p - start] += amp * taps * np.exp(2j * np.pi * m * p / M)
     return sig
 
 
 def _oqam_demod_slots(config: CoexConfig, signal: DiscreteSignal, slots,
-                      taps: np.ndarray, phase_convention: str = "standard") -> np.ndarray:
+                      taps: np.ndarray) -> np.ndarray:
     """Real demodulated values for the given slots at all M bins: (len(slots), M).
 
     Correlates against the pulse times the receive exponential, normalizes
@@ -304,12 +288,11 @@ def _oqam_demod_slots(config: CoexConfig, signal: DiscreteSignal, slots,
     starts = (slots * (M // 2) - half) % M
     bins = np.arange(M)
     spec *= np.exp(-2j * np.pi * bins[None, :] * starts[:, None] / M)
-    return np.sqrt(M) / energy * np.real(spec * _phase_matrix(M, slots, phase_convention))
+    return np.sqrt(M) / energy * np.real(spec * _phase_matrix(M, slots))
 
 
 def oqam_demodulate(config: CoexConfig, signal: DiscreteSignal, n_s: int, m_s: int,
-                    *, filt: PrototypeFilter | None = None,
-                    phase_convention: str = "standard") -> float:
+                    *, filt: PrototypeFilter | None = None) -> float:
     """Recover the PAM symbol of half-symbol slot n_s on subcarrier m_s.
 
     On a clean own-signal this returns the symbol up to the prototype
@@ -318,7 +301,7 @@ def oqam_demodulate(config: CoexConfig, signal: DiscreteSignal, n_s: int, m_s: i
     """
     filt = filt or phydyas_k4()
     taps = sample_taps(filt, config.M)
-    vals = _oqam_demod_slots(config, signal, [n_s], taps, phase_convention)
+    vals = _oqam_demod_slots(config, signal, [n_s], taps)
     return float(vals[0, m_s % config.M])
 
 

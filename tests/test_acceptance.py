@@ -52,11 +52,10 @@ def i2s_cfg(**kw):
 
 
 def max_dev_db(estimate, closed_fn, l_filter=lambda l: True, within_60db_of_peak=False):
-    ls = [l for l, _, _ in estimate.per_l]
-    closed = {l: closed_fn(l) for l in ls}
+    closed = {l: closed_fn(l) for l in estimate.l_values}
     peak_db = 10 * np.log10(max(closed.values()))
     worst, where = 0.0, None
-    for l, p, _ in estimate.per_l:
+    for l, p in zip(estimate.l_values, estimate.powers):
         if not l_filter(l):
             continue
         cdb = 10 * np.log10(closed[l])
@@ -109,8 +108,8 @@ class TestCriterion3Reciprocity:
     def test_monte_carlo_confirms(self):
         a = estimate_oqam_to_ofdm(s2i_cfg(cp_ratio=0), 8000)
         b = estimate_ofdm_to_oqam(i2s_cfg(cp_ratio=0), 8000)
-        pa = {round(l, 9): p for l, p, _ in a.per_l}
-        pb = {round(l, 9): p for l, p, _ in b.per_l}
+        pa = {round(l, 9): p for l, p in zip(a.l_values, a.powers)}
+        pb = {round(l, 9): p for l, p in zip(b.l_values, b.powers)}
         worst = max(abs(10 * np.log10(pa[l] / pb[l])) for l in pa)
         report("criterion 3 (Monte Carlo)", worst <= 0.3,
                f"cp = 0, var_qam = 2 var_pam: direction powers differ by at most "
@@ -160,7 +159,7 @@ class TestCriterion6OfdmBaseline:
     def test_gap_at_most_3db_plus_tolerance(self):
         est = estimate_ofdm_to_ofdm(s2i_cfg(), 10_000)
         worst, where = -np.inf, None
-        for l, p, _ in est.per_l:
+        for l, p in zip(est.l_values, est.powers):
             if abs(l) > 20:
                 continue
             gap = 10 * np.log10(p / interference_oqam_to_ofdm(l, FILT, 0.5))
@@ -230,6 +229,7 @@ class TestCriterion8Structural:
         b = estimate_oqam_to_ofdm(cfg, 400)
         c = estimate_ofdm_to_oqam(i2s_cfg(), 400)
         d = estimate_ofdm_to_oqam(i2s_cfg(), 400)
-        ok = a.per_l == b.per_l and c.per_l == d.per_l
+        ok = all(np.array_equal(getattr(x, f), getattr(y, f))
+                 for x, y in ((a, b), (c, d)) for f in ("l_values", "powers", "std_errors"))
         report("criterion 8 (determinism)", ok,
                "fixed seed reruns are bit-identical for both estimators")

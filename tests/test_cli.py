@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import coexsim.cli as cli
 from coexsim.checks import run_all_checks
 from coexsim.cli import ConfigError, load_config, main
 from coexsim.filterbank import PrototypeFilter
@@ -17,6 +18,9 @@ var_pam: 0.5
 delta_f: 0.0
 seed: 42
 """
+
+MULTI_INTERFERER = GOOD_CONFIG.replace("secondary_set: [0]", "secondary_set: [0, 1]")
+BAD_CP_VALUE = GOOD_CONFIG.replace("cp_ratio: 1/8", "cp_ratio: one-eighth")
 
 
 @pytest.fixture
@@ -132,6 +136,33 @@ class TestVerifyCommand:
     def test_missing_config_is_usage_error(self, tmp_path):
         rc = main(["verify", "--config", str(tmp_path / "none.yaml")])
         assert rc == 2
+
+
+class TestErrorMapping:
+    @pytest.mark.parametrize("config_text, args", [
+        (GOOD_CONFIG, ["table", "--direction", "s2i", "--cp-ratio", "one-eighth"]),
+        (GOOD_CONFIG, ["table", "--direction", "s2i", "--cp-ratio", "1/0"]),
+        (BAD_CP_VALUE, ["table", "--direction", "s2i"]),
+        (GOOD_CONFIG, ["table", "--direction", "s2i", "--delta-f", "0.7"]),
+        (GOOD_CONFIG, ["simulate", "--direction", "s2i", "--symbols", "0"]),
+        (MULTI_INTERFERER, ["simulate", "--direction", "s2i", "--symbols", "10"]),
+    ], ids=["cp-flag", "cp-flag-zero-denominator", "cp-config", "delta-f", "zero-symbols",
+            "two-interferers"])
+    def test_user_input_errors_exit_2(self, tmp_path, capsys, config_text, args):
+        path = tmp_path / "scenario.yaml"
+        path.write_text(config_text)
+        rc = main([*args, "--config", str(path), "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_internal_value_error_is_not_a_usage_error(self, config_file, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("internal failure")
+
+        monkeypatch.setattr(cli, "build_table", broken)
+        with pytest.raises(ValueError, match="internal failure"):
+            main(["table", "--config", config_file, "--direction", "s2i",
+                  "--out", str(tmp_path / "x.csv")])
 
 
 class TestVerifySuiteNegative:

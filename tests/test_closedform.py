@@ -6,15 +6,17 @@ import numpy as np
 import pytest
 
 from coexsim.closedform import (
+    _lattice_taus,
     _ofdm_to_oqam_grid,
     _oqam_to_ofdm_grid,
+    _slot_offsets,
     build_table,
     interference_ofdm_to_oqam,
     interference_oqam_to_ofdm,
     power_db,
 )
 from coexsim.filterbank import phydyas_k4
-from coexsim.oracle import quadrature_I
+from coexsim.oracle import _window_taus, quadrature_I, victim_slot_offsets
 from coexsim.txrx import CoexConfig
 
 ACCEPT_GRID = (0.0, 0.5, 1.0, 2.0, 3.0, 5.0, 8.0)
@@ -119,11 +121,32 @@ class TestStructure:
         assert total == pytest.approx(2 * filt.normalization_sum() / 4, rel=3e-5)
 
 
+class TestGeometry:
+    def test_closed_form_shifts_match_oracle(self, filt):
+        # every prefix ratio p/q with q <= 16, p <= 2q; every victim of one cycle
+        ratios = sorted({Fraction(p, q) for q in range(1, 17) for p in range(2 * q + 1)})
+        assert len(ratios) == 161
+        mismatched = []
+        for cp in ratios:
+            offsets = _slot_offsets(cp)
+            assert len(offsets) == len(victim_slot_offsets(cp))
+            for nv, off in enumerate(offsets):
+                # s2i: CP-OFDM window nv against the half-period slot lattice
+                s2i = _lattice_taus(filt, Fraction(1, 2), -nv * (1 + cp) % Fraction(1, 2),
+                                    Fraction(1))
+                # i2s: OQAM slot nv against the CP-OFDM symbol lattice
+                i2s = _lattice_taus(filt, 1 + cp, off, 1 + cp)
+                if (set(s2i) != set(_window_taus("s2i", nv, cp, filt))
+                        or set(i2s) != set(_window_taus("i2s", nv, cp, filt))):
+                    mismatched.append((cp, nv))
+        assert mismatched == []
+
+
 class TestTables:
     def test_integer_grid_symmetric(self, filt):
         cfg = CoexConfig()
         table = build_table("oqam_to_ofdm", np.arange(-5.0, 6.0), cfg, filt)
-        assert len(table.entries) == 11
+        assert len(table.l_values) == len(table.powers) == 11
         powers = dict(zip(table.l_values, table.powers))
         for l in range(1, 6):
             assert powers[l] == pytest.approx(powers[-l], rel=1e-12)
@@ -131,7 +154,7 @@ class TestTables:
     def test_db_column_consistent(self, filt):
         cfg = CoexConfig()
         table = build_table("ofdm_to_oqam", np.arange(-3.0, 4.0), cfg, filt)
-        for l, p, db in table.entries:
+        for p, db in zip(table.powers, power_db(table.powers)):
             assert db == pytest.approx(10 * np.log10(p), abs=1e-12)
 
     def test_fractional_grid(self, filt):

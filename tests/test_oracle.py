@@ -116,6 +116,9 @@ class TestQuadratureI:
         offs = victim_slot_offsets(Fraction(1, 8))
         assert len(offs) == 9
         assert sorted(offs) == [Fraction(k, 8) for k in range(9)]
+        # cycle length 2(p+q)/gcd(2, q) at cp = p/q
+        for cp, length in ((Fraction(1, 3), 8), (Fraction(2, 3), 10), (Fraction(1, 5), 12)):
+            assert len(victim_slot_offsets(cp)) == length
 
     def test_parseval_constant(self, filt):
         # captured pulse energy equals 2 sum G^2 / K (quadrature vs analytic)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import coexsim.txrx as txrx
 from coexsim.filterbank import phydyas_k4, sample_taps
 from coexsim.txrx import (
     CoexConfig,
@@ -16,9 +17,14 @@ from coexsim.txrx import (
     oqam_demodulate,
     oqam_modulate,
     oqam_phase,
-    oqam_theta,
     shift_samples,
 )
+
+
+def floor_phase(m: int, n: int) -> complex:
+    """Test-only alternative OQAM phase map (-1)^(m n) exp(j pi/2 floor((m+n)/2))."""
+    sign = -1.0 if (m * n) % 2 else 1.0
+    return sign * 1j ** (((m + n) // 2) % 4)
 
 
 def small_config(**kw):
@@ -147,24 +153,30 @@ class TestOfdm:
 
 class TestOqamPhases:
     def test_floor_convention_reference_values(self):
-        # floor-convention phase table from the coexistence formulation
-        assert oqam_theta(0, 0, "floor") == 1
-        assert oqam_theta(0, 1, "floor") == 1
-        assert oqam_theta(0, 2, "floor") == 1j
-        assert oqam_theta(0, 3, "floor") == 1j
-        assert oqam_theta(1, 0, "floor") == 1
-        assert oqam_theta(1, 1, "floor") == 1j
+        # the test-only alternative map is the floor-convention theta table of
+        # the coexistence formulation times the (-1)^(m n) sign
+        assert floor_phase(0, 0) == 1
+        assert floor_phase(0, 1) == 1
+        assert floor_phase(0, 2) == 1j
+        assert floor_phase(0, 3) == 1j
+        assert floor_phase(1, 0) == 1
+        assert floor_phase(1, 1) == -1j  # (-1)^(1*1) * j
 
     def test_standard_convention_quadrature_structure(self):
         # adjacent slots and adjacent subcarriers always sit in quadrature
         for m in range(-3, 4):
             for n in range(-3, 4):
-                assert oqam_phase(m, n + 1, "standard") / oqam_phase(m, n, "standard") in (1j, -1j)
-                assert oqam_phase(m + 1, n, "standard") / oqam_phase(m, n, "standard") in (1j, -1j)
+                assert oqam_phase(m, n + 1) / oqam_phase(m, n) in (1j, -1j)
+                assert oqam_phase(m + 1, n) / oqam_phase(m, n) in (1j, -1j)
 
-    def test_unknown_convention(self):
-        with pytest.raises(ValueError):
-            oqam_theta(0, 0, "spiral")
+    def test_demodulator_conjugates_modulator_phase(self):
+        # the vectorised receive-side phase table equals conj(oqam_phase)
+        M, slots = 16, np.arange(-5, 7)
+        table = txrx._phase_matrix(M, slots)
+        for i, n in enumerate(slots):
+            for b in range(M):
+                m = b - M if b >= M // 2 else b
+                assert table[i, b] == np.conj(oqam_phase(m, int(n)))
 
 
 class TestOqam:
@@ -218,18 +230,21 @@ class TestOqam:
                 errs.append((rec - data[m][n - n0]) ** 2)
         assert np.mean(errs) / cfg.var_pam < 1e-5
 
-    def test_single_slot_interference_power_invariant_across_conventions(self):
-        # a lone slot's leaked power is exactly phase-convention independent
-        # (the convention contributes one unimodular factor per slot)
+    def test_single_slot_interference_power_invariant_across_conventions(self, monkeypatch):
+        # a lone slot's leaked power is exactly phase-map independent
+        # (the map contributes one unimodular factor per slot)
         cfg = CoexConfig(M=64, cp_ratio=Fraction(1, 8), incumbent_set=frozenset(range(-4, 5)),
                          secondary_set=frozenset(range(-2, 3)), seed=3)
-        for m_s, n_s in ((0, 0), (1, 3), (-2, 5)):
-            powers = {}
-            for conv in ("standard", "floor"):
-                sig = oqam_modulate(cfg, {m_s: np.eye(8)[n_s]}, (0, 8), phase_convention=conv)
-                powers[conv] = [abs(ofdm_demodulate(cfg, sig, 0, m)) ** 2
-                                for m in sorted(cfg.incumbent_set)]
-            assert np.allclose(powers["standard"], powers["floor"], rtol=1e-12, atol=1e-300)
+
+        def leaked(m_s, n_s):
+            sig = oqam_modulate(cfg, {m_s: np.eye(8)[n_s]}, (0, 8))
+            return [abs(ofdm_demodulate(cfg, sig, 0, m)) ** 2 for m in sorted(cfg.incumbent_set)]
+
+        cases = ((0, 0), (1, 3), (-2, 5))
+        standard = [leaked(*c) for c in cases]
+        monkeypatch.setattr(txrx, "oqam_phase", floor_phase)
+        for case, expect in zip(cases, standard):
+            assert np.allclose(leaked(*case), expect, rtol=1e-12, atol=1e-300)
 
 
 class TestLinearity:
