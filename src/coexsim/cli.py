@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -106,7 +107,7 @@ def _apply_overrides(config: CoexConfig, args) -> CoexConfig:
             kw["cp_ratio"] = Fraction(args.cp_ratio)
         except (ValueError, ZeroDivisionError) as e:
             raise ConfigError(f"--cp-ratio: {e}") from e
-    return config.with_(**kw) if kw else config
+    return replace(config, **kw)
 
 
 def _l_grid(args) -> np.ndarray:

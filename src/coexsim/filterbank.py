@@ -84,9 +84,7 @@ def evaluate_g(filt: PrototypeFilter, t_norm) -> float | np.ndarray:
     for k in range(1, K):
         acc += (2 * filt.coeffs[k] / K) * np.cos(2 * np.pi * k * ti / K)
     out[inside] = acc
-    if np.isscalar(t_norm) or np.ndim(t_norm) == 0:
-        return float(out)
-    return out
+    return out[()]
 
 
 def sample_taps(filt: PrototypeFilter, samples_per_symbol: int) -> np.ndarray:
@@ -115,6 +113,4 @@ def frequency_response(filt: PrototypeFilter, f_norm) -> float | np.ndarray:
     acc = np.zeros_like(f)
     for k in range(-K + 1, K):
         acc += filt.coeff(k) * _usinc(np.pi * (K * f - k))
-    if np.isscalar(f_norm) or np.ndim(f_norm) == 0:
-        return float(acc)
-    return acc
+    return acc[()]

@@ -14,6 +14,9 @@ The i2s estimator reports interference per victim complex symbol period
 (twice the per-slot mean over the two staggered real slots), matching the
 closed-form convention.
 
+Bursts: s2i and i2s synthesize one burst per 256 victim windows (slots),
+o2o one per 32 windows, where a fresh timing offset is drawn per burst.
+
 Determinism: a master seed spawns one independent substream per burst via
 numpy SeedSequence spawn keys, so results are bit-identical however bursts
 are scheduled.  Trial counts are the number of victim windows (slots)
@@ -23,13 +26,13 @@ reported standard errors are mildly optimistic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import ceil, floor
 
 import numpy as np
 
-from .filterbank import PrototypeFilter, phydyas_k4, sample_taps
+from .filterbank import phydyas_k4, sample_taps
 from .txrx import (
     CoexConfig,
     ConfigError,
@@ -52,7 +55,10 @@ __all__ = [
 # substream tags keep the per-direction random streams disjoint
 _TAG_S2I, _TAG_I2S, _TAG_O2O, _TAG_FLOOR = 0, 1, 2, 3
 
-DEFAULT_BURST = 256
+_BURST = 256
+# offset diversity, not window count, dominates the o2o estimator variance
+# under the uniform timing policy, so its bursts are short
+_O2O_BURST = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,9 +139,7 @@ def _oqam_slot_span(n_windows: int, cp: Fraction, K: int) -> tuple[int, int]:
 
 
 def estimate_oqam_to_ofdm(config: CoexConfig, n_symbols: int, *,
-                          burst_symbols: int = DEFAULT_BURST,
-                          window_classes=None,
-                          filt: PrototypeFilter | None = None) -> McEstimate:
+                          window_classes=None) -> McEstimate:
     """Mean |interference|^2 seen by every incumbent subcarrier from the OQAM interferer.
 
     n_symbols victim CP-OFDM windows are measured (bursts synthesized with
@@ -146,32 +150,26 @@ def estimate_oqam_to_ofdm(config: CoexConfig, n_symbols: int, *,
         raise ConfigError("n_symbols must be >= 1")
     m_s = _single_member(config.secondary_set, "secondary (interferer)")
     victims = sorted(config.incumbent_set)
-    filt = filt or phydyas_k4()
+    K = phydyas_k4().overlap_K
     acc = _MomentSums(config.M)
-    for b, size in enumerate(_burst_sizes(n_symbols, burst_symbols)):
+    for b, size in enumerate(_burst_sizes(n_symbols, _BURST)):
         rng = _rng(config.seed, _TAG_S2I, b)
-        n_lo, n_hi = _oqam_slot_span(size, config.cp_ratio, filt.overlap_K)
+        n_lo, n_hi = _oqam_slot_span(size, config.cp_ratio, K)
         data = {m_s: _draw_pam(rng, n_hi - n_lo, config.var_pam)}
-        sig = oqam_modulate(config, data, (n_lo, n_hi), filt=filt)
+        sig = oqam_modulate(config, data, (n_lo, n_hi))
         if config.delta_f:
             sig = apply_frequency_shift(sig, config.delta_f)
         windows = np.arange(size)
         if window_classes is not None:
             # classes are physical window phases within the burst timeline
             windows = windows[np.isin(windows % 4, list(window_classes))]
-        if len(windows):
-            rows = np.empty((len(windows), config.M))
-            for i, n in enumerate(windows):
-                rows[i] = np.abs(_ofdm_demod_window(config, sig, int(n))) ** 2
-            acc.add(rows)
+        acc.add(np.abs(_ofdm_demod_window(config, sig, windows)) ** 2)
     if acc.count == 0:
         raise ValueError("no victim windows measured (window_classes excluded everything)")
     return _finish(acc, lambda m: m_s + config.delta_f - m, victims, config, "oqam_to_ofdm")
 
 
-def estimate_ofdm_to_oqam(config: CoexConfig, n_symbols: int, *,
-                          burst_symbols: int = DEFAULT_BURST,
-                          filt: PrototypeFilter | None = None) -> McEstimate:
+def estimate_ofdm_to_oqam(config: CoexConfig, n_symbols: int) -> McEstimate:
     """Mean interference per complex symbol seen by every secondary subcarrier.
 
     n_symbols victim half-symbol slots are measured; the reported power is
@@ -181,12 +179,12 @@ def estimate_ofdm_to_oqam(config: CoexConfig, n_symbols: int, *,
         raise ConfigError("n_symbols must be >= 1")
     m_i = _single_member(config.incumbent_set, "incumbent (interferer)")
     victims = sorted(config.secondary_set)
-    filt = filt or phydyas_k4()
+    filt = phydyas_k4()
     taps = sample_taps(filt, config.M)
     K = filt.overlap_K
     cp = config.cp_ratio
     acc = _MomentSums(config.M)
-    for b, size in enumerate(_burst_sizes(n_symbols, burst_symbols)):
+    for b, size in enumerate(_burst_sizes(n_symbols, _BURST)):
         rng = _rng(config.seed, _TAG_I2S, b)
         # interferer symbols covering every victim slot's filter span
         lo_t, hi_t = -K / 2, (size - 1) / 2 + K / 2
@@ -203,15 +201,12 @@ def estimate_ofdm_to_oqam(config: CoexConfig, n_symbols: int, *,
 
 
 def estimate_ofdm_to_ofdm(config: CoexConfig, n_symbols: int,
-                          timing_offset_policy="uniform_random", *,
-                          burst_symbols: int = 32) -> McEstimate:
+                          timing_offset_policy="uniform_random") -> McEstimate:
     """CP-OFDM-vs-CP-OFDM baseline: asynchronous secondary, same waveform.
 
     timing_offset_policy is "uniform_random" (a fresh integer offset in
     [0, symbol_samples) per burst) or ("fixed", samples).  The secondary
     transmits QAM at var_qam (equal energy per symbol with the incumbent).
-    Bursts default to 32 windows: offset diversity, not window count,
-    dominates the estimator variance under the uniform policy.
     """
     if n_symbols < 1:
         raise ConfigError("n_symbols must be >= 1")
@@ -226,24 +221,20 @@ def estimate_ofdm_to_ofdm(config: CoexConfig, n_symbols: int,
     victims = sorted(config.incumbent_set)
     S = config.symbol_samples
     acc = _MomentSums(config.M)
-    for b, size in enumerate(_burst_sizes(n_symbols, burst_symbols)):
+    for b, size in enumerate(_burst_sizes(n_symbols, _O2O_BURST)):
         rng = _rng(config.seed, _TAG_O2O, b)
         off = int(rng.integers(0, S)) if fixed is None else fixed % S
         data = {m_s: _draw_qpsk(rng, size + 4, config.var_qam)}
-        sig = ofdm_modulate(config.with_(incumbent_set=frozenset({m_s})), data, (-2, size + 2))
+        sig = ofdm_modulate(replace(config, incumbent_set=frozenset({m_s})), data, (-2, size + 2))
         sig = shift_samples(sig, off)
         if config.delta_f:
             sig = apply_frequency_shift(sig, config.delta_f)
-        rows = np.empty((size, config.M))
-        for n in range(size):
-            rows[n] = np.abs(_ofdm_demod_window(config, sig, n)) ** 2
-        acc.add(rows)
+        acc.add(np.abs(_ofdm_demod_window(config, sig, np.arange(size))) ** 2)
     return _finish(acc, lambda m: m_s + config.delta_f - m, victims, config,
                    "ofdm_to_ofdm_mc")
 
 
-def self_reconstruction_floor(config: CoexConfig, n_symbols: int, *,
-                              filt: PrototypeFilter | None = None) -> float:
+def self_reconstruction_floor(config: CoexConfig, n_symbols: int) -> float:
     """Own-signal reconstruction error of an isolated OQAM link.
 
     Synthesizes a random burst on the secondary subcarriers, recovers the
@@ -252,14 +243,14 @@ def self_reconstruction_floor(config: CoexConfig, n_symbols: int, *,
     """
     if n_symbols < 1:
         raise ConfigError("n_symbols must be >= 1")
-    filt = filt or phydyas_k4()
+    filt = phydyas_k4()
     taps = sample_taps(filt, config.M)
     active = sorted(config.secondary_set)
     K = filt.overlap_K
     rng = _rng(config.seed, _TAG_FLOOR, 0)
     n_lo, n_hi = -2 * K, n_symbols + 2 * K
     data = {m: _draw_pam(rng, n_hi - n_lo, config.var_pam) for m in active}
-    sig = oqam_modulate(config, data, (n_lo, n_hi), filt=filt)
+    sig = oqam_modulate(config, data, (n_lo, n_hi))
     vals = _oqam_demod_slots(config, sig, np.arange(n_symbols), taps)
     err = 0.0
     for m in active:

@@ -33,8 +33,8 @@ def psd_ofdm_subcarrier(f_norm, cp_ratio) -> float | np.ndarray:
     if cp < 0:
         raise ValueError("cp_ratio must be non-negative")
     f = np.asarray(f_norm, dtype=float)
-    out = (1 + cp) * _usinc(np.pi * f * (1 + cp)) ** 2
-    return float(out) if np.ndim(f_norm) == 0 else out
+    out = (1 + cp) * np.square(_usinc(np.pi * f * (1 + cp)))
+    return out[()]
 
 
 def psd_oqam_subcarrier(f_norm, filt: PrototypeFilter) -> float | np.ndarray:
@@ -44,8 +44,8 @@ def psd_oqam_subcarrier(f_norm, filt: PrototypeFilter) -> float | np.ndarray:
     total power by sinc orthogonality).
     """
     norm = filt.normalization_sum() / filt.overlap_K
-    out = np.asarray(frequency_response(filt, f_norm)) ** 2 / norm
-    return float(out) if np.ndim(f_norm) == 0 else out
+    out = np.square(frequency_response(filt, f_norm)) / norm
+    return out[()]
 
 
 def psd_interference(direction: str, l: float, config, filt: PrototypeFilter) -> float:

@@ -8,10 +8,14 @@ clean own-signal returns the transmitted symbol with unit gain.
 CP-OFDM symbol n occupies samples [n(M+L) - L, n(M+L) + M) with L cyclic
 prefix samples; the useful window is the last M of those.  OQAM half-symbol
 slot n centers its pulse at sample n M/2 and spans K M + 1 samples.
+DiscreteSignal.window takes an array of start indices and returns one row
+per start, so both receivers demodulate all their windows or slots in one
+block transform.
 
-OQAM phase map: slot n of subcarrier m carries (-1)^(m n) theta_m[n] with
-theta_m[n] = j^(m+n), applied at the modulator and conjugated at the
-demodulator.  Adjacent slots and subcarriers sit in quadrature, which keeps
+OQAM phase map: slot n of subcarrier m carries oqam_phase(m, n) =
+(-1)^(m n) j^(m+n).  The one vectorised map serves both sides: the
+modulator applies it, the demodulator applies its conjugate over signed
+bins x slots.  Adjacent slots and subcarriers sit in quadrature, which keeps
 the intrinsic own-signal interference purely imaginary (near-perfect
 reconstruction).  Cross-system interference powers do not depend on the
 phase map (each slot contributes one unimodular factor); own-signal
@@ -20,12 +24,13 @@ reconstruction does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .filterbank import PrototypeFilter, phydyas_k4, sample_taps
+from .filterbank import phydyas_k4, sample_taps
 
 __all__ = [
     "CoexConfig",
@@ -37,7 +42,6 @@ __all__ = [
     "apply_frequency_shift",
     "shift_samples",
     "add_awgn",
-    "oqam_theta",
     "oqam_phase",
     "ConfigError",
 ]
@@ -104,9 +108,6 @@ class CoexConfig:
         """Samples per CP-OFDM symbol including the prefix."""
         return self.M + self.cp_samples
 
-    def with_(self, **kw) -> "CoexConfig":
-        return replace(self, **kw)
-
 
 @dataclass
 class DiscreteSignal:
@@ -133,13 +134,17 @@ class DiscreteSignal:
         """Absolute index one past the last sample."""
         return len(self.samples) - self.origin_index
 
-    def window(self, p0: int, length: int) -> np.ndarray:
-        """Samples at absolute indices [p0, p0 + length); raises if out of bounds."""
-        i0 = p0 + self.origin_index
-        if i0 < 0 or i0 + length > len(self.samples):
-            raise ValueError(
-                f"window [{p0}, {p0 + length}) out of signal bounds [{self.start}, {self.stop})")
-        return self.samples[i0:i0 + length]
+    def window(self, p0, length: int) -> np.ndarray:
+        """Samples at absolute indices [p0, p0 + length), shape p0.shape + (length,).
+
+        p0 is a start index or an array of them (one row per start); raises
+        if any window leaves the signal.
+        """
+        p0 = np.asarray(p0)
+        if p0.size and (p0.min() < self.start or p0.max() + length > self.stop):
+            raise ValueError(f"window [{p0.min()}, {p0.max() + length}) out of signal "
+                             f"bounds [{self.start}, {self.stop})")
+        return sliding_window_view(self.samples, length)[p0 + self.origin_index]
 
 
 def _zero_signal(M: int, start: int, stop: int) -> DiscreteSignal:
@@ -179,17 +184,16 @@ def ofdm_modulate(config: CoexConfig, data: dict, n_range: tuple[int, int]) -> D
     return sig
 
 
-def _ofdm_demod_window(config: CoexConfig, signal: DiscreteSignal, n_i: int) -> np.ndarray:
-    """Demodulated values of window n_i for all M subcarrier bins at once.
+def _ofdm_demod_window(config: CoexConfig, signal: DiscreteSignal, n_i) -> np.ndarray:
+    """Demodulated values of window(s) n_i for all M subcarrier bins: n_i.shape + (M,).
 
     Correlates the useful window (prefix discarded) against the receive
     exponential with 1/sqrt(M) scaling.  The absolute-time and prefix
     reference phases cancel exactly for integer subcarriers, so the FFT of
     the window is the complete answer.
     """
-    S = config.symbol_samples
-    seg = signal.window(n_i * S, config.M)
-    return np.fft.fft(seg) / np.sqrt(config.M)
+    seg = signal.window(n_i * config.symbol_samples, config.M)
+    return np.fft.fft(seg, axis=-1) / np.sqrt(config.M)
 
 
 def ofdm_demodulate(config: CoexConfig, signal: DiscreteSignal, n_i: int, m_i: int) -> complex:
@@ -206,28 +210,17 @@ def ofdm_demodulate(config: CoexConfig, signal: DiscreteSignal, n_i: int, m_i: i
 # OFDM/OQAM
 # ---------------------------------------------------------------------------
 
-def oqam_theta(m: int, n: int) -> complex:
-    """Per-symbol unit phase theta_m[n] = j^(m+n) (without the (-1)^(m n) sign)."""
-    return 1j ** ((m + n) % 4)
+def oqam_phase(m, n):
+    """Modulation phase (-1)^(m n) j^(m+n) of slot n on subcarrier m; broadcasts over arrays."""
+    return np.where((m * n) % 2, -1.0, 1.0) * 1j ** ((m + n) % 4)
 
 
-def oqam_phase(m: int, n: int) -> complex:
-    """Full modulation phase (-1)^(m n) * theta_m[n]."""
-    sign = -1.0 if (m * n) % 2 else 1.0
-    return sign * oqam_theta(m, n)
+def _require_even_m(M: int) -> None:
+    if M % 2:
+        raise ConfigError("OQAM requires even M (half-period slots must be whole samples)")
 
 
-def _phase_matrix(M: int, slots: np.ndarray) -> np.ndarray:
-    """conj(oqam_phase) for every (slot, FFT bin) pair, using signed subcarrier indices."""
-    bins = np.arange(M)
-    m = np.where(bins >= M // 2, bins - M, bins)[None, :]
-    n = slots[:, None]
-    sign = np.where((m * n) % 2 == 0, 1.0, -1.0)
-    return np.conj(sign * 1j ** ((m + n) % 4))
-
-
-def oqam_modulate(config: CoexConfig, data: dict, n_range: tuple[int, int],
-                  *, filt: PrototypeFilter | None = None) -> DiscreteSignal:
+def oqam_modulate(config: CoexConfig, data: dict, n_range: tuple[int, int]) -> DiscreteSignal:
     """Synthesize the OQAM signal for real PAM symbols on the secondary subcarriers.
 
     data maps subcarrier index -> real vector covering half-symbol slots
@@ -240,11 +233,9 @@ def oqam_modulate(config: CoexConfig, data: dict, n_range: tuple[int, int],
     if bad:
         raise ValueError(f"data on subcarriers outside the secondary set: {sorted(bad)}")
     M = config.M
-    if M % 2:
-        raise ConfigError("OQAM requires even M (half-period slots must be whole samples)")
-    filt = filt or phydyas_k4()
-    taps = sample_taps(filt, M)
-    half = filt.overlap_K * M // 2
+    _require_even_m(M)
+    taps = sample_taps(phydyas_k4(), M)
+    half = (len(taps) - 1) // 2
     nsym = n1 - n0
     start = n0 * M // 2 - half
     stop = (n1 - 1) * M // 2 + half + 1
@@ -256,10 +247,11 @@ def oqam_modulate(config: CoexConfig, data: dict, n_range: tuple[int, int],
             raise ValueError(f"OQAM data must be real (subcarrier {m})")
         if vec.shape != (nsym,):
             raise ValueError(f"data vector for subcarrier {m} must cover n_range ({nsym} slots)")
+        phases = oqam_phase(m, np.arange(n0, n1))
         for j, n in enumerate(range(n0, n1)):
             center = n * M // 2
             p = center - half + rel
-            amp = oqam_phase(m, n) * vec[j] / np.sqrt(M)
+            amp = phases[j] * vec[j] / np.sqrt(M)
             sig.samples[p - start] += amp * taps * np.exp(2j * np.pi * m * p / M)
     return sig
 
@@ -273,34 +265,30 @@ def _oqam_demod_slots(config: CoexConfig, signal: DiscreteSignal, slots,
     and takes the real part.
     """
     M = config.M
-    slots = np.asarray(list(slots), dtype=int)
-    half = (len(taps) - 1) // 2
+    _require_even_m(M)
+    slots = np.asarray(slots)
+    p0 = slots * (M // 2) - (len(taps) - 1) // 2
     energy = float(np.dot(taps, taps))
-    segs = np.empty((len(slots), len(taps)), dtype=complex)
-    for i, n in enumerate(slots):
-        segs[i] = signal.window(int(n) * M // 2 - half, len(taps))
-    w = segs * taps[None, :]
+    w = signal.window(p0, len(taps)) * taps
     # fold the tap-length correlation onto M bins, then one FFT per slot
     n_whole = (len(taps) // M) * M
     folded = w[:, :n_whole].reshape(len(slots), -1, M).sum(axis=1)
     folded[:, :len(taps) - n_whole] += w[:, n_whole:]
     spec = np.fft.fft(folded, axis=1)
-    starts = (slots * (M // 2) - half) % M
     bins = np.arange(M)
-    spec *= np.exp(-2j * np.pi * bins[None, :] * starts[:, None] / M)
-    return np.sqrt(M) / energy * np.real(spec * _phase_matrix(M, slots))
+    spec *= np.exp(-2j * np.pi * bins[None, :] * (p0 % M)[:, None] / M)
+    signed_bins = np.where(bins >= M // 2, bins - M, bins)
+    return np.sqrt(M) / energy * np.real(spec * np.conj(oqam_phase(signed_bins, slots[:, None])))
 
 
-def oqam_demodulate(config: CoexConfig, signal: DiscreteSignal, n_s: int, m_s: int,
-                    *, filt: PrototypeFilter | None = None) -> float:
+def oqam_demodulate(config: CoexConfig, signal: DiscreteSignal, n_s: int, m_s: int) -> float:
     """Recover the PAM symbol of half-symbol slot n_s on subcarrier m_s.
 
     On a clean own-signal this returns the symbol up to the prototype
     filter's near-perfect-reconstruction floor; on an interfering signal it
     returns one realization of the post-demodulation interference sample.
     """
-    filt = filt or phydyas_k4()
-    taps = sample_taps(filt, config.M)
+    taps = sample_taps(phydyas_k4(), config.M)
     vals = _oqam_demod_slots(config, signal, [n_s], taps)
     return float(vals[0, m_s % config.M])
 

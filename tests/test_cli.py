@@ -21,6 +21,8 @@ seed: 42
 
 MULTI_INTERFERER = GOOD_CONFIG.replace("secondary_set: [0]", "secondary_set: [0, 1]")
 BAD_CP_VALUE = GOOD_CONFIG.replace("cp_ratio: 1/8", "cp_ratio: one-eighth")
+# odd M: OQAM half-period slots would not fall on whole samples
+ODD_M_OQAM_VICTIM = "M: 9\ncp_ratio: 0\nincumbent_set: [0]\nsecondary_set: {range: [-2, 2]}\n"
 
 
 @pytest.fixture
@@ -146,8 +148,9 @@ class TestErrorMapping:
         (GOOD_CONFIG, ["table", "--direction", "s2i", "--delta-f", "0.7"]),
         (GOOD_CONFIG, ["simulate", "--direction", "s2i", "--symbols", "0"]),
         (MULTI_INTERFERER, ["simulate", "--direction", "s2i", "--symbols", "10"]),
+        (ODD_M_OQAM_VICTIM, ["simulate", "--direction", "i2s", "--symbols", "10"]),
     ], ids=["cp-flag", "cp-flag-zero-denominator", "cp-config", "delta-f", "zero-symbols",
-            "two-interferers"])
+            "two-interferers", "odd-m-oqam-victim"])
     def test_user_input_errors_exit_2(self, tmp_path, capsys, config_text, args):
         path = tmp_path / "scenario.yaml"
         path.write_text(config_text)

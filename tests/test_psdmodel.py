@@ -1,5 +1,6 @@
 """PSD-based interference model: normalization, band integrals, model contrast."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -104,8 +105,8 @@ class TestPsdInterference:
         # API takes the spectral distance directly; absolute indices never enter
         a = psd_interference("ofdm_to_oqam", 3.0, config, filt)
         b = psd_interference("ofdm_to_oqam", 3.0,
-                             config.with_(incumbent_set=frozenset({10}),
-                                          secondary_set=frozenset({7})), filt)
+                             replace(config, incumbent_set=frozenset({10}),
+                                     secondary_set=frozenset({7})), filt)
         assert a == b
 
     def test_unknown_direction(self, config, filt):

@@ -21,10 +21,12 @@ from coexsim.txrx import (
 )
 
 
-def floor_phase(m: int, n: int) -> complex:
-    """Test-only alternative OQAM phase map (-1)^(m n) exp(j pi/2 floor((m+n)/2))."""
-    sign = -1.0 if (m * n) % 2 else 1.0
-    return sign * 1j ** (((m + n) // 2) % 4)
+def floor_phase(m, n):
+    """Test-only alternative OQAM phase map (-1)^(m n) exp(j pi/2 floor((m+n)/2)).
+
+    Broadcasts over arrays like oqam_phase, so it can stand in for it.
+    """
+    return np.where((m * n) % 2, -1.0, 1.0) * 1j ** (((m + n) // 2) % 4)
 
 
 def small_config(**kw):
@@ -76,13 +78,23 @@ class TestConfig:
 
 class TestDiscreteSignal:
     def test_window_bounds(self):
-        sig = DiscreteSignal(np.zeros(10, dtype=complex), 8, origin_index=4)
+        sig = DiscreteSignal(np.arange(10, dtype=complex), 8, origin_index=4)
         assert sig.start == -4 and sig.stop == 6
         assert len(sig.window(-4, 10)) == 10
         with pytest.raises(ValueError):
             sig.window(-5, 4)
         with pytest.raises(ValueError):
             sig.window(0, 7)
+        # an array of starts gives one row per start
+        starts = np.array([-4, 2, -1, 0])
+        rows = sig.window(starts, 4)
+        assert rows.shape == (4, 4)
+        for i, p0 in enumerate(starts):
+            assert np.array_equal(rows[i], sig.window(int(p0), 4))
+        with pytest.raises(ValueError):
+            sig.window(np.array([-4, 3, 0]), 4)  # [3, 7) leaves the signal
+        with pytest.raises(ValueError):
+            sig.window(np.array([0, -5]), 4)
 
     def test_shift_samples_relabels_origin(self):
         sig = DiscreteSignal(np.arange(4, dtype=complex), 8, origin_index=0)
@@ -144,6 +156,16 @@ class TestOfdm:
         sig = ofdm_modulate(cfg, {}, (0, 1))
         assert ofdm_demodulate(cfg, sig, 0, 3) == 0
 
+    def test_batched_windows_bit_equal_to_single(self):
+        cfg = small_config()
+        rng = np.random.default_rng(11)
+        data = {m: rng.normal(size=6) + 1j * rng.normal(size=6) for m in (-3, 0, 5)}
+        sig = apply_frequency_shift(ofdm_modulate(cfg, data, (0, 6)), 0.3)
+        rows = txrx._ofdm_demod_window(cfg, sig, np.arange(6))
+        assert rows.shape == (6, cfg.M)
+        for i in range(6):
+            assert np.array_equal(rows[i], txrx._ofdm_demod_window(cfg, sig, i))
+
     def test_window_out_of_bounds(self):
         cfg = small_config()
         sig = ofdm_modulate(cfg, {}, (0, 1))
@@ -170,13 +192,14 @@ class TestOqamPhases:
                 assert oqam_phase(m + 1, n) / oqam_phase(m, n) in (1j, -1j)
 
     def test_demodulator_conjugates_modulator_phase(self):
-        # the vectorised receive-side phase table equals conj(oqam_phase)
-        M, slots = 16, np.arange(-5, 7)
-        table = txrx._phase_matrix(M, slots)
-        for i, n in enumerate(slots):
-            for b in range(M):
-                m = b - M if b >= M // 2 else b
-                assert table[i, b] == np.conj(oqam_phase(m, int(n)))
+        # the demodulator evaluates the modulator's map over a (slot, signed
+        # bin) grid; the vectorised map must match the per-element formula
+        slots, bins = np.arange(-5, 7), np.arange(-8, 8)
+        table = oqam_phase(bins[None, :], slots[:, None])
+        assert table.shape == (len(slots), len(bins))
+        for i, n in enumerate(slots.tolist()):
+            for j, m in enumerate(bins.tolist()):
+                assert table[i, j] == (-1) ** (m * n) * 1j ** ((m + n) % 4)
 
 
 class TestOqam:
@@ -193,8 +216,10 @@ class TestOqam:
     def test_rejects_odd_m(self):
         cfg = CoexConfig(M=9, cp_ratio=0, incumbent_set=frozenset({0}),
                          secondary_set=frozenset({0}))
-        with pytest.raises(ValueError):
+        with pytest.raises(txrx.ConfigError):
             oqam_modulate(cfg, {0: np.ones(1)}, (0, 1))
+        with pytest.raises(txrx.ConfigError):
+            oqam_demodulate(cfg, DiscreteSignal(np.zeros(100, dtype=complex), 9, 50), 0, 0)
 
     def test_single_symbol_envelope_is_pulse(self):
         # m = 0, n = 0: phase 1, so samples are exactly taps / sqrt(M)
