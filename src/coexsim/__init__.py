@@ -21,7 +21,6 @@ from .txrx import (
     apply_frequency_shift,
 )
 from .closedform import (
-    InterferenceTable,
     interference_oqam_to_ofdm,
     interference_ofdm_to_oqam,
     build_table,
@@ -49,7 +48,6 @@ __all__ = [
     "oqam_modulate",
     "oqam_demodulate",
     "apply_frequency_shift",
-    "InterferenceTable",
     "interference_oqam_to_ofdm",
     "interference_ofdm_to_oqam",
     "build_table",

@@ -30,6 +30,7 @@ import argparse
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from math import floor
 
 import numpy as np
 import yaml
@@ -45,8 +46,6 @@ __all__ = ["main", "load_config", "ConfigError"]
 
 _CONFIG_KEYS = ("M", "cp_ratio", "incumbent_set", "secondary_set",
                 "var_qam", "var_pam", "delta_f", "seed")
-
-_DIRECTIONS = {"s2i": "oqam_to_ofdm", "i2s": "ofdm_to_oqam", "o2o": "ofdm_to_ofdm_mc"}
 
 
 def _parse_subcarrier_set(value, name: str) -> frozenset:
@@ -115,7 +114,8 @@ def _l_grid(args) -> np.ndarray:
         raise ConfigError("--lstep must be positive")
     if args.lmax < args.lmin:
         raise ConfigError("--lmax must be >= --lmin")
-    count = int(round((args.lmax - args.lmin) / args.lstep)) + 1
+    # the tolerance keeps a grid that divides exactly, like 0.3 / 0.1, at its last point
+    count = floor((args.lmax - args.lmin) / args.lstep + 1e-9) + 1
     return args.lmin + args.lstep * np.arange(count)
 
 
@@ -142,10 +142,11 @@ def cmd_table(args) -> int:
     config = _apply_overrides(load_config(args.config), args)
     if args.direction not in ("s2i", "i2s"):
         raise ConfigError("table computes closed forms: --direction must be s2i or i2s")
-    table = build_table(_DIRECTIONS[args.direction], _l_grid(args), config, phydyas_k4())
+    grid = _l_grid(args)
+    powers = build_table(args.direction, grid, config, phydyas_k4())
     _write_csv(args.out, ["l", "power_linear", "power_db"],
                ((_fmt_l(l), _fmt_lin(p), _fmt_db(db))
-                for l, p, db in zip(table.l_values, table.powers, power_db(table.powers))))
+                for l, p, db in zip(grid, powers, power_db(powers))))
     return 0
 
 
@@ -162,14 +163,12 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"unknown direction {args.direction!r}")
     # closed-form overlay: the o2o baseline is compared against the
     # OQAM-secondary closed form (same victim, OQAM interferer)
-    closed_dir = "oqam_to_ofdm" if args.direction in ("s2i", "o2o") else "ofdm_to_oqam"
-    closed = build_table(closed_dir, est.l_values, config, filt)
-    psd_dir = _DIRECTIONS[args.direction]
-    rows = []
-    for l, p, err, pc in zip(est.l_values, est.powers, est.std_errors, closed.powers):
-        ppsd = psd_interference(psd_dir, l, config, filt)
-        rows.append((_fmt_l(l), _fmt_lin(p), _fmt_lin(err), _fmt_lin(pc), _fmt_lin(ppsd)))
-    _write_csv(args.out, ["l", "power_mc", "std_err", "power_closed", "power_psd"], rows)
+    closed = build_table("i2s" if args.direction == "i2s" else "s2i", est.l_values, config, filt)
+    psd = psd_interference(args.direction, est.l_values, config, filt)
+    _write_csv(args.out, ["l", "power_mc", "std_err", "power_closed", "power_psd"],
+               ((_fmt_l(l), _fmt_lin(p), _fmt_lin(err), _fmt_lin(pc), _fmt_lin(pp))
+                for l, p, err, pc, pp in zip(est.l_values, est.powers, est.std_errors,
+                                             closed, psd)))
     return 0
 
 

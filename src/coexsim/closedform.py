@@ -13,13 +13,13 @@ leaks the series' periodic image at the 1e-5 relative level, which the
 quadrature oracle resolves).
 
 Direction conventions (time in symbol periods, l possibly fractional):
-  oqam_to_ofdm:  interference per victim CP-OFDM symbol, canonical window
-                 n_i = 0; shifts on the half-period lattice.
-  ofdm_to_oqam:  interference per victim complex symbol period (the sum over
-                 the two staggered real slots), averaged over the finite
-                 cycle of interferer-lattice offsets seen by successive
+  s2i (OQAM -> CP-OFDM):  interference per victim CP-OFDM symbol, canonical
+                 window n_i = 0; shifts on the half-period lattice.
+  i2s (CP-OFDM -> OQAM):  interference per victim complex symbol period (the
+                 sum over the two staggered real slots), averaged over the
+                 finite cycle of interferer-lattice offsets seen by successive
                  victim slots.  At cp_ratio = 0 this reduces exactly to the
-                 oqam_to_ofdm sum, so equal-energy systems interfere equally.
+                 s2i sum, so equal-energy systems interfere equally.
 
 The contributing shifts of each victim frame are enumerated here from exact
 rational bounds, independently of the quadrature oracle's geometry; a test
@@ -28,7 +28,6 @@ checks that the two enumerations agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd
 
@@ -37,7 +36,6 @@ import numpy as np
 from .filterbank import PrototypeFilter, _usinc
 
 __all__ = [
-    "InterferenceTable",
     "interference_oqam_to_ofdm",
     "interference_ofdm_to_oqam",
     "build_table",
@@ -139,33 +137,17 @@ def interference_ofdm_to_oqam(l: float, filt: PrototypeFilter, cp_ratio, var_qam
     return float(_ofdm_to_oqam_grid(grid, filt, cp_ratio, var_qam)[0])
 
 
-@dataclass(frozen=True, eq=False)
-class InterferenceTable:
-    """Mean interference power per spectral distance, with provenance tags."""
+def build_table(direction: str, l_grid, config, filt: PrototypeFilter) -> np.ndarray:
+    """Closed-form interference powers over a grid of spectral distances.
 
-    l_values: np.ndarray
-    powers: np.ndarray
-    direction: str  # oqam_to_ofdm | ofdm_to_oqam
-    cp_ratio: Fraction
-    variance: float
-
-
-def build_table(direction: str, l_grid, config, filt: PrototypeFilter) -> InterferenceTable:
-    """Closed-form interference table over a grid of spectral distances.
-
-    direction is "oqam_to_ofdm" or "ofdm_to_oqam"; scenario parameters
-    (cp_ratio, symbol variances) come from the config.
+    direction is "s2i" or "i2s"; scenario parameters (cp_ratio, symbol
+    variances) come from the config.
     """
     grid = np.asarray(l_grid, dtype=float)
     if grid.size == 0:
         raise ValueError("l_grid must be non-empty")
-    if direction == "oqam_to_ofdm":
-        variance = config.var_pam
-        powers = _oqam_to_ofdm_grid(grid, filt, variance)
-    elif direction == "ofdm_to_oqam":
-        variance = config.var_qam
-        powers = _ofdm_to_oqam_grid(grid, filt, config.cp_ratio, variance)
-    else:
-        raise ValueError(f"build_table computes closed forms only, not {direction!r}")
-    return InterferenceTable(l_values=grid, powers=powers, direction=direction,
-                             cp_ratio=Fraction(config.cp_ratio), variance=float(variance))
+    if direction == "s2i":
+        return _oqam_to_ofdm_grid(grid, filt, config.var_pam)
+    if direction == "i2s":
+        return _ofdm_to_oqam_grid(grid, filt, config.cp_ratio, config.var_qam)
+    raise ValueError(f"build_table computes closed forms only, not {direction!r}")

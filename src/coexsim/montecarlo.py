@@ -70,7 +70,7 @@ class McEstimate:
     std_errors: np.ndarray
     trials: int
     config_snapshot: CoexConfig
-    direction: str
+    direction: str  # s2i | i2s | o2o
 
 
 def _single_member(s, what: str) -> int:
@@ -166,7 +166,7 @@ def estimate_oqam_to_ofdm(config: CoexConfig, n_symbols: int, *,
         acc.add(np.abs(_ofdm_demod_window(config, sig, windows)) ** 2)
     if acc.count == 0:
         raise ValueError("no victim windows measured (window_classes excluded everything)")
-    return _finish(acc, lambda m: m_s + config.delta_f - m, victims, config, "oqam_to_ofdm")
+    return _finish(acc, lambda m: m_s + config.delta_f - m, victims, config, "s2i")
 
 
 def estimate_ofdm_to_oqam(config: CoexConfig, n_symbols: int) -> McEstimate:
@@ -196,8 +196,7 @@ def estimate_ofdm_to_oqam(config: CoexConfig, n_symbols: int) -> McEstimate:
             sig = apply_frequency_shift(sig, -config.delta_f)
         vals = _oqam_demod_slots(config, sig, np.arange(size), taps)
         acc.add(vals ** 2)
-    return _finish(acc, lambda m: m_i - config.delta_f - m, victims, config,
-                   "ofdm_to_oqam", scale=2.0)
+    return _finish(acc, lambda m: m_i - config.delta_f - m, victims, config, "i2s", scale=2.0)
 
 
 def estimate_ofdm_to_ofdm(config: CoexConfig, n_symbols: int,
@@ -230,8 +229,7 @@ def estimate_ofdm_to_ofdm(config: CoexConfig, n_symbols: int,
         if config.delta_f:
             sig = apply_frequency_shift(sig, config.delta_f)
         acc.add(np.abs(_ofdm_demod_window(config, sig, np.arange(size))) ** 2)
-    return _finish(acc, lambda m: m_s + config.delta_f - m, victims, config,
-                   "ofdm_to_ofdm_mc")
+    return _finish(acc, lambda m: m_s + config.delta_f - m, victims, config, "o2o")
 
 
 def self_reconstruction_floor(config: CoexConfig, n_symbols: int) -> float:

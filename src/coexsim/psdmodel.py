@@ -9,6 +9,14 @@ whose two staggered real streams share the period).
 
 The OQAM PSD is |frequency response|^2 under i.i.d. symbols; the
 half-symbol staggering does not change the wide-sense spectrum.
+
+Band integrals use one fixed 24-point Gauss-Legendre rule per unit band.
+Each PSD transforms a pulse autocorrelation lasting 2K = 8 periods (OQAM) or
+2(1 + cp) periods (CP-OFDM), so across one band the integrand is entire with
+a few oscillations, and a rule exact to degree 47 is limited by roundoff
+alone: it matches adaptive quadrature at epsrel 1e-12 to 2e-13 for CP-OFDM
+(cp <= 2, |l| <= 256) and to 1.5e-10 for OQAM (|l| <= 20, the integrand's
+own roundoff floor).  It loses digits beyond cp = 4 (3e-8 at cp = 8).
 """
 
 from __future__ import annotations
@@ -16,11 +24,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import quad
 
 from .filterbank import PrototypeFilter, frequency_response, _usinc
 
 __all__ = ["psd_ofdm_subcarrier", "psd_oqam_subcarrier", "psd_interference"]
+
+# fixed rule on [-1, 1]: the band integrands are smooth, so adaptivity buys nothing
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(24)
 
 
 def psd_ofdm_subcarrier(f_norm, cp_ratio) -> float | np.ndarray:
@@ -48,24 +58,23 @@ def psd_oqam_subcarrier(f_norm, filt: PrototypeFilter) -> float | np.ndarray:
     return out[()]
 
 
-def psd_interference(direction: str, l: float, config, filt: PrototypeFilter) -> float:
+def psd_interference(direction: str, l, config, filt: PrototypeFilter) -> float | np.ndarray:
     """PSD-model interference at spectral distance l: victim-band integral.
 
-    Integrates the interferer's subcarrier PSD over [l - 1/2, l + 1/2] by
-    adaptive quadrature (relative tolerance 1e-8) and scales by the
-    interferer's symbol power.  direction selects the interferer:
-    "oqam_to_ofdm" (OQAM PSD, power 2 var_pam), "ofdm_to_oqam" or
-    "ofdm_to_ofdm_mc" (CP-OFDM PSD, power var_qam).  Only l enters; absolute
+    Integrates the interferer's subcarrier PSD over [l - 1/2, l + 1/2] and
+    scales by the interferer's symbol power.  direction selects the
+    interferer: "s2i" (OQAM PSD, power 2 var_pam), "i2s" or "o2o" (CP-OFDM
+    PSD, power var_qam).  l is a scalar or an array; only l enters, absolute
     subcarrier positions are irrelevant.
     """
-    l = float(l)
-    if direction == "oqam_to_ofdm":
-        integrand = lambda f: psd_oqam_subcarrier(f, filt)
+    if direction == "s2i":
+        psd = lambda f: psd_oqam_subcarrier(f, filt)
         power = 2 * config.var_pam
-    elif direction in ("ofdm_to_oqam", "ofdm_to_ofdm_mc"):
-        integrand = lambda f: psd_ofdm_subcarrier(f, config.cp_ratio)
+    elif direction in ("i2s", "o2o"):
+        psd = lambda f: psd_ofdm_subcarrier(f, config.cp_ratio)
         power = config.var_qam
     else:
         raise ValueError(f"unknown direction {direction!r}")
-    val, _ = quad(integrand, l - 0.5, l + 0.5, epsabs=1e-16, epsrel=1e-8, limit=300)
-    return power * val
+    l = np.asarray(l, dtype=float)
+    out = power * 0.5 * np.sum(psd(l[..., None] + 0.5 * _NODES) * _WEIGHTS, axis=-1)
+    return out[()]

@@ -41,7 +41,6 @@ __all__ = [
     "oqam_demodulate",
     "apply_frequency_shift",
     "shift_samples",
-    "add_awgn",
     "oqam_phase",
     "ConfigError",
 ]
@@ -308,15 +307,3 @@ def shift_samples(signal: DiscreteSignal, offset: int) -> DiscreteSignal:
     """Delay the signal by a whole number of samples (relabels the time origin)."""
     return DiscreteSignal(signal.samples, signal.samples_per_symbol,
                           signal.origin_index - offset)
-
-
-def add_awgn(signal: DiscreteSignal, noise_power: float, rng: np.random.Generator) -> DiscreteSignal:
-    """Add complex white Gaussian noise of the given per-sample power (demo helper).
-
-    Interference measurements run noiseless (noise is additive, independent
-    and zero-mean; it would only inflate estimator variance).
-    """
-    n = len(signal.samples)
-    noise = rng.normal(scale=np.sqrt(noise_power / 2), size=(2, n))
-    return DiscreteSignal(signal.samples + noise[0] + 1j * noise[1],
-                          signal.samples_per_symbol, signal.origin_index)

@@ -142,11 +142,11 @@ class TestCriterion5PsdContrast:
         from coexsim.psdmodel import psd_interference
         cfg = s2i_cfg()
         track = max(
-            abs(10 * np.log10(psd_interference("ofdm_to_oqam", float(l), cfg, FILT)
+            abs(10 * np.log10(psd_interference("i2s", float(l), cfg, FILT)
                               / interference_ofdm_to_oqam(float(l), FILT, cfg.cp_ratio, 1.0)))
             for l in range(-10, 11))
         fail = max(
-            abs(10 * np.log10(psd_interference("oqam_to_ofdm", float(l), cfg, FILT)
+            abs(10 * np.log10(psd_interference("s2i", float(l), cfg, FILT)
                               / interference_oqam_to_ofdm(float(l), FILT, 0.5)))
             for l in range(-10, 11))
         report("criterion 5", track <= 3.0 and fail > 10.0,

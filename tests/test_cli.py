@@ -1,5 +1,10 @@
 """CLI: config ingestion, CSV emission, verification report, exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -91,6 +96,19 @@ class TestTableCommand:
                        "--lmin", "-20", "--lmax", "20", "--lstep", "0.5", "--out", str(out)])
             assert rc == 0
             assert len(out.read_text().splitlines()) == 82
+
+    # 0.3 / 0.1 is 2.9999999999999996 in floating point: the last point stays
+    @pytest.mark.parametrize("lmax, lstep, expected", [
+        ("1", "0.6", [0.0, 0.6]),
+        ("0.3", "0.1", [0.0, 0.1, 0.2, 0.3]),
+    ])
+    def test_grid_stops_at_lmax(self, config_file, tmp_path, lmax, lstep, expected):
+        out = tmp_path / "t.csv"
+        rc = main(["table", "--config", config_file, "--direction", "s2i",
+                   "--lmin", "0", "--lmax", lmax, "--lstep", lstep, "--out", str(out)])
+        assert rc == 0
+        ls = [float(r.split(",")[0]) for r in out.read_text().splitlines()[1:]]
+        assert ls == pytest.approx(expected, abs=1e-12)
 
 
 class TestSimulateCommand:
@@ -188,3 +206,13 @@ class TestPsdCommand:
         lines = out.read_text().splitlines()
         assert lines[0] == "f_norm,psd_cpofdm,psd_oqam,psd_cpofdm_db,psd_oqam_db"
         assert len(lines) == 10
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy is a test-only dependency: the runtime must not import it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys, coexsim.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "[]"

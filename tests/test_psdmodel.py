@@ -74,20 +74,50 @@ class TestOqamPsd:
                            psd_oqam_subcarrier(-f, filt), rtol=1e-12, atol=1e-15)
 
 
+def band_quad(f, l):
+    """Test-only reference: one tight adaptive quadrature of the band around l."""
+    return quad(f, l - 0.5, l + 0.5, epsabs=0, epsrel=1e-12, limit=200)[0]
+
+
+class TestBandRule:
+    FRACTIONAL = (0.3, -2.5, 7.25, -31.7, 100.01, 255.5)
+
+    @pytest.mark.parametrize("cp", [Fraction(0), Fraction(1, 8), Fraction(1, 4), Fraction(2)])
+    def test_ofdm_matches_tight_quad(self, config, filt, cp):
+        cfg = replace(config, cp_ratio=cp)
+        ls = np.concatenate([np.arange(-256.0, 257.0), self.FRACTIONAL])
+        rule = psd_interference("i2s", ls, cfg, filt)
+        ref = np.array([band_quad(lambda f: psd_ofdm_subcarrier(f, cp), l) for l in ls])
+        assert np.max(np.abs(rule / (cfg.var_qam * ref) - 1)) <= 1e-12
+
+    def test_oqam_matches_tight_quad(self, config, filt):
+        ls = np.concatenate([np.arange(-20.0, 21.0), np.arange(-20.0, 20.0) + 0.37])
+        rule = psd_interference("s2i", ls, config, filt)
+        ref = np.array([band_quad(lambda f: psd_oqam_subcarrier(f, filt), l) for l in ls])
+        # the OQAM integrand's own roundoff floor sits near 1e-10
+        assert np.max(np.abs(rule / (2 * config.var_pam * ref) - 1)) <= 1e-9
+
+    @pytest.mark.parametrize("direction", ["s2i", "i2s", "o2o"])
+    def test_array_call_bit_equal_to_scalar_calls(self, config, filt, direction):
+        ls = np.concatenate([np.arange(-25.0, 26.0), np.arange(-5.0, 5.0) + 0.3])
+        rows = psd_interference(direction, ls, config, filt)
+        scalars = [psd_interference(direction, l, config, filt) for l in ls]
+        assert all(type(v) is np.float64 for v in scalars)
+        assert np.array_equal(rows, scalars)
+
+
 class TestPsdInterference:
     def test_band_partition_recovers_interferer_power(self, config, filt):
-        total_i2s = sum(psd_interference("ofdm_to_oqam", float(l), config, filt)
-                        for l in range(-3000, 3001))
+        total_i2s = psd_interference("i2s", np.arange(-3000.0, 3001.0), config, filt).sum()
         assert total_i2s == pytest.approx(config.var_qam, rel=1e-3)
-        total_s2i = sum(psd_interference("oqam_to_ofdm", float(l), config, filt)
-                        for l in range(-20, 21))
+        total_s2i = psd_interference("s2i", np.arange(-20.0, 21.0), config, filt).sum()
         assert total_s2i == pytest.approx(2 * config.var_pam, rel=1e-3)
 
     def test_tracks_closed_form_toward_oqam_victim(self, config, filt):
         # the OQAM receive window is wider than the interferer's pulse, so
         # band integration is a fair estimate in this direction
         for l in range(0, 11):
-            psd = psd_interference("ofdm_to_oqam", float(l), config, filt)
+            psd = psd_interference("i2s", float(l), config, filt)
             closed = interference_ofdm_to_oqam(float(l), filt, config.cp_ratio, config.var_qam)
             assert abs(10 * np.log10(psd / closed)) < 3.0
 
@@ -96,15 +126,15 @@ class TestPsdInterference:
         # containment; the PSD estimate misses that entirely
         worst = 0.0
         for l in range(2, 11):
-            psd = psd_interference("oqam_to_ofdm", float(l), config, filt)
+            psd = psd_interference("s2i", float(l), config, filt)
             closed = interference_oqam_to_ofdm(float(l), filt, config.var_pam)
             worst = max(worst, abs(10 * np.log10(psd / closed)))
         assert worst > 10.0
 
     def test_only_l_enters(self, config, filt):
         # API takes the spectral distance directly; absolute indices never enter
-        a = psd_interference("ofdm_to_oqam", 3.0, config, filt)
-        b = psd_interference("ofdm_to_oqam", 3.0,
+        a = psd_interference("i2s", 3.0, config, filt)
+        b = psd_interference("i2s", 3.0,
                              replace(config, incumbent_set=frozenset({10}),
                                      secondary_set=frozenset({7})), filt)
         assert a == b

@@ -10,7 +10,6 @@ from coexsim.filterbank import phydyas_k4, sample_taps
 from coexsim.txrx import (
     CoexConfig,
     DiscreteSignal,
-    add_awgn,
     apply_frequency_shift,
     ofdm_demodulate,
     ofdm_modulate,
@@ -334,8 +333,3 @@ class TestSignalPower:
         measured = float(np.mean(np.abs(core) ** 2))
         predicted = 2 * cfg.var_pam * energy / cfg.M ** 2
         assert measured == pytest.approx(predicted, rel=0.02)
-
-    def test_awgn_injector_power(self):
-        sig = DiscreteSignal(np.zeros(200_000, dtype=complex), 64, 0)
-        noisy = add_awgn(sig, 0.25, np.random.default_rng(10))
-        assert float(np.mean(np.abs(noisy.samples) ** 2)) == pytest.approx(0.25, rel=0.02)
