@@ -197,8 +197,9 @@ class TestCriterion8Structural:
         report("criterion 8 (l-symmetry)", result.passed, f"{result.detail} (<= 1e-12)")
 
     def test_parseval(self):
-        result = check_parseval(FILT, tol=1e-6)
-        report("criterion 8 (Parseval)", result.passed, f"{result.detail} (<= 1e-6)")
+        result = check_parseval(FILT, tol=1e-10)
+        report("criterion 8 (Parseval)", result.passed,
+               f"{result.detail} (sum <= 1e-10; energy vs 2 <= 1e-6)")
 
     def test_ofdm_own_signal_reconstruction(self):
         cfg = CoexConfig(M=64, cp_ratio=Fraction(1, 8), incumbent_set=frozenset(range(-8, 9)),

@@ -1,0 +1,62 @@
+"""Verification battery: result types, the Parseval tail model and its strictness."""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from coexsim import checks, closedform
+from coexsim.checks import _parseval_estimates, check_parseval, run_all_checks
+from coexsim.filterbank import PrototypeFilter, evaluate_g, phydyas_k4
+from coexsim.oracle import oracle_parseval_constant
+
+FILT = phydyas_k4()
+
+
+def test_results_are_json_serialisable():
+    results = run_all_checks(FILT)
+    assert len(results) == 8
+    assert all(type(r.passed) is bool for r in results)
+    json.dumps([vars(r) for r in results])
+
+
+class TestParsevalTail:
+    def test_tail_coefficient_matches_edge_jumps(self):
+        # I(l) ~ sum_tau (g(1 - tau) - g(-tau))^2 / (4 pi^2 l^2) at integer l, so the
+        # half-open grid [-L, L) misses sum_tau (...)^2 / (2 pi^2 L) of the total
+        L = 1 << 13
+        taus = np.arange(-3, 6) / 2   # the 9 half-period shifts whose support meets [0, 1]
+        predicted = np.sum((evaluate_g(FILT, 1 - taus) - evaluate_g(FILT, -taus)) ** 2) \
+            / (2 * np.pi ** 2)
+        grid = np.arange(-L, L, dtype=float)
+        partial = float(np.sum(closedform._oqam_to_ofdm_grid(grid, FILT, 1.0)))
+        measured = (oracle_parseval_constant(FILT) - partial) * L
+        assert predicted == pytest.approx(0.2026535796, rel=1e-9)
+        assert measured == pytest.approx(predicted, rel=2e-8)
+
+    def test_scaled_closed_form_fails(self, monkeypatch):
+        grid = checks._oqam_to_ofdm_grid
+        monkeypatch.setattr(checks, "_oqam_to_ofdm_grid", lambda *a: grid(*a) * (1 + 1e-8))
+        assert not check_parseval(FILT).passed
+
+    def test_dropped_outermost_shift_fails(self, monkeypatch):
+        taus = closedform._lattice_taus
+        monkeypatch.setattr(closedform, "_lattice_taus", lambda *a: taus(*a)[:-1])
+        assert not check_parseval(FILT).passed
+
+    def test_disagreeing_estimates_fail(self, monkeypatch):
+        # the finer estimate is exact, but the coarser one shows the tail is off-model
+        const = oracle_parseval_constant(FILT)
+        monkeypatch.setattr(checks, "_parseval_estimates", lambda filt: (const * (1 + 1e-9), const))
+        assert not check_parseval(FILT).passed
+
+
+@settings(max_examples=15, deadline=None, database=None)
+@given(st.tuples(*[st.floats(0.0, 1.0)] * 3))
+def test_extrapolated_sum_matches_oracle_for_any_k4_filter(tail_coeffs):
+    filt = PrototypeFilter(overlap_K=4, coeffs=(1.0, *tail_coeffs))
+    const = oracle_parseval_constant(filt)
+    coarse, fine = _parseval_estimates(filt)
+    assert abs(fine - const) <= 1e-10 * const
+    assert abs(coarse - const) <= 1e-10 * const
