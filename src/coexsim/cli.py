@@ -30,7 +30,7 @@ import argparse
 import sys
 from dataclasses import replace
 from fractions import Fraction
-from math import floor
+from math import floor, isfinite
 
 import numpy as np
 import yaml
@@ -110,6 +110,8 @@ def _apply_overrides(config: CoexConfig, args) -> CoexConfig:
 
 
 def _l_grid(args) -> np.ndarray:
+    if not all(isfinite(x) for x in (args.lmin, args.lmax, args.lstep)):
+        raise ConfigError("--lmin, --lmax and --lstep must be finite")
     if args.lstep <= 0:
         raise ConfigError("--lstep must be positive")
     if args.lmax < args.lmin:
@@ -187,14 +189,12 @@ def cmd_verify(args) -> int:
 
 def cmd_psd(args) -> int:
     config = _apply_overrides(load_config(args.config), args)
-    filt = phydyas_k4()
-    rows = []
-    for f in _l_grid(args):
-        po = psd_ofdm_subcarrier(f, config.cp_ratio)
-        pq = psd_oqam_subcarrier(f, filt)
-        rows.append((_fmt_l(f), _fmt_lin(po), _fmt_lin(pq),
-                     _fmt_db(float(power_db(po))), _fmt_db(float(power_db(pq)))))
-    _write_csv(args.out, ["f_norm", "psd_cpofdm", "psd_oqam", "psd_cpofdm_db", "psd_oqam_db"], rows)
+    grid = _l_grid(args)
+    po = psd_ofdm_subcarrier(grid, config.cp_ratio)
+    pq = psd_oqam_subcarrier(grid, phydyas_k4())
+    _write_csv(args.out, ["f_norm", "psd_cpofdm", "psd_oqam", "psd_cpofdm_db", "psd_oqam_db"],
+               ((_fmt_l(f), _fmt_lin(a), _fmt_lin(b), _fmt_db(a_db), _fmt_db(b_db))
+                for f, a, b, a_db, b_db in zip(grid, po, pq, power_db(po), power_db(pq))))
     return 0
 
 

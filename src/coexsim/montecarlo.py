@@ -20,8 +20,14 @@ o2o one per 32 windows, where a fresh timing offset is drawn per burst.
 Determinism: a master seed spawns one independent substream per burst via
 numpy SeedSequence spawn keys, so results are bit-identical however bursts
 are scheduled.  Trial counts are the number of victim windows (slots)
-measured; windows sharing interferer symbols are weakly correlated, so the
-reported standard errors are mildly optimistic.
+measured, and the reported standard errors treat them as independent.
+They are not: windows of one burst share its interferer symbols and, for
+o2o, its timing offset.  The ratio of a batch-means standard error over bursts
+(Flegal & Jones, Ann. Stat. 2010) to the reported one was measured on the
+reference scenario at 3.5-4.0 for o2o, where the shared offset dominates
+the variance, so its reported errors are about 4x too small; for s2i it was
+0.82-1.05 (40 bursts only).  Reporting the batch-means value instead is an
+open ROADMAP item.
 """
 
 from __future__ import annotations

@@ -8,6 +8,17 @@ clean own-signal returns the transmitted symbol with unit gain.
 CP-OFDM symbol n occupies samples [n(M+L) - L, n(M+L) + M) with L cyclic
 prefix samples; the useful window is the last M of those.  OQAM half-symbol
 slot n centers its pulse at sample n M/2 and spans K M + 1 samples.
+
+OQAM synthesis is polyphase (Bellanger et al., FBMC physical layer: a
+primer, PHYDYAS 2010): the taps are padded to nb = 2K + 1 blocks of M/2
+samples and the carrier, reduced exactly as (m p) mod M, is folded into
+them.  A slot starts one half period after its predecessor, which
+multiplies its carrier by (-1)^m, so its pulse is the same nb blocks times
+one amplitude.  Each subcarrier's burst is then one product of the
+(slots + nb - 1) x nb Toeplitz matrix of slot amplitudes with the nb x M/2
+block matrix; with inner dimension nb the bytes do not depend on the BLAS
+thread count.
+
 DiscreteSignal.window takes an array of start indices and returns one row
 per start, so both receivers demodulate all their windows or slots in one
 block transform.
@@ -235,24 +246,37 @@ def oqam_modulate(config: CoexConfig, data: dict, n_range: tuple[int, int]) -> D
     _require_even_m(M)
     taps = sample_taps(phydyas_k4(), M)
     half = (len(taps) - 1) // 2
+    hop = M // 2
     nsym = n1 - n0
-    start = n0 * M // 2 - half
-    stop = (n1 - 1) * M // 2 + half + 1
-    sig = _zero_signal(M, start, stop)
-    rel = np.arange(len(taps))
+    start = n0 * hop - half
+    stop = (n1 - 1) * hop + half + 1
+    nb = -(-len(taps) // hop)  # pulse blocks of one half period: 9 for K = 4
+    pulse = np.zeros(nb * hop)
+    pulse[:len(taps)] = taps / np.sqrt(M)
+    p = np.arange(start, start + nb * hop)  # absolute samples of slot n0's pulse blocks
+    sign = np.where(np.arange(nsym) % 2, -1.0, 1.0)
+    amps = np.zeros(nsym + 2 * (nb - 1), dtype=complex)
+    toeplitz = sliding_window_view(amps, nb)[:, ::-1]  # row k holds amps of slots k-nb+1 .. k
+    samples = None
     for m, vec in sorted(data.items()):
         vec = np.asarray(vec)
         if np.iscomplexobj(vec):
             raise ValueError(f"OQAM data must be real (subcarrier {m})")
         if vec.shape != (nsym,):
             raise ValueError(f"data vector for subcarrier {m} must cover n_range ({nsym} slots)")
-        phases = oqam_phase(m, np.arange(n0, n1))
-        for j, n in enumerate(range(n0, n1)):
-            center = n * M // 2
-            p = center - half + rel
-            amp = phases[j] * vec[j] / np.sqrt(M)
-            sig.samples[p - start] += amp * taps * np.exp(2j * np.pi * m * p / M)
-    return sig
+        # carrier exp(2 pi j m p / M) of slot n0's pulse, reduced exactly as (m p) mod M;
+        # slot n0 + j starts j half periods later, which multiplies it by (-1)^(m j)
+        blocks = pulse * np.exp(2j * np.pi * ((m * p) % M) / M)
+        amp = oqam_phase(m, np.arange(n0, n1)) * vec
+        amps[nb - 1:nb - 1 + nsym] = amp * sign if m % 2 else amp
+        env = (toeplitz @ blocks.reshape(nb, hop)).ravel()[:stop - start]
+        if samples is None:
+            samples = env
+        else:
+            samples += env
+    if samples is None:
+        return _zero_signal(M, start, stop)
+    return DiscreteSignal(samples, M, origin_index=-start)
 
 
 def _oqam_demod_slots(config: CoexConfig, signal: DiscreteSignal, slots,

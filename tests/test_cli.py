@@ -167,8 +167,15 @@ class TestErrorMapping:
         (GOOD_CONFIG, ["simulate", "--direction", "s2i", "--symbols", "0"]),
         (MULTI_INTERFERER, ["simulate", "--direction", "s2i", "--symbols", "10"]),
         (ODD_M_OQAM_VICTIM, ["simulate", "--direction", "i2s", "--symbols", "10"]),
+        (GOOD_CONFIG, ["table", "--direction", "s2i", "--lmin", "nan"]),
+        (GOOD_CONFIG, ["table", "--direction", "s2i", "--lstep", "nan"]),
+        (GOOD_CONFIG, ["table", "--direction", "s2i", "--lmax", "inf"]),
+        (GOOD_CONFIG, ["psd", "--lmin", "nan"]),
+        (GOOD_CONFIG, ["psd", "--lstep", "nan"]),
+        (GOOD_CONFIG, ["psd", "--lmax", "inf"]),
     ], ids=["cp-flag", "cp-flag-zero-denominator", "cp-config", "delta-f", "zero-symbols",
-            "two-interferers", "odd-m-oqam-victim"])
+            "two-interferers", "odd-m-oqam-victim", "table-lmin-nan", "table-lstep-nan",
+            "table-lmax-inf", "psd-lmin-nan", "psd-lstep-nan", "psd-lmax-inf"])
     def test_user_input_errors_exit_2(self, tmp_path, capsys, config_text, args):
         path = tmp_path / "scenario.yaml"
         path.write_text(config_text)

@@ -1,6 +1,10 @@
 """Modulators, demodulators, signal helpers, configuration validation."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +30,28 @@ def floor_phase(m, n):
     Broadcasts over arrays like oqam_phase, so it can stand in for it.
     """
     return np.where((m * n) % 2, -1.0, 1.0) * 1j ** (((m + n) // 2) % 4)
+
+
+def loop_oqam_modulate(config, data, n_range):
+    """Test-only reference: slot-by-slot OQAM synthesis with exactly reduced carriers.
+
+    Adds each slot's pulse times exp(2 pi j ((m p) mod M) / M) into the burst;
+    returns (samples, origin_index) over the modulator's extent.
+    """
+    n0, n1 = n_range
+    M = config.M
+    taps = sample_taps(phydyas_k4(), M)
+    half = (len(taps) - 1) // 2
+    start = n0 * M // 2 - half
+    out = np.zeros((n1 - 1) * M // 2 + half + 1 - start, dtype=complex)
+    rel = np.arange(len(taps))
+    for m, vec in sorted(data.items()):
+        phases = oqam_phase(m, np.arange(n0, n1))
+        for j, n in enumerate(range(n0, n1)):
+            p = n * M // 2 - half + rel
+            amp = phases[j] * vec[j] / np.sqrt(M)
+            out[p - start] += amp * taps * np.exp(2j * np.pi * ((m * p) % M) / M)
+    return out, -start
 
 
 def small_config(**kw):
@@ -269,6 +295,41 @@ class TestOqam:
         monkeypatch.setattr(txrx, "oqam_phase", floor_phase)
         for case, expect in zip(cases, standard):
             assert np.allclose(leaked(*case), expect, rtol=1e-12, atol=1e-300)
+
+
+class TestPolyphaseSynthesis:
+    @pytest.mark.parametrize("M", [64, 512])
+    @pytest.mark.parametrize("subs", ["none", "dc", "edges", "band"])
+    @pytest.mark.parametrize("n_range", [(0, 1), (-7, 13)], ids=["one-slot", "odd-negative-n0"])
+    def test_matches_loop_reference(self, M, subs, n_range):
+        active = {"none": [], "dc": [0], "edges": [-M // 2, M // 2 - 1, 1, -3],
+                  "band": list(range(-25, 26))}[subs]
+        cfg = CoexConfig(M=M, incumbent_set=frozenset({0}), secondary_set=frozenset(active))
+        rng = np.random.default_rng(M + len(active))
+        data = {m: rng.normal(size=n_range[1] - n_range[0]) for m in active}
+        sig = oqam_modulate(cfg, data, n_range)
+        ref, origin = loop_oqam_modulate(cfg, data, n_range)
+        assert sig.origin_index == origin
+        assert len(sig.samples) == len(ref)
+        if not active:
+            assert np.all(sig.samples == 0)
+        else:
+            assert np.max(np.abs(sig.samples - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_bytes_do_not_depend_on_blas_threads(self):
+        code = ("import hashlib, numpy as np; from coexsim.txrx import CoexConfig, oqam_modulate; "
+                "subs = range(-25, 26); rng = np.random.default_rng(7); "
+                "cfg = CoexConfig(secondary_set=frozenset(subs)); "
+                "sig = oqam_modulate(cfg, {m: rng.choice([-1.0, 1.0], 608) for m in subs}, (-8, 600)); "
+                "print(hashlib.sha256(sig.samples.tobytes()).hexdigest())")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        digests = set()
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src,
+                   "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+            digests.add(subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                       text=True, check=True, env=env).stdout)
+        assert len(digests) == 1
 
 
 class TestLinearity:
