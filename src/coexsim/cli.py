@@ -48,14 +48,21 @@ _CONFIG_KEYS = ("M", "cp_ratio", "incumbent_set", "secondary_set",
                 "var_qam", "var_pam", "delta_f", "seed")
 
 
+def _integer(value) -> int:
+    """int(value), except that a non-integral float is an error rather than truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value}")
+    return int(value)
+
+
 def _parse_subcarrier_set(value, name: str) -> frozenset:
     if isinstance(value, dict):
         if set(value) != {"range"} or len(value["range"]) != 2:
             raise ConfigError(f"{name}: expected {{range: [lo, hi]}} or a list of integers")
         lo, hi = value["range"]
-        return frozenset(range(int(lo), int(hi) + 1))
+        return frozenset(range(_integer(lo), _integer(hi) + 1))
     if isinstance(value, (list, tuple)):
-        return frozenset(int(m) for m in value)
+        return frozenset(_integer(m) for m in value)
     raise ConfigError(f"{name}: expected a list or {{range: [lo, hi]}}")
 
 
@@ -84,7 +91,7 @@ def load_config(path: str) -> CoexConfig:
             elif key == "cp_ratio":
                 value = Fraction(str(value))
             elif key in ("M", "seed"):
-                value = int(value)
+                value = _integer(value)
             else:
                 value = float(value)
         except ConfigError:

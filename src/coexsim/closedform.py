@@ -35,12 +35,7 @@ import numpy as np
 
 from .filterbank import PrototypeFilter, _usinc
 
-__all__ = [
-    "interference_oqam_to_ofdm",
-    "interference_ofdm_to_oqam",
-    "build_table",
-    "DB_FLOOR",
-]
+__all__ = ["build_table", "DB_FLOOR"]
 
 # linear powers below this are clamped for dB display only
 DB_FLOOR = 1e-15
@@ -113,35 +108,14 @@ def _ofdm_to_oqam_grid(l_grid: np.ndarray, filt: PrototypeFilter, cp_ratio,
     return var_qam * acc / len(offsets)
 
 
-def interference_oqam_to_ofdm(l: float, filt: PrototypeFilter, var_pam: float) -> float:
-    """Mean power injected by one OQAM subcarrier into a CP-OFDM subcarrier at distance l.
-
-    Strictly positive for finite l, even in l, linear in var_pam; independent
-    of the victim symbol index and of absolute subcarrier positions.  l may
-    be fractional (frequency misalignment).
-    """
-    grid = np.asarray([float(l)])
-    return float(_oqam_to_ofdm_grid(grid, filt, var_pam)[0])
-
-
-def interference_ofdm_to_oqam(l: float, filt: PrototypeFilter, cp_ratio, var_qam: float) -> float:
-    """Mean power injected by one CP-OFDM subcarrier into an OQAM subcarrier at distance l.
-
-    Per victim complex symbol period (two staggered real slots).  With
-    cp_ratio = 0 and var_qam = 2 var_pam it equals interference_oqam_to_ofdm
-    for every l.
-    """
-    if Fraction(cp_ratio) < 0:
-        raise ValueError("cp_ratio must be non-negative")
-    grid = np.asarray([float(l)])
-    return float(_ofdm_to_oqam_grid(grid, filt, cp_ratio, var_qam)[0])
-
-
 def build_table(direction: str, l_grid, config, filt: PrototypeFilter) -> np.ndarray:
     """Closed-form interference powers over a grid of spectral distances.
 
-    direction is "s2i" or "i2s"; scenario parameters (cp_ratio, symbol
-    variances) come from the config.
+    direction is "s2i" (one OQAM subcarrier into a CP-OFDM subcarrier at
+    distance l) or "i2s" (one CP-OFDM subcarrier into an OQAM subcarrier,
+    per victim complex symbol period); scenario parameters (cp_ratio, symbol
+    variances) come from the config.  Powers are strictly positive, even in
+    l and linear in the interferer's variance; l may be fractional.
     """
     grid = np.asarray(l_grid, dtype=float)
     if grid.size == 0:

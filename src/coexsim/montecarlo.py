@@ -63,7 +63,7 @@ _TAG_S2I, _TAG_I2S, _TAG_O2O, _TAG_FLOOR = 0, 1, 2, 3
 
 _BURST = 256
 # offset diversity, not window count, dominates the o2o estimator variance
-# under the uniform timing policy, so its bursts are short
+# under the uniform timing offset, so its bursts are short
 _O2O_BURST = 32
 
 
@@ -75,8 +75,6 @@ class McEstimate:
     powers: np.ndarray
     std_errors: np.ndarray
     trials: int
-    config_snapshot: CoexConfig
-    direction: str  # s2i | i2s | o2o
 
 
 def _single_member(s, what: str) -> int:
@@ -130,12 +128,11 @@ class _MomentSums:
         return np.sqrt(np.maximum(var, 0.0) / self.count)
 
 
-def _finish(acc: _MomentSums, l_of_bin, victims, config, direction, scale=1.0) -> McEstimate:
+def _finish(acc: _MomentSums, l_of_bin, victims, config, scale=1.0) -> McEstimate:
     ls, ms = zip(*sorted((float(l_of_bin(m)), m) for m in victims))
     bins = np.asarray(ms) % config.M
     return McEstimate(l_values=np.array(ls), powers=scale * acc.mean()[bins],
-                      std_errors=scale * acc.std_error()[bins], trials=acc.count,
-                      config_snapshot=config, direction=direction)
+                      std_errors=scale * acc.std_error()[bins], trials=acc.count)
 
 
 def _oqam_slot_span(n_windows: int, cp: Fraction, K: int) -> tuple[int, int]:
@@ -172,7 +169,7 @@ def estimate_oqam_to_ofdm(config: CoexConfig, n_symbols: int, *,
         acc.add(np.abs(_ofdm_demod_window(config, sig, windows)) ** 2)
     if acc.count == 0:
         raise ValueError("no victim windows measured (window_classes excluded everything)")
-    return _finish(acc, lambda m: m_s + config.delta_f - m, victims, config, "s2i")
+    return _finish(acc, lambda m: m_s + config.delta_f - m, victims, config)
 
 
 def estimate_ofdm_to_oqam(config: CoexConfig, n_symbols: int) -> McEstimate:
@@ -202,40 +199,32 @@ def estimate_ofdm_to_oqam(config: CoexConfig, n_symbols: int) -> McEstimate:
             sig = apply_frequency_shift(sig, -config.delta_f)
         vals = _oqam_demod_slots(config, sig, np.arange(size), taps)
         acc.add(vals ** 2)
-    return _finish(acc, lambda m: m_i - config.delta_f - m, victims, config, "i2s", scale=2.0)
+    return _finish(acc, lambda m: m_i - config.delta_f - m, victims, config, scale=2.0)
 
 
-def estimate_ofdm_to_ofdm(config: CoexConfig, n_symbols: int,
-                          timing_offset_policy="uniform_random") -> McEstimate:
+def estimate_ofdm_to_ofdm(config: CoexConfig, n_symbols: int) -> McEstimate:
     """CP-OFDM-vs-CP-OFDM baseline: asynchronous secondary, same waveform.
 
-    timing_offset_policy is "uniform_random" (a fresh integer offset in
-    [0, symbol_samples) per burst) or ("fixed", samples).  The secondary
-    transmits QAM at var_qam (equal energy per symbol with the incumbent).
+    Each burst draws a fresh integer timing offset, uniform in
+    [0, symbol_samples).  The secondary transmits QAM at var_qam (equal
+    energy per symbol with the incumbent).
     """
     if n_symbols < 1:
         raise ConfigError("n_symbols must be >= 1")
-    if timing_offset_policy == "uniform_random":
-        fixed = None
-    elif (isinstance(timing_offset_policy, tuple) and len(timing_offset_policy) == 2
-          and timing_offset_policy[0] == "fixed"):
-        fixed = int(timing_offset_policy[1])
-    else:
-        raise ValueError(f"unknown timing_offset_policy {timing_offset_policy!r}")
     m_s = _single_member(config.secondary_set, "secondary (interferer)")
     victims = sorted(config.incumbent_set)
     S = config.symbol_samples
     acc = _MomentSums(config.M)
     for b, size in enumerate(_burst_sizes(n_symbols, _O2O_BURST)):
         rng = _rng(config.seed, _TAG_O2O, b)
-        off = int(rng.integers(0, S)) if fixed is None else fixed % S
+        off = int(rng.integers(0, S))
         data = {m_s: _draw_qpsk(rng, size + 4, config.var_qam)}
         sig = ofdm_modulate(replace(config, incumbent_set=frozenset({m_s})), data, (-2, size + 2))
         sig = shift_samples(sig, off)
         if config.delta_f:
             sig = apply_frequency_shift(sig, config.delta_f)
         acc.add(np.abs(_ofdm_demod_window(config, sig, np.arange(size))) ** 2)
-    return _finish(acc, lambda m: m_s + config.delta_f - m, victims, config, "o2o")
+    return _finish(acc, lambda m: m_s + config.delta_f - m, victims, config)
 
 
 def self_reconstruction_floor(config: CoexConfig, n_symbols: int) -> float:

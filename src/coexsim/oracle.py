@@ -128,33 +128,25 @@ def _int_interval(lo: Fraction, hi: Fraction) -> list[int]:
     return list(range(floor(lo) + 1, ceil(hi)))
 
 
-def contributing_shifts(direction: str, n_victim: int, cp_ratio, filt: PrototypeFilter,
-                        support: tuple[Fraction, Fraction] | None = None) -> set[int]:
+def contributing_shifts(direction: str, n_victim: int, cp_ratio, filt: PrototypeFilter) -> set[int]:
     """Interferer symbol indices whose pulse/window support meets the victim window.
 
     direction "s2i": victim is the CP-OFDM useful window of symbol n_victim,
     interferer indices count OQAM half-symbol slots.  direction "i2s": victim
     is the OQAM receive-filter span of slot n_victim, interferer indices
     count CP-OFDM symbols (whole extent including the prefix).  Overlap must
-    have nonzero measure.  `support` overrides the pulse support (as a
-    (lo, hi) pair around the pulse center), for degenerate cases.
+    have nonzero measure.
     """
     cp = Fraction(cp_ratio)
-    if support is None:
-        hw = Fraction(filt.overlap_K, 2)
-        s_lo, s_hi = -hw, hw
-    else:
-        s_lo, s_hi = Fraction(support[0]), Fraction(support[1])
-    if s_hi <= s_lo:
-        return set()
+    hw = Fraction(filt.overlap_K, 2)
     if direction == "s2i":
         w0 = n_victim * (1 + cp)
         w1 = w0 + 1
-        # slot n: pulse on (n/2 + s_lo, n/2 + s_hi)
-        return set(_int_interval(2 * (w0 - s_hi), 2 * (w1 - s_lo)))
+        # slot n: pulse on (n/2 - hw, n/2 + hw)
+        return set(_int_interval(2 * (w0 - hw), 2 * (w1 + hw)))
     if direction == "i2s":
-        v0 = Fraction(n_victim, 2) + s_lo
-        v1 = Fraction(n_victim, 2) + s_hi
+        v0 = Fraction(n_victim, 2) - hw
+        v1 = Fraction(n_victim, 2) + hw
         # symbol n: occupies (n(1+cp) - cp, n(1+cp) + 1)
         lo = (v0 - 1) / (1 + cp)
         hi = (v1 + cp) / (1 + cp)

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import inf
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -47,9 +48,7 @@ __all__ = [
     "CoexConfig",
     "DiscreteSignal",
     "ofdm_modulate",
-    "ofdm_demodulate",
     "oqam_modulate",
-    "oqam_demodulate",
     "apply_frequency_shift",
     "shift_samples",
     "oqam_phase",
@@ -62,10 +61,6 @@ class ConfigError(ValueError):
 
 
 def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, str):
-        return Fraction(x)
     return Fraction(x).limit_denominator(1 << 30) if isinstance(x, float) else Fraction(x)
 
 
@@ -104,10 +99,12 @@ class CoexConfig:
         for name, s in (("incumbent_set", self.incumbent_set), ("secondary_set", self.secondary_set)):
             if any(m < lo or m > hi for m in s):
                 raise ConfigError(f"{name} entries must lie in [{lo}, {hi}]")
-        if self.var_qam <= 0 or self.var_pam <= 0:
-            raise ConfigError("symbol variances must be positive")
+        if not all(0 < v < inf for v in (self.var_qam, self.var_pam)):
+            raise ConfigError("symbol variances must be positive and finite")
         if not (-0.5 < self.delta_f <= 0.5):
             raise ConfigError("delta_f must lie in (-0.5, 0.5]")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
 
     @property
     def cp_samples(self) -> int:
@@ -200,20 +197,11 @@ def _ofdm_demod_window(config: CoexConfig, signal: DiscreteSignal, n_i) -> np.nd
     Correlates the useful window (prefix discarded) against the receive
     exponential with 1/sqrt(M) scaling.  The absolute-time and prefix
     reference phases cancel exactly for integer subcarriers, so the FFT of
-    the window is the complete answer.
+    the window is the complete answer.  Bin m % M of a clean own-signal
+    returns the transmitted symbol exactly (discrete orthogonality).
     """
     seg = signal.window(n_i * config.symbol_samples, config.M)
     return np.fft.fft(seg, axis=-1) / np.sqrt(config.M)
-
-
-def ofdm_demodulate(config: CoexConfig, signal: DiscreteSignal, n_i: int, m_i: int) -> complex:
-    """Recover the QAM symbol of window n_i on subcarrier m_i.
-
-    On a clean own-signal this returns the transmitted symbol exactly
-    (discrete orthogonality); on an interfering signal it returns one
-    realization of the post-demodulation interference sample.
-    """
-    return complex(_ofdm_demod_window(config, signal, n_i)[m_i % config.M])
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +273,8 @@ def _oqam_demod_slots(config: CoexConfig, signal: DiscreteSignal, slots,
 
     Correlates against the pulse times the receive exponential, normalizes
     by the measured tap energy, rotates by the conjugate modulation phase
-    and takes the real part.
+    and takes the real part.  Bin m % M of a clean own-signal returns the
+    symbol up to the prototype's near-perfect-reconstruction floor.
     """
     M = config.M
     _require_even_m(M)
@@ -302,18 +291,6 @@ def _oqam_demod_slots(config: CoexConfig, signal: DiscreteSignal, slots,
     spec *= np.exp(-2j * np.pi * bins[None, :] * (p0 % M)[:, None] / M)
     signed_bins = np.where(bins >= M // 2, bins - M, bins)
     return np.sqrt(M) / energy * np.real(spec * np.conj(oqam_phase(signed_bins, slots[:, None])))
-
-
-def oqam_demodulate(config: CoexConfig, signal: DiscreteSignal, n_s: int, m_s: int) -> float:
-    """Recover the PAM symbol of half-symbol slot n_s on subcarrier m_s.
-
-    On a clean own-signal this returns the symbol up to the prototype
-    filter's near-perfect-reconstruction floor; on an interfering signal it
-    returns one realization of the post-demodulation interference sample.
-    """
-    taps = sample_taps(phydyas_k4(), config.M)
-    vals = _oqam_demod_slots(config, signal, [n_s], taps)
-    return float(vals[0, m_s % config.M])
 
 
 # ---------------------------------------------------------------------------

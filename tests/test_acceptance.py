@@ -19,7 +19,7 @@ from coexsim.checks import (
     check_reciprocity,
     check_symmetry,
 )
-from coexsim.closedform import interference_ofdm_to_oqam, interference_oqam_to_ofdm
+from coexsim.closedform import build_table
 from coexsim.filterbank import phydyas_k4
 from coexsim.montecarlo import (
     estimate_ofdm_to_ofdm,
@@ -27,7 +27,7 @@ from coexsim.montecarlo import (
     estimate_oqam_to_ofdm,
     self_reconstruction_floor,
 )
-from coexsim.txrx import CoexConfig, ofdm_demodulate, ofdm_modulate
+from coexsim.txrx import CoexConfig, _ofdm_demod_window, ofdm_modulate
 
 FILT = phydyas_k4()
 
@@ -51,17 +51,17 @@ def i2s_cfg(**kw):
     return CoexConfig(**base)
 
 
-def max_dev_db(estimate, closed_fn, l_filter=lambda l: True, within_60db_of_peak=False):
-    closed = {l: closed_fn(l) for l in estimate.l_values}
-    peak_db = 10 * np.log10(max(closed.values()))
+def max_dev_db(estimate, closed, l_filter=lambda l: True, within_60db_of_peak=False):
+    """Largest |MC - closed| in dB and its l; closed holds the closed form at estimate.l_values."""
+    peak_db = 10 * np.log10(np.max(closed))
     worst, where = 0.0, None
-    for l, p in zip(estimate.l_values, estimate.powers):
+    for l, p, c in zip(estimate.l_values, estimate.powers, closed):
         if not l_filter(l):
             continue
-        cdb = 10 * np.log10(closed[l])
+        cdb = 10 * np.log10(c)
         if within_60db_of_peak and cdb < peak_db - 60:
             continue
-        dev = abs(10 * np.log10(p / closed[l]))
+        dev = abs(10 * np.log10(p / c))
         if dev > worst:
             worst, where = dev, l
     return worst, where
@@ -79,9 +79,10 @@ class TestCriterion1OracleEquivalence:
 
 class TestCriterion2SimulationMatch:
     def test_oqam_to_ofdm(self):
-        est = estimate_oqam_to_ofdm(s2i_cfg(), 10_000)
+        cfg = s2i_cfg()
+        est = estimate_oqam_to_ofdm(cfg, 10_000)
         worst, where = max_dev_db(
-            est, lambda l: interference_oqam_to_ofdm(l, FILT, 0.5),
+            est, build_table("s2i", est.l_values, cfg, FILT),
             l_filter=lambda l: abs(l) <= 20 and float(l).is_integer(),
             within_60db_of_peak=True)
         report("criterion 2 (incumbent victim)", worst <= 0.5,
@@ -89,9 +90,10 @@ class TestCriterion2SimulationMatch:
                f"at l = {where} (<= 0.5 dB for integer |l| <= 20)")
 
     def test_ofdm_to_oqam(self):
-        est = estimate_ofdm_to_oqam(i2s_cfg(), 10_000)
+        cfg = i2s_cfg()
+        est = estimate_ofdm_to_oqam(cfg, 10_000)
         worst, where = max_dev_db(
-            est, lambda l: interference_ofdm_to_oqam(l, FILT, Fraction(1, 8), 1.0),
+            est, build_table("i2s", est.l_values, cfg, FILT),
             l_filter=lambda l: abs(l) <= 20 and float(l).is_integer(),
             within_60db_of_peak=True)
         report("criterion 2 (secondary victim)", worst <= 0.5,
@@ -121,7 +123,7 @@ class TestCriterion4FrequencyMisalignment:
     def test_oqam_to_ofdm_fractional(self, delta_f):
         cfg = s2i_cfg(delta_f=delta_f, incumbent_set=frozenset(range(-10, 11)))
         est = estimate_oqam_to_ofdm(cfg, 8000)
-        worst, where = max_dev_db(est, lambda l: interference_oqam_to_ofdm(l, FILT, 0.5),
+        worst, where = max_dev_db(est, build_table("s2i", est.l_values, cfg, FILT),
                                   l_filter=lambda l: abs(l) <= 10)
         report(f"criterion 4 (s->i, delta_f={delta_f})", worst <= 0.5,
                f"max |MC - closed(fractional l)| = {worst:.3f} dB at l = {where} (<= 0.5)")
@@ -130,9 +132,8 @@ class TestCriterion4FrequencyMisalignment:
     def test_ofdm_to_oqam_fractional(self, delta_f):
         cfg = i2s_cfg(delta_f=delta_f, secondary_set=frozenset(range(-10, 11)))
         est = estimate_ofdm_to_oqam(cfg, 8000)
-        worst, where = max_dev_db(
-            est, lambda l: interference_ofdm_to_oqam(l, FILT, Fraction(1, 8), 1.0),
-            l_filter=lambda l: abs(l) <= 10)
+        worst, where = max_dev_db(est, build_table("i2s", est.l_values, cfg, FILT),
+                                  l_filter=lambda l: abs(l) <= 10)
         report(f"criterion 4 (i->s, delta_f={delta_f})", worst <= 0.5,
                f"max |MC - closed(fractional l)| = {worst:.3f} dB at l = {where} (<= 0.5)")
 
@@ -141,14 +142,13 @@ class TestCriterion5PsdContrast:
     def test_psd_tracks_one_direction_and_fails_the_other(self):
         from coexsim.psdmodel import psd_interference
         cfg = s2i_cfg()
-        track = max(
-            abs(10 * np.log10(psd_interference("i2s", float(l), cfg, FILT)
-                              / interference_ofdm_to_oqam(float(l), FILT, cfg.cp_ratio, 1.0)))
-            for l in range(-10, 11))
-        fail = max(
-            abs(10 * np.log10(psd_interference("s2i", float(l), cfg, FILT)
-                              / interference_oqam_to_ofdm(float(l), FILT, 0.5)))
-            for l in range(-10, 11))
+        ls = np.arange(-10.0, 11.0)
+
+        def dev_db(direction):
+            psd = psd_interference(direction, ls, cfg, FILT)
+            return float(np.max(np.abs(10 * np.log10(psd / build_table(direction, ls, cfg, FILT)))))
+
+        track, fail = dev_db("i2s"), dev_db("s2i")
         report("criterion 5", track <= 3.0 and fail > 10.0,
                f"PSD model vs closed forms, integer |l| <= 10: tracks the OQAM victim "
                f"within {track:.2f} dB (<= 3) and misses the CP-OFDM victim by up to "
@@ -157,12 +157,14 @@ class TestCriterion5PsdContrast:
 
 class TestCriterion6OfdmBaseline:
     def test_gap_at_most_3db_plus_tolerance(self):
-        est = estimate_ofdm_to_ofdm(s2i_cfg(), 10_000)
+        cfg = s2i_cfg()
+        est = estimate_ofdm_to_ofdm(cfg, 10_000)
+        closed = build_table("s2i", est.l_values, cfg, FILT)
         worst, where = -np.inf, None
-        for l, p in zip(est.l_values, est.powers):
+        for l, p, c in zip(est.l_values, est.powers, closed):
             if abs(l) > 20:
                 continue
-            gap = 10 * np.log10(p / interference_oqam_to_ofdm(l, FILT, 0.5))
+            gap = 10 * np.log10(p / c)
             if gap > worst:
                 worst, where = gap, l
         report("criterion 6", worst <= 4.0,
@@ -211,9 +213,9 @@ class TestCriterion8Structural:
             data = {m: (rng.choice([1, -1], 2) + 1j * rng.choice([1, -1], 2)) / np.sqrt(2)
                     for m in subs}
             sig = ofdm_modulate(cfg, data, (0, 2))
-            for n in range(2):
-                for m in subs:
-                    worst = max(worst, abs(ofdm_demodulate(cfg, sig, n, m) - data[m][n]))
+            rows = _ofdm_demod_window(cfg, sig, np.arange(2))[:, np.array(subs) % cfg.M]
+            sent = np.array([data[m] for m in subs]).T
+            worst = max(worst, float(np.max(np.abs(rows - sent))))
         report("criterion 8 (CP-OFDM reconstruction)", worst < 1e-10,
                f"100 random grids: max symbol error {worst:.2e} (< 1e-10)")
 

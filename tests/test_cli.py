@@ -28,6 +28,14 @@ MULTI_INTERFERER = GOOD_CONFIG.replace("secondary_set: [0]", "secondary_set: [0,
 BAD_CP_VALUE = GOOD_CONFIG.replace("cp_ratio: 1/8", "cp_ratio: one-eighth")
 # odd M: OQAM half-period slots would not fall on whole samples
 ODD_M_OQAM_VICTIM = "M: 9\ncp_ratio: 0\nincumbent_set: [0]\nsecondary_set: {range: [-2, 2]}\n"
+# integer keys given as non-integral numbers must not be truncated
+FRACTIONAL_M = GOOD_CONFIG.replace("M: 512", "M: 512.7")
+FRACTIONAL_SEED = GOOD_CONFIG.replace("seed: 42", "seed: 1.5")
+FRACTIONAL_RANGE = GOOD_CONFIG.replace("range: [-5, 5]", "range: [-5.5, 5]")
+FRACTIONAL_LIST = GOOD_CONFIG.replace("secondary_set: [0]", "secondary_set: [0.5]")
+NEGATIVE_SEED = GOOD_CONFIG.replace("seed: 42", "seed: -3")
+NAN_VAR_PAM = GOOD_CONFIG.replace("var_pam: 0.5", "var_pam: .nan")
+INF_VAR_PAM = GOOD_CONFIG.replace("var_pam: 0.5", "var_pam: .inf")
 
 
 @pytest.fixture
@@ -59,6 +67,15 @@ class TestConfigLoading:
         path = tmp_path / "list.yaml"
         path.write_text("M: 64\nincumbent_set: [0, 1, 2]\nsecondary_set: [0]\n")
         assert load_config(str(path)).incumbent_set == frozenset({0, 1, 2})
+
+    def test_integral_floats_load_as_integers(self, tmp_path):
+        path = tmp_path / "floats.yaml"
+        path.write_text("M: 512.0\nseed: 42.0\nincumbent_set: {range: [-5.0, 5.0]}\n"
+                        "secondary_set: [0.0]\n")
+        cfg = load_config(str(path))
+        assert (cfg.M, cfg.seed) == (512, 42) and type(cfg.M) is type(cfg.seed) is int
+        assert cfg.incumbent_set == frozenset(range(-5, 6))
+        assert cfg.secondary_set == frozenset({0})
 
 
 class TestTableCommand:
@@ -173,9 +190,19 @@ class TestErrorMapping:
         (GOOD_CONFIG, ["psd", "--lmin", "nan"]),
         (GOOD_CONFIG, ["psd", "--lstep", "nan"]),
         (GOOD_CONFIG, ["psd", "--lmax", "inf"]),
+        (FRACTIONAL_M, ["table", "--direction", "s2i"]),
+        (FRACTIONAL_SEED, ["table", "--direction", "s2i"]),
+        (FRACTIONAL_RANGE, ["table", "--direction", "s2i"]),
+        (FRACTIONAL_LIST, ["table", "--direction", "s2i"]),
+        (GOOD_CONFIG, ["simulate", "--direction", "s2i", "--symbols", "10", "--seed", "-1"]),
+        (NEGATIVE_SEED, ["simulate", "--direction", "s2i", "--symbols", "10"]),
+        (NAN_VAR_PAM, ["table", "--direction", "s2i"]),
+        (INF_VAR_PAM, ["table", "--direction", "s2i"]),
     ], ids=["cp-flag", "cp-flag-zero-denominator", "cp-config", "delta-f", "zero-symbols",
             "two-interferers", "odd-m-oqam-victim", "table-lmin-nan", "table-lstep-nan",
-            "table-lmax-inf", "psd-lmin-nan", "psd-lstep-nan", "psd-lmax-inf"])
+            "table-lmax-inf", "psd-lmin-nan", "psd-lstep-nan", "psd-lmax-inf",
+            "fractional-m", "fractional-seed", "fractional-range", "fractional-list",
+            "seed-flag-negative", "seed-config-negative", "var-pam-nan", "var-pam-inf"])
     def test_user_input_errors_exit_2(self, tmp_path, capsys, config_text, args):
         path = tmp_path / "scenario.yaml"
         path.write_text(config_text)

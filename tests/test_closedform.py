@@ -11,8 +11,6 @@ from coexsim.closedform import (
     _oqam_to_ofdm_grid,
     _slot_offsets,
     build_table,
-    interference_ofdm_to_oqam,
-    interference_oqam_to_ofdm,
     power_db,
 )
 from coexsim.filterbank import phydyas_k4
@@ -47,15 +45,21 @@ def filt():
     return phydyas_k4()
 
 
+def s2i(l_grid, filt, var_pam):
+    return build_table("s2i", l_grid, CoexConfig(var_pam=var_pam), filt)
+
+
+def i2s(l_grid, filt, cp_ratio, var_qam):
+    return build_table("i2s", l_grid, CoexConfig(cp_ratio=cp_ratio, var_qam=var_qam), filt)
+
+
 class TestOqamToOfdm:
     def test_frozen_oracle_pinned_values(self, filt):
-        for l, expect in zip(ACCEPT_GRID, FROZEN_S2I_VARHALF):
-            assert interference_oqam_to_ofdm(l, filt, 0.5) == pytest.approx(expect, rel=1e-10)
+        assert list(s2i(ACCEPT_GRID, filt, 0.5)) == pytest.approx(FROZEN_S2I_VARHALF, rel=1e-10)
 
     def test_matches_quadrature(self, filt):
-        for l in ACCEPT_GRID:
-            assert interference_oqam_to_ofdm(l, filt, 1.0) == pytest.approx(
-                quadrature_I("s2i", l, filt), rel=1e-9)
+        expect = [quadrature_I("s2i", l, filt) for l in ACCEPT_GRID]
+        assert list(s2i(ACCEPT_GRID, filt, 1.0)) == pytest.approx(expect, rel=1e-9)
 
     def test_even_in_l(self, filt):
         rng = np.random.default_rng(3)
@@ -65,25 +69,22 @@ class TestOqamToOfdm:
         assert np.max(np.abs(pos - neg) / pos) < 1e-12
 
     def test_linear_in_variance(self, filt):
-        base = interference_oqam_to_ofdm(2.0, filt, 1.0)
-        assert interference_oqam_to_ofdm(2.0, filt, 3.5) == pytest.approx(3.5 * base, rel=1e-14)
+        base = s2i([2.0], filt, 1.0)[0]
+        assert s2i([2.0], filt, 3.5)[0] == pytest.approx(3.5 * base, rel=1e-14)
 
     def test_strictly_positive(self, filt):
-        for l in (0.0, 0.31, 17.0, 100.5):
-            assert interference_oqam_to_ofdm(l, filt, 1.0) > 0
+        assert np.all(s2i([0.0, 0.31, 17.0, 100.5], filt, 1.0) > 0)
 
 
 class TestOfdmToOqam:
     def test_frozen_oracle_pinned_values(self, filt):
-        for l, expect in zip(ACCEPT_GRID, FROZEN_I2S_CP18_VAR1):
-            assert interference_ofdm_to_oqam(l, filt, Fraction(1, 8), 1.0) == pytest.approx(
-                expect, rel=1e-10)
+        assert list(i2s(ACCEPT_GRID, filt, Fraction(1, 8), 1.0)) == pytest.approx(
+            FROZEN_I2S_CP18_VAR1, rel=1e-10)
 
     def test_matches_quadrature(self, filt):
         for cp in (Fraction(0), Fraction(1, 8)):
-            for l in ACCEPT_GRID:
-                assert interference_ofdm_to_oqam(l, filt, cp, 1.0) == pytest.approx(
-                    quadrature_I("i2s", l, filt, cp), rel=1e-9)
+            expect = [quadrature_I("i2s", l, filt, cp) for l in ACCEPT_GRID]
+            assert list(i2s(ACCEPT_GRID, filt, cp, 1.0)) == pytest.approx(expect, rel=1e-9)
 
     def test_reciprocity_at_zero_cp(self, filt):
         # var_qam = 2 var_pam and no prefix: both directions identical
@@ -99,10 +100,6 @@ class TestOfdmToOqam:
         pos = _ofdm_to_oqam_grid(ls, filt, Fraction(1, 8), 1.0)
         neg = _ofdm_to_oqam_grid(-ls, filt, Fraction(1, 8), 1.0)
         assert np.max(np.abs(pos - neg) / pos) < 1e-12
-
-    def test_rejects_negative_cp(self, filt):
-        with pytest.raises(ValueError):
-            interference_ofdm_to_oqam(1.0, filt, Fraction(-1, 8), 1.0)
 
 
 class TestStructure:

@@ -11,7 +11,7 @@ import pytest
 
 import coexsim.montecarlo as mc
 import coexsim.txrx as txrx
-from coexsim.closedform import interference_ofdm_to_oqam, interference_oqam_to_ofdm
+from coexsim.closedform import build_table
 from coexsim.filterbank import phydyas_k4
 from coexsim.montecarlo import (
     estimate_ofdm_to_ofdm,
@@ -91,16 +91,14 @@ class TestStatistics:
     def test_matches_closed_form(self, filt):
         cfg = s2i_config()
         est = estimate_oqam_to_ofdm(cfg, 1500)
-        for l, p in zip(est.l_values, est.powers):
-            closed = interference_oqam_to_ofdm(l, filt, cfg.var_pam)
-            assert abs(10 * np.log10(p / closed)) < 0.5
+        closed = build_table("s2i", est.l_values, cfg, filt)
+        assert np.all(np.abs(10 * np.log10(est.powers / closed)) < 0.5)
 
     def test_i2s_matches_closed_form(self, filt):
         cfg = i2s_config()
         est = estimate_ofdm_to_oqam(cfg, 1500)
-        for l, p in zip(est.l_values, est.powers):
-            closed = interference_ofdm_to_oqam(l, filt, cfg.cp_ratio, cfg.var_qam)
-            assert abs(10 * np.log10(p / closed)) < 0.5
+        closed = build_table("i2s", est.l_values, cfg, filt)
+        assert np.all(np.abs(10 * np.log10(est.powers / closed)) < 0.5)
 
     def test_phase_convention_leaves_interference_unchanged(self, monkeypatch):
         # expectations agree under a test-only alternative (floor) phase map
@@ -151,25 +149,11 @@ class TestWindowClasses:
 
 
 class TestOfdmToOfdm:
-    def test_cotimed_zero_offset_is_orthogonal(self):
-        cfg = s2i_config()
-        est = estimate_ofdm_to_ofdm(cfg, 64, ("fixed", 0))
-        for l, p in zip(est.l_values, est.powers):
-            if abs(l) > 0.5:
-                assert p == 0.0
-            else:
-                assert p == pytest.approx(cfg.var_qam, rel=1e-12)
-
     def test_uniform_offsets_track_reference_gap(self, filt):
         cfg = s2i_config()
         est = estimate_ofdm_to_ofdm(cfg, 2048)
-        for l, p in zip(est.l_values, est.powers):
-            gap = 10 * np.log10(p / interference_oqam_to_ofdm(l, filt, cfg.var_pam))
-            assert gap < 4.5  # acceptance runs the tight bound at full scale
-
-    def test_bad_policy_rejected(self):
-        with pytest.raises(ValueError):
-            estimate_ofdm_to_ofdm(s2i_config(), 64, "sometimes")
+        gap = 10 * np.log10(est.powers / build_table("s2i", est.l_values, cfg, filt))
+        assert np.all(gap < 4.5)  # acceptance runs the tight bound at full scale
 
 
 class TestSelfReconstruction:

@@ -84,9 +84,6 @@ class TestContributingShifts:
         # cp = 0 symbols tile the filter span exactly
         assert contributing_shifts("i2s", 0, Fraction(0), filt) == {-2, -1, 0, 1}
 
-    def test_empty_support(self, filt):
-        assert contributing_shifts("s2i", 0, Fraction(0), filt, support=(0, 0)) == set()
-
     def test_unknown_direction(self, filt):
         with pytest.raises(ValueError):
             contributing_shifts("sideways", 0, Fraction(0), filt)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from coexsim.closedform import interference_ofdm_to_oqam, interference_oqam_to_ofdm
+from coexsim.closedform import build_table
 from coexsim.filterbank import phydyas_k4
 from coexsim.psdmodel import psd_interference, psd_ofdm_subcarrier, psd_oqam_subcarrier
 from coexsim.txrx import CoexConfig
@@ -116,20 +116,18 @@ class TestPsdInterference:
     def test_tracks_closed_form_toward_oqam_victim(self, config, filt):
         # the OQAM receive window is wider than the interferer's pulse, so
         # band integration is a fair estimate in this direction
-        for l in range(0, 11):
-            psd = psd_interference("i2s", float(l), config, filt)
-            closed = interference_ofdm_to_oqam(float(l), filt, config.cp_ratio, config.var_qam)
-            assert abs(10 * np.log10(psd / closed)) < 3.0
+        ls = np.arange(0.0, 11.0)
+        psd = psd_interference("i2s", ls, config, filt)
+        closed = build_table("i2s", ls, config, filt)
+        assert np.all(np.abs(10 * np.log10(psd / closed)) < 3.0)
 
     def test_fails_toward_ofdm_victim(self, config, filt):
         # the rectangular receive window destroys the interferer's spectral
         # containment; the PSD estimate misses that entirely
-        worst = 0.0
-        for l in range(2, 11):
-            psd = psd_interference("s2i", float(l), config, filt)
-            closed = interference_oqam_to_ofdm(float(l), filt, config.var_pam)
-            worst = max(worst, abs(10 * np.log10(psd / closed)))
-        assert worst > 10.0
+        ls = np.arange(2.0, 11.0)
+        psd = psd_interference("s2i", ls, config, filt)
+        closed = build_table("s2i", ls, config, filt)
+        assert np.max(np.abs(10 * np.log10(psd / closed))) > 10.0
 
     def test_only_l_enters(self, config, filt):
         # API takes the spectral distance directly; absolute indices never enter

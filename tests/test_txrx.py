@@ -14,10 +14,10 @@ from coexsim.filterbank import phydyas_k4, sample_taps
 from coexsim.txrx import (
     CoexConfig,
     DiscreteSignal,
+    _ofdm_demod_window,
+    _oqam_demod_slots,
     apply_frequency_shift,
-    ofdm_demodulate,
     ofdm_modulate,
-    oqam_demodulate,
     oqam_modulate,
     oqam_phase,
     shift_samples,
@@ -52,6 +52,11 @@ def loop_oqam_modulate(config, data, n_range):
             amp = phases[j] * vec[j] / np.sqrt(M)
             out[p - start] += amp * taps * np.exp(2j * np.pi * ((m * p) % M) / M)
     return out, -start
+
+
+def oqam_demod(cfg, sig, slots):
+    """_oqam_demod_slots with the reference prototype's taps at cfg.M."""
+    return _oqam_demod_slots(cfg, sig, slots, sample_taps(phydyas_k4(), cfg.M))
 
 
 def small_config(**kw):
@@ -90,6 +95,10 @@ class TestConfig:
             CoexConfig(delta_f=0.75)
         with pytest.raises(ValueError):
             CoexConfig(cp_ratio=Fraction(-1, 8))
+        for bad in (dict(seed=-1), dict(var_pam=float("nan")), dict(var_pam=float("inf")),
+                    dict(var_qam=float("nan")), dict(var_qam=float("inf"))):
+            with pytest.raises(txrx.ConfigError):
+                CoexConfig(**bad)
 
     def test_overlapping_sets_allowed(self):
         cfg = CoexConfig(incumbent_set=frozenset({0, 1}), secondary_set=frozenset({0}))
@@ -170,32 +179,31 @@ class TestOfdm:
             data = {m: (rng.choice([1, -1], 3) + 1j * rng.choice([1, -1], 3)) / np.sqrt(2)
                     for m in subs}
             sig = ofdm_modulate(cfg, data, (0, 3))
-            for n in range(3):
-                for m in subs:
-                    err = abs(ofdm_demodulate(cfg, sig, n, m) - data[m][n])
-                    worst = max(worst, err)
+            rows = _ofdm_demod_window(cfg, sig, np.arange(3))[:, np.array(subs) % cfg.M]
+            sent = np.array([data[m] for m in subs]).T
+            worst = max(worst, np.max(np.abs(rows - sent)))
         assert worst < 1e-10
 
     def test_zero_signal_demodulates_to_zero(self):
         cfg = small_config()
         sig = ofdm_modulate(cfg, {}, (0, 1))
-        assert ofdm_demodulate(cfg, sig, 0, 3) == 0
+        assert np.all(_ofdm_demod_window(cfg, sig, 0) == 0)
 
     def test_batched_windows_bit_equal_to_single(self):
         cfg = small_config()
         rng = np.random.default_rng(11)
         data = {m: rng.normal(size=6) + 1j * rng.normal(size=6) for m in (-3, 0, 5)}
         sig = apply_frequency_shift(ofdm_modulate(cfg, data, (0, 6)), 0.3)
-        rows = txrx._ofdm_demod_window(cfg, sig, np.arange(6))
+        rows = _ofdm_demod_window(cfg, sig, np.arange(6))
         assert rows.shape == (6, cfg.M)
         for i in range(6):
-            assert np.array_equal(rows[i], txrx._ofdm_demod_window(cfg, sig, i))
+            assert np.array_equal(rows[i], _ofdm_demod_window(cfg, sig, i))
 
     def test_window_out_of_bounds(self):
         cfg = small_config()
         sig = ofdm_modulate(cfg, {}, (0, 1))
         with pytest.raises(ValueError):
-            ofdm_demodulate(cfg, sig, 2, 0)
+            _ofdm_demod_window(cfg, sig, 2)
 
 
 class TestOqamPhases:
@@ -244,7 +252,7 @@ class TestOqam:
         with pytest.raises(txrx.ConfigError):
             oqam_modulate(cfg, {0: np.ones(1)}, (0, 1))
         with pytest.raises(txrx.ConfigError):
-            oqam_demodulate(cfg, DiscreteSignal(np.zeros(100, dtype=complex), 9, 50), 0, 0)
+            oqam_demod(cfg, DiscreteSignal(np.zeros(100, dtype=complex), 9, 50), [0])
 
     def test_single_symbol_envelope_is_pulse(self):
         # m = 0, n = 0: phase 1, so samples are exactly taps / sqrt(M)
@@ -257,13 +265,13 @@ class TestOqam:
     def test_single_symbol_recovered(self):
         cfg = small_config()
         sig = oqam_modulate(cfg, {0: np.array([1.0])}, (0, 1))
-        rec = oqam_demodulate(cfg, sig, 0, 0)
+        rec = oqam_demod(cfg, sig, [0])[0, 0]
         assert abs(rec - 1.0) < 1e-3
 
     def test_zero_signal_demodulates_to_zero(self):
         cfg = small_config()
         sig = oqam_modulate(cfg, {}, (-4, 8))
-        assert oqam_demodulate(cfg, sig, 0, 3) == 0.0
+        assert np.all(oqam_demod(cfg, sig, [0]) == 0.0)
 
     def test_round_trip_floor_below_minus_50db(self):
         cfg = CoexConfig(M=128, cp_ratio=0, incumbent_set=frozenset({0}),
@@ -273,12 +281,10 @@ class TestOqam:
         data = {m: rng.choice([1.0, -1.0], n1 - n0) * np.sqrt(cfg.var_pam)
                 for m in sorted(cfg.secondary_set)}
         sig = oqam_modulate(cfg, data, (n0, n1))
-        errs = []
-        for n in range(0, 40):
-            for m in sorted(cfg.secondary_set):
-                rec = oqam_demodulate(cfg, sig, n, m)
-                errs.append((rec - data[m][n - n0]) ** 2)
-        assert np.mean(errs) / cfg.var_pam < 1e-5
+        subs = sorted(cfg.secondary_set)
+        rec = oqam_demod(cfg, sig, np.arange(40))[:, np.array(subs) % cfg.M]
+        sent = np.array([data[m][-n0:40 - n0] for m in subs]).T
+        assert np.mean((rec - sent) ** 2) / cfg.var_pam < 1e-5
 
     def test_single_slot_interference_power_invariant_across_conventions(self, monkeypatch):
         # a lone slot's leaked power is exactly phase-map independent
@@ -288,7 +294,8 @@ class TestOqam:
 
         def leaked(m_s, n_s):
             sig = oqam_modulate(cfg, {m_s: np.eye(8)[n_s]}, (0, 8))
-            return [abs(ofdm_demodulate(cfg, sig, 0, m)) ** 2 for m in sorted(cfg.incumbent_set)]
+            bins = np.array(sorted(cfg.incumbent_set)) % cfg.M
+            return np.abs(_ofdm_demod_window(cfg, sig, 0)[bins]) ** 2
 
         cases = ((0, 0), (1, 3), (-2, 5))
         standard = [leaked(*c) for c in cases]
@@ -349,11 +356,11 @@ class TestLinearity:
         total = DiscreteSignal(buf_a + buf_b, cfg.M, -start)
         only_a = DiscreteSignal(buf_a, cfg.M, -start)
         only_b = DiscreteSignal(buf_b, cfg.M, -start)
-        d_sum = ofdm_demodulate(cfg, total, 0, 1)
-        d_parts = ofdm_demodulate(cfg, only_a, 0, 1) + ofdm_demodulate(cfg, only_b, 0, 1)
+        d_sum = _ofdm_demod_window(cfg, total, 0)[1]
+        d_parts = _ofdm_demod_window(cfg, only_a, 0)[1] + _ofdm_demod_window(cfg, only_b, 0)[1]
         assert d_sum == pytest.approx(d_parts, abs=1e-12)
-        q_sum = oqam_demodulate(cfg, total, 2, 0)
-        q_parts = oqam_demodulate(cfg, only_a, 2, 0) + oqam_demodulate(cfg, only_b, 2, 0)
+        q_sum = oqam_demod(cfg, total, [2])[0, 0]
+        q_parts = oqam_demod(cfg, only_a, [2])[0, 0] + oqam_demod(cfg, only_b, [2])[0, 0]
         assert q_sum == pytest.approx(q_parts, abs=1e-12)
 
 
@@ -367,8 +374,9 @@ class TestFrequencyShift:
         cfg = small_config()
         sig = ofdm_modulate(cfg, {3: np.ones(1, dtype=complex)}, (0, 1))
         shifted = apply_frequency_shift(sig, 1.0)
-        assert ofdm_demodulate(cfg, shifted, 0, 4) == pytest.approx(1.0, abs=1e-12)
-        assert abs(ofdm_demodulate(cfg, shifted, 0, 3)) < 1e-12
+        row = _ofdm_demod_window(cfg, shifted, 0)
+        assert row[4] == pytest.approx(1.0, abs=1e-12)
+        assert abs(row[3]) < 1e-12
 
     def test_shift_round_trip(self):
         cfg = small_config()
