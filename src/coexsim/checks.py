@@ -3,7 +3,8 @@
 Each check returns a CheckResult; the CLI `verify` command prints one line
 per check and fails if any check fails.  The suite is deliberately able to
 run on corrupted filters (nothing here assumes the near-PR normalization
-holds; it is one of the things being checked).
+holds; it is one of the things being checked).  The pass bounds are fixed
+module constants, not arguments.
 """
 
 from __future__ import annotations
@@ -22,8 +23,12 @@ __all__ = ["CheckResult", "run_all_checks", "ORACLE_L_GRID"]
 ORACLE_L_GRID = (0.0, 0.5, 1.0, 2.0, 3.0, 5.0, 8.0)
 # the Parseval partial sums S(L/4), S(L/2), S(L) all come off one closed-form grid [-L, L)
 _PARSEVAL_L = 1 << 13
+# pass bounds, in battery order
+_NORMALIZATION_TOL, _UNIT_ENERGY_TOL, _DFT_TOL = 1e-5, 1e-6, 1e-3
+_ORACLE_TOL, _SYMMETRY_TOL, _RECIPROCITY_TOL, _PARSEVAL_TOL = 1e-9, 1e-12, 1e-12, 1e-10
 # captured energy vs 2 is limited by the 6-digit K=4 coefficients (1.8e-7), not by the sum
 _ENERGY_TOL = 1e-6
+_RIPPLE_DB = 1.0
 
 
 @dataclass(frozen=True)
@@ -41,39 +46,35 @@ def _rel(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
 
 
-def check_filter_normalization(filt: PrototypeFilter, tol: float = 1e-5) -> CheckResult:
+def check_filter_normalization(filt: PrototypeFilter) -> CheckResult:
     s = filt.normalization_sum()
     dev = abs(s - filt.overlap_K) / filt.overlap_K
-    return CheckResult("filter-normalization",
-                       dev <= tol,
+    return CheckResult("filter-normalization", dev <= _NORMALIZATION_TOL,
                        f"sum G^2 = {s:.8f} vs K = {filt.overlap_K} (rel dev {dev:.2e})")
 
 
-def check_filter_unit_energy(filt: PrototypeFilter, tol: float = 1e-6) -> CheckResult:
+def check_filter_unit_energy(filt: PrototypeFilter) -> CheckResult:
     # pulse energy over its full support, in units of the symbol period
     hw = filt.support_halfwidth
     energy = quadrature_window_energy(filt, hw, 2 * hw)
     dev = abs(energy - 1.0)
-    return CheckResult("filter-unit-energy",
-                       dev <= tol,
+    return CheckResult("filter-unit-energy", dev <= _UNIT_ENERGY_TOL,
                        f"integral g^2 = {energy:.9f} vs 1 (dev {dev:.2e})")
 
 
-def check_frequency_response_vs_dft(filt: PrototypeFilter, tol: float = 1e-3,
-                                    samples_per_symbol: int = 512) -> CheckResult:
-    taps = sample_taps(filt, samples_per_symbol)
-    t = (np.arange(len(taps)) - filt.overlap_K * samples_per_symbol / 2) / samples_per_symbol
+def check_frequency_response_vs_dft(filt: PrototypeFilter) -> CheckResult:
+    n = 512  # pulse samples per symbol period
+    taps = sample_taps(filt, n)
+    t = (np.arange(len(taps)) - filt.overlap_K * n / 2) / n
     worst = 0.0
     for f in (0.0, 0.25, 0.5, 1.0, 2.0):
-        dft = np.sum(taps * np.exp(-2j * np.pi * f * t)) / samples_per_symbol
+        dft = np.sum(taps * np.exp(-2j * np.pi * f * t)) / n
         worst = max(worst, abs(frequency_response(filt, f) - dft))
-    return CheckResult("frequency-response-vs-dft",
-                       worst <= tol,
+    return CheckResult("frequency-response-vs-dft", worst <= _DFT_TOL,
                        f"max |analytic - sampled transform| = {worst:.2e}")
 
 
-def check_oracle_equivalence(filt: PrototypeFilter, cp_ratios=(Fraction(0), Fraction(1, 8)),
-                             tol: float = 1e-9) -> CheckResult:
+def check_oracle_equivalence(filt: PrototypeFilter, cp_ratios) -> CheckResult:
     worst = 0.0
     where = ""
     grid = np.asarray(ORACLE_L_GRID)
@@ -88,32 +89,28 @@ def check_oracle_equivalence(filt: PrototypeFilter, cp_ratios=(Fraction(0), Frac
             dev = _rel(closed_i2s[i], quadrature_I("i2s", l, filt, cp))
             if dev > worst:
                 worst, where = dev, f"i2s cp={cp} l={l}"
-    return CheckResult("oracle-equivalence",
-                       worst <= tol,
+    return CheckResult("oracle-equivalence", worst <= _ORACLE_TOL,
                        f"max rel dev {worst:.2e} ({where})")
 
 
-def check_symmetry(filt: PrototypeFilter, cp_ratio=Fraction(1, 8), n_points: int = 200,
-                   tol: float = 1e-12, seed: int = 7) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    ls = rng.uniform(0.01, 30.0, n_points)
+def check_symmetry(filt: PrototypeFilter, cp_ratio) -> CheckResult:
+    ls = np.random.default_rng(7).uniform(0.01, 30.0, 200)
     worst = 0.0
     for grid_fn, kw in ((_oqam_to_ofdm_grid, {"var_pam": 1.0}),
                         (_ofdm_to_oqam_grid, {"cp_ratio": cp_ratio, "var_qam": 1.0})):
         pos = grid_fn(ls, filt, **kw)
         neg = grid_fn(-ls, filt, **kw)
         worst = max(worst, float(np.max(np.abs(pos - neg) / np.maximum(pos, 1e-300))))
-    return CheckResult("l-symmetry", worst <= tol, f"max rel asymmetry {worst:.2e}")
+    return CheckResult("l-symmetry", worst <= _SYMMETRY_TOL, f"max rel asymmetry {worst:.2e}")
 
 
-def check_reciprocity(filt: PrototypeFilter, n_points: int = 200, tol: float = 1e-12,
-                      seed: int = 11) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    ls = np.concatenate([np.arange(0, 21, dtype=float), rng.uniform(-30, 30, n_points - 21)])
+def check_reciprocity(filt: PrototypeFilter) -> CheckResult:
+    rng = np.random.default_rng(11)
+    ls = np.concatenate([np.arange(0, 21, dtype=float), rng.uniform(-30, 30, 200 - 21)])
     s2i = _oqam_to_ofdm_grid(ls, filt, 1.0)
     i2s = _ofdm_to_oqam_grid(ls, filt, Fraction(0), 2.0)
     worst = float(np.max(np.abs(s2i - i2s) / np.maximum(s2i, 1e-300)))
-    return CheckResult("cp0-reciprocity", worst <= tol,
+    return CheckResult("cp0-reciprocity", worst <= _RECIPROCITY_TOL,
                        f"max rel deviation {worst:.2e} (var_qam = 2 var_pam, cp = 0)")
 
 
@@ -125,7 +122,7 @@ def _parseval_estimates(filt: PrototypeFilter) -> tuple[float, float]:
     return 2 * s_half - s_quarter, 2 * s_full - s_half
 
 
-def check_parseval(filt: PrototypeFilter, tol: float = 1e-10) -> CheckResult:
+def check_parseval(filt: PrototypeFilter) -> CheckResult:
     """sum over all integer l of the s2i I(l) must equal the captured pulse energy.
 
     At large |l| each shift's window integral is set by the jumps of the
@@ -139,8 +136,8 @@ def check_parseval(filt: PrototypeFilter, tol: float = 1e-10) -> CheckResult:
     terms of the two tails (also the alternating ones, for even L).  One
     Richardson step 2 S(2L) - S(L) therefore leaves O(1/L^3).  The check
     fails when the (2^12, 2^13) estimate misses the oracle's E by more than
-    `tol`, or when it differs from the (2^11, 2^12) estimate by more than
-    `tol` (a tail that breaks the expansion).
+    _PARSEVAL_TOL, or when it differs from the (2^11, 2^12) estimate by more
+    than _PARSEVAL_TOL (a tail that breaks the expansion).
     """
     coarse, fine = _parseval_estimates(filt)
     const = oracle_parseval_constant(filt)
@@ -148,35 +145,35 @@ def check_parseval(filt: PrototypeFilter, tol: float = 1e-10) -> CheckResult:
     spread = _rel(fine, coarse)
     # two pulse streams per period at unit energy: the captured total must be 2
     dev_energy = _rel(const, 2.0)
-    passed = dev <= tol and spread <= tol and dev_energy <= _ENERGY_TOL
+    passed = dev <= _PARSEVAL_TOL and spread <= _PARSEVAL_TOL and dev_energy <= _ENERGY_TOL
     return CheckResult("parseval-power-conservation", passed,
                        f"extrapolated sum_l I(l) = {fine:.9f} vs captured energy {const:.9f} "
                        f"(rel {dev:.2e}, Richardson spread {spread:.2e}; "
                        f"energy vs 2: {dev_energy:.2e})")
 
 
-def check_decay_envelope(filt: PrototypeFilter, cp_ratio=Fraction(1, 8),
-                         ripple_db: float = 1.0) -> CheckResult:
+def check_decay_envelope(filt: PrototypeFilter, cp_ratio) -> CheckResult:
     ls = np.arange(1, 21, dtype=float)
     worst = -np.inf
     for vals in (_oqam_to_ofdm_grid(ls, filt, 1.0),
                  _ofdm_to_oqam_grid(ls, filt, cp_ratio, 1.0)):
         db = 10 * np.log10(vals)
         worst = max(worst, float(np.max(np.diff(db))))
-    return CheckResult("decay-envelope", worst <= ripple_db,
+    return CheckResult("decay-envelope", worst <= _RIPPLE_DB,
                        f"max dB step between successive integer l in 1..20: {worst:+.3f}")
 
 
-def run_all_checks(filt: PrototypeFilter, cp_ratio=Fraction(1, 8)) -> list[CheckResult]:
+def run_all_checks(filt: PrototypeFilter, cp_ratio) -> list[CheckResult]:
     """The full verification battery used by the CLI `verify` command."""
-    cps = (Fraction(0), Fraction(cp_ratio)) if Fraction(cp_ratio) != 0 else (Fraction(0),)
+    cps = tuple(sorted({Fraction(0), Fraction(cp_ratio)}))
+    cp = Fraction(cp_ratio) or Fraction(1, 8)  # symmetry and decay run with a prefix at cp = 0
     return [
         check_filter_normalization(filt),
         check_filter_unit_energy(filt),
         check_frequency_response_vs_dft(filt),
         check_oracle_equivalence(filt, cps),
-        check_symmetry(filt, cp_ratio if Fraction(cp_ratio) != 0 else Fraction(1, 8)),
+        check_symmetry(filt, cp),
         check_reciprocity(filt),
         check_parseval(filt),
-        check_decay_envelope(filt, cp_ratio if Fraction(cp_ratio) != 0 else Fraction(1, 8)),
+        check_decay_envelope(filt, cp),
     ]

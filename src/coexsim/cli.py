@@ -46,6 +46,7 @@ __all__ = ["main", "load_config", "ConfigError"]
 
 _CONFIG_KEYS = ("M", "cp_ratio", "incumbent_set", "secondary_set",
                 "var_qam", "var_pam", "delta_f", "seed")
+_MAX_L_POINTS = 10 ** 6  # an i2s table this size: 33 s, 131 MiB peak on a 2-core Xeon
 
 
 def _integer(value) -> int:
@@ -124,8 +125,10 @@ def _l_grid(args) -> np.ndarray:
     if args.lmax < args.lmin:
         raise ConfigError("--lmax must be >= --lmin")
     # the tolerance keeps a grid that divides exactly, like 0.3 / 0.1, at its last point
-    count = floor((args.lmax - args.lmin) / args.lstep + 1e-9) + 1
-    return args.lmin + args.lstep * np.arange(count)
+    steps = (args.lmax - args.lmin) / args.lstep + 1e-9
+    if steps >= _MAX_L_POINTS:  # also a span that overflows to inf
+        raise ConfigError(f"the l grid must have at most {_MAX_L_POINTS} points")
+    return args.lmin + args.lstep * np.arange(floor(steps) + 1)
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:

@@ -38,7 +38,7 @@ from math import ceil, floor
 
 import numpy as np
 
-from .filterbank import phydyas_k4, sample_taps
+from .filterbank import phydyas_k4
 from .txrx import (
     CoexConfig,
     ConfigError,
@@ -77,10 +77,14 @@ class McEstimate:
     trials: int
 
 
-def _single_member(s, what: str) -> int:
-    if len(s) != 1:
-        raise ConfigError(f"estimator needs exactly one {what} subcarrier, got {sorted(s)}")
-    return next(iter(s))
+def _roles(interferers, victims, interferer: str, victim: str) -> tuple[int, list[int]]:
+    """The single interferer subcarrier and the sorted victim subcarriers."""
+    if len(interferers) != 1:
+        raise ConfigError(f"estimator needs exactly one {interferer} (interferer) subcarrier, "
+                          f"got {sorted(interferers)}")
+    if not victims:
+        raise ConfigError(f"estimator needs at least one {victim} (victim) subcarrier")
+    return next(iter(interferers)), sorted(victims)
 
 
 def _rng(seed: int, tag: int, burst: int) -> np.random.Generator:
@@ -99,6 +103,8 @@ def _draw_qpsk(rng: np.random.Generator, n: int, variance: float) -> np.ndarray:
 
 
 def _burst_sizes(n_total: int, burst: int) -> list[int]:
+    if n_total < 1:
+        raise ConfigError("n_symbols must be >= 1")
     n_bursts = ceil(n_total / burst)
     sizes = [burst] * n_bursts
     sizes[-1] = n_total - burst * (n_bursts - 1)
@@ -141,20 +147,13 @@ def _oqam_slot_span(n_windows: int, cp: Fraction, K: int) -> tuple[int, int]:
     return floor(2 * (0 - K / 2)), ceil(2 * (hi + K / 2)) + 1
 
 
-def estimate_oqam_to_ofdm(config: CoexConfig, n_symbols: int, *,
-                          window_classes=None) -> McEstimate:
-    """Mean |interference|^2 seen by every incumbent subcarrier from the OQAM interferer.
+def _s2i_bursts(config: CoexConfig, n_symbols: int, m_s: int, add) -> None:
+    """Pass add() each burst's |demodulated|^2 windows: (windows, M) rows in window order.
 
-    n_symbols victim CP-OFDM windows are measured (bursts synthesized with
-    guard context so every window is interior).  window_classes optionally
-    restricts measurement to windows with n_i mod 4 in the given set.
+    A callback, not a generator: a consumer's loop variable kept each burst's rows
+    alive through the next burst, which cost 15x the page faults (+40% s2i run time).
     """
-    if n_symbols < 1:
-        raise ConfigError("n_symbols must be >= 1")
-    m_s = _single_member(config.secondary_set, "secondary (interferer)")
-    victims = sorted(config.incumbent_set)
     K = phydyas_k4().overlap_K
-    acc = _MomentSums(config.M)
     for b, size in enumerate(_burst_sizes(n_symbols, _BURST)):
         rng = _rng(config.seed, _TAG_S2I, b)
         n_lo, n_hi = _oqam_slot_span(size, config.cp_ratio, K)
@@ -162,13 +161,18 @@ def estimate_oqam_to_ofdm(config: CoexConfig, n_symbols: int, *,
         sig = oqam_modulate(config, data, (n_lo, n_hi))
         if config.delta_f:
             sig = apply_frequency_shift(sig, config.delta_f)
-        windows = np.arange(size)
-        if window_classes is not None:
-            # classes are physical window phases within the burst timeline
-            windows = windows[np.isin(windows % 4, list(window_classes))]
-        acc.add(np.abs(_ofdm_demod_window(config, sig, windows)) ** 2)
-    if acc.count == 0:
-        raise ValueError("no victim windows measured (window_classes excluded everything)")
+        add(np.abs(_ofdm_demod_window(config, sig, np.arange(size))) ** 2)
+
+
+def estimate_oqam_to_ofdm(config: CoexConfig, n_symbols: int) -> McEstimate:
+    """Mean |interference|^2 seen by every incumbent subcarrier from the OQAM interferer.
+
+    n_symbols victim CP-OFDM windows are measured (bursts synthesized with
+    guard context so every window is interior).
+    """
+    m_s, victims = _roles(config.secondary_set, config.incumbent_set, "secondary", "incumbent")
+    acc = _MomentSums(config.M)
+    _s2i_bursts(config, n_symbols, m_s, acc.add)
     return _finish(acc, lambda m: m_s + config.delta_f - m, victims, config)
 
 
@@ -178,13 +182,8 @@ def estimate_ofdm_to_oqam(config: CoexConfig, n_symbols: int) -> McEstimate:
     n_symbols victim half-symbol slots are measured; the reported power is
     twice the per-slot mean (the sum over a staggered slot pair).
     """
-    if n_symbols < 1:
-        raise ConfigError("n_symbols must be >= 1")
-    m_i = _single_member(config.incumbent_set, "incumbent (interferer)")
-    victims = sorted(config.secondary_set)
-    filt = phydyas_k4()
-    taps = sample_taps(filt, config.M)
-    K = filt.overlap_K
+    m_i, victims = _roles(config.incumbent_set, config.secondary_set, "incumbent", "secondary")
+    K = phydyas_k4().overlap_K
     cp = config.cp_ratio
     acc = _MomentSums(config.M)
     for b, size in enumerate(_burst_sizes(n_symbols, _BURST)):
@@ -197,7 +196,7 @@ def estimate_ofdm_to_oqam(config: CoexConfig, n_symbols: int) -> McEstimate:
         sig = ofdm_modulate(config, data, (n_lo, n_hi))
         if config.delta_f:
             sig = apply_frequency_shift(sig, -config.delta_f)
-        vals = _oqam_demod_slots(config, sig, np.arange(size), taps)
+        vals = _oqam_demod_slots(config, sig, np.arange(size))
         acc.add(vals ** 2)
     return _finish(acc, lambda m: m_i - config.delta_f - m, victims, config, scale=2.0)
 
@@ -209,10 +208,7 @@ def estimate_ofdm_to_ofdm(config: CoexConfig, n_symbols: int) -> McEstimate:
     [0, symbol_samples).  The secondary transmits QAM at var_qam (equal
     energy per symbol with the incumbent).
     """
-    if n_symbols < 1:
-        raise ConfigError("n_symbols must be >= 1")
-    m_s = _single_member(config.secondary_set, "secondary (interferer)")
-    victims = sorted(config.incumbent_set)
+    m_s, victims = _roles(config.secondary_set, config.incumbent_set, "secondary", "incumbent")
     S = config.symbol_samples
     acc = _MomentSums(config.M)
     for b, size in enumerate(_burst_sizes(n_symbols, _O2O_BURST)):
@@ -236,15 +232,13 @@ def self_reconstruction_floor(config: CoexConfig, n_symbols: int) -> float:
     """
     if n_symbols < 1:
         raise ConfigError("n_symbols must be >= 1")
-    filt = phydyas_k4()
-    taps = sample_taps(filt, config.M)
     active = sorted(config.secondary_set)
-    K = filt.overlap_K
+    K = phydyas_k4().overlap_K
     rng = _rng(config.seed, _TAG_FLOOR, 0)
     n_lo, n_hi = -2 * K, n_symbols + 2 * K
     data = {m: _draw_pam(rng, n_hi - n_lo, config.var_pam) for m in active}
     sig = oqam_modulate(config, data, (n_lo, n_hi))
-    vals = _oqam_demod_slots(config, sig, np.arange(n_symbols), taps)
+    vals = _oqam_demod_slots(config, sig, np.arange(n_symbols))
     err = 0.0
     for m in active:
         sent = data[m][-n_lo:-n_lo + n_symbols]

@@ -17,19 +17,19 @@ from math import ceil, floor
 
 import numpy as np
 
-from .filterbank import PrototypeFilter, evaluate_g, phydyas_k4
+from .filterbank import PrototypeFilter, evaluate_g
 
 __all__ = [
     "QuadratureError",
-    "quadrature_term_stoi",
     "quadrature_I",
     "contributing_shifts",
     "victim_slot_offsets",
-    "window_overlap",
     "oracle_parseval_constant",
 ]
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
+# panel doubling stops when two refinements agree to _RTOL or _ATOL; past _MAX_PANELS it fails
+_RTOL, _ATOL, _MAX_PANELS = 1e-13, 1e-16, 8192
 
 
 class QuadratureError(RuntimeError):
@@ -45,58 +45,40 @@ def _panel_sum(f, a: float, b: float, n_panels: int) -> complex:
     return complex(np.sum(vals * _GL_WEIGHTS[None, :] * half[:, None]))
 
 
-def _integrate(f, a: float, b: float, *, rtol: float = 1e-13, atol: float = 1e-16,
-               panels: int | None = None, max_panels: int = 8192) -> complex:
+def _integrate(f, a: float, b: float) -> complex:
     """Composite Gauss-Legendre with panel doubling until two refinements agree.
 
-    `panels` forces a fixed subdivision (used by the convergence checks);
-    adaptive mode raises QuadratureError instead of returning an unconverged
-    value.
+    0 on an empty interval; raises QuadratureError instead of returning an
+    unconverged value.
     """
     if b <= a:
         return 0.0 + 0.0j
-    if panels is not None:
-        return _panel_sum(f, a, b, panels)
     n = 2
     prev = _panel_sum(f, a, b, n)
-    while n <= max_panels:
+    while n <= _MAX_PANELS:
         n *= 2
         cur = _panel_sum(f, a, b, n)
-        if abs(cur - prev) <= max(rtol * abs(cur), atol):
+        if abs(cur - prev) <= max(_RTOL * abs(cur), _ATOL):
             return cur
         prev = cur
-    raise QuadratureError(f"quadrature did not converge on [{a}, {b}] within {max_panels} panels")
+    raise QuadratureError(f"quadrature did not converge on [{a}, {b}] within {_MAX_PANELS} panels")
 
 
-def window_overlap(tau: float, width: float, halfwidth: float) -> tuple[float, float]:
+def _window_overlap(tau: float, width: float, halfwidth: float) -> tuple[float, float]:
     """Intersection of the pulse support [tau-hw, tau+hw] with the window [0, width]."""
     return max(0.0, tau - halfwidth), min(width, tau + halfwidth)
 
 
-def _window_integral(filt: PrototypeFilter, l: float, tau: float, width: float,
-                     panels: int | None = None) -> complex:
+def _window_integral(filt: PrototypeFilter, l: float, tau: float, width: float) -> complex:
     """integral over [0, width] of g(u - tau) exp(j 2 pi l u) du, by quadrature.
 
     The integrand vanishes outside the pulse support, so integration runs
     over the support overlap only (the support edge is the one point where
     the integrand is not smooth).
     """
-    a, b = window_overlap(tau, width, filt.support_halfwidth)
-    if b <= a:
-        return 0.0 + 0.0j
+    a, b = _window_overlap(tau, width, filt.support_halfwidth)
     f = lambda u: evaluate_g(filt, u - tau) * np.exp(2j * np.pi * l * u)
-    return _integrate(f, a, b, panels=panels)
-
-
-def quadrature_term_stoi(l: float, tau_norm: float, filt: PrototypeFilter | None = None,
-                         *, panels: int | None = None) -> float:
-    """Squared magnitude of one shift's integral over the unit receive window.
-
-    |integral_0^1 g(u - tau) exp(j 2 pi l u) du|^2 with time in symbol
-    periods; 0 when the pulse support misses the window.
-    """
-    filt = filt or phydyas_k4()
-    return abs(_window_integral(filt, float(l), float(tau_norm), 1.0, panels=panels)) ** 2
+    return _integrate(f, a, b)
 
 
 def victim_slot_offsets(cp_ratio: Fraction) -> list[Fraction]:
@@ -168,52 +150,43 @@ def _window_taus(direction: str, n_victim: int, cp: Fraction,
     return sorted(Fraction(n_victim, 2) + cp - n * (1 + cp) for n in shifts)
 
 
-def quadrature_I(direction: str, l: float, filt: PrototypeFilter | None = None,
-                 cp_ratio=Fraction(0), *, n_victim: int | None = None,
-                 panels: int | None = None) -> float:
+def quadrature_I(direction: str, l: float, filt: PrototypeFilter, cp_ratio=Fraction(0)) -> float:
     """Mean interference power at spectral distance l, by direct quadrature.
 
     Unit interferer symbol variance.  direction "s2i": per victim CP-OFDM
-    symbol (canonical window n_i = 0 unless n_victim overrides).  direction
-    "i2s": per victim complex symbol period, i.e. twice the mean, over the
-    victim half-symbol slots of one offset cycle, of the per-slot power
-    including the real-part factor 1/2; with n_victim given, the value a
-    full cycle of slots at that slot's lattice offset would produce.
+    symbol (canonical window n_i = 0).  direction "i2s": per victim complex
+    symbol period, i.e. twice the mean, over the victim half-symbol slots of
+    one offset cycle, of the per-slot power including the real-part factor
+    1/2.
     """
-    filt = filt or phydyas_k4()
     cp = Fraction(cp_ratio)
     l = float(l)
     if direction == "s2i":
-        victims, width = [0 if n_victim is None else n_victim], 1.0
+        victims, width = [0], 1.0
     elif direction == "i2s":
-        cycle = range(len(victim_slot_offsets(cp)))
-        victims, width = (cycle if n_victim is None else [n_victim]), float(1 + cp)
+        victims, width = range(len(victim_slot_offsets(cp))), float(1 + cp)
     else:
         raise ValueError(f"unknown direction {direction!r}")
     acc = 0.0
     for nv in victims:
         for tau in _window_taus(direction, nv, cp, filt):
-            acc += abs(_window_integral(filt, l, float(tau), width, panels=panels)) ** 2
+            acc += abs(_window_integral(filt, l, float(tau), width)) ** 2
     # i2s: the per-slot real-part factor 1/2 cancels against the
     # per-complex-symbol convention's doubling of the slot mean
     return acc / len(victims)
 
 
-def quadrature_window_energy(filt: PrototypeFilter, tau: float, width: float,
-                             *, panels: int | None = None) -> float:
+def quadrature_window_energy(filt: PrototypeFilter, tau: float, width: float) -> float:
     """integral over [0, width] of g^2(u - tau) du, by quadrature."""
-    a, b = window_overlap(tau, width, filt.support_halfwidth)
-    if b <= a:
-        return 0.0
-    return float(np.real(_integrate(lambda u: evaluate_g(filt, u - tau) ** 2 + 0j, a, b, panels=panels)))
+    a, b = _window_overlap(tau, width, filt.support_halfwidth)
+    return float(np.real(_integrate(lambda u: evaluate_g(filt, u - tau) ** 2 + 0j, a, b)))
 
 
-def oracle_parseval_constant(filt: PrototypeFilter | None = None) -> float:
+def oracle_parseval_constant(filt: PrototypeFilter) -> float:
     """sum over half-period shifts of integral_0^1 g^2(t - tau) dt.
 
     The total captured pulse energy per unit receive window; the l-sum of
     the unit-variance interference table must equal it exactly.
     """
-    filt = filt or phydyas_k4()
     return sum(quadrature_window_energy(filt, float(tau), 1.0)
                for tau in _window_taus("s2i", 0, Fraction(0), filt))

@@ -267,8 +267,7 @@ def oqam_modulate(config: CoexConfig, data: dict, n_range: tuple[int, int]) -> D
     return DiscreteSignal(samples, M, origin_index=-start)
 
 
-def _oqam_demod_slots(config: CoexConfig, signal: DiscreteSignal, slots,
-                      taps: np.ndarray) -> np.ndarray:
+def _oqam_demod_slots(config: CoexConfig, signal: DiscreteSignal, slots) -> np.ndarray:
     """Real demodulated values for the given slots at all M bins: (len(slots), M).
 
     Correlates against the pulse times the receive exponential, normalizes
@@ -278,6 +277,7 @@ def _oqam_demod_slots(config: CoexConfig, signal: DiscreteSignal, slots,
     """
     M = config.M
     _require_even_m(M)
+    taps = sample_taps(phydyas_k4(), M)
     slots = np.asarray(slots)
     p0 = slots * (M // 2) - (len(taps) - 1) // 2
     energy = float(np.dot(taps, taps))

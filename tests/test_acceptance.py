@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from coexsim import checks
 from coexsim.checks import (
     ORACLE_L_GRID,
     check_oracle_equivalence,
@@ -28,6 +29,7 @@ from coexsim.montecarlo import (
     self_reconstruction_floor,
 )
 from coexsim.txrx import CoexConfig, _ofdm_demod_window, ofdm_modulate
+from test_montecarlo import window_class_estimates
 
 FILT = phydyas_k4()
 
@@ -70,9 +72,9 @@ def max_dev_db(estimate, closed, l_filter=lambda l: True, within_60db_of_peak=Fa
 class TestCriterion1OracleEquivalence:
     def test_closed_forms_match_quadrature(self):
         t0 = time.perf_counter()
-        result = check_oracle_equivalence(FILT, (Fraction(0), Fraction(1, 8)), tol=1e-9)
+        result = check_oracle_equivalence(FILT, (Fraction(0), Fraction(1, 8)))
         dt = time.perf_counter() - t0
-        report("criterion 1", result.passed and dt < 60,
+        report("criterion 1", result.passed and checks._ORACLE_TOL <= 1e-9 and dt < 60,
                f"closed form vs quadrature on l in {ORACLE_L_GRID}, cp in (0, 1/8): "
                f"{result.detail}; runtime {dt:.1f} s (< 60 s)")
 
@@ -103,8 +105,8 @@ class TestCriterion2SimulationMatch:
 
 class TestCriterion3Reciprocity:
     def test_closed_forms_identical_at_zero_cp(self):
-        result = check_reciprocity(FILT, n_points=200, tol=1e-12)
-        report("criterion 3 (closed form)", result.passed,
+        result = check_reciprocity(FILT)
+        report("criterion 3 (closed form)", result.passed and checks._RECIPROCITY_TOL <= 1e-12,
                f"200-point grid, {result.detail} (<= 1e-12)")
 
     def test_monte_carlo_confirms(self):
@@ -180,7 +182,7 @@ class TestCriterion7WindowInvariance:
         # differences are strongly correlated across l; pooling across l
         # under an independence model would be invalid.
         cfg = s2i_cfg()
-        parts = [estimate_oqam_to_ofdm(cfg, 10_000, window_classes={c}) for c in range(4)]
+        parts = window_class_estimates(cfg, 10_000)
         worst = 0.0
         for i in range(4):
             for j in range(i + 1, 4):
@@ -195,12 +197,14 @@ class TestCriterion7WindowInvariance:
 
 class TestCriterion8Structural:
     def test_l_symmetry(self):
-        result = check_symmetry(FILT, tol=1e-12)
-        report("criterion 8 (l-symmetry)", result.passed, f"{result.detail} (<= 1e-12)")
+        result = check_symmetry(FILT, Fraction(1, 8))
+        report("criterion 8 (l-symmetry)", result.passed and checks._SYMMETRY_TOL <= 1e-12,
+               f"{result.detail} (<= 1e-12)")
 
     def test_parseval(self):
-        result = check_parseval(FILT, tol=1e-10)
-        report("criterion 8 (Parseval)", result.passed,
+        result = check_parseval(FILT)
+        bounds_hold = checks._PARSEVAL_TOL <= 1e-10 and checks._ENERGY_TOL <= 1e-6
+        report("criterion 8 (Parseval)", result.passed and bounds_hold,
                f"{result.detail} (sum <= 1e-10; energy vs 2 <= 1e-6)")
 
     def test_ofdm_own_signal_reconstruction(self):

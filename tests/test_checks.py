@@ -1,6 +1,7 @@
 """Verification battery: result types, the Parseval tail model and its strictness."""
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,10 +16,19 @@ FILT = phydyas_k4()
 
 
 def test_results_are_json_serialisable():
-    results = run_all_checks(FILT)
+    results = run_all_checks(FILT, Fraction(1, 8))
     assert len(results) == 8
     assert all(type(r.passed) is bool for r in results)
     json.dumps([vars(r) for r in results])
+
+
+def test_pass_bounds_are_pinned():
+    # the battery's bounds are constants, so loosening one must fail here
+    assert (checks._NORMALIZATION_TOL, checks._UNIT_ENERGY_TOL, checks._DFT_TOL) \
+        == (1e-5, 1e-6, 1e-3)
+    assert (checks._ORACLE_TOL, checks._SYMMETRY_TOL, checks._RECIPROCITY_TOL,
+            checks._PARSEVAL_TOL, checks._ENERGY_TOL, checks._RIPPLE_DB) \
+        == (1e-9, 1e-12, 1e-12, 1e-10, 1e-6, 1.0)
 
 
 class TestParsevalTail:

@@ -3,6 +3,8 @@
 import os
 import subprocess
 import sys
+from argparse import Namespace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +38,11 @@ FRACTIONAL_LIST = GOOD_CONFIG.replace("secondary_set: [0]", "secondary_set: [0.5
 NEGATIVE_SEED = GOOD_CONFIG.replace("seed: 42", "seed: -3")
 NAN_VAR_PAM = GOOD_CONFIG.replace("var_pam: 0.5", "var_pam: .nan")
 INF_VAR_PAM = GOOD_CONFIG.replace("var_pam: 0.5", "var_pam: .inf")
+# no victim subcarrier to measure
+NO_INCUMBENT = GOOD_CONFIG.replace("incumbent_set: {range: [-5, 5]}", "incumbent_set: []")
+NO_SECONDARY = "M: 512\ncp_ratio: 1/8\nincumbent_set: [0]\nsecondary_set: []\n"
+# 10^18 grid points
+HUGE_GRID = ["--lmin", "0", "--lmax", "1e9", "--lstep", "1e-9"]
 
 
 @pytest.fixture
@@ -113,6 +120,13 @@ class TestTableCommand:
                        "--lmin", "-20", "--lmax", "20", "--lstep", "0.5", "--out", str(out)])
             assert rc == 0
             assert len(out.read_text().splitlines()) == 82
+
+    def test_grid_size_bound(self):
+        # 10^6 points is the largest grid; one more is a usage error
+        grid = cli._l_grid(Namespace(lmin=0.0, lmax=999_999.0, lstep=1.0))
+        assert len(grid) == 10 ** 6
+        with pytest.raises(ConfigError):
+            cli._l_grid(Namespace(lmin=0.0, lmax=1e6, lstep=1.0))
 
     # 0.3 / 0.1 is 2.9999999999999996 in floating point: the last point stays
     @pytest.mark.parametrize("lmax, lstep, expected", [
@@ -198,11 +212,19 @@ class TestErrorMapping:
         (NEGATIVE_SEED, ["simulate", "--direction", "s2i", "--symbols", "10"]),
         (NAN_VAR_PAM, ["table", "--direction", "s2i"]),
         (INF_VAR_PAM, ["table", "--direction", "s2i"]),
+        (NO_INCUMBENT, ["simulate", "--direction", "s2i", "--symbols", "10"]),
+        (NO_INCUMBENT, ["simulate", "--direction", "o2o", "--symbols", "10"]),
+        (NO_SECONDARY, ["simulate", "--direction", "i2s", "--symbols", "10"]),
+        (GOOD_CONFIG, ["table", "--direction", "s2i", *HUGE_GRID]),
+        (GOOD_CONFIG, ["table", "--direction", "i2s", "--lmin=-1e308", "--lmax=1e308"]),
+        (GOOD_CONFIG, ["psd", *HUGE_GRID]),
     ], ids=["cp-flag", "cp-flag-zero-denominator", "cp-config", "delta-f", "zero-symbols",
             "two-interferers", "odd-m-oqam-victim", "table-lmin-nan", "table-lstep-nan",
             "table-lmax-inf", "psd-lmin-nan", "psd-lstep-nan", "psd-lmax-inf",
             "fractional-m", "fractional-seed", "fractional-range", "fractional-list",
-            "seed-flag-negative", "seed-config-negative", "var-pam-nan", "var-pam-inf"])
+            "seed-flag-negative", "seed-config-negative", "var-pam-nan", "var-pam-inf",
+            "s2i-no-victim", "o2o-no-victim", "i2s-no-victim", "table-huge-grid",
+            "table-overflowing-grid", "psd-huge-grid"])
     def test_user_input_errors_exit_2(self, tmp_path, capsys, config_text, args):
         path = tmp_path / "scenario.yaml"
         path.write_text(config_text)
@@ -223,7 +245,7 @@ class TestErrorMapping:
 class TestVerifySuiteNegative:
     def test_corrupted_coefficient_fails_checks(self):
         bad = PrototypeFilter(overlap_K=4, coeffs=(1.0, 0.9, 1 / np.sqrt(2), 0.235147))
-        results = {r.name: r.passed for r in run_all_checks(bad)}
+        results = {r.name: r.passed for r in run_all_checks(bad, Fraction(1, 8))}
         assert not results["parseval-power-conservation"]
         assert not results["filter-normalization"]
         # closed form and oracle share the corrupted coefficients, so their

@@ -42,6 +42,24 @@ def filt():
     return phydyas_k4()
 
 
+def window_class_estimates(config, n_symbols):
+    """s2i estimates of the windows n_i mod 4 = 0, 1, 2, 3, from one pass over the bursts.
+
+    Classes are physical window phases within the burst timeline (256 windows
+    per burst, a multiple of 4).
+    """
+    m_s = next(iter(config.secondary_set))
+    accs = [mc._MomentSums(config.M) for _ in range(4)]
+
+    def add(rows):
+        for c, acc in enumerate(accs):
+            acc.add(rows[c::4])
+
+    mc._s2i_bursts(config, n_symbols, m_s, add)
+    return [mc._finish(acc, lambda m: m_s + config.delta_f - m, sorted(config.incumbent_set),
+                       config) for acc in accs]
+
+
 def same_estimate(a, b) -> bool:
     return (np.array_equal(a.l_values, b.l_values) and np.array_equal(a.powers, b.powers)
             and np.array_equal(a.std_errors, b.std_errors))
@@ -130,22 +148,22 @@ class TestWindowClasses:
     def test_classes_partition_trials(self):
         cfg = s2i_config()
         full = estimate_oqam_to_ofdm(cfg, 400)
-        parts = [estimate_oqam_to_ofdm(cfg, 400, window_classes={c}) for c in range(4)]
+        parts = window_class_estimates(cfg, 400)
+        assert [p.trials for p in parts] == [100] * 4
         assert sum(p.trials for p in parts) == full.trials
+        # the trial-weighted class means recombine into the full estimate
+        pooled = sum(p.trials * p.powers for p in parts) / full.trials
+        assert np.allclose(pooled, full.powers, rtol=1e-12, atol=0)
 
     def test_per_class_means_consistent(self):
         # window-position invariance at MC resolution
         cfg = s2i_config(incumbent_set=frozenset(range(-4, 5)))
-        parts = [estimate_oqam_to_ofdm(cfg, 1200, window_classes={c}) for c in range(4)]
+        parts = window_class_estimates(cfg, 1200)
         for i in range(4):
             for j in range(i + 1, 4):
                 zi = np.abs(parts[i].powers - parts[j].powers) \
                     / np.sqrt(parts[i].std_errors ** 2 + parts[j].std_errors ** 2)
                 assert np.max(zi) < 4.0
-
-    def test_empty_selection_rejected(self):
-        with pytest.raises(ValueError):
-            estimate_oqam_to_ofdm(s2i_config(), 100, window_classes=set())
 
 
 class TestOfdmToOfdm:

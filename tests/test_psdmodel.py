@@ -40,8 +40,11 @@ class TestOfdmPsd:
             assert psd_ofdm_subcarrier(float(n), 0) == pytest.approx(0.0, abs=1e-30)
 
     def test_unit_total_power(self):
-        # sinc^2 tails need a wide window to integrate to 1 within 1e-4
-        total = band_sum(lambda f: psd_ofdm_subcarrier(f, Fraction(1, 8)), 7000)
+        # the PSD's Fourier transform lives on |t| <= 1 + cp < 4, so by Poisson summation a
+        # step-1/4 trapezoid sum equals the integral; only the sinc^2 tails outside the
+        # window [-7000.5, 7000.5] are missed (1/(pi^2 (1 + cp) 7000) = 1.3e-5)
+        vals = psd_ofdm_subcarrier(np.arange(-28002, 28003) / 4, Fraction(1, 8))
+        total = 0.25 * (np.sum(vals) - 0.5 * (vals[0] + vals[-1]))  # trapezoid rule
         assert total == pytest.approx(1.0, abs=1e-4)
 
     def test_even(self):

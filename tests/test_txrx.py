@@ -54,11 +54,6 @@ def loop_oqam_modulate(config, data, n_range):
     return out, -start
 
 
-def oqam_demod(cfg, sig, slots):
-    """_oqam_demod_slots with the reference prototype's taps at cfg.M."""
-    return _oqam_demod_slots(cfg, sig, slots, sample_taps(phydyas_k4(), cfg.M))
-
-
 def small_config(**kw):
     defaults = dict(M=64, cp_ratio=Fraction(1, 8),
                     incumbent_set=frozenset(range(-8, 9)),
@@ -252,7 +247,7 @@ class TestOqam:
         with pytest.raises(txrx.ConfigError):
             oqam_modulate(cfg, {0: np.ones(1)}, (0, 1))
         with pytest.raises(txrx.ConfigError):
-            oqam_demod(cfg, DiscreteSignal(np.zeros(100, dtype=complex), 9, 50), [0])
+            _oqam_demod_slots(cfg, DiscreteSignal(np.zeros(100, dtype=complex), 9, 50), [0])
 
     def test_single_symbol_envelope_is_pulse(self):
         # m = 0, n = 0: phase 1, so samples are exactly taps / sqrt(M)
@@ -265,13 +260,13 @@ class TestOqam:
     def test_single_symbol_recovered(self):
         cfg = small_config()
         sig = oqam_modulate(cfg, {0: np.array([1.0])}, (0, 1))
-        rec = oqam_demod(cfg, sig, [0])[0, 0]
+        rec = _oqam_demod_slots(cfg, sig, [0])[0, 0]
         assert abs(rec - 1.0) < 1e-3
 
     def test_zero_signal_demodulates_to_zero(self):
         cfg = small_config()
         sig = oqam_modulate(cfg, {}, (-4, 8))
-        assert np.all(oqam_demod(cfg, sig, [0]) == 0.0)
+        assert np.all(_oqam_demod_slots(cfg, sig, [0]) == 0.0)
 
     def test_round_trip_floor_below_minus_50db(self):
         cfg = CoexConfig(M=128, cp_ratio=0, incumbent_set=frozenset({0}),
@@ -282,7 +277,7 @@ class TestOqam:
                 for m in sorted(cfg.secondary_set)}
         sig = oqam_modulate(cfg, data, (n0, n1))
         subs = sorted(cfg.secondary_set)
-        rec = oqam_demod(cfg, sig, np.arange(40))[:, np.array(subs) % cfg.M]
+        rec = _oqam_demod_slots(cfg, sig, np.arange(40))[:, np.array(subs) % cfg.M]
         sent = np.array([data[m][-n0:40 - n0] for m in subs]).T
         assert np.mean((rec - sent) ** 2) / cfg.var_pam < 1e-5
 
@@ -359,8 +354,9 @@ class TestLinearity:
         d_sum = _ofdm_demod_window(cfg, total, 0)[1]
         d_parts = _ofdm_demod_window(cfg, only_a, 0)[1] + _ofdm_demod_window(cfg, only_b, 0)[1]
         assert d_sum == pytest.approx(d_parts, abs=1e-12)
-        q_sum = oqam_demod(cfg, total, [2])[0, 0]
-        q_parts = oqam_demod(cfg, only_a, [2])[0, 0] + oqam_demod(cfg, only_b, [2])[0, 0]
+        q_sum = _oqam_demod_slots(cfg, total, [2])[0, 0]
+        q_parts = (_oqam_demod_slots(cfg, only_a, [2])[0, 0]
+                   + _oqam_demod_slots(cfg, only_b, [2])[0, 0])
         assert q_sum == pytest.approx(q_parts, abs=1e-12)
 
 
