@@ -112,7 +112,7 @@ def _burst_sizes(n_total: int, burst: int) -> list[int]:
 
 
 class _MomentSums:
-    """Per-bin running count, sum and sum of squares; mean and standard error from them."""
+    """Per-column running count, sum and sum of squares; mean and standard error from them."""
 
     def __init__(self, width: int):
         self.count = 0
@@ -134,11 +134,12 @@ class _MomentSums:
         return np.sqrt(np.maximum(var, 0.0) / self.count)
 
 
-def _finish(acc: _MomentSums, l_of_bin, victims, config, scale=1.0) -> McEstimate:
-    ls, ms = zip(*sorted((float(l_of_bin(m)), m) for m in victims))
-    bins = np.asarray(ms) % config.M
-    return McEstimate(l_values=np.array(ls), powers=scale * acc.mean()[bins],
-                      std_errors=scale * acc.std_error()[bins], trials=acc.count)
+def _finish(acc: _MomentSums, l_of, victims, scale=1.0) -> McEstimate:
+    """The estimate ascending in l; column c of acc belongs to victims[c]."""
+    ls = np.array([float(l_of(m)) for m in victims])
+    order = np.argsort(ls)
+    return McEstimate(l_values=ls[order], powers=scale * acc.mean()[order],
+                      std_errors=scale * acc.std_error()[order], trials=acc.count)
 
 
 def _oqam_slot_span(n_windows: int, cp: Fraction, K: int) -> tuple[int, int]:
@@ -147,8 +148,8 @@ def _oqam_slot_span(n_windows: int, cp: Fraction, K: int) -> tuple[int, int]:
     return floor(2 * (0 - K / 2)), ceil(2 * (hi + K / 2)) + 1
 
 
-def _s2i_bursts(config: CoexConfig, n_symbols: int, m_s: int, add) -> None:
-    """Pass add() each burst's |demodulated|^2 windows: (windows, M) rows in window order.
+def _s2i_bursts(config: CoexConfig, n_symbols: int, m_s: int, victims, add) -> None:
+    """Pass add() each burst's |demodulated|^2 windows: (windows, victims) rows in window order.
 
     A callback, not a generator: a consumer's loop variable kept each burst's rows
     alive through the next burst, which cost 15x the page faults (+40% s2i run time).
@@ -161,7 +162,7 @@ def _s2i_bursts(config: CoexConfig, n_symbols: int, m_s: int, add) -> None:
         sig = oqam_modulate(config, data, (n_lo, n_hi))
         if config.delta_f:
             sig = apply_frequency_shift(sig, config.delta_f)
-        add(np.abs(_ofdm_demod_window(config, sig, np.arange(size))) ** 2)
+        add(np.abs(_ofdm_demod_window(config, sig, np.arange(size), victims)) ** 2)
 
 
 def estimate_oqam_to_ofdm(config: CoexConfig, n_symbols: int) -> McEstimate:
@@ -171,9 +172,9 @@ def estimate_oqam_to_ofdm(config: CoexConfig, n_symbols: int) -> McEstimate:
     guard context so every window is interior).
     """
     m_s, victims = _roles(config.secondary_set, config.incumbent_set, "secondary", "incumbent")
-    acc = _MomentSums(config.M)
-    _s2i_bursts(config, n_symbols, m_s, acc.add)
-    return _finish(acc, lambda m: m_s + config.delta_f - m, victims, config)
+    acc = _MomentSums(len(victims))
+    _s2i_bursts(config, n_symbols, m_s, victims, acc.add)
+    return _finish(acc, lambda m: m_s + config.delta_f - m, victims)
 
 
 def estimate_ofdm_to_oqam(config: CoexConfig, n_symbols: int) -> McEstimate:
@@ -185,7 +186,7 @@ def estimate_ofdm_to_oqam(config: CoexConfig, n_symbols: int) -> McEstimate:
     m_i, victims = _roles(config.incumbent_set, config.secondary_set, "incumbent", "secondary")
     K = phydyas_k4().overlap_K
     cp = config.cp_ratio
-    acc = _MomentSums(config.M)
+    acc = _MomentSums(len(victims))
     for b, size in enumerate(_burst_sizes(n_symbols, _BURST)):
         rng = _rng(config.seed, _TAG_I2S, b)
         # interferer symbols covering every victim slot's filter span
@@ -196,9 +197,9 @@ def estimate_ofdm_to_oqam(config: CoexConfig, n_symbols: int) -> McEstimate:
         sig = ofdm_modulate(config, data, (n_lo, n_hi))
         if config.delta_f:
             sig = apply_frequency_shift(sig, -config.delta_f)
-        vals = _oqam_demod_slots(config, sig, np.arange(size))
+        vals = _oqam_demod_slots(config, sig, (0, size), victims)
         acc.add(vals ** 2)
-    return _finish(acc, lambda m: m_i - config.delta_f - m, victims, config, scale=2.0)
+    return _finish(acc, lambda m: m_i - config.delta_f - m, victims, scale=2.0)
 
 
 def estimate_ofdm_to_ofdm(config: CoexConfig, n_symbols: int) -> McEstimate:
@@ -210,7 +211,7 @@ def estimate_ofdm_to_ofdm(config: CoexConfig, n_symbols: int) -> McEstimate:
     """
     m_s, victims = _roles(config.secondary_set, config.incumbent_set, "secondary", "incumbent")
     S = config.symbol_samples
-    acc = _MomentSums(config.M)
+    acc = _MomentSums(len(victims))
     for b, size in enumerate(_burst_sizes(n_symbols, _O2O_BURST)):
         rng = _rng(config.seed, _TAG_O2O, b)
         off = int(rng.integers(0, S))
@@ -219,8 +220,8 @@ def estimate_ofdm_to_ofdm(config: CoexConfig, n_symbols: int) -> McEstimate:
         sig = shift_samples(sig, off)
         if config.delta_f:
             sig = apply_frequency_shift(sig, config.delta_f)
-        acc.add(np.abs(_ofdm_demod_window(config, sig, np.arange(size))) ** 2)
-    return _finish(acc, lambda m: m_s + config.delta_f - m, victims, config)
+        acc.add(np.abs(_ofdm_demod_window(config, sig, np.arange(size), victims)) ** 2)
+    return _finish(acc, lambda m: m_s + config.delta_f - m, victims)
 
 
 def self_reconstruction_floor(config: CoexConfig, n_symbols: int) -> float:
@@ -238,10 +239,7 @@ def self_reconstruction_floor(config: CoexConfig, n_symbols: int) -> float:
     n_lo, n_hi = -2 * K, n_symbols + 2 * K
     data = {m: _draw_pam(rng, n_hi - n_lo, config.var_pam) for m in active}
     sig = oqam_modulate(config, data, (n_lo, n_hi))
-    vals = _oqam_demod_slots(config, sig, np.arange(n_symbols))
-    err = 0.0
-    for m in active:
-        sent = data[m][-n_lo:-n_lo + n_symbols]
-        err += np.sum((vals[:, m % config.M] - sent) ** 2)
-    return float(err / (n_symbols * len(active)) / config.var_pam)
+    vals = _oqam_demod_slots(config, sig, (0, n_symbols), active)
+    sent = np.array([data[m][-n_lo:-n_lo + n_symbols] for m in active]).T
+    return float(np.sum((vals - sent) ** 2) / (n_symbols * len(active)) / config.var_pam)
 

@@ -19,18 +19,31 @@ one amplitude.  Each subcarrier's burst is then one product of the
 block matrix; with inner dimension nb the bytes do not depend on the BLAS
 thread count.
 
-DiscreteSignal.window takes an array of start indices and returns one row
-per start, so both receivers demodulate all their windows or slots in one
-block transform.
+OQAM demodulation is the polyphase analysis dual.  The receiver reads the
+burst once as blocks of M/2 samples, zero-padded past the last slot's taps;
+slot n + 1 reads the same nb tap blocks one block later.  So nb block
+products, alternating between the two halves of M, fold every slot's
+tap-weighted window onto M samples at once, and one FFT per slot follows.
+The fold starts at sample p0 = n M/2 - K M/2, whose phase
+exp(-2 pi j k p0 / M) is read from one M-point root table at the exact
+index (k p0) mod M.  CP-OFDM synthesis uses the same exact reduction: the
+prefix phase makes every symbol block the same M + L carrier samples, so
+each subcarrier evaluates its carrier over one block only.
+
+Both receivers return only the subcarriers they are asked for, in the order
+asked: the FFT runs over all M bins and the requested columns are read
+from it.  DiscreteSignal.window takes an array of start indices and returns
+one row per start, so the CP-OFDM receiver demodulates all its windows in
+one block transform.
 
 OQAM phase map: slot n of subcarrier m carries oqam_phase(m, n) =
 (-1)^(m n) j^(m+n).  The one vectorised map serves both sides: the
-modulator applies it, the demodulator applies its conjugate over signed
-bins x slots.  Adjacent slots and subcarriers sit in quadrature, which keeps
-the intrinsic own-signal interference purely imaginary (near-perfect
-reconstruction).  Cross-system interference powers do not depend on the
-phase map (each slot contributes one unimodular factor); own-signal
-reconstruction does.
+modulator applies it, the demodulator applies its conjugate over slots x
+requested subcarriers.  Adjacent slots and subcarriers sit in quadrature,
+which keeps the intrinsic own-signal interference purely imaginary
+(near-perfect reconstruction).  Cross-system interference powers do not
+depend on the phase map (each slot contributes one unimodular factor);
+own-signal reconstruction does.
 """
 
 from __future__ import annotations
@@ -176,32 +189,36 @@ def ofdm_modulate(config: CoexConfig, data: dict, n_range: tuple[int, int]) -> D
     if bad:
         raise ValueError(f"data on subcarriers outside the incumbent set: {sorted(bad)}")
     M, L, S = config.M, config.cp_samples, config.symbol_samples
-    cp = float(config.cp_ratio)
     nsym = n1 - n0
-    start = n0 * S - L
-    sig = _zero_signal(M, start, (n1 - 1) * S + M)
-    p = np.arange(start, (n1 - 1) * S + M)
+    sig = _zero_signal(M, n0 * S - L, (n1 - 1) * S + M)
+    # symbol blocks tile the burst exactly: block n is [nS - L, nS + M)
+    blocks = sig.samples.reshape(nsym, S)
+    p = np.arange(-L, M)  # symbol 0's block
     for m, vec in sorted(data.items()):
         vec = np.asarray(vec, dtype=complex)
         if vec.shape != (nsym,):
             raise ValueError(f"data vector for subcarrier {m} must cover n_range ({nsym} symbols)")
-        # symbol blocks tile the burst exactly: block n is [nS - L, nS + M)
-        per_symbol = vec / np.sqrt(M) * np.exp(-2j * np.pi * m * cp * np.arange(n0, n1))
-        sig.samples += np.repeat(per_symbol, S) * np.exp(2j * np.pi * m * p / M)
+        # symbol n's prefix phase exp(-2 pi j m n L / M) cancels the advance of the carrier
+        # exp(2 pi j m p / M) over n blocks, so every block is symbol 0's: one carrier
+        # block, reduced exactly as (m p) mod M, times each symbol
+        carrier = np.exp(2j * np.pi * ((m * p) % M) / M)
+        blocks += (vec / np.sqrt(M))[:, None] * carrier
     return sig
 
 
-def _ofdm_demod_window(config: CoexConfig, signal: DiscreteSignal, n_i) -> np.ndarray:
-    """Demodulated values of window(s) n_i for all M subcarrier bins: n_i.shape + (M,).
+def _ofdm_demod_window(config: CoexConfig, signal: DiscreteSignal, n_i, subcarriers) -> np.ndarray:
+    """Demodulated values of window(s) n_i on the subcarriers: n_i.shape + (len(subcarriers),).
 
     Correlates the useful window (prefix discarded) against the receive
     exponential with 1/sqrt(M) scaling.  The absolute-time and prefix
     reference phases cancel exactly for integer subcarriers, so the FFT of
-    the window is the complete answer.  Bin m % M of a clean own-signal
-    returns the transmitted symbol exactly (discrete orthogonality).
+    the window, read at bins m % M, is the complete answer.  A clean
+    own-signal returns the transmitted symbol exactly (discrete
+    orthogonality).
     """
     seg = signal.window(n_i * config.symbol_samples, config.M)
-    return np.fft.fft(seg, axis=-1) / np.sqrt(config.M)
+    bins = np.asarray(subcarriers) % config.M
+    return np.fft.fft(seg, axis=-1)[..., bins] / np.sqrt(config.M)
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +235,15 @@ def _require_even_m(M: int) -> None:
         raise ConfigError("OQAM requires even M (half-period slots must be whole samples)")
 
 
+def _tap_blocks(M: int) -> tuple[np.ndarray, np.ndarray]:
+    """The prototype taps, and the taps zero-padded to nb blocks of M/2 samples: (nb, M/2)."""
+    taps = sample_taps(phydyas_k4(), M)
+    hop = M // 2
+    blocks = np.zeros(-(-len(taps) // hop) * hop)  # nb = 9 blocks for K = 4
+    blocks[:len(taps)] = taps
+    return taps, blocks.reshape(-1, hop)
+
+
 def oqam_modulate(config: CoexConfig, data: dict, n_range: tuple[int, int]) -> DiscreteSignal:
     """Synthesize the OQAM signal for real PAM symbols on the secondary subcarriers.
 
@@ -232,16 +258,14 @@ def oqam_modulate(config: CoexConfig, data: dict, n_range: tuple[int, int]) -> D
         raise ValueError(f"data on subcarriers outside the secondary set: {sorted(bad)}")
     M = config.M
     _require_even_m(M)
-    taps = sample_taps(phydyas_k4(), M)
+    taps, pulse = _tap_blocks(M)
+    pulse = pulse / np.sqrt(M)
+    nb, hop = pulse.shape
     half = (len(taps) - 1) // 2
-    hop = M // 2
     nsym = n1 - n0
     start = n0 * hop - half
     stop = (n1 - 1) * hop + half + 1
-    nb = -(-len(taps) // hop)  # pulse blocks of one half period: 9 for K = 4
-    pulse = np.zeros(nb * hop)
-    pulse[:len(taps)] = taps / np.sqrt(M)
-    p = np.arange(start, start + nb * hop)  # absolute samples of slot n0's pulse blocks
+    p = start + np.arange(pulse.size).reshape(nb, hop)  # absolute samples of slot n0's pulse
     sign = np.where(np.arange(nsym) % 2, -1.0, 1.0)
     amps = np.zeros(nsym + 2 * (nb - 1), dtype=complex)
     toeplitz = sliding_window_view(amps, nb)[:, ::-1]  # row k holds amps of slots k-nb+1 .. k
@@ -257,7 +281,7 @@ def oqam_modulate(config: CoexConfig, data: dict, n_range: tuple[int, int]) -> D
         blocks = pulse * np.exp(2j * np.pi * ((m * p) % M) / M)
         amp = oqam_phase(m, np.arange(n0, n1)) * vec
         amps[nb - 1:nb - 1 + nsym] = amp * sign if m % 2 else amp
-        env = (toeplitz @ blocks.reshape(nb, hop)).ravel()[:stop - start]
+        env = (toeplitz @ blocks).ravel()[:stop - start]
         if samples is None:
             samples = env
         else:
@@ -267,30 +291,44 @@ def oqam_modulate(config: CoexConfig, data: dict, n_range: tuple[int, int]) -> D
     return DiscreteSignal(samples, M, origin_index=-start)
 
 
-def _oqam_demod_slots(config: CoexConfig, signal: DiscreteSignal, slots) -> np.ndarray:
-    """Real demodulated values for the given slots at all M bins: (len(slots), M).
+def _oqam_demod_slots(config: CoexConfig, signal: DiscreteSignal, n_range: tuple[int, int],
+                      subcarriers) -> np.ndarray:
+    """Real demodulated values of slots n_range[0] .. n_range[1]-1: (slots, len(subcarriers)).
 
     Correlates against the pulse times the receive exponential, normalizes
     by the measured tap energy, rotates by the conjugate modulation phase
-    and takes the real part.  Bin m % M of a clean own-signal returns the
-    symbol up to the prototype's near-perfect-reconstruction floor.
+    and takes the real part.  A clean own-signal returns the symbol up to
+    the prototype's near-perfect-reconstruction floor.
     """
+    n0, n1 = n_range
+    if n1 <= n0:
+        raise ValueError("n_range must be non-empty")
     M = config.M
     _require_even_m(M)
-    taps = sample_taps(phydyas_k4(), M)
-    slots = np.asarray(slots)
-    p0 = slots * (M // 2) - (len(taps) - 1) // 2
+    taps, pulse = _tap_blocks(M)
+    nb, hop = pulse.shape
+    half = (len(taps) - 1) // 2
+    nsym = n1 - n0
+    start = n0 * hop - half  # first sample of slot n0's taps
+    support = (nsym - 1) * hop + len(taps)
+    x = np.zeros((nsym + nb - 1) * hop, dtype=complex)
+    x[:support] = signal.window(start, support)
+    x = x.reshape(-1, hop)
+    # slot n0 + j reads blocks j .. j + nb - 1; block b of its taps folds onto half b % 2 of M
+    folded = np.zeros((nsym, 2, hop), dtype=complex)
+    for b in range(nb):
+        folded[:, b % 2] += x[b:b + nsym] * pulse[b]
+    m = np.asarray(subcarriers)
+    k = m % M
+    spec = np.fft.fft(folded.reshape(nsym, M), axis=1)[:, k]
+    # slot n's fold starts at p0 = n hop - half: rotate by exp(-2 pi j k p0 / M),
+    # indexed exactly by (k p0) mod M in one M-point root table
+    slots = np.arange(n0, n1)
+    p0 = slots * hop - half
+    roots = np.exp(-2j * np.pi * np.arange(M) / M)
+    spec *= roots[(k[None, :] * (p0 % M)[:, None]) % M]
     energy = float(np.dot(taps, taps))
-    w = signal.window(p0, len(taps)) * taps
-    # fold the tap-length correlation onto M bins, then one FFT per slot
-    n_whole = (len(taps) // M) * M
-    folded = w[:, :n_whole].reshape(len(slots), -1, M).sum(axis=1)
-    folded[:, :len(taps) - n_whole] += w[:, n_whole:]
-    spec = np.fft.fft(folded, axis=1)
-    bins = np.arange(M)
-    spec *= np.exp(-2j * np.pi * bins[None, :] * (p0 % M)[:, None] / M)
-    signed_bins = np.where(bins >= M // 2, bins - M, bins)
-    return np.sqrt(M) / energy * np.real(spec * np.conj(oqam_phase(signed_bins, slots[:, None])))
+    return np.sqrt(M) / energy * np.real(spec * np.conj(oqam_phase(m[None, :], slots[:, None])))
 
 
 # ---------------------------------------------------------------------------

@@ -49,15 +49,15 @@ def window_class_estimates(config, n_symbols):
     per burst, a multiple of 4).
     """
     m_s = next(iter(config.secondary_set))
-    accs = [mc._MomentSums(config.M) for _ in range(4)]
+    victims = sorted(config.incumbent_set)
+    accs = [mc._MomentSums(len(victims)) for _ in range(4)]
 
     def add(rows):
         for c, acc in enumerate(accs):
             acc.add(rows[c::4])
 
-    mc._s2i_bursts(config, n_symbols, m_s, add)
-    return [mc._finish(acc, lambda m: m_s + config.delta_f - m, sorted(config.incumbent_set),
-                       config) for acc in accs]
+    mc._s2i_bursts(config, n_symbols, m_s, victims, add)
+    return [mc._finish(acc, lambda m: m_s + config.delta_f - m, victims) for acc in accs]
 
 
 def same_estimate(a, b) -> bool:

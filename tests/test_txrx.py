@@ -54,6 +54,35 @@ def loop_oqam_modulate(config, data, n_range):
     return out, -start
 
 
+def loop_oqam_demod(config, signal, n_range, subcarriers):
+    """Test-only reference: slot-by-slot OQAM demodulation with exactly reduced carriers.
+
+    Correlates each slot's full tap window against taps * exp(-2 pi j ((m p) mod M) / M),
+    rotates by the conjugate phase map and takes the real part: (slots, len(subcarriers)).
+    """
+    n0, n1 = n_range
+    M = config.M
+    taps = sample_taps(phydyas_k4(), M)
+    half = (len(taps) - 1) // 2
+    subs = np.asarray(subcarriers)
+    out = np.zeros((n1 - n0, len(subs)))
+    for j, n in enumerate(range(n0, n1)):
+        p = n * M // 2 - half + np.arange(len(taps))
+        seg = signal.window(p[0], len(taps)) * taps
+        carriers = np.exp(-2j * np.pi * ((subs[:, None] * p[None, :]) % M) / M)
+        corr = np.sqrt(M) / np.dot(taps, taps) * (carriers @ seg)
+        out[j] = np.real(corr * np.conj(oqam_phase(subs, n)))
+    return out
+
+
+def edge_subcarriers(M):
+    return [-M // 2, -1, 0, M // 2 - 1]
+
+
+def all_subcarriers(config):
+    return np.arange(-config.M // 2, config.M // 2)
+
+
 def small_config(**kw):
     defaults = dict(M=64, cp_ratio=Fraction(1, 8),
                     incumbent_set=frozenset(range(-8, 9)),
@@ -174,7 +203,7 @@ class TestOfdm:
             data = {m: (rng.choice([1, -1], 3) + 1j * rng.choice([1, -1], 3)) / np.sqrt(2)
                     for m in subs}
             sig = ofdm_modulate(cfg, data, (0, 3))
-            rows = _ofdm_demod_window(cfg, sig, np.arange(3))[:, np.array(subs) % cfg.M]
+            rows = _ofdm_demod_window(cfg, sig, np.arange(3), subs)
             sent = np.array([data[m] for m in subs]).T
             worst = max(worst, np.max(np.abs(rows - sent)))
         assert worst < 1e-10
@@ -182,23 +211,40 @@ class TestOfdm:
     def test_zero_signal_demodulates_to_zero(self):
         cfg = small_config()
         sig = ofdm_modulate(cfg, {}, (0, 1))
-        assert np.all(_ofdm_demod_window(cfg, sig, 0) == 0)
+        assert np.all(_ofdm_demod_window(cfg, sig, 0, all_subcarriers(cfg)) == 0)
 
     def test_batched_windows_bit_equal_to_single(self):
         cfg = small_config()
         rng = np.random.default_rng(11)
         data = {m: rng.normal(size=6) + 1j * rng.normal(size=6) for m in (-3, 0, 5)}
         sig = apply_frequency_shift(ofdm_modulate(cfg, data, (0, 6)), 0.3)
-        rows = _ofdm_demod_window(cfg, sig, np.arange(6))
+        rows = _ofdm_demod_window(cfg, sig, np.arange(6), all_subcarriers(cfg))
         assert rows.shape == (6, cfg.M)
         for i in range(6):
-            assert np.array_equal(rows[i], _ofdm_demod_window(cfg, sig, i))
+            assert np.array_equal(rows[i], _ofdm_demod_window(cfg, sig, i, all_subcarriers(cfg)))
 
     def test_window_out_of_bounds(self):
         cfg = small_config()
         sig = ofdm_modulate(cfg, {}, (0, 1))
         with pytest.raises(ValueError):
-            _ofdm_demod_window(cfg, sig, 2)
+            _ofdm_demod_window(cfg, sig, 2, [0])
+
+    @pytest.mark.parametrize("M", [64, 512])
+    def test_carrier_blocks_match_direct_exponential(self, M):
+        subs = edge_subcarriers(M)
+        cfg = CoexConfig(M=M, incumbent_set=frozenset(subs), secondary_set=frozenset({0}))
+        n0, n1 = -5, 4
+        rng = np.random.default_rng(M)
+        data = {m: rng.normal(size=n1 - n0) + 1j * rng.normal(size=n1 - n0) for m in subs}
+        sig = ofdm_modulate(cfg, data, (n0, n1))
+        S, L = cfg.symbol_samples, cfg.cp_samples
+        p = np.arange(n0 * S - L, (n1 - 1) * S + M)
+        assert sig.start == p[0] and sig.stop == p[-1] + 1
+        ref = np.zeros(len(p), dtype=complex)
+        for m in subs:
+            per_symbol = data[m] / np.sqrt(M) * np.exp(-2j * np.pi * m * L * np.arange(n0, n1) / M)
+            ref += np.repeat(per_symbol, S) * np.exp(2j * np.pi * m * p / M)
+        assert np.max(np.abs(sig.samples - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestOqamPhases:
@@ -220,8 +266,8 @@ class TestOqamPhases:
                 assert oqam_phase(m + 1, n) / oqam_phase(m, n) in (1j, -1j)
 
     def test_demodulator_conjugates_modulator_phase(self):
-        # the demodulator evaluates the modulator's map over a (slot, signed
-        # bin) grid; the vectorised map must match the per-element formula
+        # the demodulator evaluates the modulator's map over a (slot,
+        # subcarrier) grid; the vectorised map must match the per-element formula
         slots, bins = np.arange(-5, 7), np.arange(-8, 8)
         table = oqam_phase(bins[None, :], slots[:, None])
         assert table.shape == (len(slots), len(bins))
@@ -247,7 +293,8 @@ class TestOqam:
         with pytest.raises(txrx.ConfigError):
             oqam_modulate(cfg, {0: np.ones(1)}, (0, 1))
         with pytest.raises(txrx.ConfigError):
-            _oqam_demod_slots(cfg, DiscreteSignal(np.zeros(100, dtype=complex), 9, 50), [0])
+            _oqam_demod_slots(cfg, DiscreteSignal(np.zeros(100, dtype=complex), 9, 50), (0, 1),
+                              [0])
 
     def test_single_symbol_envelope_is_pulse(self):
         # m = 0, n = 0: phase 1, so samples are exactly taps / sqrt(M)
@@ -260,13 +307,13 @@ class TestOqam:
     def test_single_symbol_recovered(self):
         cfg = small_config()
         sig = oqam_modulate(cfg, {0: np.array([1.0])}, (0, 1))
-        rec = _oqam_demod_slots(cfg, sig, [0])[0, 0]
+        rec = _oqam_demod_slots(cfg, sig, (0, 1), [0])[0, 0]
         assert abs(rec - 1.0) < 1e-3
 
     def test_zero_signal_demodulates_to_zero(self):
         cfg = small_config()
         sig = oqam_modulate(cfg, {}, (-4, 8))
-        assert np.all(_oqam_demod_slots(cfg, sig, [0]) == 0.0)
+        assert np.all(_oqam_demod_slots(cfg, sig, (0, 1), all_subcarriers(cfg)) == 0.0)
 
     def test_round_trip_floor_below_minus_50db(self):
         cfg = CoexConfig(M=128, cp_ratio=0, incumbent_set=frozenset({0}),
@@ -277,7 +324,7 @@ class TestOqam:
                 for m in sorted(cfg.secondary_set)}
         sig = oqam_modulate(cfg, data, (n0, n1))
         subs = sorted(cfg.secondary_set)
-        rec = _oqam_demod_slots(cfg, sig, np.arange(40))[:, np.array(subs) % cfg.M]
+        rec = _oqam_demod_slots(cfg, sig, (0, 40), subs)
         sent = np.array([data[m][-n0:40 - n0] for m in subs]).T
         assert np.mean((rec - sent) ** 2) / cfg.var_pam < 1e-5
 
@@ -289,8 +336,7 @@ class TestOqam:
 
         def leaked(m_s, n_s):
             sig = oqam_modulate(cfg, {m_s: np.eye(8)[n_s]}, (0, 8))
-            bins = np.array(sorted(cfg.incumbent_set)) % cfg.M
-            return np.abs(_ofdm_demod_window(cfg, sig, 0)[bins]) ** 2
+            return np.abs(_ofdm_demod_window(cfg, sig, 0, sorted(cfg.incumbent_set))) ** 2
 
         cases = ((0, 0), (1, 3), (-2, 5))
         standard = [leaked(*c) for c in cases]
@@ -334,6 +380,51 @@ class TestPolyphaseSynthesis:
         assert len(digests) == 1
 
 
+class TestPolyphaseAnalysis:
+    @staticmethod
+    def noise_over_support(M, n_range, seed):
+        """Complex noise covering exactly the tap support of the slots in n_range."""
+        taps = sample_taps(phydyas_k4(), M)
+        start = n_range[0] * M // 2 - (len(taps) - 1) // 2
+        length = (n_range[1] - n_range[0] - 1) * M // 2 + len(taps)
+        rng = np.random.default_rng(seed)
+        return DiscreteSignal(rng.normal(size=length) + 1j * rng.normal(size=length), M, -start)
+
+    @pytest.mark.parametrize("M", [64, 512])
+    def test_matches_loop_reference(self, M):
+        cfg = CoexConfig(M=M, incumbent_set=frozenset({0}), secondary_set=frozenset({0}))
+        n_range, subs = (-7, 13), edge_subcarriers(M)
+        sig = self.noise_over_support(M, n_range, M)
+        fast = _oqam_demod_slots(cfg, sig, n_range, subs)
+        ref = loop_oqam_demod(cfg, sig, n_range, subs)
+        assert fast.shape == ref.shape == (20, 4)
+        assert np.max(np.abs(fast - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_columns_equal_single_subcarrier_calls(self):
+        cfg = small_config()
+        subs = edge_subcarriers(cfg.M) + [5, -3]
+        sig = self.noise_over_support(cfg.M, (-3, 6), 2)
+        rows = _oqam_demod_slots(cfg, sig, (-3, 6), subs)
+        for c, m in enumerate(subs):
+            assert np.array_equal(rows[:, c], _oqam_demod_slots(cfg, sig, (-3, 6), [m])[:, 0])
+        ofdm = apply_frequency_shift(ofdm_modulate(
+            cfg, {m: np.ones(4, dtype=complex) for m in (-8, 0, 3)}, (0, 4)), 0.3)
+        rows = _ofdm_demod_window(cfg, ofdm, np.arange(4), subs)
+        for c, m in enumerate(subs):
+            single = _ofdm_demod_window(cfg, ofdm, np.arange(4), [m])
+            assert np.array_equal(rows[:, c], single[:, 0])
+
+    def test_exact_tap_support_suffices(self):
+        cfg = small_config()
+        sig = self.noise_over_support(cfg.M, (-3, 6), 3)
+        assert _oqam_demod_slots(cfg, sig, (-3, 6), [0, 1]).shape == (9, 2)
+        short_tail = DiscreteSignal(sig.samples[:-1], cfg.M, sig.origin_index)
+        short_head = DiscreteSignal(sig.samples[1:], cfg.M, sig.origin_index - 1)
+        for short in (short_tail, short_head):
+            with pytest.raises(ValueError):
+                _oqam_demod_slots(cfg, short, (-3, 6), [0])
+
+
 class TestLinearity:
     def test_both_receivers_additive(self):
         cfg = small_config()
@@ -351,12 +442,13 @@ class TestLinearity:
         total = DiscreteSignal(buf_a + buf_b, cfg.M, -start)
         only_a = DiscreteSignal(buf_a, cfg.M, -start)
         only_b = DiscreteSignal(buf_b, cfg.M, -start)
-        d_sum = _ofdm_demod_window(cfg, total, 0)[1]
-        d_parts = _ofdm_demod_window(cfg, only_a, 0)[1] + _ofdm_demod_window(cfg, only_b, 0)[1]
+        d_sum = _ofdm_demod_window(cfg, total, 0, [1])[0]
+        d_parts = (_ofdm_demod_window(cfg, only_a, 0, [1])[0]
+                   + _ofdm_demod_window(cfg, only_b, 0, [1])[0])
         assert d_sum == pytest.approx(d_parts, abs=1e-12)
-        q_sum = _oqam_demod_slots(cfg, total, [2])[0, 0]
-        q_parts = (_oqam_demod_slots(cfg, only_a, [2])[0, 0]
-                   + _oqam_demod_slots(cfg, only_b, [2])[0, 0])
+        q_sum = _oqam_demod_slots(cfg, total, (2, 3), [0])[0, 0]
+        q_parts = (_oqam_demod_slots(cfg, only_a, (2, 3), [0])[0, 0]
+                   + _oqam_demod_slots(cfg, only_b, (2, 3), [0])[0, 0])
         assert q_sum == pytest.approx(q_parts, abs=1e-12)
 
 
@@ -370,9 +462,9 @@ class TestFrequencyShift:
         cfg = small_config()
         sig = ofdm_modulate(cfg, {3: np.ones(1, dtype=complex)}, (0, 1))
         shifted = apply_frequency_shift(sig, 1.0)
-        row = _ofdm_demod_window(cfg, shifted, 0)
-        assert row[4] == pytest.approx(1.0, abs=1e-12)
-        assert abs(row[3]) < 1e-12
+        row = _ofdm_demod_window(cfg, shifted, 0, [3, 4])
+        assert row[1] == pytest.approx(1.0, abs=1e-12)
+        assert abs(row[0]) < 1e-12
 
     def test_shift_round_trip(self):
         cfg = small_config()
