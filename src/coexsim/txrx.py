@@ -336,10 +336,19 @@ def _oqam_demod_slots(config: CoexConfig, signal: DiscreteSignal, n_range: tuple
 # ---------------------------------------------------------------------------
 
 def apply_frequency_shift(signal: DiscreteSignal, delta_f: float) -> DiscreteSignal:
-    """Shift the signal by delta_f subcarrier spacings (phase ramp in absolute time)."""
-    p = np.arange(len(signal.samples)) - signal.origin_index
-    shifted = signal.samples * np.exp(2j * np.pi * delta_f * p / signal.samples_per_symbol)
-    return DiscreteSignal(shifted, signal.samples_per_symbol, signal.origin_index)
+    """Shift the signal by delta_f subcarrier spacings (phase ramp in absolute time).
+
+    With p = q M + r, 0 <= r < M, the ramp exp(2 pi j delta_f p / M) is
+    exp(2 pi j delta_f q) exp(2 pi j delta_f r / M): one M-sample ramp times
+    one phase per block of M samples.
+    """
+    M = signal.samples_per_symbol
+    q0, r0 = divmod(signal.start, M)
+    blocks = -(-(r0 + len(signal.samples)) // M)
+    ramp = np.exp(2j * np.pi * delta_f * np.arange(M) / M)
+    phases = np.exp(2j * np.pi * delta_f * np.arange(q0, q0 + blocks))
+    full = (phases[:, None] * ramp).ravel()[r0:r0 + len(signal.samples)]
+    return DiscreteSignal(signal.samples * full, M, signal.origin_index)
 
 
 def shift_samples(signal: DiscreteSignal, offset: int) -> DiscreteSignal:

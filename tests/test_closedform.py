@@ -1,19 +1,25 @@
 """Closed-form interference powers: frozen oracle values, identities, tables."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coexsim.closedform import (
     _lattice_taus,
     _ofdm_to_oqam_grid,
     _oqam_to_ofdm_grid,
+    _power_sum,
     _slot_offsets,
     build_table,
     power_db,
 )
-from coexsim.filterbank import phydyas_k4
+from coexsim.filterbank import _usinc, phydyas_k4
 from coexsim.oracle import _window_taus, quadrature_I, victim_slot_offsets
 from coexsim.txrx import CoexConfig
 
@@ -43,6 +49,29 @@ FROZEN_I2S_CP18_VAR1 = (
 @pytest.fixture(scope="module")
 def filt():
     return phydyas_k4()
+
+
+def direct_power_sum(filt, l_grid, taus, width):
+    """Reference for _power_sum: each shift's window integral as a complex sum over k.
+
+    On the overlap [a, b] of the shifted support with [0, width], coefficient k
+    contributes (G_|k|/K) exp(-j 2 pi k tau / K) (b-a) exp(j w (a+b)/2)
+    sinc(w (b-a)/2), with w = 2 pi (k/K + l).
+    """
+    hw, K = filt.support_halfwidth, filt.overlap_K
+    total = np.zeros(len(l_grid))
+    for tau in map(float, taus):
+        a, b = max(0.0, tau - hw), min(float(width), tau + hw)
+        out = np.zeros(len(l_grid), dtype=complex)
+        for k in range(-K + 1, K):
+            w = 2 * np.pi * (k / K + l_grid)
+            out += (filt.coeff(k) / K) * np.exp(-2j * np.pi * k * tau / K) * (b - a) \
+                * np.exp(1j * w * (a + b) / 2) * _usinc(w * (b - a) / 2)
+        total += np.abs(out) ** 2
+    return total
+
+
+CP_RATIOS = st.fractions(min_value=0, max_value=2, max_denominator=16)
 
 
 def s2i(l_grid, filt, var_pam):
@@ -100,6 +129,69 @@ class TestOfdmToOqam:
         pos = _ofdm_to_oqam_grid(ls, filt, Fraction(1, 8), 1.0)
         neg = _ofdm_to_oqam_grid(-ls, filt, Fraction(1, 8), 1.0)
         assert np.max(np.abs(pos - neg) / pos) < 1e-12
+
+
+class TestPowerSum:
+    # the table grid of the benchmark, and the Parseval grid (several evaluation blocks)
+    GRID = -50 + 0.01 * np.arange(10_001)
+    INTEGER_GRID = np.arange(-(1 << 13), 1 << 13, dtype=float)
+
+    @pytest.mark.parametrize("grid", [GRID, INTEGER_GRID], ids=["table", "integer"])
+    def test_s2i_matches_direct(self, filt, grid):
+        taus = _lattice_taus(filt, Fraction(1, 2), Fraction(0), Fraction(1))
+        new = _power_sum(filt, grid, taus, Fraction(1))
+        ref = direct_power_sum(filt, grid, taus, 1)
+        assert np.max(np.abs(new - ref) / ref) <= 1e-13
+
+    @pytest.mark.parametrize("cp", [Fraction(0), Fraction(1, 8), Fraction(1, 3),
+                                    Fraction(7, 16), Fraction(2)])
+    def test_i2s_matches_direct(self, filt, cp):
+        # all shifts of one offset cycle, as _ofdm_to_oqam_grid passes them
+        taus = [t for off in _slot_offsets(cp) for t in _lattice_taus(filt, 1 + cp, off, 1 + cp)]
+        new = _power_sum(filt, self.GRID, taus, 1 + cp)
+        ref = direct_power_sum(filt, self.GRID, taus, 1 + cp)
+        assert np.max(np.abs(new - ref) / ref) <= 1e-13
+
+    def test_bytes_do_not_depend_on_blas_threads(self):
+        code = ("import hashlib, numpy as np; from fractions import Fraction; "
+                "from coexsim.closedform import build_table; "
+                "from coexsim.filterbank import phydyas_k4; from coexsim.txrx import CoexConfig; "
+                "t = build_table('i2s', -50 + 0.01 * np.arange(10001), "
+                "CoexConfig(cp_ratio=Fraction(7, 16)), phydyas_k4()); "
+                "print(hashlib.sha256(t.tobytes()).hexdigest())")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        digests = set()
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src,
+                   "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+            digests.add(subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                       text=True, check=True, env=env).stdout)
+        assert len(digests) == 1
+
+
+class TestProperties:
+    @settings(max_examples=10, deadline=None, database=None)
+    @given(CP_RATIOS, st.floats(0.0, 8.0))
+    def test_oracle_equivalence(self, filt, cp, l):
+        closed = _ofdm_to_oqam_grid(np.array([l]), filt, cp, 1.0)[0]
+        assert closed == pytest.approx(quadrature_I("i2s", l, filt, cp), rel=1e-9)
+
+    @settings(max_examples=10, deadline=None, database=None)
+    @given(CP_RATIOS, st.lists(st.floats(0.01, 30.0), min_size=1, max_size=50))
+    def test_even_in_fractional_l(self, filt, cp, ls):
+        ls = np.asarray(ls)
+        for pos, neg in ((_oqam_to_ofdm_grid(ls, filt, 1.0), _oqam_to_ofdm_grid(-ls, filt, 1.0)),
+                         (_ofdm_to_oqam_grid(ls, filt, cp, 1.0),
+                          _ofdm_to_oqam_grid(-ls, filt, cp, 1.0))):
+            assert np.max(np.abs(pos - neg) / pos) <= 1e-12
+
+    @settings(max_examples=10, deadline=None, database=None)
+    @given(st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=50))
+    def test_reciprocity_at_zero_cp(self, filt, ls):
+        ls = np.asarray(ls)
+        s2i = _oqam_to_ofdm_grid(ls, filt, 1.0)
+        i2s = _ofdm_to_oqam_grid(ls, filt, Fraction(0), 2.0)
+        assert np.max(np.abs(s2i - i2s) / s2i) <= 1e-12
 
 
 class TestStructure:

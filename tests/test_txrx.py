@@ -473,6 +473,19 @@ class TestFrequencyShift:
         back = apply_frequency_shift(apply_frequency_shift(sig, 0.37), -0.37)
         assert np.allclose(back.samples, sig.samples, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("delta_f", [0.3, 0.5, -0.25])
+    @pytest.mark.parametrize("origin_index", [333, -70])
+    def test_block_ramp_matches_direct_exponential(self, delta_f, origin_index):
+        # the signal starts mid-block, before (333) or after (-70) the time origin
+        M, n = 64, 1000
+        rng = np.random.default_rng(8)
+        sig = DiscreteSignal(rng.normal(size=n) + 1j * rng.normal(size=n), M, origin_index)
+        p = np.arange(n) - origin_index
+        direct = sig.samples * np.exp(2j * np.pi * delta_f * p / M)
+        shifted = apply_frequency_shift(sig, delta_f)
+        assert shifted.origin_index == origin_index
+        assert np.max(np.abs(shifted.samples - direct)) <= 1e-12 * np.max(np.abs(direct))
+
 
 class TestSignalPower:
     def test_oqam_mean_power_matches_filter_energy(self):
