@@ -131,23 +131,21 @@ def _l_grid(args) -> np.ndarray:
     return args.lmin + args.lstep * np.arange(floor(steps) + 1)
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
+# column formats: l or f_norm, linear powers and PSDs, dB values
+_L, _LIN, _DB = ".10g", ".17e", ".6f"
+
+
+def _write_csv(path: str, header: list[str], columns, formats: list[str]) -> None:
+    """The header, then row i of the columns, column c formatted by formats[c].
+
+    Each column is converted once to Python floats (.tolist()), which
+    format like the numpy scalars they came from, but several times faster.
+    """
+    line = ",".join(f"{{:{spec}}}" for spec in formats) + "\n"
+    values = [np.asarray(column).tolist() for column in columns]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
-
-
-def _fmt_l(x: float) -> str:
-    return f"{x:.10g}"
-
-
-def _fmt_lin(x: float) -> str:
-    return f"{x:.17e}"
-
-
-def _fmt_db(x: float) -> str:
-    return f"{x:.6f}"
+        fh.writelines(map(line.format, *values))
 
 
 def cmd_table(args) -> int:
@@ -157,8 +155,7 @@ def cmd_table(args) -> int:
     grid = _l_grid(args)
     powers = build_table(args.direction, grid, config, phydyas_k4())
     _write_csv(args.out, ["l", "power_linear", "power_db"],
-               ((_fmt_l(l), _fmt_lin(p), _fmt_db(db))
-                for l, p, db in zip(grid, powers, power_db(powers))))
+               [grid, powers, power_db(powers)], [_L, _LIN, _DB])
     return 0
 
 
@@ -178,9 +175,8 @@ def cmd_simulate(args) -> int:
     closed = build_table("i2s" if args.direction == "i2s" else "s2i", est.l_values, config, filt)
     psd = psd_interference(args.direction, est.l_values, config, filt)
     _write_csv(args.out, ["l", "power_mc", "std_err", "power_closed", "power_psd"],
-               ((_fmt_l(l), _fmt_lin(p), _fmt_lin(err), _fmt_lin(pc), _fmt_lin(pp))
-                for l, p, err, pc, pp in zip(est.l_values, est.powers, est.std_errors,
-                                             closed, psd)))
+               [est.l_values, est.powers, est.std_errors, closed, psd],
+               [_L, _LIN, _LIN, _LIN, _LIN])
     return 0
 
 
@@ -203,8 +199,7 @@ def cmd_psd(args) -> int:
     po = psd_ofdm_subcarrier(grid, config.cp_ratio)
     pq = psd_oqam_subcarrier(grid, phydyas_k4())
     _write_csv(args.out, ["f_norm", "psd_cpofdm", "psd_oqam", "psd_cpofdm_db", "psd_oqam_db"],
-               ((_fmt_l(f), _fmt_lin(a), _fmt_lin(b), _fmt_db(a_db), _fmt_db(b_db))
-                for f, a, b, a_db, b_db in zip(grid, po, pq, power_db(po), power_db(pq))))
+               [grid, po, pq, power_db(po), power_db(pq)], [_L, _LIN, _LIN, _DB, _DB])
     return 0
 
 

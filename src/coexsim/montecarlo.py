@@ -28,6 +28,24 @@ reference scenario at 3.5-4.0 for o2o, where the shared offset dominates
 the variance, so its reported errors are about 4x too small; for s2i it was
 0.82-1.05 (40 bursts only).  Reporting the batch-means value instead is an
 open ROADMAP item.
+
+Buffers: the i2s and o2o estimators own one txrx workspace per call and
+pass it to every burst's ofdm_modulate, apply_frequency_shift and
+_oqam_demod_slots.  The tap blocks are built once per call; the burst
+signal, its outer-product temporary, the frequency ramp and the shifted
+signal, the zero-padded receiver input, the fold and its per-block product
+each reuse one buffer.  These temporaries are 0.3-2 MiB, and glibc maps a
+fresh array of that size as fresh pages, so allocating them per burst cost
+a warm 10^4-symbol run about 42,000 minor page faults for i2s and 20,000
+for o2o; with the workspace it is about 1,900 and 120, and the i2s run
+takes about a quarter less time.  Which of the per-burst arrays glibc
+returns to the system depends on the order they are freed in: with only
+the modem's buffers reused, o2o at delta_f = 0.3 went from 140 to 41,000
+faults per run, so the shift's buffers are reused too.  A signal built in
+the workspace aliases it until the next burst writes it, so each burst
+consumes its signal first.  The s2i estimator allocates per burst: it
+makes about 1,700 faults per run, and a workspace there raised peak memory
+without saving time.
 """
 
 from __future__ import annotations
@@ -48,6 +66,7 @@ from .txrx import (
     shift_samples,
     _ofdm_demod_window,
     _oqam_demod_slots,
+    _Workspace,
 )
 
 __all__ = [
@@ -55,11 +74,10 @@ __all__ = [
     "estimate_oqam_to_ofdm",
     "estimate_ofdm_to_oqam",
     "estimate_ofdm_to_ofdm",
-    "self_reconstruction_floor",
 ]
 
 # substream tags keep the per-direction random streams disjoint
-_TAG_S2I, _TAG_I2S, _TAG_O2O, _TAG_FLOOR = 0, 1, 2, 3
+_TAG_S2I, _TAG_I2S, _TAG_O2O = 0, 1, 2
 
 _BURST = 256
 # offset diversity, not window count, dominates the o2o estimator variance
@@ -148,6 +166,13 @@ def _oqam_slot_span(n_windows: int, cp: Fraction, K: int) -> tuple[int, int]:
     return floor(2 * (0 - K / 2)), ceil(2 * (hi + K / 2)) + 1
 
 
+def _ofdm_symbol_span(n_slots: int, cp: Fraction, K: int) -> tuple[int, int]:
+    """CP-OFDM symbols whose samples can reach the filter span of victim slots [0, n_slots)."""
+    lo_t, hi_t = -K / 2, (n_slots - 1) / 2 + K / 2
+    return (floor((lo_t - 1) / float(1 + cp)) - 1,
+            ceil((hi_t + float(cp)) / float(1 + cp)) + 2)
+
+
 def _s2i_bursts(config: CoexConfig, n_symbols: int, m_s: int, victims, add) -> None:
     """Pass add() each burst's |demodulated|^2 windows: (windows, victims) rows in window order.
 
@@ -185,19 +210,16 @@ def estimate_ofdm_to_oqam(config: CoexConfig, n_symbols: int) -> McEstimate:
     """
     m_i, victims = _roles(config.incumbent_set, config.secondary_set, "incumbent", "secondary")
     K = phydyas_k4().overlap_K
-    cp = config.cp_ratio
     acc = _MomentSums(len(victims))
+    ws = _Workspace()
     for b, size in enumerate(_burst_sizes(n_symbols, _BURST)):
         rng = _rng(config.seed, _TAG_I2S, b)
-        # interferer symbols covering every victim slot's filter span
-        lo_t, hi_t = -K / 2, (size - 1) / 2 + K / 2
-        n_lo = floor((lo_t - 1) / float(1 + cp)) - 1
-        n_hi = ceil((hi_t + float(cp)) / float(1 + cp)) + 2
+        n_lo, n_hi = _ofdm_symbol_span(size, config.cp_ratio, K)
         data = {m_i: _draw_qpsk(rng, n_hi - n_lo, config.var_qam)}
-        sig = ofdm_modulate(config, data, (n_lo, n_hi))
+        sig = ofdm_modulate(config, data, (n_lo, n_hi), workspace=ws)
         if config.delta_f:
-            sig = apply_frequency_shift(sig, -config.delta_f)
-        vals = _oqam_demod_slots(config, sig, (0, size), victims)
+            sig = apply_frequency_shift(sig, -config.delta_f, workspace=ws)
+        vals = _oqam_demod_slots(config, sig, (0, size), victims, workspace=ws)
         acc.add(vals ** 2)
     return _finish(acc, lambda m: m_i - config.delta_f - m, victims, scale=2.0)
 
@@ -212,34 +234,16 @@ def estimate_ofdm_to_ofdm(config: CoexConfig, n_symbols: int) -> McEstimate:
     m_s, victims = _roles(config.secondary_set, config.incumbent_set, "secondary", "incumbent")
     S = config.symbol_samples
     acc = _MomentSums(len(victims))
+    ws = _Workspace()
     for b, size in enumerate(_burst_sizes(n_symbols, _O2O_BURST)):
         rng = _rng(config.seed, _TAG_O2O, b)
         off = int(rng.integers(0, S))
         data = {m_s: _draw_qpsk(rng, size + 4, config.var_qam)}
-        sig = ofdm_modulate(replace(config, incumbent_set=frozenset({m_s})), data, (-2, size + 2))
+        sig = ofdm_modulate(replace(config, incumbent_set=frozenset({m_s})), data, (-2, size + 2),
+                            workspace=ws)
         sig = shift_samples(sig, off)
         if config.delta_f:
-            sig = apply_frequency_shift(sig, config.delta_f)
+            sig = apply_frequency_shift(sig, config.delta_f, workspace=ws)
         acc.add(np.abs(_ofdm_demod_window(config, sig, np.arange(size), victims)) ** 2)
     return _finish(acc, lambda m: m_s + config.delta_f - m, victims)
-
-
-def self_reconstruction_floor(config: CoexConfig, n_symbols: int) -> float:
-    """Own-signal reconstruction error of an isolated OQAM link.
-
-    Synthesizes a random burst on the secondary subcarriers, recovers the
-    n_symbols interior slots, and returns mean((recovered - sent)^2) divided
-    by the symbol variance (linear ratio; 10*log10 gives the floor in dB).
-    """
-    if n_symbols < 1:
-        raise ConfigError("n_symbols must be >= 1")
-    active = sorted(config.secondary_set)
-    K = phydyas_k4().overlap_K
-    rng = _rng(config.seed, _TAG_FLOOR, 0)
-    n_lo, n_hi = -2 * K, n_symbols + 2 * K
-    data = {m: _draw_pam(rng, n_hi - n_lo, config.var_pam) for m in active}
-    sig = oqam_modulate(config, data, (n_lo, n_hi))
-    vals = _oqam_demod_slots(config, sig, (0, n_symbols), active)
-    sent = np.array([data[m][-n_lo:-n_lo + n_symbols] for m in active]).T
-    return float(np.sum((vals - sent) ** 2) / (n_symbols * len(active)) / config.var_pam)
 

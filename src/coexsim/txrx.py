@@ -171,16 +171,49 @@ def _zero_signal(M: int, start: int, stop: int) -> DiscreteSignal:
     return DiscreteSignal(np.zeros(stop - start, dtype=complex), M, origin_index=-start)
 
 
+class _Workspace:
+    """Complex scratch arrays that successive calls reuse, and the tap blocks, built once.
+
+    array(name, shape) is a view of the first entries of one flat buffer per
+    name, which grows when a call needs more and is never shrunk.  Its
+    contents are whatever the previous user left: every caller overwrites
+    all of the view it reads.  A modem called without a workspace makes a
+    fresh one, so its arrays are its own.
+    """
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+        self._taps: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def array(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        size = int(np.prod(shape))
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self._buffers[name] = np.empty(size, dtype=complex)
+        return buf[:size].reshape(shape)
+
+    def tap_blocks(self, M: int) -> tuple[np.ndarray, np.ndarray]:
+        """_tap_blocks(M), computed on the first request only."""
+        if M not in self._taps:
+            self._taps[M] = _tap_blocks(M)
+        return self._taps[M]
+
+
 # ---------------------------------------------------------------------------
 # CP-OFDM
 # ---------------------------------------------------------------------------
 
-def ofdm_modulate(config: CoexConfig, data: dict, n_range: tuple[int, int]) -> DiscreteSignal:
+def ofdm_modulate(config: CoexConfig, data: dict, n_range: tuple[int, int], *,
+                  workspace: _Workspace | None = None) -> DiscreteSignal:
     """Synthesize the CP-OFDM signal for QAM symbols on the incumbent subcarriers.
 
     data maps subcarrier index -> complex vector covering symbols
     n_range[0] .. n_range[1]-1.  Each symbol occupies (1+cp_ratio) M samples
     (prefix first); sample values carry the 1/sqrt(M) amplitude convention.
+
+    With a workspace the samples live in its buffer: the signal aliases the
+    workspace and is overwritten by the next call that shares it (the next
+    burst), so use it before then or copy it.
     """
     n0, n1 = n_range
     if n1 <= n0:
@@ -190,9 +223,11 @@ def ofdm_modulate(config: CoexConfig, data: dict, n_range: tuple[int, int]) -> D
         raise ValueError(f"data on subcarriers outside the incumbent set: {sorted(bad)}")
     M, L, S = config.M, config.cp_samples, config.symbol_samples
     nsym = n1 - n0
-    sig = _zero_signal(M, n0 * S - L, (n1 - 1) * S + M)
+    ws = workspace or _Workspace()
     # symbol blocks tile the burst exactly: block n is [nS - L, nS + M)
-    blocks = sig.samples.reshape(nsym, S)
+    blocks = ws.array("ofdm.signal", (nsym, S))
+    blocks.fill(0)
+    product = ws.array("ofdm.product", (nsym, S))
     p = np.arange(-L, M)  # symbol 0's block
     for m, vec in sorted(data.items()):
         vec = np.asarray(vec, dtype=complex)
@@ -202,8 +237,8 @@ def ofdm_modulate(config: CoexConfig, data: dict, n_range: tuple[int, int]) -> D
         # exp(2 pi j m p / M) over n blocks, so every block is symbol 0's: one carrier
         # block, reduced exactly as (m p) mod M, times each symbol
         carrier = np.exp(2j * np.pi * ((m * p) % M) / M)
-        blocks += (vec / np.sqrt(M))[:, None] * carrier
-    return sig
+        blocks += np.multiply((vec / np.sqrt(M))[:, None], carrier, out=product)
+    return DiscreteSignal(blocks.ravel(), M, origin_index=L - n0 * S)
 
 
 def _ofdm_demod_window(config: CoexConfig, signal: DiscreteSignal, n_i, subcarriers) -> np.ndarray:
@@ -292,7 +327,7 @@ def oqam_modulate(config: CoexConfig, data: dict, n_range: tuple[int, int]) -> D
 
 
 def _oqam_demod_slots(config: CoexConfig, signal: DiscreteSignal, n_range: tuple[int, int],
-                      subcarriers) -> np.ndarray:
+                      subcarriers, *, workspace: _Workspace | None = None) -> np.ndarray:
     """Real demodulated values of slots n_range[0] .. n_range[1]-1: (slots, len(subcarriers)).
 
     Correlates against the pulse times the receive exponential, normalizes
@@ -305,19 +340,23 @@ def _oqam_demod_slots(config: CoexConfig, signal: DiscreteSignal, n_range: tuple
         raise ValueError("n_range must be non-empty")
     M = config.M
     _require_even_m(M)
-    taps, pulse = _tap_blocks(M)
+    ws = workspace or _Workspace()
+    taps, pulse = ws.tap_blocks(M)
     nb, hop = pulse.shape
     half = (len(taps) - 1) // 2
     nsym = n1 - n0
     start = n0 * hop - half  # first sample of slot n0's taps
     support = (nsym - 1) * hop + len(taps)
-    x = np.zeros((nsym + nb - 1) * hop, dtype=complex)
+    x = ws.array("oqam.input", ((nsym + nb - 1) * hop,))
     x[:support] = signal.window(start, support)
+    x[support:] = 0
     x = x.reshape(-1, hop)
     # slot n0 + j reads blocks j .. j + nb - 1; block b of its taps folds onto half b % 2 of M
-    folded = np.zeros((nsym, 2, hop), dtype=complex)
+    folded = ws.array("oqam.fold", (nsym, 2, hop))
+    folded.fill(0)
+    product = ws.array("oqam.product", (nsym, hop))
     for b in range(nb):
-        folded[:, b % 2] += x[b:b + nsym] * pulse[b]
+        folded[:, b % 2] += np.multiply(x[b:b + nsym], pulse[b], out=product)
     m = np.asarray(subcarriers)
     k = m % M
     spec = np.fft.fft(folded.reshape(nsym, M), axis=1)[:, k]
@@ -335,20 +374,27 @@ def _oqam_demod_slots(config: CoexConfig, signal: DiscreteSignal, n_range: tuple
 # Channel helpers
 # ---------------------------------------------------------------------------
 
-def apply_frequency_shift(signal: DiscreteSignal, delta_f: float) -> DiscreteSignal:
+def apply_frequency_shift(signal: DiscreteSignal, delta_f: float, *,
+                          workspace: _Workspace | None = None) -> DiscreteSignal:
     """Shift the signal by delta_f subcarrier spacings (phase ramp in absolute time).
 
     With p = q M + r, 0 <= r < M, the ramp exp(2 pi j delta_f p / M) is
     exp(2 pi j delta_f q) exp(2 pi j delta_f r / M): one M-sample ramp times
     one phase per block of M samples.
+
+    With a workspace the ramp and the shifted samples live in its buffers,
+    and the result aliases it as ofdm_modulate's signal does.
     """
     M = signal.samples_per_symbol
     q0, r0 = divmod(signal.start, M)
     blocks = -(-(r0 + len(signal.samples)) // M)
     ramp = np.exp(2j * np.pi * delta_f * np.arange(M) / M)
     phases = np.exp(2j * np.pi * delta_f * np.arange(q0, q0 + blocks))
-    full = (phases[:, None] * ramp).ravel()[r0:r0 + len(signal.samples)]
-    return DiscreteSignal(signal.samples * full, M, signal.origin_index)
+    ws = workspace or _Workspace()
+    full = np.multiply(phases[:, None], ramp, out=ws.array("shift.ramp", (blocks, M)))
+    full = full.ravel()[r0:r0 + len(signal.samples)]
+    out = np.multiply(signal.samples, full, out=ws.array("shift.signal", full.shape))
+    return DiscreteSignal(out, M, signal.origin_index)
 
 
 def shift_samples(signal: DiscreteSignal, offset: int) -> DiscreteSignal:

@@ -22,14 +22,9 @@ from coexsim.checks import (
 )
 from coexsim.closedform import build_table
 from coexsim.filterbank import phydyas_k4
-from coexsim.montecarlo import (
-    estimate_ofdm_to_ofdm,
-    estimate_ofdm_to_oqam,
-    estimate_oqam_to_ofdm,
-    self_reconstruction_floor,
-)
+from coexsim.montecarlo import estimate_ofdm_to_ofdm, estimate_ofdm_to_oqam, estimate_oqam_to_ofdm
 from coexsim.txrx import CoexConfig, _ofdm_demod_window, ofdm_modulate
-from test_montecarlo import window_class_estimates
+from test_montecarlo import self_reconstruction_floor, window_class_estimates
 
 FILT = phydyas_k4()
 

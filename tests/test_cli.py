@@ -13,6 +13,7 @@ import pytest
 import coexsim.cli as cli
 from coexsim.checks import run_all_checks
 from coexsim.cli import ConfigError, load_config, main
+from coexsim.closedform import power_db
 from coexsim.filterbank import PrototypeFilter
 
 GOOD_CONFIG = """\
@@ -140,6 +141,26 @@ class TestTableCommand:
         assert rc == 0
         ls = [float(r.split(",")[0]) for r in out.read_text().splitlines()[1:]]
         assert ls == pytest.approx(expected, abs=1e-12)
+
+
+def test_csv_bytes_match_per_scalar_formatting(tmp_path):
+    # the writer formats columns of Python floats; rows of numpy scalars, formatted one at
+    # a time, gave these bytes before, awkward values included
+    l = np.array([-0.0, 0.1 * 3, -50 + 0.01 * 4999, 1 / 3, 1e-300, 123456.789012345678])
+    power = np.array([0.0, -0.0, 1e-300, 5e-324, 1.0, np.nextafter(1.0, 2.0)])
+    with np.errstate(divide="ignore"):
+        db = np.append(power_db(power[:5]), 10 * np.log10(0.0))
+    path = tmp_path / "awkward.csv"
+    cli._write_csv(str(path), ["l", "power_linear", "power_db"], [l, power, db],
+                   [cli._L, cli._LIN, cli._DB])
+    old = "".join(f"{a:.10g},{b:.17e},{c:.6f}\n" for a, b, c in zip(l, power, db))
+    assert path.read_bytes() == ("l,power_linear,power_db\n" + old).encode()
+    lines = path.read_text().splitlines()
+    assert lines[1] == "-0,0.00000000000000000e+00,-150.000000"
+    assert lines[2] == "0.3,-0.00000000000000000e+00,-150.000000"
+    assert lines[3].startswith("-0.01,")   # .10g rounds off the grid's float error
+    assert lines[5] == "1e-300,1.00000000000000000e+00,0.000000"
+    assert lines[6].endswith(",-inf")
 
 
 class TestSimulateCommand:

@@ -4,6 +4,7 @@ Sizes here are kept moderate; the full-scale reproduction runs live in the
 acceptance suite.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -13,14 +14,12 @@ import coexsim.montecarlo as mc
 import coexsim.txrx as txrx
 from coexsim.closedform import build_table
 from coexsim.filterbank import phydyas_k4
-from coexsim.montecarlo import (
-    estimate_ofdm_to_ofdm,
-    estimate_ofdm_to_oqam,
-    estimate_oqam_to_ofdm,
-    self_reconstruction_floor,
-)
+from coexsim.montecarlo import estimate_ofdm_to_ofdm, estimate_ofdm_to_oqam, estimate_oqam_to_ofdm
 from coexsim.txrx import CoexConfig
 from test_txrx import floor_phase
+
+# spawn key (3, 0): a substream disjoint from the estimators' tags 0-2
+_TAG_FLOOR = 3
 
 
 def s2i_config(**kw):
@@ -58,6 +57,69 @@ def window_class_estimates(config, n_symbols):
 
     mc._s2i_bursts(config, n_symbols, m_s, victims, add)
     return [mc._finish(acc, lambda m: m_s + config.delta_f - m, victims) for acc in accs]
+
+
+def self_reconstruction_floor(config, n_symbols):
+    """Own-signal reconstruction error of an isolated OQAM link.
+
+    Synthesizes a random burst on the secondary subcarriers, recovers the
+    n_symbols interior slots, and returns mean((recovered - sent)^2) divided
+    by the symbol variance (linear ratio; 10*log10 gives the floor in dB).
+    """
+    active = sorted(config.secondary_set)
+    K = phydyas_k4().overlap_K
+    rng = mc._rng(config.seed, _TAG_FLOOR, 0)
+    n_lo, n_hi = -2 * K, n_symbols + 2 * K
+    data = {m: mc._draw_pam(rng, n_hi - n_lo, config.var_pam) for m in active}
+    sig = txrx.oqam_modulate(config, data, (n_lo, n_hi))
+    vals = txrx._oqam_demod_slots(config, sig, (0, n_symbols), active)
+    sent = np.array([data[m][-n_lo:-n_lo + n_symbols] for m in active]).T
+    return float(np.sum((vals - sent) ** 2) / (n_symbols * len(active)) / config.var_pam)
+
+
+class PoisonedWorkspace(txrx._Workspace):
+    """A workspace whose buffers start as NaN: a value not rewritten before use shows."""
+
+    def array(self, name, shape):
+        before = self._buffers.get(name)
+        out = super().array(name, shape)
+        if self._buffers[name] is not before:
+            self._buffers[name].fill(np.nan)
+        return out
+
+
+def fresh_bursts_i2s(config, n_symbols):
+    """estimate_ofdm_to_oqam from workspace-free calls, one burst after the other."""
+    m_i, victims = mc._roles(config.incumbent_set, config.secondary_set,
+                             "incumbent", "secondary")
+    acc = mc._MomentSums(len(victims))
+    for b, size in enumerate(mc._burst_sizes(n_symbols, mc._BURST)):
+        rng = mc._rng(config.seed, mc._TAG_I2S, b)
+        n_lo, n_hi = mc._ofdm_symbol_span(size, config.cp_ratio, phydyas_k4().overlap_K)
+        sig = txrx.ofdm_modulate(config, {m_i: mc._draw_qpsk(rng, n_hi - n_lo, config.var_qam)},
+                                 (n_lo, n_hi))
+        if config.delta_f:
+            sig = txrx.apply_frequency_shift(sig, -config.delta_f)
+        acc.add(txrx._oqam_demod_slots(config, sig, (0, size), victims) ** 2)
+    return mc._finish(acc, lambda m: m_i - config.delta_f - m, victims, scale=2.0)
+
+
+def fresh_bursts_o2o(config, n_symbols):
+    """estimate_ofdm_to_ofdm from workspace-free calls, one burst after the other."""
+    m_s, victims = mc._roles(config.secondary_set, config.incumbent_set,
+                             "secondary", "incumbent")
+    acc = mc._MomentSums(len(victims))
+    for b, size in enumerate(mc._burst_sizes(n_symbols, mc._O2O_BURST)):
+        rng = mc._rng(config.seed, mc._TAG_O2O, b)
+        off = int(rng.integers(0, config.symbol_samples))
+        data = {m_s: mc._draw_qpsk(rng, size + 4, config.var_qam)}
+        sig = txrx.ofdm_modulate(replace(config, incumbent_set=frozenset({m_s})), data,
+                                 (-2, size + 2))
+        sig = txrx.shift_samples(sig, off)
+        if config.delta_f:
+            sig = txrx.apply_frequency_shift(sig, config.delta_f)
+        acc.add(np.abs(txrx._ofdm_demod_window(config, sig, np.arange(size), victims)) ** 2)
+    return mc._finish(acc, lambda m: m_s + config.delta_f - m, victims)
 
 
 def same_estimate(a, b) -> bool:
@@ -164,6 +226,42 @@ class TestWindowClasses:
                 zi = np.abs(parts[i].powers - parts[j].powers) \
                     / np.sqrt(parts[i].std_errors ** 2 + parts[j].std_errors ** 2)
                 assert np.max(zi) < 4.0
+
+
+class TestWorkspace:
+    """The estimators reuse one workspace across bursts; no burst may read a stale buffer.
+
+    2 * 256 + 17 slots make the last i2s burst shorter than the ones before it
+    (and a partial o2o burst), and the workspace starts as NaN.
+    """
+
+    N_SYMBOLS = 2 * 256 + 17
+
+    @pytest.mark.parametrize("delta_f", [0.0, 0.3])
+    def test_i2s_equals_fresh_calls(self, monkeypatch, delta_f):
+        cfg = i2s_config(delta_f=delta_f)
+        monkeypatch.setattr(mc, "_Workspace", PoisonedWorkspace)
+        assert same_estimate(estimate_ofdm_to_oqam(cfg, self.N_SYMBOLS),
+                             fresh_bursts_i2s(cfg, self.N_SYMBOLS))
+
+    @pytest.mark.parametrize("delta_f", [0.0, 0.3])
+    def test_o2o_equals_fresh_calls(self, monkeypatch, delta_f):
+        cfg = s2i_config(delta_f=delta_f)
+        monkeypatch.setattr(mc, "_Workspace", PoisonedWorkspace)
+        assert same_estimate(estimate_ofdm_to_ofdm(cfg, self.N_SYMBOLS),
+                             fresh_bursts_o2o(cfg, self.N_SYMBOLS))
+
+    def test_shared_oqam_demod_equals_fresh(self):
+        cfg = i2s_config()
+        rng = np.random.default_rng(5)
+        victims = sorted(cfg.secondary_set)
+        ws = PoisonedWorkspace()
+        for size in (256, 17):  # the second call reads less of every buffer
+            n_lo, n_hi = mc._ofdm_symbol_span(size, cfg.cp_ratio, phydyas_k4().overlap_K)
+            data = {0: rng.standard_normal(n_hi - n_lo) + 1j * rng.standard_normal(n_hi - n_lo)}
+            sig = txrx.ofdm_modulate(cfg, data, (n_lo, n_hi))
+            shared = txrx._oqam_demod_slots(cfg, sig, (0, size), victims, workspace=ws)
+            assert np.array_equal(shared, txrx._oqam_demod_slots(cfg, sig, (0, size), victims))
 
 
 class TestOfdmToOfdm:
