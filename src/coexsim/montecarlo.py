@@ -33,19 +33,23 @@ Buffers: the i2s and o2o estimators own one txrx workspace per call and
 pass it to every burst's ofdm_modulate, apply_frequency_shift and
 _oqam_demod_slots.  The tap blocks are built once per call; the burst
 signal, its outer-product temporary, the frequency ramp and the shifted
-signal, the zero-padded receiver input, the fold and its per-block product
-each reuse one buffer.  These temporaries are 0.3-2 MiB, and glibc maps a
-fresh array of that size as fresh pages, so allocating them per burst cost
-a warm 10^4-symbol run about 42,000 minor page faults for i2s and 20,000
-for o2o; with the workspace it is about 1,900 and 120, and the i2s run
-takes about a quarter less time.  Which of the per-burst arrays glibc
-returns to the system depends on the order they are freed in: with only
-the modem's buffers reused, o2o at delta_f = 0.3 went from 140 to 41,000
-faults per run, so the shift's buffers are reused too.  A signal built in
-the workspace aliases it until the next burst writes it, so each burst
-consumes its signal first.  The s2i estimator allocates per burst: it
-makes about 1,700 faults per run, and a workspace there raised peak memory
-without saving time.
+signal, the zero-padded receiver input, and the receiver's 64-slot fold
+and per-block product each reuse one buffer.  These temporaries are up to
+2 MiB, and glibc maps a fresh array of that size as fresh pages, so
+allocating them per burst cost a warm 10^4-symbol run about 42,000 minor
+page faults for i2s and 20,000 for o2o; with the workspace and the
+receiver's 64-slot fold it is about 800 and 120, and the i2s run takes
+about half the time.  Which of the per-burst arrays glibc returns to the
+system depends on the order they are freed in: with only the modem's
+buffers reused, o2o at delta_f = 0.3 went from 140 to 41,000 faults per
+run, so the shift's buffers are reused too.  A signal built in the
+workspace aliases it until the next burst writes it, so each burst
+consumes its signal first.  The s2i estimator owns a
+workspace for apply_frequency_shift only: at delta_f = 0.3 a warm run made
+about 45,500 faults with a fresh ramp and shifted signal per burst, and
+makes about 2,300 with them reused (0.35 s to 0.21 s).  Its synthesis and
+its delta_f = 0 path allocate per burst: they make about 1,700 faults per
+run, and a workspace there raised peak memory without saving time.
 """
 
 from __future__ import annotations
@@ -180,13 +184,14 @@ def _s2i_bursts(config: CoexConfig, n_symbols: int, m_s: int, victims, add) -> N
     alive through the next burst, which cost 15x the page faults (+40% s2i run time).
     """
     K = phydyas_k4().overlap_K
+    ws = _Workspace()
     for b, size in enumerate(_burst_sizes(n_symbols, _BURST)):
         rng = _rng(config.seed, _TAG_S2I, b)
         n_lo, n_hi = _oqam_slot_span(size, config.cp_ratio, K)
         data = {m_s: _draw_pam(rng, n_hi - n_lo, config.var_pam)}
         sig = oqam_modulate(config, data, (n_lo, n_hi))
         if config.delta_f:
-            sig = apply_frequency_shift(sig, config.delta_f)
+            sig = apply_frequency_shift(sig, config.delta_f, workspace=ws)
         add(np.abs(_ofdm_demod_window(config, sig, np.arange(size), victims)) ** 2)
 
 

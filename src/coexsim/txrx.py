@@ -22,13 +22,20 @@ thread count.
 OQAM demodulation is the polyphase analysis dual.  The receiver reads the
 burst once as blocks of M/2 samples, zero-padded past the last slot's taps;
 slot n + 1 reads the same nb tap blocks one block later.  So nb block
-products, alternating between the two halves of M, fold every slot's
-tap-weighted window onto M samples at once, and one FFT per slot follows.
-The fold starts at sample p0 = n M/2 - K M/2, whose phase
-exp(-2 pi j k p0 / M) is read from one M-point root table at the exact
-index (k p0) mod M.  CP-OFDM synthesis uses the same exact reduction: the
-prefix phase makes every symbol block the same M + L carrier samples, so
-each subcarrier evaluates its carrier over one block only.
+products, alternating between the two halves of M, fold a run of slots'
+tap-weighted windows onto M samples each, and one FFT per slot follows.
+It works through the slots 64 at a time (_DEMOD_BLOCK): the first two
+products of a block write its fold, the other seven add to it, and its
+FFT runs while the fold is still in cache, instead of every product
+streaming a whole burst's fold through memory.  Slot n's fold starts at
+sample p0 = n M/2 - K M/2, and K M/2 is a whole number of periods for the
+even K, so its phase exp(-2 pi j k p0 / M) is exactly (-1)^(k n).  With the
+conjugate phase map it is a quarter turn, one of +-1 and +-j, that repeats
+every 4 slots: one 4-row table, taken from oqam_phase on the first 4
+slots, rotates every block.  CP-OFDM synthesis reduces its carrier
+exactly too: the prefix phase makes every symbol block the same M + L
+carrier samples, so each subcarrier evaluates its carrier over one block
+only.
 
 Both receivers return only the subcarriers they are asked for, in the order
 asked: the FFT runs over all M bins and the requested columns are read
@@ -38,7 +45,7 @@ one block transform.
 
 OQAM phase map: slot n of subcarrier m carries oqam_phase(m, n) =
 (-1)^(m n) j^(m+n).  The one vectorised map serves both sides: the
-modulator applies it, the demodulator applies its conjugate over slots x
+modulator applies it, the demodulator applies its conjugate over 4 slots x
 requested subcarriers.  Adjacent slots and subcarriers sit in quadrature,
 which keeps the intrinsic own-signal interference purely imaginary
 (near-perfect reconstruction).  Cross-system interference powers do not
@@ -270,6 +277,12 @@ def _require_even_m(M: int) -> None:
         raise ConfigError("OQAM requires even M (half-period slots must be whole samples)")
 
 
+# slots the OQAM receiver folds and transforms at a time: its fold and FFT stay in
+# cache instead of streaming a whole burst through memory once per tap block.  A
+# multiple of 4, the period of its rotation in slots
+_DEMOD_BLOCK = 64
+
+
 def _tap_blocks(M: int) -> tuple[np.ndarray, np.ndarray]:
     """The prototype taps, and the taps zero-padded to nb blocks of M/2 samples: (nb, M/2)."""
     taps = sample_taps(phydyas_k4(), M)
@@ -351,23 +364,32 @@ def _oqam_demod_slots(config: CoexConfig, signal: DiscreteSignal, n_range: tuple
     x[:support] = signal.window(start, support)
     x[support:] = 0
     x = x.reshape(-1, hop)
-    # slot n0 + j reads blocks j .. j + nb - 1; block b of its taps folds onto half b % 2 of M
-    folded = ws.array("oqam.fold", (nsym, 2, hop))
-    folded.fill(0)
-    product = ws.array("oqam.product", (nsym, hop))
-    for b in range(nb):
-        folded[:, b % 2] += np.multiply(x[b:b + nsym], pulse[b], out=product)
     m = np.asarray(subcarriers)
     k = m % M
-    spec = np.fft.fft(folded.reshape(nsym, M), axis=1)[:, k]
-    # slot n's fold starts at p0 = n hop - half: rotate by exp(-2 pi j k p0 / M),
-    # indexed exactly by (k p0) mod M in one M-point root table
-    slots = np.arange(n0, n1)
-    p0 = slots * hop - half
-    roots = np.exp(-2j * np.pi * np.arange(M) / M)
-    spec *= roots[(k[None, :] * (p0 % M)[:, None]) % M]
-    energy = float(np.dot(taps, taps))
-    return np.sqrt(M) / energy * np.real(spec * np.conj(oqam_phase(m[None, :], slots[:, None])))
+    # slot n's fold starts at p0 = n hop - half, and half = K M/2 is a whole number of
+    # periods (K even), so its phase exp(-2 pi j k p0 / M) is exactly (-1)^(k n); with the
+    # conjugate phase map, which has period 4 in n, it is one of 4 rows of +-1 and +-j
+    quarter = np.arange(n0, n0 + 4)[:, None]
+    turn = np.where((k * quarter) % 2, -1.0, 1.0) * np.conj(oqam_phase(m, quarter))
+    turn *= np.sqrt(M) / float(np.dot(taps, taps))
+    block = min(_DEMOD_BLOCK, nsym)
+    # every block starts a multiple of 4 slots after n0, so its row i takes row i mod 4
+    turn = turn[np.arange(block) % 4]
+    folds = ws.array("oqam.fold", (block, 2, hop))
+    products = ws.array("oqam.product", (block, hop))
+    out = np.empty((nsym, len(m)))
+    for j in range(0, nsym, block):
+        size = min(block, nsym - j)
+        # slot n0 + j + i reads blocks j + i .. j + i + nb - 1; tap block b folds onto
+        # half b % 2 of M
+        folded, product = folds[:size], products[:size]
+        np.multiply(x[j:j + size], pulse[0], out=folded[:, 0])
+        np.multiply(x[j + 1:j + 1 + size], pulse[1], out=folded[:, 1])
+        for b in range(2, nb):
+            folded[:, b % 2] += np.multiply(x[j + b:j + b + size], pulse[b], out=product)
+        spec = np.fft.fft(folded.reshape(size, M), axis=1)[:, k]
+        out[j:j + size] = np.real(spec * turn[:size])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,22 @@ class PoisonedWorkspace(txrx._Workspace):
         return out
 
 
+def fresh_bursts_s2i(config, n_symbols):
+    """estimate_oqam_to_ofdm from workspace-free calls, one burst after the other."""
+    m_s, victims = mc._roles(config.secondary_set, config.incumbent_set,
+                             "secondary", "incumbent")
+    acc = mc._MomentSums(len(victims))
+    for b, size in enumerate(mc._burst_sizes(n_symbols, mc._BURST)):
+        rng = mc._rng(config.seed, mc._TAG_S2I, b)
+        n_lo, n_hi = mc._oqam_slot_span(size, config.cp_ratio, phydyas_k4().overlap_K)
+        sig = txrx.oqam_modulate(config, {m_s: mc._draw_pam(rng, n_hi - n_lo, config.var_pam)},
+                                 (n_lo, n_hi))
+        if config.delta_f:
+            sig = txrx.apply_frequency_shift(sig, config.delta_f)
+        acc.add(np.abs(txrx._ofdm_demod_window(config, sig, np.arange(size), victims)) ** 2)
+    return mc._finish(acc, lambda m: m_s + config.delta_f - m, victims)
+
+
 def fresh_bursts_i2s(config, n_symbols):
     """estimate_ofdm_to_oqam from workspace-free calls, one burst after the other."""
     m_i, victims = mc._roles(config.incumbent_set, config.secondary_set,
@@ -231,11 +247,18 @@ class TestWindowClasses:
 class TestWorkspace:
     """The estimators reuse one workspace across bursts; no burst may read a stale buffer.
 
-    2 * 256 + 17 slots make the last i2s burst shorter than the ones before it
-    (and a partial o2o burst), and the workspace starts as NaN.
+    2 * 256 + 17 windows (slots) make the last s2i and i2s burst shorter than the
+    ones before it (and a partial o2o burst), and the workspace starts as NaN.
     """
 
     N_SYMBOLS = 2 * 256 + 17
+
+    @pytest.mark.parametrize("delta_f", [0.0, 0.3])
+    def test_s2i_equals_fresh_calls(self, monkeypatch, delta_f):
+        cfg = s2i_config(delta_f=delta_f)
+        monkeypatch.setattr(mc, "_Workspace", PoisonedWorkspace)
+        assert same_estimate(estimate_oqam_to_ofdm(cfg, self.N_SYMBOLS),
+                             fresh_bursts_s2i(cfg, self.N_SYMBOLS))
 
     @pytest.mark.parametrize("delta_f", [0.0, 0.3])
     def test_i2s_equals_fresh_calls(self, monkeypatch, delta_f):
@@ -256,7 +279,9 @@ class TestWorkspace:
         rng = np.random.default_rng(5)
         victims = sorted(cfg.secondary_set)
         ws = PoisonedWorkspace()
-        for size in (256, 17):  # the second call reads less of every buffer
+        # each call after the first reads less of every buffer; 65 slots end on a
+        # one-slot block after a full one
+        for size in (256, 65, 17):
             n_lo, n_hi = mc._ofdm_symbol_span(size, cfg.cp_ratio, phydyas_k4().overlap_K)
             data = {0: rng.standard_normal(n_hi - n_lo) + 1j * rng.standard_normal(n_hi - n_lo)}
             sig = txrx.ofdm_modulate(cfg, data, (n_lo, n_hi))

@@ -265,6 +265,13 @@ class TestOqamPhases:
                 assert oqam_phase(m, n + 1) / oqam_phase(m, n) in (1j, -1j)
                 assert oqam_phase(m + 1, n) / oqam_phase(m, n) in (1j, -1j)
 
+    def test_period_four_in_slots_and_quarter_turn_values(self):
+        # the demodulator builds its rotation from 4 slots of the map and reads it as
+        # exactly +-1 or +-j
+        m, n = np.arange(-9, 10)[:, None], np.arange(-11, 12)[None, :]
+        assert np.array_equal(oqam_phase(m, n + 4), oqam_phase(m, n))
+        assert np.all(np.isin(oqam_phase(m, n), [1, -1, 1j, -1j]))
+
     def test_demodulator_conjugates_modulator_phase(self):
         # the demodulator evaluates the modulator's map over a (slot,
         # subcarrier) grid; the vectorised map must match the per-element formula
@@ -390,14 +397,19 @@ class TestPolyphaseAnalysis:
         rng = np.random.default_rng(seed)
         return DiscreteSignal(rng.normal(size=length) + 1j * rng.normal(size=length), M, -start)
 
-    @pytest.mark.parametrize("M", [64, 512])
-    def test_matches_loop_reference(self, M):
+    @pytest.mark.parametrize("M, n_range, subs", [
+        (64, (-7, 13), edge_subcarriers(64)),
+        (512, (-7, 13), edge_subcarriers(512)),
+        # 149 slots: two full slot blocks and a partial one, from an odd negative n0, on
+        # subcarriers in every class m mod 4 (so every (m + n) mod 4 of each slot)
+        (64, (-69, 80), edge_subcarriers(64) + [-31, -30, -3, 1, 2, 5]),
+    ], ids=["64", "512", "64-partial-blocks"])
+    def test_matches_loop_reference(self, M, n_range, subs):
         cfg = CoexConfig(M=M, incumbent_set=frozenset({0}), secondary_set=frozenset({0}))
-        n_range, subs = (-7, 13), edge_subcarriers(M)
         sig = self.noise_over_support(M, n_range, M)
         fast = _oqam_demod_slots(cfg, sig, n_range, subs)
         ref = loop_oqam_demod(cfg, sig, n_range, subs)
-        assert fast.shape == ref.shape == (20, 4)
+        assert fast.shape == ref.shape == (n_range[1] - n_range[0], len(subs))
         assert np.max(np.abs(fast - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_columns_equal_single_subcarrier_calls(self):
