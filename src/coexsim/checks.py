@@ -79,14 +79,16 @@ def check_oracle_equivalence(filt: PrototypeFilter, cp_ratios) -> CheckResult:
     where = ""
     grid = np.asarray(ORACLE_L_GRID)
     closed_s2i = _oqam_to_ofdm_grid(grid, filt, 1.0)
+    oracle_s2i = quadrature_I("s2i", grid, filt)
     for i, l in enumerate(ORACLE_L_GRID):
-        dev = _rel(closed_s2i[i], quadrature_I("s2i", l, filt))
+        dev = _rel(closed_s2i[i], oracle_s2i[i])
         if dev > worst:
             worst, where = dev, f"s2i l={l}"
     for cp in cp_ratios:
         closed_i2s = _ofdm_to_oqam_grid(grid, filt, cp, 1.0)
+        oracle_i2s = quadrature_I("i2s", grid, filt, cp)
         for i, l in enumerate(ORACLE_L_GRID):
-            dev = _rel(closed_i2s[i], quadrature_I("i2s", l, filt, cp))
+            dev = _rel(closed_i2s[i], oracle_i2s[i])
             if dev > worst:
                 worst, where = dev, f"i2s cp={cp} l={l}"
     return CheckResult("oracle-equivalence", worst <= _ORACLE_TOL,

@@ -31,10 +31,11 @@ open ROADMAP item.
 
 Buffers: the i2s and o2o estimators own one txrx workspace per call and
 pass it to every burst's ofdm_modulate, apply_frequency_shift and
-_oqam_demod_slots.  The tap blocks are built once per call; the burst
-signal, its outer-product temporary, the frequency ramp and the shifted
-signal, the zero-padded receiver input, and the receiver's 64-slot fold
-and per-block product each reuse one buffer.  These temporaries are up to
+_oqam_demod_slots.  The OQAM tap blocks are built once per M and shared,
+read-only, by every modem call; the burst signal, its outer-product
+temporary, the frequency ramp and the shifted signal, the zero-padded
+receiver input, and the receiver's 64-slot fold and per-block product each
+reuse one buffer.  These temporaries are up to
 2 MiB, and glibc maps a fresh array of that size as fresh pages, so
 allocating them per burst cost a warm 10^4-symbol run about 42,000 minor
 page faults for i2s and 20,000 for o2o; with the workspace and the

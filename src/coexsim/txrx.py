@@ -57,6 +57,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import inf
 
 import numpy as np
@@ -179,7 +180,7 @@ def _zero_signal(M: int, start: int, stop: int) -> DiscreteSignal:
 
 
 class _Workspace:
-    """Complex scratch arrays that successive calls reuse, and the tap blocks, built once.
+    """Complex scratch arrays that successive calls reuse.
 
     array(name, shape) is a view of the first entries of one flat buffer per
     name, which grows when a call needs more and is never shrunk.  Its
@@ -190,7 +191,6 @@ class _Workspace:
 
     def __init__(self):
         self._buffers: dict[str, np.ndarray] = {}
-        self._taps: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def array(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
         size = int(np.prod(shape))
@@ -198,12 +198,6 @@ class _Workspace:
         if buf is None or buf.size < size:
             buf = self._buffers[name] = np.empty(size, dtype=complex)
         return buf[:size].reshape(shape)
-
-    def tap_blocks(self, M: int) -> tuple[np.ndarray, np.ndarray]:
-        """_tap_blocks(M), computed on the first request only."""
-        if M not in self._taps:
-            self._taps[M] = _tap_blocks(M)
-        return self._taps[M]
 
 
 # ---------------------------------------------------------------------------
@@ -283,12 +277,17 @@ def _require_even_m(M: int) -> None:
 _DEMOD_BLOCK = 64
 
 
+@cache
 def _tap_blocks(M: int) -> tuple[np.ndarray, np.ndarray]:
-    """The prototype taps, and the taps zero-padded to nb blocks of M/2 samples: (nb, M/2)."""
+    """The prototype taps, and the taps zero-padded to nb blocks of M/2 samples: (nb, M/2).
+
+    Built once per M and shared by every modem call, so both arrays are read-only.
+    """
     taps = sample_taps(phydyas_k4(), M)
     hop = M // 2
     blocks = np.zeros(-(-len(taps) // hop) * hop)  # nb = 9 blocks for K = 4
     blocks[:len(taps)] = taps
+    taps.flags.writeable = blocks.flags.writeable = False
     return taps, blocks.reshape(-1, hop)
 
 
@@ -354,7 +353,7 @@ def _oqam_demod_slots(config: CoexConfig, signal: DiscreteSignal, n_range: tuple
     M = config.M
     _require_even_m(M)
     ws = workspace or _Workspace()
-    taps, pulse = ws.tap_blocks(M)
+    taps, pulse = _tap_blocks(M)
     nb, hop = pulse.shape
     half = (len(taps) - 1) // 2
     nsym = n1 - n0

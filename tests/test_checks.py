@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coexsim import checks, closedform
-from coexsim.checks import _parseval_estimates, check_parseval, run_all_checks
+from coexsim.checks import (
+    _parseval_estimates,
+    check_oracle_equivalence,
+    check_parseval,
+    run_all_checks,
+)
 from coexsim.filterbank import PrototypeFilter, evaluate_g, phydyas_k4
 from coexsim.oracle import oracle_parseval_constant
 
@@ -60,6 +65,25 @@ class TestParsevalTail:
         const = oracle_parseval_constant(FILT)
         monkeypatch.setattr(checks, "_parseval_estimates", lambda filt: (const * (1 + 1e-9), const))
         assert not check_parseval(FILT).passed
+
+
+class TestOracleEquivalenceStrictness:
+    CPS = (Fraction(0), Fraction(1, 8))
+
+    def test_unmodified_closed_form_passes(self):
+        assert check_oracle_equivalence(FILT, self.CPS).passed
+
+    def test_scaled_i2s_closed_form_fails(self, monkeypatch):
+        grid = checks._ofdm_to_oqam_grid
+        monkeypatch.setattr(checks, "_ofdm_to_oqam_grid", lambda *a: grid(*a) * (1 + 1e-8))
+        result = check_oracle_equivalence(FILT, self.CPS)
+        assert not result.passed
+        assert "i2s" in result.detail
+
+    def test_dropped_outermost_shift_fails(self, monkeypatch):
+        taus = closedform._lattice_taus
+        monkeypatch.setattr(closedform, "_lattice_taus", lambda *a: taus(*a)[:-1])
+        assert not check_oracle_equivalence(FILT, self.CPS).passed
 
 
 @settings(max_examples=15, deadline=None, database=None)

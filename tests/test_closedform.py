@@ -131,6 +131,23 @@ class TestOfdmToOqam:
         assert np.max(np.abs(pos - neg) / pos) < 1e-12
 
 
+class TestOracleFarRange:
+    """The oracle against the closed form on fractional l out to 50, past verify's l <= 8."""
+    GRID = 0.3 + 1.25 * np.arange(41)   # 0.3 .. 50.3
+
+    def test_s2i(self, filt):
+        oracle = quadrature_I("s2i", self.GRID, filt)
+        closed = _oqam_to_ofdm_grid(self.GRID, filt, 1.0)
+        assert np.max(np.abs(closed - oracle) / oracle) <= 1e-9
+
+    @pytest.mark.parametrize("cp", [Fraction(0), Fraction(1, 8), Fraction(7, 16)],
+                             ids=["0", "1/8", "7/16"])
+    def test_i2s(self, filt, cp):
+        oracle = quadrature_I("i2s", self.GRID, filt, cp)
+        closed = _ofdm_to_oqam_grid(self.GRID, filt, cp, 1.0)
+        assert np.max(np.abs(closed - oracle) / oracle) <= 1e-9
+
+
 class TestPowerSum:
     # the table grid of the benchmark, and the Parseval grid (several evaluation blocks)
     GRID = -50 + 0.01 * np.arange(10_001)

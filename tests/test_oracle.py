@@ -1,5 +1,6 @@
-"""Quadrature oracle: term values, shift enumeration, convergence, identities."""
+"""Quadrature oracle: term values, shift enumeration, convergence, batching, identities."""
 
+import ast
 from fractions import Fraction
 
 import numpy as np
@@ -11,8 +12,8 @@ from coexsim.filterbank import evaluate_g, phydyas_k4
 from coexsim.oracle import (
     QuadratureError,
     _integrate,
-    _panel_sum,
-    _window_integral,
+    _panel_sums,
+    _window_integrals,
     _window_taus,
     contributing_shifts,
     oracle_parseval_constant,
@@ -28,7 +29,7 @@ def filt():
 
 def term(filt, l, tau):
     """|integral_0^1 g(u - tau) exp(j 2 pi l u) du|^2: one shift's power in the unit window."""
-    return abs(_window_integral(filt, l, tau, 1.0)) ** 2
+    return abs(_window_integrals(filt, [tau], 1.0, [l], "term")[0, 0]) ** 2
 
 
 class TestTerm:
@@ -49,11 +50,11 @@ class TestTerm:
 
     def test_subdivision_doubling(self, filt):
         # doubled panel count moves the result by < 1e-10 relative
+        pulse = lambda t: evaluate_g(filt, t)
         for l, tau in ((0.0, 0.0), (5.0, 0.5), (12.0, -1.0)):
-            f = lambda u: evaluate_g(filt, u - tau) * np.exp(2j * np.pi * l * u)
-            lo, hi = max(0.0, tau - 2), min(1.0, tau + 2)
-            a = abs(_panel_sum(f, lo, hi, 32)) ** 2
-            b = abs(_panel_sum(f, lo, hi, 64)) ** 2
+            row = [np.array([v]) for v in (tau, max(0.0, tau - 2), min(1.0, tau + 2), l)]
+            a = abs(_panel_sums(pulse, *row, 32)[0]) ** 2
+            b = abs(_panel_sums(pulse, *row, 64)[0]) ** 2
             assert abs(a - b) <= 1e-10 * abs(b)
 
     def test_against_scipy_quad(self, filt):
@@ -69,9 +70,8 @@ class TestTerm:
     def test_nonconvergence_reported(self, monkeypatch):
         # oscillation far beyond what the panel cap can resolve
         monkeypatch.setattr(oracle, "_MAX_PANELS", 16)
-        f = lambda x: np.exp(2j * np.pi * 5000.0 * x)
         with pytest.raises(QuadratureError):
-            _integrate(f, 0.0, 1.0)
+            _integrate(np.ones_like, [0.0], [0.0], [1.0], [5000.0], "test")
 
 
 class TestContributingShifts:
@@ -130,3 +130,62 @@ class TestQuadratureI:
         # captured pulse energy equals 2 sum G^2 / K (quadrature vs analytic)
         assert oracle_parseval_constant(filt) == pytest.approx(
             2 * filt.normalization_sum() / 4, abs=1e-8)
+
+
+class TestBatchedOracle:
+    LS = np.array([-3.7, 0.0, 0.5, 2.25, 8.0, 13.1])
+
+    @pytest.mark.parametrize("direction,cp", [("s2i", Fraction(0)), ("i2s", Fraction(0)),
+                                              ("i2s", Fraction(1, 8))])
+    def test_array_equals_one_element_calls(self, filt, direction, cp):
+        # a row's value does not depend on which rows share its batch
+        batch = quadrature_I(direction, self.LS, filt, cp)
+        single = [quadrature_I(direction, np.array([l]), filt, cp)[0] for l in self.LS]
+        assert list(batch) == pytest.approx(single, rel=1e-15)
+
+    def test_chunks_do_not_change_values(self, filt, monkeypatch):
+        whole = quadrature_I("i2s", self.LS, filt, Fraction(1, 8))
+        # chunks of a few rows that split one tau's l between them
+        monkeypatch.setattr(oracle, "_CHUNK_NODES", 1000)
+        assert np.array_equal(quadrature_I("i2s", self.LS, filt, Fraction(1, 8)), whole)
+
+    def test_keeps_the_shape_of_l(self, filt):
+        ls = self.LS.reshape(2, 3)
+        assert quadrature_I("s2i", ls, filt).shape == (2, 3)
+        value = quadrature_I("s2i", 2.25, filt)
+        assert np.ndim(value) == 0
+        assert value == quadrature_I("s2i", ls, filt)[1, 0]
+
+    def test_rows_converge_at_their_own_level(self, filt, monkeypatch):
+        last_level = {}
+        panel_sums = oracle._panel_sums
+
+        def spy(pulse, tau, a, b, l, n_panels):
+            last_level.update((float(v), n_panels) for v in l)
+            return panel_sums(pulse, tau, a, b, l, n_panels)
+
+        monkeypatch.setattr(oracle, "_panel_sums", spy)
+        batch = quadrature_I("s2i", np.array([0.0, 40.0]), filt)
+        assert last_level[0.0] < last_level[40.0]
+        monkeypatch.undo()
+        assert batch[0] == pytest.approx(quadrature_I("s2i", 0.0, filt), rel=1e-15)
+        assert batch[1] == pytest.approx(quadrature_I("s2i", 40.0, filt), rel=1e-15)
+
+    def test_nonconvergence_names_the_integral(self, filt, monkeypatch):
+        monkeypatch.setattr(oracle, "_MAX_PANELS", 16)
+        quadrature_I("s2i", np.array([0.0, 1.0]), filt)   # these converge under the cap
+        with pytest.raises(QuadratureError, match=r"^s2i .* 16 panels at l = 40\.0, tau = "):
+            quadrature_I("s2i", np.array([0.0, 1.0, 40.0]), filt)
+
+    def test_window_energies_in_one_call(self, filt):
+        taus = np.array([-1.5, 0.0, 0.75, 2.5])
+        batch = oracle.quadrature_window_energy(filt, taus, 1.0)
+        assert list(batch) == [oracle.quadrature_window_energy(filt, t, 1.0) for t in taus]
+
+    def test_never_imports_closedform(self):
+        # the oracle is the independent reference of the closed forms
+        tree = ast.parse(open(oracle.__file__).read())
+        imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        imported |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                     for alias in node.names}
+        assert not any("closedform" in (name or "") for name in imported)

@@ -371,6 +371,16 @@ class TestPolyphaseSynthesis:
         else:
             assert np.max(np.abs(sig.samples - ref)) <= 1e-12 * np.max(np.abs(ref))
 
+    def test_tap_blocks_are_shared_and_read_only(self):
+        # built once per M for every modem call, so no caller may write to them
+        taps, blocks = txrx._tap_blocks(64)
+        assert txrx._tap_blocks(64)[1] is blocks
+        assert np.array_equal(taps, sample_taps(phydyas_k4(), 64))
+        assert np.array_equal(blocks.ravel()[:len(taps)], taps)
+        for shared in (taps, blocks):
+            with pytest.raises(ValueError, match="read-only"):
+                shared[0] = 1.0
+
     def test_bytes_do_not_depend_on_blas_threads(self):
         code = ("import hashlib, numpy as np; from coexsim.txrx import CoexConfig, oqam_modulate; "
                 "subs = range(-25, 26); rng = np.random.default_rng(7); "
