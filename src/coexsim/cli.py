@@ -139,13 +139,15 @@ def _write_csv(path: str, header: list[str], columns, formats: list[str]) -> Non
     """The header, then row i of the columns, column c formatted by formats[c].
 
     Each column is converted once to Python floats (.tolist()), which
-    format like the numpy scalars they came from, but several times faster.
+    format like the numpy scalars they came from, but several times faster,
+    and each row is one %-template, which formats floats like str.format
+    with less overhead per field.
     """
-    line = ",".join(f"{{:{spec}}}" for spec in formats) + "\n"
+    line = ",".join(f"%{spec}" for spec in formats) + "\n"
     values = [np.asarray(column).tolist() for column in columns]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(map(line.format, *values))
+        fh.writelines(map(line.__mod__, zip(*values)))
 
 
 def cmd_table(args) -> int:

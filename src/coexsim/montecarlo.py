@@ -33,9 +33,9 @@ Buffers: the i2s and o2o estimators own one txrx workspace per call and
 pass it to every burst's ofdm_modulate, apply_frequency_shift and
 _oqam_demod_slots.  The OQAM tap blocks are built once per M and shared,
 read-only, by every modem call; the burst signal, its outer-product
-temporary, the frequency ramp and the shifted signal, the zero-padded
-receiver input, and the receiver's 64-slot fold and per-block product each
-reuse one buffer.  These temporaries are up to
+temporary, the frequency ramp and the shifted signal, and the receiver's
+64-slot fold and per-block product each reuse one buffer.  Both receivers
+read the burst in place, so neither copies it.  These temporaries are up to
 2 MiB, and glibc maps a fresh array of that size as fresh pages, so
 allocating them per burst cost a warm 10^4-symbol run about 42,000 minor
 page faults for i2s and 20,000 for o2o; with the workspace and the
@@ -49,7 +49,7 @@ consumes its signal first.  The s2i estimator owns a
 workspace for apply_frequency_shift only: at delta_f = 0.3 a warm run made
 about 45,500 faults with a fresh ramp and shifted signal per burst, and
 makes about 2,300 with them reused (0.35 s to 0.21 s).  Its synthesis and
-its delta_f = 0 path allocate per burst: they make about 1,700 faults per
+its delta_f = 0 path allocate per burst: they make about 1,200 faults per
 run, and a workspace there raised peak memory without saving time.
 """
 
@@ -193,7 +193,7 @@ def _s2i_bursts(config: CoexConfig, n_symbols: int, m_s: int, victims, add) -> N
         sig = oqam_modulate(config, data, (n_lo, n_hi))
         if config.delta_f:
             sig = apply_frequency_shift(sig, config.delta_f, workspace=ws)
-        add(np.abs(_ofdm_demod_window(config, sig, np.arange(size), victims)) ** 2)
+        add(np.abs(_ofdm_demod_window(config, sig, (0, size), victims)) ** 2)
 
 
 def estimate_oqam_to_ofdm(config: CoexConfig, n_symbols: int) -> McEstimate:
@@ -250,6 +250,6 @@ def estimate_ofdm_to_ofdm(config: CoexConfig, n_symbols: int) -> McEstimate:
         sig = shift_samples(sig, off)
         if config.delta_f:
             sig = apply_frequency_shift(sig, config.delta_f, workspace=ws)
-        acc.add(np.abs(_ofdm_demod_window(config, sig, np.arange(size), victims)) ** 2)
+        acc.add(np.abs(_ofdm_demod_window(config, sig, (0, size), victims)) ** 2)
     return _finish(acc, lambda m: m_s + config.delta_f - m, victims)
 

@@ -9,13 +9,15 @@ symbols (never from any fixed a-priori range).
 Refinement is stacked: every (victim slot, shift tau, l) integral of one
 call is a row, and all rows refine together by composite 24-point
 Gauss-Legendre on equal panels, doubling the panel count.  Each row keeps
-its own stopping test and leaves the active set at its first doubling that
-passes it (a per-row mask); a row still active past the panel cap raises
-QuadratureError.  At a given doubling every active row has the same panel
-count, so the pulse is sampled once per distinct tau and broadcast over
-its l.  Rows are summed in chunks of at most _CHUNK_NODES nodes, with
-elementwise products and one sum per row (no BLAS), so neither the memory
-nor a row's bytes depend on how many rows share its call.
+its own stopping test, scaled to its own integrand (two refinements agree
+to _RTOL of the larger of |integral| and the integral of |g|), and leaves
+the active set at its first doubling that passes it (a per-row mask); a
+row still active past the panel cap raises QuadratureError.  At a given
+doubling every active row has the same panel count, so the pulse is
+sampled once per distinct tau and broadcast over its l.  Rows are summed
+in chunks of at most _CHUNK_NODES nodes, with elementwise products and
+one sum per row (no BLAS), so neither the memory nor a row's bytes depend
+on how many rows share its call.
 
 Built and validated independently of the closedform module, which has its
 own relative-frame shift enumeration; neither imports the other.  The
@@ -41,8 +43,9 @@ __all__ = [
 ]
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
-# panel doubling stops when two refinements agree to _RTOL or _ATOL; past _MAX_PANELS it fails
-_RTOL, _ATOL, _MAX_PANELS = 1e-13, 1e-16, 8192
+# panel doubling stops when two refinements agree to _RTOL of the larger of the row's
+# |integral| and its integral of |integrand|; past _MAX_PANELS it fails
+_RTOL, _MAX_PANELS = 1e-13, 8192
 # nodes per chunk of rows in one refinement step (one row if a row has more): each
 # temporary stays near 1 MiB of complex values.  A 2^20 cap saved a fifth of the time
 # of a 41-point l grid at cp = 7/16 and raised its peak memory by 25 MiB
@@ -53,16 +56,19 @@ class QuadratureError(RuntimeError):
     """Raised when panel refinement fails to converge; results are never truncated silently."""
 
 
-def _panel_sums(pulse, tau, a, b, l, n_panels: int) -> np.ndarray:
+def _panel_sums(pulse, tau, a, b, l, n_panels: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite 24-point Gauss-Legendre sums on n_panels equal panels, one per row.
 
     Row i approximates the integral over [a_i, b_i] of pulse(u - tau_i)
-    exp(j 2 pi l_i u) du.  Rows sharing a tau share their nodes (a and b
-    are functions of tau), so pulse is sampled once per distinct tau in a
-    chunk and broadcast over its l.  Every row is reduced on its own along
-    its own nodes, so its value does not depend on the other rows.
+    exp(j 2 pi l_i u) du, and, from the same pulse samples, the integral of
+    |pulse(u - tau_i)|: the scale of the row's summation roundoff.  Rows
+    sharing a tau share their nodes (a and b are functions of tau), so
+    pulse is sampled once per distinct tau in a chunk and broadcast over
+    its l.  Every row is reduced on its own along its own nodes, so its
+    values do not depend on the other rows.
     """
     out = np.empty(len(tau), dtype=complex)
+    mass = np.empty(len(tau))
     step = max(1, _CHUNK_NODES // (n_panels * _GL_NODES.size))
     for s in range(0, len(tau), step):
         rows = slice(s, s + step)
@@ -72,13 +78,15 @@ def _panel_sums(pulse, tau, a, b, l, n_panels: int) -> np.ndarray:
         half = 0.5 * (edges[:, 1:] - edges[:, :-1])
         x = mid[:, :, None] + half[:, :, None] * _GL_NODES
         g = pulse(x - taus[:, None, None])
+        abs_terms = np.abs(g) * _GL_WEIGHTS * half[:, :, None]
+        mass[rows] = abs_terms.reshape(len(taus), -1).sum(axis=1)[which]
         vals = np.multiply((2j * np.pi * l[rows])[:, None, None], x[which])
         np.exp(vals, out=vals)
         vals *= g[which]
         vals *= _GL_WEIGHTS
         vals *= half[which][:, :, None]
         out[rows] = vals.reshape(len(which), -1).sum(axis=1)
-    return out
+    return out, mass
 
 
 def _integrate(pulse, tau, a, b, l, label: str) -> np.ndarray:
@@ -86,7 +94,10 @@ def _integrate(pulse, tau, a, b, l, label: str) -> np.ndarray:
 
     Row i is the integral over [a_i, b_i] of pulse(u - tau_i) exp(j 2 pi
     l_i u) du; all rows refine together, and a row leaves the active set
-    at its first doubling that passes the stopping test.  0 on an empty
+    at its first doubling that passes the stopping test: the change is at
+    most _RTOL times the larger of |integral| and the integral of |pulse|.
+    The second term is the roundoff floor of an oscillating sum, which a
+    fixed absolute floor would put out of reach at large |l|.  0 on an empty
     interval; raises QuadratureError, naming label and the failed row with
     the largest |l|, instead of returning an unconverged value.
     """
@@ -94,11 +105,11 @@ def _integrate(pulse, tau, a, b, l, label: str) -> np.ndarray:
     out = np.zeros(len(tau), dtype=complex)
     active = np.flatnonzero(b > a)
     n = 2
-    prev = _panel_sums(pulse, tau[active], a[active], b[active], l[active], n)
+    prev, _ = _panel_sums(pulse, tau[active], a[active], b[active], l[active], n)
     while active.size and n <= _MAX_PANELS:
         n *= 2
-        cur = _panel_sums(pulse, tau[active], a[active], b[active], l[active], n)
-        done = np.abs(cur - prev) <= np.maximum(_RTOL * np.abs(cur), _ATOL)
+        cur, mass = _panel_sums(pulse, tau[active], a[active], b[active], l[active], n)
+        done = np.abs(cur - prev) <= _RTOL * np.maximum(np.abs(cur), mass)
         out[active[done]] = cur[done]
         active, prev = active[~done], cur[~done]
     if active.size:

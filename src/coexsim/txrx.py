@@ -20,28 +20,31 @@ block matrix; with inner dimension nb the bytes do not depend on the BLAS
 thread count.
 
 OQAM demodulation is the polyphase analysis dual.  The receiver reads the
-burst once as blocks of M/2 samples, zero-padded past the last slot's taps;
-slot n + 1 reads the same nb tap blocks one block later.  So nb block
-products, alternating between the two halves of M, fold a run of slots'
-tap-weighted windows onto M samples each, and one FFT per slot follows.
-It works through the slots 64 at a time (_DEMOD_BLOCK): the first two
-products of a block write its fold, the other seven add to it, and its
-FFT runs while the fold is still in cache, instead of every product
-streaming a whole burst's fold through memory.  Slot n's fold starts at
-sample p0 = n M/2 - K M/2, and K M/2 is a whole number of periods for the
-even K, so its phase exp(-2 pi j k p0 / M) is exactly (-1)^(k n).  With the
-conjugate phase map it is a quarter turn, one of +-1 and +-j, that repeats
-every 4 slots: one 4-row table, taken from oqam_phase on the first 4
-slots, rotates every block.  CP-OFDM synthesis reduces its carrier
-exactly too: the prefix phase makes every symbol block the same M + L
-carrier samples, so each subcarrier evaluates its carrier over one block
-only.
+burst in place, as a view of blocks of M/2 samples; slot n + 1 reads the
+same nb tap blocks one block later.  The K M + 1 taps end one sample into
+the last block, so that block holds a single tap.  So nb - 1 block
+products, alternating between the two halves of M, and one column update
+for the last tap fold a run of slots' tap-weighted windows onto M samples
+each, and one FFT per slot follows; nothing is copied or zero-padded.  It
+works through the slots 64 at a time (_DEMOD_BLOCK): the first two
+products of a block write its fold, the other six and the last tap add to
+it, and its FFT runs while the fold is still in cache, instead of every
+product streaming a whole burst's fold through memory.  Slot n's fold
+starts at sample p0 = n M/2 - K M/2, and K M/2 is a whole number of
+periods for the even K, so its phase exp(-2 pi j k p0 / M) is exactly
+(-1)^(k n).  With the conjugate phase map it is a quarter turn, one of +-1
+and +-j, that repeats every 4 slots: one 4-row table, taken from
+oqam_phase on the first 4 slots, rotates every block.  CP-OFDM synthesis
+reduces its carrier exactly too: the prefix phase makes every symbol block
+the same M + L carrier samples, so each subcarrier evaluates its carrier
+over one block only.
 
 Both receivers return only the subcarriers they are asked for, in the order
 asked: the FFT runs over all M bins and the requested columns are read
-from it.  DiscreteSignal.window takes an array of start indices and returns
-one row per start, so the CP-OFDM receiver demodulates all its windows in
-one block transform.
+from it.  DiscreteSignal.window returns a view, and both receivers read
+the burst in place: the CP-OFDM receiver reads one span covering a run of
+windows and takes them as a strided view of it, one window every M + L
+samples, which one block transform demodulates.
 
 OQAM phase map: slot n of subcarrier m carries oqam_phase(m, n) =
 (-1)^(m n) j^(m+n).  The one vectorised map serves both sides: the
@@ -162,17 +165,16 @@ class DiscreteSignal:
         """Absolute index one past the last sample."""
         return len(self.samples) - self.origin_index
 
-    def window(self, p0, length: int) -> np.ndarray:
-        """Samples at absolute indices [p0, p0 + length), shape p0.shape + (length,).
+    def window(self, p0: int, length: int) -> np.ndarray:
+        """Samples at absolute indices [p0, p0 + length): a view, not a copy.
 
-        p0 is a start index or an array of them (one row per start); raises
-        if any window leaves the signal.
+        Raises if the window leaves the signal.
         """
-        p0 = np.asarray(p0)
-        if p0.size and (p0.min() < self.start or p0.max() + length > self.stop):
-            raise ValueError(f"window [{p0.min()}, {p0.max() + length}) out of signal "
+        if p0 < self.start or p0 + length > self.stop:
+            raise ValueError(f"window [{p0}, {p0 + length}) out of signal "
                              f"bounds [{self.start}, {self.stop})")
-        return sliding_window_view(self.samples, length)[p0 + self.origin_index]
+        i = p0 + self.origin_index
+        return self.samples[i:i + length]
 
 
 def _zero_signal(M: int, start: int, stop: int) -> DiscreteSignal:
@@ -242,19 +244,25 @@ def ofdm_modulate(config: CoexConfig, data: dict, n_range: tuple[int, int], *,
     return DiscreteSignal(blocks.ravel(), M, origin_index=L - n0 * S)
 
 
-def _ofdm_demod_window(config: CoexConfig, signal: DiscreteSignal, n_i, subcarriers) -> np.ndarray:
-    """Demodulated values of window(s) n_i on the subcarriers: n_i.shape + (len(subcarriers),).
+def _ofdm_demod_window(config: CoexConfig, signal: DiscreteSignal, n_range: tuple[int, int],
+                       subcarriers) -> np.ndarray:
+    """Demodulated values of windows n_range[0] .. n_range[1]-1: (windows, len(subcarriers)).
 
     Correlates the useful window (prefix discarded) against the receive
     exponential with 1/sqrt(M) scaling.  The absolute-time and prefix
     reference phases cancel exactly for integer subcarriers, so the FFT of
     the window, read at bins m % M, is the complete answer.  A clean
     own-signal returns the transmitted symbol exactly (discrete
-    orthogonality).
+    orthogonality).  The windows are a strided view of the signal, which is
+    read in place.
     """
-    seg = signal.window(n_i * config.symbol_samples, config.M)
-    bins = np.asarray(subcarriers) % config.M
-    return np.fft.fft(seg, axis=-1)[..., bins] / np.sqrt(config.M)
+    n0, n1 = n_range
+    if n1 <= n0:
+        raise ValueError("n_range must be non-empty")
+    M, S = config.M, config.symbol_samples
+    span = signal.window(n0 * S, (n1 - n0 - 1) * S + M)
+    bins = np.asarray(subcarriers) % M
+    return np.fft.fft(sliding_window_view(span, M)[::S], axis=-1)[:, bins] / np.sqrt(M)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +293,8 @@ def _tap_blocks(M: int) -> tuple[np.ndarray, np.ndarray]:
     """
     taps = sample_taps(phydyas_k4(), M)
     hop = M // 2
-    blocks = np.zeros(-(-len(taps) // hop) * hop)  # nb = 9 blocks for K = 4
+    # K M + 1 taps: nb = 2K + 1 blocks (9 for K = 4), the last of them one tap
+    blocks = np.zeros(-(-len(taps) // hop) * hop)
     blocks[:len(taps)] = taps
     taps.flags.writeable = blocks.flags.writeable = False
     return taps, blocks.reshape(-1, hop)
@@ -345,7 +354,8 @@ def _oqam_demod_slots(config: CoexConfig, signal: DiscreteSignal, n_range: tuple
     Correlates against the pulse times the receive exponential, normalizes
     by the measured tap energy, rotates by the conjugate modulation phase
     and takes the real part.  A clean own-signal returns the symbol up to
-    the prototype's near-perfect-reconstruction floor.
+    the prototype's near-perfect-reconstruction floor.  The signal is read
+    in place.
     """
     n0, n1 = n_range
     if n1 <= n0:
@@ -358,11 +368,11 @@ def _oqam_demod_slots(config: CoexConfig, signal: DiscreteSignal, n_range: tuple
     half = (len(taps) - 1) // 2
     nsym = n1 - n0
     start = n0 * hop - half  # first sample of slot n0's taps
-    support = (nsym - 1) * hop + len(taps)
-    x = ws.array("oqam.input", ((nsym + nb - 1) * hop,))
-    x[:support] = signal.window(start, support)
-    x[support:] = 0
-    x = x.reshape(-1, hop)
+    # the tap support, read in place: len(taps) = (nb - 1) hop + 1, so a slot's tap blocks
+    # 0 .. nb - 2 are whole rows of x and its block nb - 1 is one sample, an entry of last
+    flat = signal.window(start, (nsym - 1) * hop + len(taps))
+    x = flat[:(nsym + nb - 2) * hop].reshape(-1, hop)
+    last = flat[(nb - 1) * hop::hop]
     m = np.asarray(subcarriers)
     k = m % M
     # slot n's fold starts at p0 = n hop - half, and half = K M/2 is a whole number of
@@ -384,8 +394,9 @@ def _oqam_demod_slots(config: CoexConfig, signal: DiscreteSignal, n_range: tuple
         folded, product = folds[:size], products[:size]
         np.multiply(x[j:j + size], pulse[0], out=folded[:, 0])
         np.multiply(x[j + 1:j + 1 + size], pulse[1], out=folded[:, 1])
-        for b in range(2, nb):
+        for b in range(2, nb - 1):
             folded[:, b % 2] += np.multiply(x[j + b:j + b + size], pulse[b], out=product)
+        folded[:, (nb - 1) % 2, 0] += last[j:j + size] * pulse[nb - 1, 0]
         spec = np.fft.fft(folded.reshape(size, M), axis=1)[:, k]
         out[j:j + size] = np.real(spec * turn[:size])
     return out

@@ -212,7 +212,7 @@ class TestCriterion8Structural:
             data = {m: (rng.choice([1, -1], 2) + 1j * rng.choice([1, -1], 2)) / np.sqrt(2)
                     for m in subs}
             sig = ofdm_modulate(cfg, data, (0, 2))
-            rows = _ofdm_demod_window(cfg, sig, np.arange(2), subs)
+            rows = _ofdm_demod_window(cfg, sig, (0, 2), subs)
             sent = np.array([data[m] for m in subs]).T
             worst = max(worst, float(np.max(np.abs(rows - sent))))
         report("criterion 8 (CP-OFDM reconstruction)", worst < 1e-10,

@@ -147,6 +147,20 @@ class TestOracleFarRange:
         closed = _ofdm_to_oqam_grid(self.GRID, filt, cp, 1.0)
         assert np.max(np.abs(closed - oracle) / oracle) <= 1e-9
 
+    # out to the far end of the table range: the oracle's stopping test scales with the
+    # integral of |g|, so large-l integrals converge above their roundoff floor
+    def test_s2i_far(self, filt):
+        ls = np.array([1000.0, 1e4])
+        oracle = quadrature_I("s2i", ls, filt)
+        closed = _oqam_to_ofdm_grid(ls, filt, 1.0)
+        assert np.max(np.abs(closed - oracle) / oracle) <= 1e-9
+
+    def test_i2s_far(self, filt):
+        ls = np.array([133.0, 1e4])
+        oracle = quadrature_I("i2s", ls, filt, Fraction(1, 8))
+        closed = _ofdm_to_oqam_grid(ls, filt, Fraction(1, 8), 1.0)
+        assert np.max(np.abs(closed - oracle) / oracle) <= 1e-9
+
 
 class TestPowerSum:
     # the table grid of the benchmark, and the Parseval grid (several evaluation blocks)

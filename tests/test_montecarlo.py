@@ -100,7 +100,7 @@ def fresh_bursts_s2i(config, n_symbols):
                                  (n_lo, n_hi))
         if config.delta_f:
             sig = txrx.apply_frequency_shift(sig, config.delta_f)
-        acc.add(np.abs(txrx._ofdm_demod_window(config, sig, np.arange(size), victims)) ** 2)
+        acc.add(np.abs(txrx._ofdm_demod_window(config, sig, (0, size), victims)) ** 2)
     return mc._finish(acc, lambda m: m_s + config.delta_f - m, victims)
 
 
@@ -134,7 +134,7 @@ def fresh_bursts_o2o(config, n_symbols):
         sig = txrx.shift_samples(sig, off)
         if config.delta_f:
             sig = txrx.apply_frequency_shift(sig, config.delta_f)
-        acc.add(np.abs(txrx._ofdm_demod_window(config, sig, np.arange(size), victims)) ** 2)
+        acc.add(np.abs(txrx._ofdm_demod_window(config, sig, (0, size), victims)) ** 2)
     return mc._finish(acc, lambda m: m_s + config.delta_f - m, victims)
 
 

@@ -53,9 +53,21 @@ class TestTerm:
         pulse = lambda t: evaluate_g(filt, t)
         for l, tau in ((0.0, 0.0), (5.0, 0.5), (12.0, -1.0)):
             row = [np.array([v]) for v in (tau, max(0.0, tau - 2), min(1.0, tau + 2), l)]
-            a = abs(_panel_sums(pulse, *row, 32)[0]) ** 2
-            b = abs(_panel_sums(pulse, *row, 64)[0]) ** 2
+            a = abs(_panel_sums(pulse, *row, 32)[0][0]) ** 2
+            b = abs(_panel_sums(pulse, *row, 64)[0][0]) ** 2
             assert abs(a - b) <= 1e-10 * abs(b)
+
+    def test_roundoff_scale_is_integral_of_abs_pulse(self, filt):
+        # the stopping test's scale: the integral of |g(u - tau)| over the row's interval.
+        # |g| has kinks where g changes sign, so the Gauss sums only approach it (a scale
+        # needs no more)
+        pulse = lambda t: evaluate_g(filt, t)
+        for l, tau in ((0.0, 0.0), (1000.3, -1.5), (7.5, 1.25)):
+            a, b = max(0.0, tau - 2), min(1.0, tau + 2)
+            row = [np.array([v]) for v in (tau, a, b, l)]
+            ref = quad(lambda u: abs(evaluate_g(filt, u - tau)), a, b, epsabs=1e-14,
+                       epsrel=1e-12, limit=300)[0]
+            assert _panel_sums(pulse, *row, 64)[1][0] == pytest.approx(ref, rel=1e-5)
 
     def test_against_scipy_quad(self, filt):
         # independent integrator cross-check
@@ -68,10 +80,11 @@ class TestTerm:
             assert term(filt, l, tau) == pytest.approx(re * re + im * im, rel=1e-10, abs=1e-25)
 
     def test_nonconvergence_reported(self, monkeypatch):
-        # oscillation far beyond what the panel cap can resolve
+        # oscillation far beyond what the panel cap can resolve; at a whole l the panel
+        # sums would cancel to about 0 and agree, so l is not a whole number
         monkeypatch.setattr(oracle, "_MAX_PANELS", 16)
         with pytest.raises(QuadratureError):
-            _integrate(np.ones_like, [0.0], [0.0], [1.0], [5000.0], "test")
+            _integrate(np.ones_like, [0.0], [0.0], [1.0], [5000.3], "test")
 
 
 class TestContributingShifts:
@@ -174,8 +187,8 @@ class TestBatchedOracle:
     def test_nonconvergence_names_the_integral(self, filt, monkeypatch):
         monkeypatch.setattr(oracle, "_MAX_PANELS", 16)
         quadrature_I("s2i", np.array([0.0, 1.0]), filt)   # these converge under the cap
-        with pytest.raises(QuadratureError, match=r"^s2i .* 16 panels at l = 40\.0, tau = "):
-            quadrature_I("s2i", np.array([0.0, 1.0, 40.0]), filt)
+        with pytest.raises(QuadratureError, match=r"^s2i .* 16 panels at l = 400\.5, tau = "):
+            quadrature_I("s2i", np.array([0.0, 1.0, 400.5]), filt)
 
     def test_window_energies_in_one_call(self, filt):
         taus = np.array([-1.5, 0.0, 0.75, 2.5])

@@ -75,6 +75,43 @@ def loop_oqam_demod(config, signal, n_range, subcarriers):
     return out
 
 
+def padded_fold_oqam_demod(config, signal, n_range, subcarriers):
+    """Test-only reference: the OQAM receiver with a zero-padded copy of the burst.
+
+    The same arithmetic as _oqam_demod_slots (64-slot blocks, quarter-turn
+    rotation) but folding all nb tap blocks, the last one included, from a
+    copy of the tap support zero-padded to (slots + nb - 1) whole blocks.
+    """
+    n0, n1 = n_range
+    M = config.M
+    taps, pulse = txrx._tap_blocks(M)
+    nb, hop = pulse.shape
+    nsym = n1 - n0
+    start = n0 * hop - (len(taps) - 1) // 2
+    support = (nsym - 1) * hop + len(taps)
+    x = np.zeros((nsym + nb - 1) * hop, dtype=complex)
+    x[:support] = signal.window(start, support)
+    x = x.reshape(-1, hop)
+    m = np.asarray(subcarriers)
+    k = m % M
+    quarter = np.arange(n0, n0 + 4)[:, None]
+    turn = np.where((k * quarter) % 2, -1.0, 1.0) * np.conj(oqam_phase(m, quarter))
+    turn *= np.sqrt(M) / float(np.dot(taps, taps))
+    block = min(txrx._DEMOD_BLOCK, nsym)
+    turn = turn[np.arange(block) % 4]
+    out = np.empty((nsym, len(m)))
+    for j in range(0, nsym, block):
+        size = min(block, nsym - j)
+        folded = np.empty((size, 2, hop), dtype=complex)
+        np.multiply(x[j:j + size], pulse[0], out=folded[:, 0])
+        np.multiply(x[j + 1:j + 1 + size], pulse[1], out=folded[:, 1])
+        for b in range(2, nb):
+            folded[:, b % 2] += x[j + b:j + b + size] * pulse[b]
+        spec = np.fft.fft(folded.reshape(size, M), axis=1)[:, k]
+        out[j:j + size] = np.real(spec * turn[:size])
+    return out
+
+
 def edge_subcarriers(M):
     return [-M // 2, -1, 0, M // 2 - 1]
 
@@ -143,16 +180,10 @@ class TestDiscreteSignal:
             sig.window(-5, 4)
         with pytest.raises(ValueError):
             sig.window(0, 7)
-        # an array of starts gives one row per start
-        starts = np.array([-4, 2, -1, 0])
-        rows = sig.window(starts, 4)
-        assert rows.shape == (4, 4)
-        for i, p0 in enumerate(starts):
-            assert np.array_equal(rows[i], sig.window(int(p0), 4))
-        with pytest.raises(ValueError):
-            sig.window(np.array([-4, 3, 0]), 4)  # [3, 7) leaves the signal
-        with pytest.raises(ValueError):
-            sig.window(np.array([0, -5]), 4)
+        # the receivers read the signal in place: a window is a view
+        part = sig.window(-1, 4)
+        assert np.array_equal(part, [3, 4, 5, 6])
+        assert np.shares_memory(part, sig.samples)
 
     def test_shift_samples_relabels_origin(self):
         sig = DiscreteSignal(np.arange(4, dtype=complex), 8, origin_index=0)
@@ -203,7 +234,7 @@ class TestOfdm:
             data = {m: (rng.choice([1, -1], 3) + 1j * rng.choice([1, -1], 3)) / np.sqrt(2)
                     for m in subs}
             sig = ofdm_modulate(cfg, data, (0, 3))
-            rows = _ofdm_demod_window(cfg, sig, np.arange(3), subs)
+            rows = _ofdm_demod_window(cfg, sig, (0, 3), subs)
             sent = np.array([data[m] for m in subs]).T
             worst = max(worst, np.max(np.abs(rows - sent)))
         assert worst < 1e-10
@@ -211,23 +242,24 @@ class TestOfdm:
     def test_zero_signal_demodulates_to_zero(self):
         cfg = small_config()
         sig = ofdm_modulate(cfg, {}, (0, 1))
-        assert np.all(_ofdm_demod_window(cfg, sig, 0, all_subcarriers(cfg)) == 0)
+        assert np.all(_ofdm_demod_window(cfg, sig, (0, 1), all_subcarriers(cfg)) == 0)
 
     def test_batched_windows_bit_equal_to_single(self):
         cfg = small_config()
         rng = np.random.default_rng(11)
         data = {m: rng.normal(size=6) + 1j * rng.normal(size=6) for m in (-3, 0, 5)}
         sig = apply_frequency_shift(ofdm_modulate(cfg, data, (0, 6)), 0.3)
-        rows = _ofdm_demod_window(cfg, sig, np.arange(6), all_subcarriers(cfg))
+        rows = _ofdm_demod_window(cfg, sig, (0, 6), all_subcarriers(cfg))
         assert rows.shape == (6, cfg.M)
         for i in range(6):
-            assert np.array_equal(rows[i], _ofdm_demod_window(cfg, sig, i, all_subcarriers(cfg)))
+            single = _ofdm_demod_window(cfg, sig, (i, i + 1), all_subcarriers(cfg))
+            assert np.array_equal(rows[i], single[0])
 
     def test_window_out_of_bounds(self):
         cfg = small_config()
         sig = ofdm_modulate(cfg, {}, (0, 1))
         with pytest.raises(ValueError):
-            _ofdm_demod_window(cfg, sig, 2, [0])
+            _ofdm_demod_window(cfg, sig, (2, 3), [0])
 
     @pytest.mark.parametrize("M", [64, 512])
     def test_carrier_blocks_match_direct_exponential(self, M):
@@ -343,7 +375,7 @@ class TestOqam:
 
         def leaked(m_s, n_s):
             sig = oqam_modulate(cfg, {m_s: np.eye(8)[n_s]}, (0, 8))
-            return np.abs(_ofdm_demod_window(cfg, sig, 0, sorted(cfg.incumbent_set))) ** 2
+            return np.abs(_ofdm_demod_window(cfg, sig, (0, 1), sorted(cfg.incumbent_set))[0]) ** 2
 
         cases = ((0, 0), (1, 3), (-2, 5))
         standard = [leaked(*c) for c in cases]
@@ -431,9 +463,9 @@ class TestPolyphaseAnalysis:
             assert np.array_equal(rows[:, c], _oqam_demod_slots(cfg, sig, (-3, 6), [m])[:, 0])
         ofdm = apply_frequency_shift(ofdm_modulate(
             cfg, {m: np.ones(4, dtype=complex) for m in (-8, 0, 3)}, (0, 4)), 0.3)
-        rows = _ofdm_demod_window(cfg, ofdm, np.arange(4), subs)
+        rows = _ofdm_demod_window(cfg, ofdm, (0, 4), subs)
         for c, m in enumerate(subs):
-            single = _ofdm_demod_window(cfg, ofdm, np.arange(4), [m])
+            single = _ofdm_demod_window(cfg, ofdm, (0, 4), [m])
             assert np.array_equal(rows[:, c], single[:, 0])
 
     def test_exact_tap_support_suffices(self):
@@ -445,6 +477,68 @@ class TestPolyphaseAnalysis:
         for short in (short_tail, short_head):
             with pytest.raises(ValueError):
                 _oqam_demod_slots(cfg, short, (-3, 6), [0])
+
+
+class TestInPlaceReceivers:
+    """Both receivers read the burst in place and give the bytes of copying ones."""
+
+    @staticmethod
+    def delayed_shifted_ofdm(cfg, n_range, seed):
+        rng = np.random.default_rng(seed)
+        nsym = n_range[1] - n_range[0]
+        data = {m: rng.normal(size=nsym) + 1j * rng.normal(size=nsym) for m in (-3, 0, 5)}
+        sig = shift_samples(ofdm_modulate(cfg, data, n_range), 37)
+        return apply_frequency_shift(sig, 0.3)
+
+    def test_strided_windows_equal_fft_of_gathered_copies(self):
+        cfg = small_config()
+        sig = self.delayed_shifted_ofdm(cfg, (-3, 9), 12)
+        subs = edge_subcarriers(cfg.M) + [5, -3]
+        S, M = cfg.symbol_samples, cfg.M
+        for n_range in ((-2, 7), (0, 1), (3, 8)):
+            rows = _ofdm_demod_window(cfg, sig, n_range, subs)
+            # one copied window per row, gathered by fancy indexing
+            idx = np.arange(*n_range)[:, None] * S + np.arange(M) + sig.origin_index
+            ref = np.fft.fft(sig.samples[idx], axis=-1)[:, np.asarray(subs) % M] / np.sqrt(M)
+            assert np.array_equal(rows, ref)
+            for i, n in enumerate(range(*n_range)):
+                assert np.array_equal(rows[i], _ofdm_demod_window(cfg, sig, (n, n + 1), subs)[0])
+
+    @pytest.mark.parametrize("M, n_range", [(8, (-5, 60)), (16, (0, 65)), (16, (-33, 96)),
+                                            (512, (0, 65)), (512, (3, 132))],
+                             ids=["8", "16-65", "16-129", "512-65", "512-129"])
+    def test_oqam_equals_zero_padded_fold(self, M, n_range):
+        # 65 and 129 slots end on a one-slot block; the signal is exactly the tap support
+        cfg = CoexConfig(M=M, cp_ratio=Fraction(1, 8), incumbent_set=frozenset({0}),
+                         secondary_set=frozenset({0}))
+        sig = TestPolyphaseAnalysis.noise_over_support(M, n_range, M + n_range[1])
+        subs = sorted({-M // 2, -1, 0, 1, 2, 3, M // 2 - 1})
+        assert np.array_equal(_oqam_demod_slots(cfg, sig, n_range, subs),
+                              padded_fold_oqam_demod(cfg, sig, n_range, subs))
+
+    @pytest.mark.parametrize("slots", [65, 129])
+    def test_oqam_equals_zero_padded_fold_after_frequency_shift(self, slots):
+        cfg = CoexConfig(M=512, incumbent_set=frozenset({-3, 0, 5}),
+                         secondary_set=frozenset(range(-8, 9)))
+        sig = self.delayed_shifted_ofdm(cfg, (-4, slots // 2 + 4), slots)
+        subs = sorted(cfg.secondary_set)
+        assert np.array_equal(_oqam_demod_slots(cfg, sig, (0, slots), subs),
+                              padded_fold_oqam_demod(cfg, sig, (0, slots), subs))
+
+    @pytest.mark.parametrize("M", [8, 10, 16, 64, 512])
+    def test_last_tap_block_holds_one_tap(self, M):
+        taps, blocks = txrx._tap_blocks(M)
+        nb, hop = blocks.shape
+        assert len(taps) == (nb - 1) * hop + 1
+        assert np.all(blocks[-1, 1:] == 0)
+
+    def test_receivers_leave_the_signal_unchanged(self):
+        cfg = small_config()
+        sig = self.delayed_shifted_ofdm(cfg, (-4, 12), 21)
+        before = sig.samples.copy()
+        _ofdm_demod_window(cfg, sig, (0, 9), all_subcarriers(cfg))
+        _oqam_demod_slots(cfg, sig, (0, 9), all_subcarriers(cfg))
+        assert np.array_equal(sig.samples, before)
 
 
 class TestLinearity:
@@ -464,9 +558,9 @@ class TestLinearity:
         total = DiscreteSignal(buf_a + buf_b, cfg.M, -start)
         only_a = DiscreteSignal(buf_a, cfg.M, -start)
         only_b = DiscreteSignal(buf_b, cfg.M, -start)
-        d_sum = _ofdm_demod_window(cfg, total, 0, [1])[0]
-        d_parts = (_ofdm_demod_window(cfg, only_a, 0, [1])[0]
-                   + _ofdm_demod_window(cfg, only_b, 0, [1])[0])
+        d_sum = _ofdm_demod_window(cfg, total, (0, 1), [1])[0, 0]
+        d_parts = (_ofdm_demod_window(cfg, only_a, (0, 1), [1])[0, 0]
+                   + _ofdm_demod_window(cfg, only_b, (0, 1), [1])[0, 0])
         assert d_sum == pytest.approx(d_parts, abs=1e-12)
         q_sum = _oqam_demod_slots(cfg, total, (2, 3), [0])[0, 0]
         q_parts = (_oqam_demod_slots(cfg, only_a, (2, 3), [0])[0, 0]
@@ -484,7 +578,7 @@ class TestFrequencyShift:
         cfg = small_config()
         sig = ofdm_modulate(cfg, {3: np.ones(1, dtype=complex)}, (0, 1))
         shifted = apply_frequency_shift(sig, 1.0)
-        row = _ofdm_demod_window(cfg, shifted, 0, [3, 4])
+        row = _ofdm_demod_window(cfg, shifted, (0, 1), [3, 4])[0]
         assert row[1] == pytest.approx(1.0, abs=1e-12)
         assert abs(row[0]) < 1e-12
 
