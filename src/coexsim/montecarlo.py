@@ -14,8 +14,10 @@ The i2s estimator reports interference per victim complex symbol period
 (twice the per-slot mean over the two staggered real slots), matching the
 closed-form convention.
 
-Bursts: s2i and i2s synthesize one burst per 256 victim windows (slots),
-o2o one per 32 windows, where a fresh timing offset is drawn per burst.
+Bursts: one loop serves all three directions.  s2i and i2s synthesize one
+burst per 256 victim windows (slots), o2o one per 32 windows, where a fresh
+timing offset is drawn per burst.  A burst synthesizes exactly the
+interferer symbols whose samples meet the samples its receiver reads.
 
 Determinism: a master seed spawns one independent substream per burst via
 numpy SeedSequence spawn keys, so results are bit-identical however bursts
@@ -29,35 +31,20 @@ the variance, so its reported errors are about 4x too small; for s2i it was
 0.82-1.05 (40 bursts only).  Reporting the batch-means value instead is an
 open ROADMAP item.
 
-Buffers: the i2s and o2o estimators own one txrx workspace per call and
-pass it to every burst's ofdm_modulate, apply_frequency_shift and
-_oqam_demod_slots.  The OQAM tap blocks are built once per M and shared,
-read-only, by every modem call; the burst signal, its outer-product
-temporary, the frequency ramp and the shifted signal, and the receiver's
-64-slot fold and per-block product each reuse one buffer.  Both receivers
-read the burst in place, so neither copies it.  These temporaries are up to
-2 MiB, and glibc maps a fresh array of that size as fresh pages, so
-allocating them per burst cost a warm 10^4-symbol run about 42,000 minor
-page faults for i2s and 20,000 for o2o; with the workspace and the
-receiver's 64-slot fold it is about 800 and 120, and the i2s run takes
-about half the time.  Which of the per-burst arrays glibc returns to the
-system depends on the order they are freed in: with only the modem's
-buffers reused, o2o at delta_f = 0.3 went from 140 to 41,000 faults per
-run, so the shift's buffers are reused too.  A signal built in the
-workspace aliases it until the next burst writes it, so each burst
-consumes its signal first.  The s2i estimator owns a
-workspace for apply_frequency_shift only: at delta_f = 0.3 a warm run made
-about 45,500 faults with a fresh ramp and shifted signal per burst, and
-makes about 2,300 with them reused (0.35 s to 0.21 s).  Its synthesis and
-its delta_f = 0 path allocate per burst: they make about 1,200 faults per
-run, and a workspace there raised peak memory without saving time.
+Buffers: each run owns one txrx workspace, which every burst's CP-OFDM
+synthesis, frequency shift and OQAM receiver share in all three directions.
+A signal built in the workspace aliases it, so each burst consumes its
+signal before the next burst writes to the workspace.  The previous burst's
+signal stays bound until the next burst's signal has been synthesized:
+which per-burst arrays glibc gives back to the system depends on the order
+they are freed in, and freeing the signal first makes every burst fault in
+fresh pages.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
-from math import ceil, floor
+from math import ceil
 
 import numpy as np
 
@@ -81,13 +68,23 @@ __all__ = [
     "estimate_ofdm_to_ofdm",
 ]
 
-# substream tags keep the per-direction random streams disjoint
-_TAG_S2I, _TAG_I2S, _TAG_O2O = 0, 1, 2
 
-_BURST = 256
+@dataclass(frozen=True)
+class _Direction:
+    """One estimator.  Waveforms are "oqam" or "ofdm"; offset: draw a timing offset per burst."""
+
+    tag: int  # the substream tag keeps the directions' random streams disjoint
+    burst: int  # victim windows (slots) per burst
+    interferer: str
+    victim: str
+    offset: bool = False
+
+
+_S2I = _Direction(0, 256, "oqam", "ofdm")
+_I2S = _Direction(1, 256, "ofdm", "oqam")
 # offset diversity, not window count, dominates the o2o estimator variance
 # under the uniform timing offset, so its bursts are short
-_O2O_BURST = 32
+_O2O = _Direction(2, 32, "ofdm", "ofdm", offset=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,8 +97,10 @@ class McEstimate:
     trials: int
 
 
-def _roles(interferers, victims, interferer: str, victim: str) -> tuple[int, list[int]]:
-    """The single interferer subcarrier and the sorted victim subcarriers."""
+def _roles(config: CoexConfig, d: _Direction) -> tuple[int, list[int]]:
+    """The single interferer subcarrier and the sorted victims; CP-OFDM victims are incumbent."""
+    roles = [("secondary", config.secondary_set), ("incumbent", config.incumbent_set)]
+    (interferer, interferers), (victim, victims) = roles if d.victim == "ofdm" else roles[::-1]
     if len(interferers) != 1:
         raise ConfigError(f"estimator needs exactly one {interferer} (interferer) subcarrier, "
                           f"got {sorted(interferers)}")
@@ -137,10 +136,9 @@ def _burst_sizes(n_total: int, burst: int) -> list[int]:
 class _MomentSums:
     """Per-column running count, sum and sum of squares; mean and standard error from them."""
 
-    def __init__(self, width: int):
+    def __init__(self):
         self.count = 0
-        self.total = np.zeros(width)
-        self.total_sq = np.zeros(width)
+        self.total = self.total_sq = 0.0  # the first add makes them arrays
 
     def add(self, rows: np.ndarray):
         self.count += rows.shape[0]
@@ -157,43 +155,74 @@ class _MomentSums:
         return np.sqrt(np.maximum(var, 0.0) / self.count)
 
 
-def _finish(acc: _MomentSums, l_of, victims, scale=1.0) -> McEstimate:
-    """The estimate ascending in l; column c of acc belongs to victims[c]."""
-    ls = np.array([float(l_of(m)) for m in victims])
-    order = np.argsort(ls)
-    return McEstimate(l_values=ls[order], powers=scale * acc.mean()[order],
+def _finish(acc: _MomentSums, d: _Direction, l_values: np.ndarray) -> McEstimate:
+    """The estimate ascending in l; column c of acc has l_values[c].
+
+    An OQAM victim reports per complex symbol period: twice the per-slot mean.
+    """
+    scale = 2.0 if d.victim == "oqam" else 1.0
+    order = np.argsort(l_values)
+    return McEstimate(l_values=l_values[order], powers=scale * acc.mean()[order],
                       std_errors=scale * acc.std_error()[order], trials=acc.count)
 
 
-def _oqam_slot_span(n_windows: int, cp: Fraction, K: int) -> tuple[int, int]:
-    """Half-symbol slots whose pulse support can reach victim windows [0, n_windows)."""
-    hi = float(n_windows * (1 + cp))
-    return floor(2 * (0 - K / 2)), ceil(2 * (hi + K / 2)) + 1
+def _reach(first: int, last: int, lo: int, hi: int, step: int) -> tuple[int, int]:
+    """The half-open range of symbols n whose samples n step + [first, last] meet [lo, hi]."""
+    return -((last - lo) // step), (hi - first) // step + 1
 
 
-def _ofdm_symbol_span(n_slots: int, cp: Fraction, K: int) -> tuple[int, int]:
-    """CP-OFDM symbols whose samples can reach the filter span of victim slots [0, n_slots)."""
-    lo_t, hi_t = -K / 2, (n_slots - 1) / 2 + K / 2
-    return (floor((lo_t - 1) / float(1 + cp)) - 1,
-            ceil((hi_t + float(cp)) / float(1 + cp)) + 2)
+def _span(config: CoexConfig, d: _Direction, size: int, offset: int) -> tuple[int, int]:
+    """The interferer symbols whose samples, delayed by offset, meet victim windows [0, size).
+
+    Symbol n covers samples n step + [first, last]: an OQAM slot K M + 1 samples centred on
+    n M/2, a sent CP-OFDM symbol its L prefix and M useful samples, a received one the M only.
+    """
+    M, S, half = config.M, config.symbol_samples, phydyas_k4().overlap_K * config.M // 2
+    sent = {"oqam": (-half, half, M // 2), "ofdm": (-config.cp_samples, M - 1, S)}
+    first, last, step = sent[d.interferer]
+    v_first, v_last, v_step = {**sent, "ofdm": (0, M - 1, S)}[d.victim]
+    return _reach(first + offset, last + offset, v_first, (size - 1) * v_step + v_last, step)
 
 
-def _s2i_bursts(config: CoexConfig, n_symbols: int, m_s: int, victims, add) -> None:
+def _bursts(config: CoexConfig, d: _Direction, n_symbols: int, add) -> np.ndarray:
     """Pass add() each burst's |demodulated|^2 windows: (windows, victims) rows in window order.
 
-    A callback, not a generator: a consumer's loop variable kept each burst's rows
-    alive through the next burst, which cost 15x the page faults (+40% s2i run time).
+    Returns the l of every victim column.  A callback, not a generator: a consumer's loop
+    variable kept each burst's rows alive through the next burst, which cost 15x the page
+    faults (+40% s2i run time).
     """
-    K = phydyas_k4().overlap_K
+    m, victims = _roles(config, d)
+    # delta_f shifts the secondary, so an OQAM victim sees the incumbent at -delta_f
+    shift = -config.delta_f if d.victim == "oqam" else config.delta_f
+    # the interferer alone, in a config both modulators accept: the o2o secondary sends CP-OFDM
+    tx = replace(config, incumbent_set=frozenset({m}), secondary_set=frozenset({m}))
     ws = _Workspace()
-    for b, size in enumerate(_burst_sizes(n_symbols, _BURST)):
-        rng = _rng(config.seed, _TAG_S2I, b)
-        n_lo, n_hi = _oqam_slot_span(size, config.cp_ratio, K)
-        data = {m_s: _draw_pam(rng, n_hi - n_lo, config.var_pam)}
-        sig = oqam_modulate(config, data, (n_lo, n_hi))
-        if config.delta_f:
-            sig = apply_frequency_shift(sig, config.delta_f, workspace=ws)
-        add(np.abs(_ofdm_demod_window(config, sig, (0, size), victims)) ** 2)
+    for b, size in enumerate(_burst_sizes(n_symbols, d.burst)):
+        rng = _rng(config.seed, d.tag, b)
+        off = int(rng.integers(0, config.symbol_samples)) if d.offset else 0
+        n_lo, n_hi = _span(config, d, size, off)
+        # rebinding sig keeps the previous burst's signal alive until this one is
+        # synthesized: freed first, glibc gives its pages back and every burst faults
+        # them in afresh
+        if d.interferer == "oqam":
+            sig = oqam_modulate(tx, {m: _draw_pam(rng, n_hi - n_lo, config.var_pam)},
+                                (n_lo, n_hi))
+        else:
+            sig = ofdm_modulate(tx, {m: _draw_qpsk(rng, n_hi - n_lo, config.var_qam)},
+                                (n_lo, n_hi), workspace=ws)
+        sig = shift_samples(sig, off)
+        if shift:
+            sig = apply_frequency_shift(sig, shift, workspace=ws)
+        if d.victim == "oqam":
+            add(_oqam_demod_slots(config, sig, (0, size), victims, workspace=ws) ** 2)
+        else:
+            add(np.abs(_ofdm_demod_window(config, sig, (0, size), victims)) ** 2)
+    return np.array([float(m + shift - v) for v in victims])
+
+
+def _estimate(config: CoexConfig, d: _Direction, n_symbols: int) -> McEstimate:
+    acc = _MomentSums()
+    return _finish(acc, d, _bursts(config, d, n_symbols, acc.add))
 
 
 def estimate_oqam_to_ofdm(config: CoexConfig, n_symbols: int) -> McEstimate:
@@ -202,10 +231,7 @@ def estimate_oqam_to_ofdm(config: CoexConfig, n_symbols: int) -> McEstimate:
     n_symbols victim CP-OFDM windows are measured (bursts synthesized with
     guard context so every window is interior).
     """
-    m_s, victims = _roles(config.secondary_set, config.incumbent_set, "secondary", "incumbent")
-    acc = _MomentSums(len(victims))
-    _s2i_bursts(config, n_symbols, m_s, victims, acc.add)
-    return _finish(acc, lambda m: m_s + config.delta_f - m, victims)
+    return _estimate(config, _S2I, n_symbols)
 
 
 def estimate_ofdm_to_oqam(config: CoexConfig, n_symbols: int) -> McEstimate:
@@ -214,20 +240,7 @@ def estimate_ofdm_to_oqam(config: CoexConfig, n_symbols: int) -> McEstimate:
     n_symbols victim half-symbol slots are measured; the reported power is
     twice the per-slot mean (the sum over a staggered slot pair).
     """
-    m_i, victims = _roles(config.incumbent_set, config.secondary_set, "incumbent", "secondary")
-    K = phydyas_k4().overlap_K
-    acc = _MomentSums(len(victims))
-    ws = _Workspace()
-    for b, size in enumerate(_burst_sizes(n_symbols, _BURST)):
-        rng = _rng(config.seed, _TAG_I2S, b)
-        n_lo, n_hi = _ofdm_symbol_span(size, config.cp_ratio, K)
-        data = {m_i: _draw_qpsk(rng, n_hi - n_lo, config.var_qam)}
-        sig = ofdm_modulate(config, data, (n_lo, n_hi), workspace=ws)
-        if config.delta_f:
-            sig = apply_frequency_shift(sig, -config.delta_f, workspace=ws)
-        vals = _oqam_demod_slots(config, sig, (0, size), victims, workspace=ws)
-        acc.add(vals ** 2)
-    return _finish(acc, lambda m: m_i - config.delta_f - m, victims, scale=2.0)
+    return _estimate(config, _I2S, n_symbols)
 
 
 def estimate_ofdm_to_ofdm(config: CoexConfig, n_symbols: int) -> McEstimate:
@@ -237,19 +250,4 @@ def estimate_ofdm_to_ofdm(config: CoexConfig, n_symbols: int) -> McEstimate:
     [0, symbol_samples).  The secondary transmits QAM at var_qam (equal
     energy per symbol with the incumbent).
     """
-    m_s, victims = _roles(config.secondary_set, config.incumbent_set, "secondary", "incumbent")
-    S = config.symbol_samples
-    acc = _MomentSums(len(victims))
-    ws = _Workspace()
-    for b, size in enumerate(_burst_sizes(n_symbols, _O2O_BURST)):
-        rng = _rng(config.seed, _TAG_O2O, b)
-        off = int(rng.integers(0, S))
-        data = {m_s: _draw_qpsk(rng, size + 4, config.var_qam)}
-        sig = ofdm_modulate(replace(config, incumbent_set=frozenset({m_s})), data, (-2, size + 2),
-                            workspace=ws)
-        sig = shift_samples(sig, off)
-        if config.delta_f:
-            sig = apply_frequency_shift(sig, config.delta_f, workspace=ws)
-        acc.add(np.abs(_ofdm_demod_window(config, sig, (0, size), victims)) ** 2)
-    return _finish(acc, lambda m: m_s + config.delta_f - m, victims)
-
+    return _estimate(config, _O2O, n_symbols)

@@ -4,6 +4,7 @@ Sizes here are kept moderate; the full-scale reproduction runs live in the
 acceptance suite.
 """
 
+import itertools
 from dataclasses import replace
 from fractions import Fraction
 
@@ -47,16 +48,14 @@ def window_class_estimates(config, n_symbols):
     Classes are physical window phases within the burst timeline (256 windows
     per burst, a multiple of 4).
     """
-    m_s = next(iter(config.secondary_set))
-    victims = sorted(config.incumbent_set)
-    accs = [mc._MomentSums(len(victims)) for _ in range(4)]
+    accs = [mc._MomentSums() for _ in range(4)]
 
     def add(rows):
         for c, acc in enumerate(accs):
             acc.add(rows[c::4])
 
-    mc._s2i_bursts(config, n_symbols, m_s, victims, add)
-    return [mc._finish(acc, lambda m: m_s + config.delta_f - m, victims) for acc in accs]
+    l_values = mc._bursts(config, mc._S2I, n_symbols, add)
+    return [mc._finish(acc, mc._S2I, l_values) for acc in accs]
 
 
 def self_reconstruction_floor(config, n_symbols):
@@ -88,54 +87,11 @@ class PoisonedWorkspace(txrx._Workspace):
         return out
 
 
-def fresh_bursts_s2i(config, n_symbols):
-    """estimate_oqam_to_ofdm from workspace-free calls, one burst after the other."""
-    m_s, victims = mc._roles(config.secondary_set, config.incumbent_set,
-                             "secondary", "incumbent")
-    acc = mc._MomentSums(len(victims))
-    for b, size in enumerate(mc._burst_sizes(n_symbols, mc._BURST)):
-        rng = mc._rng(config.seed, mc._TAG_S2I, b)
-        n_lo, n_hi = mc._oqam_slot_span(size, config.cp_ratio, phydyas_k4().overlap_K)
-        sig = txrx.oqam_modulate(config, {m_s: mc._draw_pam(rng, n_hi - n_lo, config.var_pam)},
-                                 (n_lo, n_hi))
-        if config.delta_f:
-            sig = txrx.apply_frequency_shift(sig, config.delta_f)
-        acc.add(np.abs(txrx._ofdm_demod_window(config, sig, (0, size), victims)) ** 2)
-    return mc._finish(acc, lambda m: m_s + config.delta_f - m, victims)
+class FreshWorkspace(txrx._Workspace):
+    """A workspace that never reuses a buffer: every array is new and starts as NaN."""
 
-
-def fresh_bursts_i2s(config, n_symbols):
-    """estimate_ofdm_to_oqam from workspace-free calls, one burst after the other."""
-    m_i, victims = mc._roles(config.incumbent_set, config.secondary_set,
-                             "incumbent", "secondary")
-    acc = mc._MomentSums(len(victims))
-    for b, size in enumerate(mc._burst_sizes(n_symbols, mc._BURST)):
-        rng = mc._rng(config.seed, mc._TAG_I2S, b)
-        n_lo, n_hi = mc._ofdm_symbol_span(size, config.cp_ratio, phydyas_k4().overlap_K)
-        sig = txrx.ofdm_modulate(config, {m_i: mc._draw_qpsk(rng, n_hi - n_lo, config.var_qam)},
-                                 (n_lo, n_hi))
-        if config.delta_f:
-            sig = txrx.apply_frequency_shift(sig, -config.delta_f)
-        acc.add(txrx._oqam_demod_slots(config, sig, (0, size), victims) ** 2)
-    return mc._finish(acc, lambda m: m_i - config.delta_f - m, victims, scale=2.0)
-
-
-def fresh_bursts_o2o(config, n_symbols):
-    """estimate_ofdm_to_ofdm from workspace-free calls, one burst after the other."""
-    m_s, victims = mc._roles(config.secondary_set, config.incumbent_set,
-                             "secondary", "incumbent")
-    acc = mc._MomentSums(len(victims))
-    for b, size in enumerate(mc._burst_sizes(n_symbols, mc._O2O_BURST)):
-        rng = mc._rng(config.seed, mc._TAG_O2O, b)
-        off = int(rng.integers(0, config.symbol_samples))
-        data = {m_s: mc._draw_qpsk(rng, size + 4, config.var_qam)}
-        sig = txrx.ofdm_modulate(replace(config, incumbent_set=frozenset({m_s})), data,
-                                 (-2, size + 2))
-        sig = txrx.shift_samples(sig, off)
-        if config.delta_f:
-            sig = txrx.apply_frequency_shift(sig, config.delta_f)
-        acc.add(np.abs(txrx._ofdm_demod_window(config, sig, (0, size), victims)) ** 2)
-    return mc._finish(acc, lambda m: m_s + config.delta_f - m, victims)
+    def array(self, name, shape):
+        return np.full(shape, np.nan, dtype=complex)
 
 
 def same_estimate(a, b) -> bool:
@@ -248,31 +204,32 @@ class TestWorkspace:
     """The estimators reuse one workspace across bursts; no burst may read a stale buffer.
 
     2 * 256 + 17 windows (slots) make the last s2i and i2s burst shorter than the
-    ones before it (and a partial o2o burst), and the workspace starts as NaN.
+    ones before it (and a partial o2o burst).  Every estimate with a reused workspace
+    that starts as NaN must equal the one from NaN buffers that are never reused.
     """
 
     N_SYMBOLS = 2 * 256 + 17
 
+    def assert_reuse_equals_fresh(self, monkeypatch, estimate, cfg):
+        monkeypatch.setattr(mc, "_Workspace", PoisonedWorkspace)
+        reused = estimate(cfg, self.N_SYMBOLS)
+        monkeypatch.setattr(mc, "_Workspace", FreshWorkspace)
+        assert same_estimate(reused, estimate(cfg, self.N_SYMBOLS))
+
     @pytest.mark.parametrize("delta_f", [0.0, 0.3])
     def test_s2i_equals_fresh_calls(self, monkeypatch, delta_f):
-        cfg = s2i_config(delta_f=delta_f)
-        monkeypatch.setattr(mc, "_Workspace", PoisonedWorkspace)
-        assert same_estimate(estimate_oqam_to_ofdm(cfg, self.N_SYMBOLS),
-                             fresh_bursts_s2i(cfg, self.N_SYMBOLS))
+        self.assert_reuse_equals_fresh(monkeypatch, estimate_oqam_to_ofdm,
+                                       s2i_config(delta_f=delta_f))
 
     @pytest.mark.parametrize("delta_f", [0.0, 0.3])
     def test_i2s_equals_fresh_calls(self, monkeypatch, delta_f):
-        cfg = i2s_config(delta_f=delta_f)
-        monkeypatch.setattr(mc, "_Workspace", PoisonedWorkspace)
-        assert same_estimate(estimate_ofdm_to_oqam(cfg, self.N_SYMBOLS),
-                             fresh_bursts_i2s(cfg, self.N_SYMBOLS))
+        self.assert_reuse_equals_fresh(monkeypatch, estimate_ofdm_to_oqam,
+                                       i2s_config(delta_f=delta_f))
 
     @pytest.mark.parametrize("delta_f", [0.0, 0.3])
     def test_o2o_equals_fresh_calls(self, monkeypatch, delta_f):
-        cfg = s2i_config(delta_f=delta_f)
-        monkeypatch.setattr(mc, "_Workspace", PoisonedWorkspace)
-        assert same_estimate(estimate_ofdm_to_ofdm(cfg, self.N_SYMBOLS),
-                             fresh_bursts_o2o(cfg, self.N_SYMBOLS))
+        self.assert_reuse_equals_fresh(monkeypatch, estimate_ofdm_to_ofdm,
+                                       s2i_config(delta_f=delta_f))
 
     def test_shared_oqam_demod_equals_fresh(self):
         cfg = i2s_config()
@@ -282,11 +239,70 @@ class TestWorkspace:
         # each call after the first reads less of every buffer; 65 slots end on a
         # one-slot block after a full one
         for size in (256, 65, 17):
-            n_lo, n_hi = mc._ofdm_symbol_span(size, cfg.cp_ratio, phydyas_k4().overlap_K)
+            n_lo, n_hi = mc._span(cfg, mc._I2S, size, 0)
             data = {0: rng.standard_normal(n_hi - n_lo) + 1j * rng.standard_normal(n_hi - n_lo)}
             sig = txrx.ofdm_modulate(cfg, data, (n_lo, n_hi))
             shared = txrx._oqam_demod_slots(cfg, sig, (0, size), victims, workspace=ws)
             assert np.array_equal(shared, txrx._oqam_demod_slots(cfg, sig, (0, size), victims))
+
+
+def symbol_extent(config, waveform):
+    """(first, last, step): sent symbol n covers n step + [first, last], read off its modulator."""
+    cfg = replace(config, incumbent_set=frozenset({0}), secondary_set=frozenset({0}))
+    if waveform == "oqam":
+        sigs = [txrx.oqam_modulate(cfg, {0: np.ones(1)}, (n, n + 1)) for n in (0, 1)]
+    else:
+        sigs = [txrx.ofdm_modulate(cfg, {0: np.ones(1, dtype=complex)}, (n, n + 1))
+                for n in (0, 1)]
+    return sigs[0].start, sigs[0].stop - 1, sigs[1].start - sigs[0].start
+
+
+class TestSpans:
+    """Each burst synthesizes exactly the interferer symbols that reach its victim samples."""
+
+    def test_reach_matches_enumeration(self):
+        for step, first, lo in itertools.product(range(1, 6), range(-4, 4), range(-5, 4)):
+            for last, hi in itertools.product(range(first, first + 7), range(lo, lo + 7)):
+                meets = [n for n in range(-20, 20)
+                         if n * step + first <= hi and n * step + last >= lo]
+                n0, n1 = mc._reach(first, last, lo, hi, step)
+                assert list(range(n0, n1)) == meets, (first, last, lo, hi, step)
+
+    @pytest.mark.parametrize("cp", [0, Fraction(1, 8), Fraction(7, 16)])
+    @pytest.mark.parametrize("M", [16, 512])
+    @pytest.mark.parametrize("direction", ["s2i", "i2s", "o2o"])
+    def test_span_is_exact(self, monkeypatch, direction, M, cp):
+        d = {"s2i": mc._S2I, "i2s": mc._I2S, "o2o": mc._O2O}[direction]
+        cfg = CoexConfig(M=M, cp_ratio=cp, incumbent_set=frozenset({0}),
+                         secondary_set=frozenset({0}))
+        first, last, step = symbol_extent(cfg, d.interferer)
+        reads = []
+        window = txrx.DiscreteSignal.window
+
+        def recorded(signal, p0, length):
+            reads.append((p0, p0 + length - 1))
+            return window(signal, p0, length)
+
+        monkeypatch.setattr(txrx.DiscreteSignal, "window", recorded)
+        for size, off in itertools.product((1, 17, 256), (0, cfg.symbol_samples - 1)):
+            if off and not d.offset:
+                continue
+            n0, n1 = mc._span(cfg, d, size, off)
+            data = {0: np.zeros(n1 - n0)}
+            if d.interferer == "oqam":
+                sig = txrx.oqam_modulate(cfg, data, (n0, n1))
+            else:
+                sig = txrx.ofdm_modulate(cfg, data, (n0, n1))
+            sig = txrx.shift_samples(sig, off)
+            # the receiver reads the victim samples [lo, hi] and raises if they leave sig
+            if d.victim == "oqam":
+                txrx._oqam_demod_slots(cfg, sig, (0, size), [0])
+            else:
+                txrx._ofdm_demod_window(cfg, sig, (0, size), [0])
+            lo, hi = reads.pop()
+            n = np.arange(n0 - 1, n1 + 1)
+            meets = (n * step + first + off <= hi) & (n * step + last + off >= lo)
+            assert meets[1:-1].all() and not meets[0] and not meets[-1], (size, off)
 
 
 class TestOfdmToOfdm:
