@@ -31,14 +31,12 @@ the variance, so its reported errors are about 4x too small; for s2i it was
 0.82-1.05 (40 bursts only).  Reporting the batch-means value instead is an
 open ROADMAP item.
 
-Buffers: each run owns one txrx workspace, which every burst's CP-OFDM
-synthesis, frequency shift and OQAM receiver share in all three directions.
-A signal built in the workspace aliases it, so each burst consumes its
-signal before the next burst writes to the workspace.  The previous burst's
-signal stays bound until the next burst's signal has been synthesized:
-which per-burst arrays glibc gives back to the system depends on the order
-they are freed in, and freeing the signal first makes every burst fault in
-fresh pages.
+Buffers: each run owns one txrx workspace, which every burst's synthesis,
+frequency shift and receiver share in all three directions, and which holds
+every array as long as a burst's signal.  A signal built in the workspace
+aliases it, so each burst consumes its signal before the next burst writes
+to the workspace.  Allocated per burst, such arrays made the run time depend
+on whether glibc had kept their pages or given them back to the system.
 """
 
 from __future__ import annotations
@@ -201,12 +199,9 @@ def _bursts(config: CoexConfig, d: _Direction, n_symbols: int, add) -> np.ndarra
         rng = _rng(config.seed, d.tag, b)
         off = int(rng.integers(0, config.symbol_samples)) if d.offset else 0
         n_lo, n_hi = _span(config, d, size, off)
-        # rebinding sig keeps the previous burst's signal alive until this one is
-        # synthesized: freed first, glibc gives its pages back and every burst faults
-        # them in afresh
         if d.interferer == "oqam":
             sig = oqam_modulate(tx, {m: _draw_pam(rng, n_hi - n_lo, config.var_pam)},
-                                (n_lo, n_hi))
+                                (n_lo, n_hi), workspace=ws)
         else:
             sig = ofdm_modulate(tx, {m: _draw_qpsk(rng, n_hi - n_lo, config.var_qam)},
                                 (n_lo, n_hi), workspace=ws)
@@ -216,7 +211,7 @@ def _bursts(config: CoexConfig, d: _Direction, n_symbols: int, add) -> np.ndarra
         if d.victim == "oqam":
             add(_oqam_demod_slots(config, sig, (0, size), victims, workspace=ws) ** 2)
         else:
-            add(np.abs(_ofdm_demod_window(config, sig, (0, size), victims)) ** 2)
+            add(np.abs(_ofdm_demod_window(config, sig, (0, size), victims, workspace=ws)) ** 2)
     return np.array([float(m + shift - v) for v in victims])
 
 

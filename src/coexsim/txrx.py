@@ -245,7 +245,7 @@ def ofdm_modulate(config: CoexConfig, data: dict, n_range: tuple[int, int], *,
 
 
 def _ofdm_demod_window(config: CoexConfig, signal: DiscreteSignal, n_range: tuple[int, int],
-                       subcarriers) -> np.ndarray:
+                       subcarriers, *, workspace: _Workspace | None = None) -> np.ndarray:
     """Demodulated values of windows n_range[0] .. n_range[1]-1: (windows, len(subcarriers)).
 
     Correlates the useful window (prefix discarded) against the receive
@@ -254,7 +254,7 @@ def _ofdm_demod_window(config: CoexConfig, signal: DiscreteSignal, n_range: tupl
     the window, read at bins m % M, is the complete answer.  A clean
     own-signal returns the transmitted symbol exactly (discrete
     orthogonality).  The windows are a strided view of the signal, which is
-    read in place.
+    read in place; the spectra go to the workspace, the result is new.
     """
     n0, n1 = n_range
     if n1 <= n0:
@@ -262,7 +262,9 @@ def _ofdm_demod_window(config: CoexConfig, signal: DiscreteSignal, n_range: tupl
     M, S = config.M, config.symbol_samples
     span = signal.window(n0 * S, (n1 - n0 - 1) * S + M)
     bins = np.asarray(subcarriers) % M
-    return np.fft.fft(sliding_window_view(span, M)[::S], axis=-1)[:, bins] / np.sqrt(M)
+    spectra = (workspace or _Workspace()).array("ofdm.spectrum", (n1 - n0, M))
+    np.fft.fft(sliding_window_view(span, M)[::S], axis=-1, out=spectra)
+    return spectra[:, bins] / np.sqrt(M)
 
 
 # ---------------------------------------------------------------------------
@@ -300,11 +302,13 @@ def _tap_blocks(M: int) -> tuple[np.ndarray, np.ndarray]:
     return taps, blocks.reshape(-1, hop)
 
 
-def oqam_modulate(config: CoexConfig, data: dict, n_range: tuple[int, int]) -> DiscreteSignal:
+def oqam_modulate(config: CoexConfig, data: dict, n_range: tuple[int, int], *,
+                  workspace: _Workspace | None = None) -> DiscreteSignal:
     """Synthesize the OQAM signal for real PAM symbols on the secondary subcarriers.
 
     data maps subcarrier index -> real vector covering half-symbol slots
     n_range[0] .. n_range[1]-1; successive slots are offset by M/2 samples.
+    With a workspace the signal aliases its buffer, as ofdm_modulate's does.
     """
     n0, n1 = n_range
     if n1 <= n0:
@@ -325,6 +329,7 @@ def oqam_modulate(config: CoexConfig, data: dict, n_range: tuple[int, int]) -> D
     sign = np.where(np.arange(nsym) % 2, -1.0, 1.0)
     amps = np.zeros(nsym + 2 * (nb - 1), dtype=complex)
     toeplitz = sliding_window_view(amps, nb)[:, ::-1]  # row k holds amps of slots k-nb+1 .. k
+    ws = workspace or _Workspace()
     samples = None
     for m, vec in sorted(data.items()):
         vec = np.asarray(vec)
@@ -337,14 +342,13 @@ def oqam_modulate(config: CoexConfig, data: dict, n_range: tuple[int, int]) -> D
         blocks = pulse * np.exp(2j * np.pi * ((m * p) % M) / M)
         amp = oqam_phase(m, np.arange(n0, n1)) * vec
         amps[nb - 1:nb - 1 + nsym] = amp * sign if m % 2 else amp
-        env = (toeplitz @ blocks).ravel()[:stop - start]
         if samples is None:
-            samples = env
+            samples = np.matmul(toeplitz, blocks, out=ws.array("oqam.signal", (len(toeplitz), hop)))
         else:
-            samples += env
+            samples += np.matmul(toeplitz, blocks, out=ws.array("oqam.term", samples.shape))
     if samples is None:
         return _zero_signal(M, start, stop)
-    return DiscreteSignal(samples, M, origin_index=-start)
+    return DiscreteSignal(samples.ravel()[:stop - start], M, origin_index=-start)
 
 
 def _oqam_demod_slots(config: CoexConfig, signal: DiscreteSignal, n_range: tuple[int, int],

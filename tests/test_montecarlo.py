@@ -5,6 +5,7 @@ acceptance suite.
 """
 
 import itertools
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -230,6 +231,32 @@ class TestWorkspace:
     def test_o2o_equals_fresh_calls(self, monkeypatch, delta_f):
         self.assert_reuse_equals_fresh(monkeypatch, estimate_ofdm_to_ofdm,
                                        s2i_config(delta_f=delta_f))
+
+    def test_later_s2i_bursts_allocate_no_burst_sized_array(self):
+        """OQAM synthesis and the CP-OFDM receiver write into the run's workspace.
+
+        A fresh burst-sized array per burst leaves its pages to the allocator, which
+        may give them back to the system and fault them in again at every burst.
+        """
+        cfg = s2i_config()
+        n_lo, n_hi = mc._span(cfg, mc._S2I, mc._S2I.burst, 0)
+        signal_bytes = (n_hi - n_lo) * cfg.M // 2 * 16
+        rises = []
+
+        def add(rows):
+            current, peak = tracemalloc.get_traced_memory()
+            rises.append(peak - start[0])
+            tracemalloc.reset_peak()
+            start[0] = current
+
+        tracemalloc.start()
+        try:
+            start = [tracemalloc.get_traced_memory()[0]]
+            mc._bursts(cfg, mc._S2I, 3 * mc._S2I.burst, add)
+        finally:
+            tracemalloc.stop()
+        assert rises[0] > signal_bytes  # the first burst sizes the workspace
+        assert max(rises[1:]) < signal_bytes / 4
 
     def test_shared_oqam_demod_equals_fresh(self):
         cfg = i2s_config()
