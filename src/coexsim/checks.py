@@ -75,22 +75,16 @@ def check_frequency_response_vs_dft(filt: PrototypeFilter) -> CheckResult:
 
 
 def check_oracle_equivalence(filt: PrototypeFilter, cp_ratios) -> CheckResult:
-    worst = 0.0
-    where = ""
     grid = np.asarray(ORACLE_L_GRID)
-    closed_s2i = _oqam_to_ofdm_grid(grid, filt, 1.0)
-    oracle_s2i = quadrature_I("s2i", grid, filt)
-    for i, l in enumerate(ORACLE_L_GRID):
-        dev = _rel(closed_s2i[i], oracle_s2i[i])
-        if dev > worst:
-            worst, where = dev, f"s2i l={l}"
-    for cp in cp_ratios:
-        closed_i2s = _ofdm_to_oqam_grid(grid, filt, cp, 1.0)
-        oracle_i2s = quadrature_I("i2s", grid, filt, cp)
-        for i, l in enumerate(ORACLE_L_GRID):
-            dev = _rel(closed_i2s[i], oracle_i2s[i])
-            if dev > worst:
-                worst, where = dev, f"i2s cp={cp} l={l}"
+    # (label, closed form, oracle) per direction and prefix
+    pairs = [("s2i", _oqam_to_ofdm_grid(grid, filt, 1.0), quadrature_I("s2i", grid, filt))]
+    pairs += [(f"i2s cp={cp}", _ofdm_to_oqam_grid(grid, filt, cp, 1.0),
+               quadrature_I("i2s", grid, filt, cp)) for cp in cp_ratios]
+    worst, where = 0.0, ""
+    for label, closed, oracle in pairs:
+        for l, c, o in zip(ORACLE_L_GRID, closed, oracle):
+            if _rel(c, o) > worst:
+                worst, where = _rel(c, o), f"{label} l={l}"
     return CheckResult("oracle-equivalence", worst <= _ORACLE_TOL,
                        f"max rel dev {worst:.2e} ({where})")
 

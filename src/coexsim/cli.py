@@ -40,7 +40,7 @@ from .closedform import build_table, power_db
 from .filterbank import phydyas_k4
 from .montecarlo import estimate_ofdm_to_ofdm, estimate_ofdm_to_oqam, estimate_oqam_to_ofdm
 from .psdmodel import psd_interference, psd_ofdm_subcarrier, psd_oqam_subcarrier
-from .txrx import CoexConfig, ConfigError
+from .txrx import DIRECTIONS, CoexConfig, ConfigError, lookup_direction
 
 __all__ = ["main", "load_config", "ConfigError"]
 
@@ -152,7 +152,7 @@ def _write_csv(path: str, header: list[str], columns, formats: list[str]) -> Non
 
 def cmd_table(args) -> int:
     config = _apply_overrides(load_config(args.config), args)
-    if args.direction not in ("s2i", "i2s"):
+    if lookup_direction(args.direction).offset:
         raise ConfigError("table computes closed forms: --direction must be s2i or i2s")
     grid = _l_grid(args)
     powers = build_table(args.direction, grid, config, phydyas_k4())
@@ -164,17 +164,17 @@ def cmd_table(args) -> int:
 def cmd_simulate(args) -> int:
     config = _apply_overrides(load_config(args.config), args)
     filt = phydyas_k4()
-    if args.direction == "s2i":
-        est = estimate_oqam_to_ofdm(config, args.symbols)
-    elif args.direction == "i2s":
-        est = estimate_ofdm_to_oqam(config, args.symbols)
-    elif args.direction == "o2o":
+    d = lookup_direction(args.direction)
+    # each estimator is read from this module at call time, where a benchmark may wrap it
+    if d.offset:
         est = estimate_ofdm_to_ofdm(config, args.symbols)
+    elif d.victim == "ofdm":
+        est = estimate_oqam_to_ofdm(config, args.symbols)
     else:
-        raise ConfigError(f"unknown direction {args.direction!r}")
-    # closed-form overlay: the o2o baseline is compared against the
-    # OQAM-secondary closed form (same victim, OQAM interferer)
-    closed = build_table("i2s" if args.direction == "i2s" else "s2i", est.l_values, config, filt)
+        est = estimate_ofdm_to_oqam(config, args.symbols)
+    # closed-form overlay: the lattice direction into the same victim (OQAM interferer for o2o)
+    overlay = next(c for c in DIRECTIONS if c.victim == d.victim and not c.offset)
+    closed = build_table(overlay.name, est.l_values, config, filt)
     psd = psd_interference(args.direction, est.l_values, config, filt)
     _write_csv(args.out, ["l", "power_mc", "std_err", "power_closed", "power_psd"],
                [est.l_values, est.powers, est.std_errors, closed, psd],
@@ -222,7 +222,7 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--lstep", type=float, default=1.0)
             sp.add_argument("--out", required=True)
         if direction:
-            sp.add_argument("--direction", choices=("s2i", "i2s", "o2o"), required=True)
+            sp.add_argument("--direction", choices=[d.name for d in DIRECTIONS], required=True)
         if symbols:
             sp.add_argument("--symbols", type=int, default=10000,
                             help="victim windows/slots to measure")

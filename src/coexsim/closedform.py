@@ -45,6 +45,7 @@ from math import ceil, floor, gcd
 import numpy as np
 
 from .filterbank import PrototypeFilter
+from .txrx import lookup_direction
 
 __all__ = ["build_table", "DB_FLOOR"]
 
@@ -127,17 +128,15 @@ def _ofdm_to_oqam_grid(l_grid: np.ndarray, filt: PrototypeFilter, cp_ratio,
 def build_table(direction: str, l_grid, config, filt: PrototypeFilter) -> np.ndarray:
     """Closed-form interference powers over a grid of spectral distances.
 
-    direction is "s2i" (one OQAM subcarrier into a CP-OFDM subcarrier at
-    distance l) or "i2s" (one CP-OFDM subcarrier into an OQAM subcarrier,
-    per victim complex symbol period); scenario parameters (cp_ratio, symbol
-    variances) come from the config.  Powers are strictly positive, even in
-    l and linear in the interferer's variance; l may be fractional.
+    direction names a lattice row of txrx.DIRECTIONS: "s2i" (one OQAM subcarrier
+    into a CP-OFDM subcarrier at distance l) or "i2s" (one CP-OFDM subcarrier into
+    an OQAM subcarrier, per victim complex symbol period); scenario parameters
+    (cp_ratio, symbol variances) come from the config.  Powers are strictly
+    positive, even in l and linear in the interferer's variance; l may be fractional.
     """
     grid = np.asarray(l_grid, dtype=float)
     if grid.size == 0:
         raise ValueError("l_grid must be non-empty")
-    if direction == "s2i":
+    if lookup_direction(direction, lattice=True).interferer == "oqam":
         return _oqam_to_ofdm_grid(grid, filt, config.var_pam)
-    if direction == "i2s":
-        return _ofdm_to_oqam_grid(grid, filt, config.cp_ratio, config.var_qam)
-    raise ValueError(f"build_table computes closed forms only, not {direction!r}")
+    return _ofdm_to_oqam_grid(grid, filt, config.cp_ratio, config.var_qam)

@@ -14,9 +14,9 @@ The i2s estimator reports interference per victim complex symbol period
 (twice the per-slot mean over the two staggered real slots), matching the
 closed-form convention.
 
-Bursts: one loop serves all three directions.  s2i and i2s synthesize one
-burst per 256 victim windows (slots), o2o one per 32 windows, where a fresh
-timing offset is drawn per burst.  A burst synthesizes exactly the
+Bursts: one loop serves all three rows of txrx.DIRECTIONS.  s2i and i2s
+synthesize one burst per 256 victim windows (slots), o2o one per 32 windows,
+where a fresh timing offset is drawn per burst.  A burst synthesizes exactly the
 interferer symbols whose samples meet the samples its receiver reads.
 
 Determinism: a master seed spawns one independent substream per burst via
@@ -26,9 +26,10 @@ measured, and the reported standard errors treat them as independent.
 They are not: windows of one burst share its interferer symbols and, for
 o2o, its timing offset.  The ratio of a batch-means standard error over bursts
 (Flegal & Jones, Ann. Stat. 2010) to the reported one was measured on the
-reference scenario at 3.5-4.0 for o2o, where the shared offset dominates
-the variance, so its reported errors are about 4x too small; for s2i it was
-0.82-1.05 (40 bursts only).  Reporting the batch-means value instead is an
+reference scenario (10^4 windows, burst means weighted by burst size) at
+3.45-4.01 for o2o, where the shared offset dominates the variance, so its
+reported errors are about 4x too small; at 0.84-1.35 for s2i and 0.69-1.40
+for i2s (40 bursts each).  Reporting the batch-means value instead is an
 open ROADMAP item.
 
 Buffers: each run owns one txrx workspace, which every burst's synthesis,
@@ -42,7 +43,6 @@ on whether glibc had kept their pages or given them back to the system.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import ceil
 
 import numpy as np
 
@@ -50,7 +50,9 @@ from .filterbank import phydyas_k4
 from .txrx import (
     CoexConfig,
     ConfigError,
+    Direction,
     apply_frequency_shift,
+    lookup_direction,
     ofdm_modulate,
     oqam_modulate,
     shift_samples,
@@ -67,24 +69,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class _Direction:
-    """One estimator.  Waveforms are "oqam" or "ofdm"; offset: draw a timing offset per burst."""
-
-    tag: int  # the substream tag keeps the directions' random streams disjoint
-    burst: int  # victim windows (slots) per burst
-    interferer: str
-    victim: str
-    offset: bool = False
-
-
-_S2I = _Direction(0, 256, "oqam", "ofdm")
-_I2S = _Direction(1, 256, "ofdm", "oqam")
-# offset diversity, not window count, dominates the o2o estimator variance
-# under the uniform timing offset, so its bursts are short
-_O2O = _Direction(2, 32, "ofdm", "ofdm", offset=True)
-
-
 @dataclass(frozen=True, eq=False)
 class McEstimate:
     """Mean interference power and its standard error per victim l, ascending in l."""
@@ -95,7 +79,7 @@ class McEstimate:
     trials: int
 
 
-def _roles(config: CoexConfig, d: _Direction) -> tuple[int, list[int]]:
+def _roles(config: CoexConfig, d: Direction) -> tuple[int, list[int]]:
     """The single interferer subcarrier and the sorted victims; CP-OFDM victims are incumbent."""
     roles = [("secondary", config.secondary_set), ("incumbent", config.incumbent_set)]
     (interferer, interferers), (victim, victims) = roles if d.victim == "ofdm" else roles[::-1]
@@ -125,10 +109,7 @@ def _draw_qpsk(rng: np.random.Generator, n: int, variance: float) -> np.ndarray:
 def _burst_sizes(n_total: int, burst: int) -> list[int]:
     if n_total < 1:
         raise ConfigError("n_symbols must be >= 1")
-    n_bursts = ceil(n_total / burst)
-    sizes = [burst] * n_bursts
-    sizes[-1] = n_total - burst * (n_bursts - 1)
-    return sizes
+    return [min(burst, n_total - start) for start in range(0, n_total, burst)]
 
 
 class _MomentSums:
@@ -153,7 +134,7 @@ class _MomentSums:
         return np.sqrt(np.maximum(var, 0.0) / self.count)
 
 
-def _finish(acc: _MomentSums, d: _Direction, l_values: np.ndarray) -> McEstimate:
+def _finish(acc: _MomentSums, d: Direction, l_values: np.ndarray) -> McEstimate:
     """The estimate ascending in l; column c of acc has l_values[c].
 
     An OQAM victim reports per complex symbol period: twice the per-slot mean.
@@ -169,7 +150,7 @@ def _reach(first: int, last: int, lo: int, hi: int, step: int) -> tuple[int, int
     return -((last - lo) // step), (hi - first) // step + 1
 
 
-def _span(config: CoexConfig, d: _Direction, size: int, offset: int) -> tuple[int, int]:
+def _span(config: CoexConfig, d: Direction, size: int, offset: int) -> tuple[int, int]:
     """The interferer symbols whose samples, delayed by offset, meet victim windows [0, size).
 
     Symbol n covers samples n step + [first, last]: an OQAM slot K M + 1 samples centred on
@@ -182,7 +163,7 @@ def _span(config: CoexConfig, d: _Direction, size: int, offset: int) -> tuple[in
     return _reach(first + offset, last + offset, v_first, (size - 1) * v_step + v_last, step)
 
 
-def _bursts(config: CoexConfig, d: _Direction, n_symbols: int, add) -> np.ndarray:
+def _bursts(config: CoexConfig, d: Direction, n_symbols: int, add) -> np.ndarray:
     """Pass add() each burst's |demodulated|^2 windows: (windows, victims) rows in window order.
 
     Returns the l of every victim column.  A callback, not a generator: a consumer's loop
@@ -215,7 +196,8 @@ def _bursts(config: CoexConfig, d: _Direction, n_symbols: int, add) -> np.ndarra
     return np.array([float(m + shift - v) for v in victims])
 
 
-def _estimate(config: CoexConfig, d: _Direction, n_symbols: int) -> McEstimate:
+def _estimate(config: CoexConfig, direction: str, n_symbols: int) -> McEstimate:
+    d = lookup_direction(direction)
     acc = _MomentSums()
     return _finish(acc, d, _bursts(config, d, n_symbols, acc.add))
 
@@ -226,7 +208,7 @@ def estimate_oqam_to_ofdm(config: CoexConfig, n_symbols: int) -> McEstimate:
     n_symbols victim CP-OFDM windows are measured (bursts synthesized with
     guard context so every window is interior).
     """
-    return _estimate(config, _S2I, n_symbols)
+    return _estimate(config, "s2i", n_symbols)
 
 
 def estimate_ofdm_to_oqam(config: CoexConfig, n_symbols: int) -> McEstimate:
@@ -235,7 +217,7 @@ def estimate_ofdm_to_oqam(config: CoexConfig, n_symbols: int) -> McEstimate:
     n_symbols victim half-symbol slots are measured; the reported power is
     twice the per-slot mean (the sum over a staggered slot pair).
     """
-    return _estimate(config, _I2S, n_symbols)
+    return _estimate(config, "i2s", n_symbols)
 
 
 def estimate_ofdm_to_ofdm(config: CoexConfig, n_symbols: int) -> McEstimate:
@@ -245,4 +227,4 @@ def estimate_ofdm_to_ofdm(config: CoexConfig, n_symbols: int) -> McEstimate:
     [0, symbol_samples).  The secondary transmits QAM at var_qam (equal
     energy per symbol with the incumbent).
     """
-    return _estimate(config, _O2O, n_symbols)
+    return _estimate(config, "o2o", n_symbols)

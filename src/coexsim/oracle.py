@@ -33,6 +33,7 @@ from math import ceil, floor
 import numpy as np
 
 from .filterbank import PrototypeFilter, evaluate_g
+from .txrx import lookup_direction
 
 __all__ = [
     "QuadratureError",
@@ -172,27 +173,25 @@ def _int_interval(lo: Fraction, hi: Fraction) -> list[int]:
 def contributing_shifts(direction: str, n_victim: int, cp_ratio, filt: PrototypeFilter) -> set[int]:
     """Interferer symbol indices whose pulse/window support meets the victim window.
 
-    direction "s2i": victim is the CP-OFDM useful window of symbol n_victim,
-    interferer indices count OQAM half-symbol slots.  direction "i2s": victim
-    is the OQAM receive-filter span of slot n_victim, interferer indices
+    A CP-OFDM victim ("s2i") is the useful window of symbol n_victim, and
+    interferer indices count OQAM half-symbol slots.  An OQAM victim ("i2s")
+    is the receive-filter span of slot n_victim, and interferer indices
     count CP-OFDM symbols (whole extent including the prefix).  Overlap must
     have nonzero measure.
     """
     cp = Fraction(cp_ratio)
     hw = Fraction(filt.overlap_K, 2)
-    if direction == "s2i":
+    if lookup_direction(direction, lattice=True).victim == "ofdm":
         w0 = n_victim * (1 + cp)
         w1 = w0 + 1
         # slot n: pulse on (n/2 - hw, n/2 + hw)
         return set(_int_interval(2 * (w0 - hw), 2 * (w1 + hw)))
-    if direction == "i2s":
-        v0 = Fraction(n_victim, 2) - hw
-        v1 = Fraction(n_victim, 2) + hw
-        # symbol n: occupies (n(1+cp) - cp, n(1+cp) + 1)
-        lo = (v0 - 1) / (1 + cp)
-        hi = (v1 + cp) / (1 + cp)
-        return set(_int_interval(lo, hi))
-    raise ValueError(f"unknown direction {direction!r}")
+    v0 = Fraction(n_victim, 2) - hw
+    v1 = Fraction(n_victim, 2) + hw
+    # symbol n: occupies (n(1+cp) - cp, n(1+cp) + 1)
+    lo = (v0 - 1) / (1 + cp)
+    hi = (v1 + cp) / (1 + cp)
+    return set(_int_interval(lo, hi))
 
 
 def _window_taus(direction: str, n_victim: int, cp: Fraction,
@@ -204,7 +203,7 @@ def _window_taus(direction: str, n_victim: int, cp: Fraction,
     extent (prefix included), so ascending tau is descending symbol index.
     """
     shifts = contributing_shifts(direction, n_victim, cp, filt)
-    if direction == "s2i":
+    if lookup_direction(direction, lattice=True).victim == "ofdm":
         return sorted(Fraction(n, 2) - n_victim * (1 + cp) for n in shifts)
     return sorted(Fraction(n_victim, 2) + cp - n * (1 + cp) for n in shifts)
 
@@ -221,13 +220,11 @@ def quadrature_I(direction: str, l, filt: PrototypeFilter, cp_ratio=Fraction(0))
     """
     cp = Fraction(cp_ratio)
     ls = np.asarray(l, dtype=float)
-    if direction == "s2i":
-        victims, width, label = [0], 1.0, "s2i"
-    elif direction == "i2s":
-        victims, width = range(len(victim_slot_offsets(cp))), float(1 + cp)
-        label = f"i2s (cp = {cp})"
+    if lookup_direction(direction, lattice=True).victim == "ofdm":
+        victims, width, label = [0], 1.0, direction
     else:
-        raise ValueError(f"unknown direction {direction!r}")
+        victims, width = range(len(victim_slot_offsets(cp))), float(1 + cp)
+        label = f"{direction} (cp = {cp})"
     taus = [float(tau) for nv in victims for tau in _window_taus(direction, nv, cp, filt)]
     vals = _window_integrals(filt, taus, width, ls.ravel(), label)
     # summed shift by shift in victim order (np.sum would sum a single l pairwise), so a

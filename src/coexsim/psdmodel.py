@@ -26,6 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .filterbank import PrototypeFilter, frequency_response, _usinc
+from .txrx import lookup_direction
 
 __all__ = ["psd_ofdm_subcarrier", "psd_oqam_subcarrier", "psd_interference"]
 
@@ -62,19 +63,17 @@ def psd_interference(direction: str, l, config, filt: PrototypeFilter) -> float 
     """PSD-model interference at spectral distance l: victim-band integral.
 
     Integrates the interferer's subcarrier PSD over [l - 1/2, l + 1/2] and
-    scales by the interferer's symbol power.  direction selects the
-    interferer: "s2i" (OQAM PSD, power 2 var_pam), "i2s" or "o2o" (CP-OFDM
-    PSD, power var_qam).  l is a scalar or an array; only l enters, absolute
-    subcarrier positions are irrelevant.
+    scales by the interferer's symbol power.  The interferer waveform of the
+    direction's row in txrx.DIRECTIONS selects the PSD: OQAM ("s2i", power
+    2 var_pam) or CP-OFDM ("i2s" and "o2o", power var_qam).  l is a scalar or
+    an array; only l enters, absolute subcarrier positions are irrelevant.
     """
-    if direction == "s2i":
+    if lookup_direction(direction).interferer == "oqam":
         psd = lambda f: psd_oqam_subcarrier(f, filt)
         power = 2 * config.var_pam
-    elif direction in ("i2s", "o2o"):
+    else:
         psd = lambda f: psd_ofdm_subcarrier(f, config.cp_ratio)
         power = config.var_qam
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
     l = np.asarray(l, dtype=float)
     out = power * 0.5 * np.sum(psd(l[..., None] + 0.5 * _NODES) * _WEIGHTS, axis=-1)
     return out[()]

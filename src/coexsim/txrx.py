@@ -68,16 +68,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .filterbank import phydyas_k4, sample_taps
 
-__all__ = [
-    "CoexConfig",
-    "DiscreteSignal",
-    "ofdm_modulate",
-    "oqam_modulate",
-    "apply_frequency_shift",
-    "shift_samples",
-    "oqam_phase",
-    "ConfigError",
-]
+__all__ = ["CoexConfig", "Direction", "DIRECTIONS", "lookup_direction", "DiscreteSignal",
+           "ofdm_modulate", "oqam_modulate", "apply_frequency_shift", "shift_samples",
+           "oqam_phase", "ConfigError"]
 
 
 class ConfigError(ValueError):
@@ -140,6 +133,40 @@ class CoexConfig:
         return self.M + self.cp_samples
 
 
+@dataclass(frozen=True)
+class Direction:
+    """Interferer and victim waveform ("oqam" or "ofdm"), and timing: a symbol lattice, or
+    with offset a uniform timing offset per Monte-Carlo burst.  tag keeps the directions'
+    Monte-Carlo substreams disjoint; burst is the victim windows (slots) per burst.
+    """
+
+    name: str
+    interferer: str
+    victim: str
+    tag: int
+    burst: int
+    offset: bool = False
+
+
+# offset diversity, not window count, dominates the o2o estimator variance
+# under the uniform timing offset, so its bursts are short
+DIRECTIONS = (
+    Direction("s2i", "oqam", "ofdm", tag=0, burst=256),
+    Direction("i2s", "ofdm", "oqam", tag=1, burst=256),
+    Direction("o2o", "ofdm", "ofdm", tag=2, burst=32, offset=True),
+)
+
+
+def lookup_direction(name: str, lattice: bool = False) -> Direction:
+    """The row of DIRECTIONS called name; with lattice, not an offset row (no closed form yet)."""
+    for d in DIRECTIONS:
+        if d.name == name:
+            if lattice and d.offset:
+                raise ValueError(f"no closed form or oracle for the offset direction {name!r}")
+            return d
+    raise ValueError(f"unknown direction {name!r}, expected one of {[d.name for d in DIRECTIONS]}")
+
+
 @dataclass
 class DiscreteSignal:
     """Complex baseband sample stream on the absolute sample grid.
@@ -181,6 +208,15 @@ def _zero_signal(M: int, start: int, stop: int) -> DiscreteSignal:
     return DiscreteSignal(np.zeros(stop - start, dtype=complex), M, origin_index=-start)
 
 
+def _symbols(n_range) -> tuple[int, int]:
+    """n_range as (n0, n1); a ValueError unless it is a tuple of integers n0 < n1, not an array."""
+    if not (isinstance(n_range, tuple) and len(n_range) == 2
+            and all(isinstance(n, (int, np.integer)) for n in n_range)
+            and n_range[0] < n_range[1]):
+        raise ValueError(f"n_range must be a non-empty pair (n0, n1) of integers, got {n_range!r}")
+    return int(n_range[0]), int(n_range[1])
+
+
 class _Workspace:
     """Complex scratch arrays that successive calls reuse.
 
@@ -218,20 +254,15 @@ def ofdm_modulate(config: CoexConfig, data: dict, n_range: tuple[int, int], *,
     workspace and is overwritten by the next call that shares it (the next
     burst), so use it before then or copy it.
     """
-    n0, n1 = n_range
-    if n1 <= n0:
-        raise ValueError("n_range must be non-empty")
+    n0, n1 = _symbols(n_range)
     bad = set(data) - config.incumbent_set
     if bad:
         raise ValueError(f"data on subcarriers outside the incumbent set: {sorted(bad)}")
     M, L, S = config.M, config.cp_samples, config.symbol_samples
     nsym = n1 - n0
     ws = workspace or _Workspace()
-    # symbol blocks tile the burst exactly: block n is [nS - L, nS + M)
-    blocks = ws.array("ofdm.signal", (nsym, S))
-    blocks.fill(0)
-    product = ws.array("ofdm.product", (nsym, S))
     p = np.arange(-L, M)  # symbol 0's block
+    blocks = None
     for m, vec in sorted(data.items()):
         vec = np.asarray(vec, dtype=complex)
         if vec.shape != (nsym,):
@@ -240,7 +271,14 @@ def ofdm_modulate(config: CoexConfig, data: dict, n_range: tuple[int, int], *,
         # exp(2 pi j m p / M) over n blocks, so every block is symbol 0's: one carrier
         # block, reduced exactly as (m p) mod M, times each symbol
         carrier = np.exp(2j * np.pi * ((m * p) % M) / M)
-        blocks += np.multiply((vec / np.sqrt(M))[:, None], carrier, out=product)
+        amp = (vec / np.sqrt(M))[:, None]
+        # symbol blocks tile the burst exactly: block n is [nS - L, nS + M)
+        if blocks is None:
+            blocks = np.multiply(amp, carrier, out=ws.array("ofdm.signal", (nsym, S)))
+        else:
+            blocks += np.multiply(amp, carrier, out=ws.array("ofdm.term", blocks.shape))
+    if blocks is None:
+        return _zero_signal(M, n0 * S - L, n1 * S - L)
     return DiscreteSignal(blocks.ravel(), M, origin_index=L - n0 * S)
 
 
@@ -256,9 +294,7 @@ def _ofdm_demod_window(config: CoexConfig, signal: DiscreteSignal, n_range: tupl
     orthogonality).  The windows are a strided view of the signal, which is
     read in place; the spectra go to the workspace, the result is new.
     """
-    n0, n1 = n_range
-    if n1 <= n0:
-        raise ValueError("n_range must be non-empty")
+    n0, n1 = _symbols(n_range)
     M, S = config.M, config.symbol_samples
     span = signal.window(n0 * S, (n1 - n0 - 1) * S + M)
     bins = np.asarray(subcarriers) % M
@@ -276,11 +312,6 @@ def oqam_phase(m, n):
     return np.where((m * n) % 2, -1.0, 1.0) * 1j ** ((m + n) % 4)
 
 
-def _require_even_m(M: int) -> None:
-    if M % 2:
-        raise ConfigError("OQAM requires even M (half-period slots must be whole samples)")
-
-
 # slots the OQAM receiver folds and transforms at a time: its fold and FFT stay in
 # cache instead of streaming a whole burst through memory once per tap block.  A
 # multiple of 4, the period of its rotation in slots
@@ -293,6 +324,8 @@ def _tap_blocks(M: int) -> tuple[np.ndarray, np.ndarray]:
 
     Built once per M and shared by every modem call, so both arrays are read-only.
     """
+    if M % 2:
+        raise ConfigError("OQAM requires even M (half-period slots must be whole samples)")
     taps = sample_taps(phydyas_k4(), M)
     hop = M // 2
     # K M + 1 taps: nb = 2K + 1 blocks (9 for K = 4), the last of them one tap
@@ -310,14 +343,11 @@ def oqam_modulate(config: CoexConfig, data: dict, n_range: tuple[int, int], *,
     n_range[0] .. n_range[1]-1; successive slots are offset by M/2 samples.
     With a workspace the signal aliases its buffer, as ofdm_modulate's does.
     """
-    n0, n1 = n_range
-    if n1 <= n0:
-        raise ValueError("n_range must be non-empty")
+    n0, n1 = _symbols(n_range)
     bad = set(data) - config.secondary_set
     if bad:
         raise ValueError(f"data on subcarriers outside the secondary set: {sorted(bad)}")
     M = config.M
-    _require_even_m(M)
     taps, pulse = _tap_blocks(M)
     pulse = pulse / np.sqrt(M)
     nb, hop = pulse.shape
@@ -359,13 +389,10 @@ def _oqam_demod_slots(config: CoexConfig, signal: DiscreteSignal, n_range: tuple
     by the measured tap energy, rotates by the conjugate modulation phase
     and takes the real part.  A clean own-signal returns the symbol up to
     the prototype's near-perfect-reconstruction floor.  The signal is read
-    in place.
+    in place; the folds and spectra go to the workspace, the result is new.
     """
-    n0, n1 = n_range
-    if n1 <= n0:
-        raise ValueError("n_range must be non-empty")
+    n0, n1 = _symbols(n_range)
     M = config.M
-    _require_even_m(M)
     ws = workspace or _Workspace()
     taps, pulse = _tap_blocks(M)
     nb, hop = pulse.shape
@@ -390,6 +417,7 @@ def _oqam_demod_slots(config: CoexConfig, signal: DiscreteSignal, n_range: tuple
     turn = turn[np.arange(block) % 4]
     folds = ws.array("oqam.fold", (block, 2, hop))
     products = ws.array("oqam.product", (block, hop))
+    spectra = ws.array("oqam.spectrum", (block, M))
     out = np.empty((nsym, len(m)))
     for j in range(0, nsym, block):
         size = min(block, nsym - j)
@@ -401,7 +429,7 @@ def _oqam_demod_slots(config: CoexConfig, signal: DiscreteSignal, n_range: tuple
         for b in range(2, nb - 1):
             folded[:, b % 2] += np.multiply(x[j + b:j + b + size], pulse[b], out=product)
         folded[:, (nb - 1) % 2, 0] += last[j:j + size] * pulse[nb - 1, 0]
-        spec = np.fft.fft(folded.reshape(size, M), axis=1)[:, k]
+        spec = np.fft.fft(folded.reshape(size, M), axis=1, out=spectra[:size])[:, k]
         out[j:j + size] = np.real(spec * turn[:size])
     return out
 

@@ -1,5 +1,6 @@
 """CLI: config ingestion, CSV emission, verification report, exit codes."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -13,8 +14,11 @@ import pytest
 import coexsim.cli as cli
 from coexsim.checks import run_all_checks
 from coexsim.cli import ConfigError, load_config, main
-from coexsim.closedform import power_db
-from coexsim.filterbank import PrototypeFilter
+from coexsim.closedform import build_table, power_db
+from coexsim.filterbank import PrototypeFilter, phydyas_k4
+from coexsim.oracle import contributing_shifts, quadrature_I
+from coexsim.psdmodel import psd_interference
+from coexsim.txrx import DIRECTIONS, CoexConfig, lookup_direction
 
 GOOD_CONFIG = """\
 M: 512
@@ -42,6 +46,8 @@ INF_VAR_PAM = GOOD_CONFIG.replace("var_pam: 0.5", "var_pam: .inf")
 # no victim subcarrier to measure
 NO_INCUMBENT = GOOD_CONFIG.replace("incumbent_set: {range: [-5, 5]}", "incumbent_set: []")
 NO_SECONDARY = "M: 512\ncp_ratio: 1/8\nincumbent_set: [0]\nsecondary_set: []\n"
+# one CP-OFDM interferer into OQAM victims
+I2S_CONFIG = "M: 512\ncp_ratio: 1/8\nincumbent_set: [0]\nsecondary_set: {range: [-3, 3]}\n"
 # 10^18 grid points
 HUGE_GRID = ["--lmin", "0", "--lmax", "1e9", "--lstep", "1e-9"]
 
@@ -195,6 +201,76 @@ class TestSimulateCommand:
         main(["simulate", "--config", config_file, "--direction", "o2o",
               "--symbols", "64", "--seed", "7", "--out", str(b)])
         assert a.read_bytes() != b.read_bytes()
+
+
+    @pytest.mark.parametrize("direction, estimator, config_text", [
+        ("s2i", "estimate_oqam_to_ofdm", GOOD_CONFIG),
+        ("i2s", "estimate_ofdm_to_oqam", I2S_CONFIG),
+    ], ids=["s2i", "i2s"])
+    def test_estimator_is_read_from_the_module_at_call_time(self, tmp_path, monkeypatch,
+                                                            direction, estimator, config_text):
+        # a wrapper installed on the module's estimator must see the run and its trial count
+        path = tmp_path / "scenario.yaml"
+        path.write_text(config_text)
+        original, trials = getattr(cli, estimator), []
+
+        def spy(*args, **kwargs):
+            est = original(*args, **kwargs)
+            trials.append(est.trials)
+            return est
+
+        monkeypatch.setattr(cli, estimator, spy)
+        rc = main(["simulate", "--config", str(path), "--direction", direction,
+                   "--symbols", "300", "--out", str(tmp_path / "x.csv")])
+        assert rc == 0
+        assert trials == [300]
+
+
+class TestDirectionTable:
+    NAMES = {d.name for d in DIRECTIONS}
+
+    def test_cli_choices_are_the_table(self, config_file, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["simulate", "--config", config_file, "--direction", "sideways",
+                  "--out", str(tmp_path / "x.csv")])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and all(d.name in err for d in DIRECTIONS)
+
+    def test_one_unknown_direction_error(self):
+        filt, cfg = phydyas_k4(), CoexConfig()
+        calls = [lambda: lookup_direction("sideways"),
+                 lambda: build_table("sideways", [0.0], cfg, filt),
+                 lambda: quadrature_I("sideways", 0.0, filt),
+                 lambda: contributing_shifts("sideways", 0, 0, filt),
+                 lambda: psd_interference("sideways", 0.0, cfg, filt)]
+        for call in calls:
+            with pytest.raises(ValueError, match=r"^unknown direction 'sideways', expected one of"):
+                call()
+
+    def test_offset_direction_has_no_closed_form_or_oracle(self):
+        filt = phydyas_k4()
+        for call in (lambda: build_table("o2o", [0.0], CoexConfig(), filt),
+                     lambda: quadrature_I("o2o", 0.0, filt),
+                     lambda: contributing_shifts("o2o", 0, 0, filt)):
+            with pytest.raises(ValueError, match="offset direction 'o2o'"):
+                call()
+
+    def test_names_are_compared_only_in_the_lookup(self):
+        # no module dispatches on a direction name by hand: no comparison with a name and
+        # no dict keyed by one outside txrx.lookup_direction
+        src = Path(cli.__file__).parent
+        for path in sorted(src.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Compare):
+                    operands = [node.left, *node.comparators]
+                elif isinstance(node, ast.Dict):
+                    operands = [key for key in node.keys if key is not None]
+                else:
+                    continue
+                names = {n.value for op in operands for n in ast.walk(op)
+                         if isinstance(n, ast.Constant) and n.value in self.NAMES}
+                assert not names, f"{path.name}:{node.lineno} compares {sorted(names)}"
 
 
 class TestVerifyCommand:

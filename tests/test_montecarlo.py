@@ -17,11 +17,12 @@ import coexsim.txrx as txrx
 from coexsim.closedform import build_table
 from coexsim.filterbank import phydyas_k4
 from coexsim.montecarlo import estimate_ofdm_to_ofdm, estimate_ofdm_to_oqam, estimate_oqam_to_ofdm
-from coexsim.txrx import CoexConfig
+from coexsim.txrx import CoexConfig, lookup_direction
 from test_txrx import floor_phase
 
 # spawn key (3, 0): a substream disjoint from the estimators' tags 0-2
 _TAG_FLOOR = 3
+S2I, I2S = lookup_direction("s2i"), lookup_direction("i2s")
 
 
 def s2i_config(**kw):
@@ -55,8 +56,8 @@ def window_class_estimates(config, n_symbols):
         for c, acc in enumerate(accs):
             acc.add(rows[c::4])
 
-    l_values = mc._bursts(config, mc._S2I, n_symbols, add)
-    return [mc._finish(acc, mc._S2I, l_values) for acc in accs]
+    l_values = mc._bursts(config, S2I, n_symbols, add)
+    return [mc._finish(acc, S2I, l_values) for acc in accs]
 
 
 def self_reconstruction_floor(config, n_symbols):
@@ -232,15 +233,9 @@ class TestWorkspace:
         self.assert_reuse_equals_fresh(monkeypatch, estimate_ofdm_to_ofdm,
                                        s2i_config(delta_f=delta_f))
 
-    def test_later_s2i_bursts_allocate_no_burst_sized_array(self):
-        """OQAM synthesis and the CP-OFDM receiver write into the run's workspace.
-
-        A fresh burst-sized array per burst leaves its pages to the allocator, which
-        may give them back to the system and fault them in again at every burst.
-        """
-        cfg = s2i_config()
-        n_lo, n_hi = mc._span(cfg, mc._S2I, mc._S2I.burst, 0)
-        signal_bytes = (n_hi - n_lo) * cfg.M // 2 * 16
+    @staticmethod
+    def burst_allocations(cfg, d):
+        """Peak bytes allocated by each of 3 bursts, over what the previous one left behind."""
         rises = []
 
         def add(rows):
@@ -252,11 +247,47 @@ class TestWorkspace:
         tracemalloc.start()
         try:
             start = [tracemalloc.get_traced_memory()[0]]
-            mc._bursts(cfg, mc._S2I, 3 * mc._S2I.burst, add)
+            mc._bursts(cfg, d, 3 * d.burst, add)
         finally:
             tracemalloc.stop()
+        return rises
+
+    def test_later_s2i_bursts_allocate_no_burst_sized_array(self):
+        """OQAM synthesis and the CP-OFDM receiver write into the run's workspace.
+
+        A fresh burst-sized array per burst leaves its pages to the allocator, which
+        may give them back to the system and fault them in again at every burst.
+        """
+        cfg = s2i_config()
+        n_lo, n_hi = mc._span(cfg, S2I, S2I.burst, 0)
+        signal_bytes = (n_hi - n_lo) * cfg.M // 2 * 16
+        rises = self.burst_allocations(cfg, S2I)
         assert rises[0] > signal_bytes  # the first burst sizes the workspace
         assert max(rises[1:]) < signal_bytes / 4
+
+    def test_later_i2s_bursts_allocate_less_than_one_spectrum_block(self):
+        """The OQAM receiver's spectra and CP-OFDM synthesis write into the run's workspace.
+
+        A later burst may allocate its small per-call arrays, but not one 64-slot block
+        of receiver spectra (512 KiB at M = 512).
+        """
+        cfg = i2s_config()
+        n_lo, n_hi = mc._span(cfg, I2S, I2S.burst, 0)
+        rises = self.burst_allocations(cfg, I2S)
+        assert rises[0] > (n_hi - n_lo) * cfg.symbol_samples * 16  # it sizes the workspace
+        assert max(rises[1:]) < txrx._DEMOD_BLOCK * cfg.M * 16
+
+    def test_shared_ofdm_modulate_equals_fresh(self):
+        """The first subcarrier is written into the signal buffer, later ones added to it."""
+        cfg = CoexConfig(incumbent_set=frozenset({-7, 0, 3}), secondary_set=frozenset({0}))
+        rng = np.random.default_rng(6)
+        ws = PoisonedWorkspace()
+        for nsym, subs in ((40, (-7, 0, 3)), (9, (0,)), (5, (0, 3)), (3, ())):
+            data = {m: rng.standard_normal(nsym) + 1j * rng.standard_normal(nsym) for m in subs}
+            shared = txrx.ofdm_modulate(cfg, data, (-1, nsym - 1), workspace=ws)
+            fresh = txrx.ofdm_modulate(cfg, data, (-1, nsym - 1))
+            assert (shared.start, shared.stop) == (fresh.start, fresh.stop)
+            assert np.array_equal(shared.samples, fresh.samples)
 
     def test_shared_oqam_demod_equals_fresh(self):
         cfg = i2s_config()
@@ -266,7 +297,7 @@ class TestWorkspace:
         # each call after the first reads less of every buffer; 65 slots end on a
         # one-slot block after a full one
         for size in (256, 65, 17):
-            n_lo, n_hi = mc._span(cfg, mc._I2S, size, 0)
+            n_lo, n_hi = mc._span(cfg, I2S, size, 0)
             data = {0: rng.standard_normal(n_hi - n_lo) + 1j * rng.standard_normal(n_hi - n_lo)}
             sig = txrx.ofdm_modulate(cfg, data, (n_lo, n_hi))
             shared = txrx._oqam_demod_slots(cfg, sig, (0, size), victims, workspace=ws)
@@ -299,7 +330,7 @@ class TestSpans:
     @pytest.mark.parametrize("M", [16, 512])
     @pytest.mark.parametrize("direction", ["s2i", "i2s", "o2o"])
     def test_span_is_exact(self, monkeypatch, direction, M, cp):
-        d = {"s2i": mc._S2I, "i2s": mc._I2S, "o2o": mc._O2O}[direction]
+        d = lookup_direction(direction)
         cfg = CoexConfig(M=M, cp_ratio=cp, incumbent_set=frozenset({0}),
                          secondary_set=frozenset({0}))
         first, last, step = symbol_extent(cfg, d.interferer)

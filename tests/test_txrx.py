@@ -279,6 +279,36 @@ class TestOfdm:
         assert np.max(np.abs(sig.samples - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+class TestSymbolRange:
+    """The four modem entry points take n_range as a non-empty pair of integers only."""
+
+    @staticmethod
+    def entry_points():
+        cfg = small_config()
+        ofdm = ofdm_modulate(cfg, {0: np.ones(8, dtype=complex)}, (-2, 6))
+        oqam = oqam_modulate(cfg, {0: np.ones(16)}, (-4, 12))
+        return [lambda r: ofdm_modulate(cfg, {}, r),
+                lambda r: oqam_modulate(cfg, {}, r),
+                lambda r: _ofdm_demod_window(cfg, ofdm, r, [0]),
+                lambda r: _oqam_demod_slots(cfg, oqam, r, [0])]
+
+    @pytest.mark.parametrize("n_range", [
+        np.arange(2), [0, 1], (0,), (0, 1, 2), (1, 1), (2, 1), (0.0, 1.0), (0, 1.5), None,
+    ], ids=["array", "list", "one", "three", "empty", "reversed", "floats", "fraction", "none"])
+    def test_rejects_anything_but_a_nonempty_integer_pair(self, n_range):
+        for call in self.entry_points():
+            with pytest.raises(ValueError, match="n_range"):
+                call(n_range)
+
+    def test_numpy_integers_are_integers(self):
+        for call in self.entry_points():
+            a, b = call((0, 2)), call((np.int64(0), np.int64(2)))
+            if isinstance(a, DiscreteSignal):
+                assert (a.start, a.stop) == (b.start, b.stop)
+                a, b = a.samples, b.samples
+            assert np.array_equal(a, b)
+
+
 class TestOqamPhases:
     def test_floor_convention_reference_values(self):
         # the test-only alternative map is the floor-convention theta table of
