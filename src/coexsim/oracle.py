@@ -107,7 +107,7 @@ def _integrate(pulse, tau, a, b, l, label: str) -> np.ndarray:
     active = np.flatnonzero(b > a)
     n = 2
     prev, _ = _panel_sums(pulse, tau[active], a[active], b[active], l[active], n)
-    while active.size and n <= _MAX_PANELS:
+    while active.size and n < _MAX_PANELS:
         n *= 2
         cur, mass = _panel_sums(pulse, tau[active], a[active], b[active], l[active], n)
         done = np.abs(cur - prev) <= _RTOL * np.maximum(np.abs(cur), mass)

@@ -86,6 +86,20 @@ class TestTerm:
         with pytest.raises(QuadratureError):
             _integrate(np.ones_like, [0.0], [0.0], [1.0], [5000.3], "test")
 
+    def test_deepest_level_is_the_cap(self, monkeypatch):
+        # the error says "within _MAX_PANELS panels": no level may go past it
+        levels = []
+
+        def spy(pulse, tau, a, b, l, n_panels):
+            levels.append(n_panels)
+            return _panel_sums(pulse, tau, a, b, l, n_panels)
+
+        monkeypatch.setattr(oracle, "_MAX_PANELS", 64)
+        monkeypatch.setattr(oracle, "_panel_sums", spy)
+        with pytest.raises(QuadratureError, match=r"within 64 panels"):
+            _integrate(np.ones_like, [0.0], [0.0], [1.0], [5000.3], "test")
+        assert levels == [2, 4, 8, 16, 32, 64]
+
 
 class TestContributingShifts:
     def test_aligned_case_is_contiguous_2k_plus_1(self, filt):
