@@ -38,9 +38,6 @@ every array as long as a burst's signal.  A signal built in the workspace
 aliases it, so each burst consumes its signal before the next burst writes
 to the workspace.  Allocated per burst, such arrays made the run time depend
 on whether glibc had kept their pages or given them back to the system.
-The OQAM receiver's two lanes (txrx) run inside one receiver call: the
-call takes each lane's rows of the workspace before the lanes start and
-returns after both finish, so bursts stay strictly one after another.
 """
 
 from __future__ import annotations

@@ -36,22 +36,10 @@ periods for the even K, so its phase exp(-2 pi j k p0 / M) is exactly
 and +-j, that repeats every 4 slots: one 4-row table, taken from
 oqam_phase on the first 4 slots, rotates every block.
 
-Lanes: a call with more than one slot block splits its blocks into two
-contiguous runs, the first on the calling thread and the second on one
-persistent pool thread (_LANES: at most 2, and no more than the CPUs the
-process may run on).  The caller takes every lane's rows of the workspace
-buffers before either lane starts, since the workspace is not thread-safe;
-each lane then folds, transforms and rotates in its own rows and writes its
-own rows of the result, so every value comes from the same operations
-whatever the lane count, and the output is byte-identical.  The lanes
-overlap because the receiver calls no BLAS and numpy's ufunc loops and
-FFTs release the GIL.  Each lane sets its thread's ufunc buffer to
-_UFUNC_BUFFER elements for the call, so that neither streams numpy's
-default 128 KiB operand buffers through the cache.  The pool is made on
-first use and forgotten in a forked child, which inherits no worker
-thread.  The CP-OFDM receiver and OQAM synthesis stay on one thread: lanes
-there gave s2i nothing while OpenBLAS's worker spins between the
-synthesis's zgemm calls.
+The receiver runs its ufuncs with a buffer of _UFUNC_BUFFER elements, set
+for the call's thread only, in place of numpy's default 8192: the fold's
+broadcast and strided operands are then buffered in L1 and not in 128 KiB
+blocks allocated per call.  The bytes do not depend on the buffer size.
 
 CP-OFDM synthesis reduces its carrier exactly too: the prefix phase makes
 every symbol block the same M + L carrier samples, so each subcarrier
@@ -76,8 +64,6 @@ own-signal reconstruction does.
 
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -340,38 +326,10 @@ _DEMOD_BLOCK = 64
 # elements per buffered operand of the OQAM receiver's ufuncs.  numpy buffers their
 # broadcast and strided operands (the taps over a block's rows, the fold's half-rows)
 # 8192 elements at a time by default: 128 KiB of complex values per operand, which
-# the fold streams through L2 and which two lanes would hold at once.  512 elements
-# stay in L1 and took a one-lane 256-slot call (M = 512, 51 subcarriers) from 4.1 to
-# 2.9 ms on a 2-vCPU Xeon; the bytes do not depend on the buffer size
+# the fold allocates per call and streams through L2.  512 elements stay in L1 and
+# took a 256-slot call (M = 512, 51 subcarriers) from 4.1 to 2.9 ms on a 2-vCPU Xeon;
+# the bytes do not depend on the buffer size
 _UFUNC_BUFFER = 512
-
-# lanes of the OQAM receiver: the calling thread and at most one pool thread, and no
-# more than the CPUs this process may run on
-_LANES = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-             else os.cpu_count() or 1)
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _lane_pool():
-    """The one-thread pool that runs the OQAM receiver's second lane, made on first use."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            # imported here: it costs milliseconds that a run without two lanes never needs
-            from concurrent.futures import ThreadPoolExecutor
-            _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="coexsim-lane")
-        return _pool
-
-
-def _forget_pool():
-    """In a forked child: the inherited pool has no worker thread, so the next call makes one."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
 
 
 @cache
@@ -471,40 +429,24 @@ def _oqam_demod_slots(config: CoexConfig, signal: DiscreteSignal, n_range: tuple
     block = min(_DEMOD_BLOCK, nsym)
     # every block starts a multiple of 4 slots after n0, so its row i takes row i mod 4
     turn = turn[np.arange(block) % 4]
-    lanes = min(_LANES, -(-nsym // block))
-    # the workspace is not thread-safe: every lane's rows are taken before any lane starts
-    folds = ws.array("oqam.fold", (lanes, block, 2, hop))
-    products = ws.array("oqam.product", (lanes, block, hop))
-    spectra = ws.array("oqam.spectrum", (lanes, block, M))
+    folds = ws.array("oqam.fold", (block, 2, hop))
+    products = ws.array("oqam.product", (block, hop))
+    spectra = ws.array("oqam.spectrum", (block, M))
     out = np.empty((nsym, len(m)))
-
-    def lane(index: int, lo: int, hi: int):
-        """Slots n0 + lo .. n0 + hi - 1 (lo a multiple of block), in row index of the buffers."""
-        with np.errstate():  # restores the thread's buffer size on exit
-            np.setbufsize(_UFUNC_BUFFER)
-            for j in range(lo, hi, block):
-                size = min(block, hi - j)
-                # slot n0 + j + i reads blocks j + i .. j + i + nb - 1; tap block b folds
-                # onto half b % 2 of M
-                folded, product = folds[index, :size], products[index, :size]
-                np.multiply(x[j:j + size], pulse[0], out=folded[:, 0])
-                np.multiply(x[j + 1:j + 1 + size], pulse[1], out=folded[:, 1])
-                for b in range(2, nb - 1):
-                    folded[:, b % 2] += np.multiply(x[j + b:j + b + size], pulse[b], out=product)
-                folded[:, (nb - 1) % 2, 0] += last[j:j + size] * pulse[nb - 1, 0]
-                spec = np.fft.fft(folded.reshape(size, M), axis=1, out=spectra[index, :size])
-                out[j:j + size] = np.real(spec[:, k] * turn[:size])
-
-    if lanes == 1:
-        lane(0, 0, nsym)
-        return out
-    # two contiguous runs of whole blocks, split at the block boundary nearest the middle
-    mid = (nsym + block) // (2 * block) * block
-    second = _lane_pool().submit(lane, 1, mid, nsym)
-    try:
-        lane(0, 0, mid)
-    finally:
-        second.result()  # waits, and re-raises the pool lane's error
+    with np.errstate():  # restores the thread's buffer size on exit
+        np.setbufsize(_UFUNC_BUFFER)
+        for j in range(0, nsym, block):
+            size = min(block, nsym - j)
+            # slot n0 + j + i reads blocks j + i .. j + i + nb - 1; tap block b folds onto
+            # half b % 2 of M
+            folded, product = folds[:size], products[:size]
+            np.multiply(x[j:j + size], pulse[0], out=folded[:, 0])
+            np.multiply(x[j + 1:j + 1 + size], pulse[1], out=folded[:, 1])
+            for b in range(2, nb - 1):
+                folded[:, b % 2] += np.multiply(x[j + b:j + b + size], pulse[b], out=product)
+            folded[:, (nb - 1) % 2, 0] += last[j:j + size] * pulse[nb - 1, 0]
+            spec = np.fft.fft(folded.reshape(size, M), axis=1, out=spectra[:size])[:, k]
+            out[j:j + size] = np.real(spec * turn[:size])
     return out
 
 

@@ -369,15 +369,3 @@ def test_cli_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src}).stdout
     assert out.strip() == "[]"
-
-
-def test_setup_does_not_load_the_lane_pool():
-    # the OQAM receiver imports concurrent.futures on its first two-lane call, so that
-    # import and config loading stay as cheap as before the receiver had lanes
-    root = Path(__file__).resolve().parents[1]
-    code = ("import sys, coexsim.cli; "
-            f"coexsim.cli.load_config({str(root / 'configs' / 'reference.yaml')!r}); "
-            "print(sorted(m for m in sys.modules if m.startswith('concurrent')))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": str(root / "src")}).stdout
-    assert out.strip() == "[]"

@@ -225,19 +225,8 @@ class TestWorkspace:
 
     @pytest.mark.parametrize("delta_f", [0.0, 0.3])
     def test_i2s_equals_fresh_calls(self, monkeypatch, delta_f):
-        # with two lanes the receiver's second rows of its buffers are poisoned too
-        for lanes in (1, 2):
-            monkeypatch.setattr(txrx, "_LANES", lanes)
-            self.assert_reuse_equals_fresh(monkeypatch, estimate_ofdm_to_oqam,
-                                           i2s_config(delta_f=delta_f))
-
-    @pytest.mark.parametrize("delta_f", [0.0, 0.3])
-    def test_i2s_equals_one_lane(self, monkeypatch, delta_f):
-        estimates = []
-        for lanes in (1, 2):
-            monkeypatch.setattr(txrx, "_LANES", lanes)
-            estimates.append(estimate_ofdm_to_oqam(i2s_config(delta_f=delta_f), self.N_SYMBOLS))
-        assert same_estimate(*estimates)
+        self.assert_reuse_equals_fresh(monkeypatch, estimate_ofdm_to_oqam,
+                                       i2s_config(delta_f=delta_f))
 
     @pytest.mark.parametrize("delta_f", [0.0, 0.3])
     def test_o2o_equals_fresh_calls(self, monkeypatch, delta_f):
@@ -300,15 +289,14 @@ class TestWorkspace:
             assert (shared.start, shared.stop) == (fresh.start, fresh.stop)
             assert np.array_equal(shared.samples, fresh.samples)
 
-    def test_shared_oqam_demod_equals_fresh(self, monkeypatch):
+    def test_shared_oqam_demod_equals_fresh(self):
         cfg = i2s_config()
         rng = np.random.default_rng(5)
         victims = sorted(cfg.secondary_set)
         ws = PoisonedWorkspace()
         # each call after the first reads less of every buffer; 65 slots end on a
-        # one-slot block after a full one; two lanes, then one, share the workspace
-        for lanes, size in ((2, 256), (2, 65), (1, 256), (1, 17)):
-            monkeypatch.setattr(txrx, "_LANES", lanes)
+        # one-slot block after a full one
+        for size in (256, 65, 17):
             n_lo, n_hi = mc._span(cfg, I2S, size, 0)
             data = {0: rng.standard_normal(n_hi - n_lo) + 1j * rng.standard_normal(n_hi - n_lo)}
             sig = txrx.ofdm_modulate(cfg, data, (n_lo, n_hi))

@@ -2,6 +2,7 @@
 
 import ast
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -211,7 +212,7 @@ class TestBatchedOracle:
 
     def test_never_imports_closedform(self):
         # the oracle is the independent reference of the closed forms
-        tree = ast.parse(open(oracle.__file__).read())
+        tree = ast.parse(Path(oracle.__file__).read_text())
         imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
         imported |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
                      for alias in node.names}

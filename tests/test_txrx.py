@@ -1,11 +1,8 @@
 """Modulators, demodulators, signal helpers, configuration validation."""
 
-import multiprocessing
 import os
 import subprocess
 import sys
-import threading
-import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -572,126 +569,26 @@ class TestInPlaceReceivers:
         assert np.array_equal(sig.samples, before)
 
 
-class TestReceiverLanes:
-    """The OQAM receiver gives the same bytes however many lanes share its slot blocks."""
-
-    @staticmethod
-    def lane_calls(monkeypatch, lanes, *args):
-        """The receiver's output with _LANES = lanes, and how often it used the pool."""
-        used = []
-        lane_pool = txrx._lane_pool
-        monkeypatch.setattr(txrx, "_LANES", lanes)
-        monkeypatch.setattr(txrx, "_lane_pool", lambda: used.append(1) or lane_pool())
-        return _oqam_demod_slots(*args), len(used)
+class TestReceiverBuffer:
+    """The OQAM receiver's ufunc buffer size changes neither its bytes nor its caller's."""
 
     @pytest.mark.parametrize("M", [64, 512])
-    @pytest.mark.parametrize("slots", [1, 64, 65, 128, 129, 256, 257])
-    def test_one_and_two_lanes_agree(self, monkeypatch, M, slots):
+    @pytest.mark.parametrize("slots", [1, 64, 65, 257])
+    def test_bytes_do_not_depend_on_the_buffer_size(self, monkeypatch, M, slots):
         cfg = CoexConfig(M=M, incumbent_set=frozenset({0}), secondary_set=frozenset({0}))
         n_range = (-5, slots - 5)
         sig = TestPolyphaseAnalysis.noise_over_support(M, n_range, slots)
         subs = edge_subcarriers(M) + [-3, 1, 2, 5]
-        one, pooled_one = self.lane_calls(monkeypatch, 1, cfg, sig, n_range, subs)
-        two, pooled_two = self.lane_calls(monkeypatch, 2, cfg, sig, n_range, subs)
-        assert np.array_equal(one, two)
-        # a call with one slot block stays on the calling thread
-        assert (pooled_one, pooled_two) == (0, int(slots > txrx._DEMOD_BLOCK))
+        small = _oqam_demod_slots(cfg, sig, n_range, subs)
+        monkeypatch.setattr(txrx, "_UFUNC_BUFFER", np.getbufsize())
+        assert np.array_equal(small, _oqam_demod_slots(cfg, sig, n_range, subs))
 
-    @pytest.mark.parametrize("lanes", [1, 2])
-    def test_caller_keeps_its_ufunc_buffer_size(self, monkeypatch, lanes):
+    def test_caller_keeps_its_ufunc_buffer_size(self):
         cfg = small_config()
         sig = TestPolyphaseAnalysis.noise_over_support(cfg.M, (0, 200), 7)
         before = np.getbufsize()
-        self.lane_calls(monkeypatch, lanes, cfg, sig, (0, 200), [0, 3])
+        _oqam_demod_slots(cfg, sig, (0, 200), [0, 3])
         assert np.getbufsize() == before != txrx._UFUNC_BUFFER
-
-    @staticmethod
-    def failing_fft(monkeypatch, on_pool, on_caller):
-        """Patch np.fft.fft to run on_pool or on_caller first, by the thread it runs on."""
-        fft = np.fft.fft
-
-        def patched(*args, **kwargs):
-            on_lane = threading.current_thread() is not threading.main_thread()
-            (on_pool if on_lane else on_caller)()
-            return fft(*args, **kwargs)
-
-        monkeypatch.setattr(np.fft, "fft", patched)
-
-    def test_pool_lane_error_reraises_and_pool_still_works(self, monkeypatch):
-        cfg = small_config()
-        sig = TestPolyphaseAnalysis.noise_over_support(cfg.M, (0, 200), 8)
-        ref, _ = self.lane_calls(monkeypatch, 1, cfg, sig, (0, 200), [0, 3])
-
-        def fail():
-            raise RuntimeError("pool lane failed")
-
-        self.failing_fft(monkeypatch, fail, lambda: None)
-        with pytest.raises(RuntimeError, match="pool lane failed"):
-            self.lane_calls(monkeypatch, 2, cfg, sig, (0, 200), [0, 3])
-        monkeypatch.undo()
-        out, pooled = self.lane_calls(monkeypatch, 2, cfg, sig, (0, 200), [0, 3])
-        assert pooled == 1 and np.array_equal(out, ref)
-
-    def test_caller_lane_error_waits_for_the_pool_lane(self, monkeypatch):
-        cfg = small_config()
-        sig = TestPolyphaseAnalysis.noise_over_support(cfg.M, (0, 200), 9)
-        finished = []
-
-        def slow():
-            time.sleep(0.2)
-            finished.append(1)
-
-        def fail():
-            raise RuntimeError("caller lane failed")
-
-        self.failing_fft(monkeypatch, slow, fail)
-        with pytest.raises(RuntimeError, match="caller lane failed"):
-            self.lane_calls(monkeypatch, 2, cfg, sig, (0, 200), [0, 3])
-        # the pool lane ran its whole run before the error left the call
-        assert len(finished) == 2
-
-    def test_two_lane_call_in_a_forked_child(self, monkeypatch):
-        # a forked child inherits the pool object but not its worker thread
-        cfg = small_config()
-        sig = TestPolyphaseAnalysis.noise_over_support(cfg.M, (0, 200), 10)
-        parent, pooled = self.lane_calls(monkeypatch, 2, cfg, sig, (0, 200), [0, 3])
-        assert pooled == 1
-        ctx = multiprocessing.get_context("fork")
-        receive, send = ctx.Pipe(duplex=False)
-        child = ctx.Process(target=lambda: send.send(_oqam_demod_slots(cfg, sig, (0, 200), [0, 3])))
-        child.start()
-        try:
-            assert receive.poll(30), "the forked child's two-lane call hung"
-            assert np.array_equal(receive.recv(), parent)
-        finally:
-            child.join(10)
-            if child.is_alive():
-                child.kill()
-        assert child.exitcode == 0
-
-    def test_concurrent_callers_share_the_pool(self, monkeypatch):
-        cfg = small_config()
-        sig = TestPolyphaseAnalysis.noise_over_support(cfg.M, (0, 300), 11)
-        ref, _ = self.lane_calls(monkeypatch, 1, cfg, sig, (0, 300), [0, 3])
-        monkeypatch.setattr(txrx, "_LANES", 2)
-        results = []
-
-        def caller():
-            for _ in range(5):
-                results.append(_oqam_demod_slots(cfg, sig, (0, 300), [0, 3]))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            threads = [threading.Thread(target=caller) for _ in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert len(results) == 20 and all(np.array_equal(r, ref) for r in results)
 
 
 class TestLinearity:
