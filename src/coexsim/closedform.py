@@ -23,6 +23,12 @@ sincs and one (2K-1) x (2K-1) form per distinct length, not complex
 exponentials per shift.  At cp = 1/8 the 9 s2i shifts share 2 lengths and
 the 40 i2s shifts of a full offset cycle share 9.
 
+The forms depend only on the exact (filter, shifts, width), not on l, so
+they are built once per such triple (from exact Fraction shifts) and kept
+read-only for later calls.  The sincs of each block of l are computed in
+three buffers reused across lengths and blocks, step for step as np.sinc
+computes them, so the bytes equal np.sinc's.
+
 Direction conventions (time in symbol periods, l possibly fractional):
   s2i (OQAM -> CP-OFDM):  interference per victim CP-OFDM symbol, canonical
                  window n_i = 0; shifts on the half-period lattice.
@@ -40,6 +46,7 @@ checks that the two enumerations agree.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import ceil, floor, gcd
 
 import numpy as np
@@ -71,13 +78,13 @@ def _lattice_taus(filt: PrototypeFilter, spacing: Fraction, offset: Fraction,
     return [offset + n * spacing for n in range(n_lo, n_hi + 1)]
 
 
-def _power_sum(filt: PrototypeFilter, l_grid: np.ndarray, taus: list[Fraction],
-               width: Fraction) -> np.ndarray:
-    """sum over taus of |integral over [0, width] of g(u - tau) exp(j 2 pi l u) du|^2.
+@lru_cache(maxsize=64)
+def _forms(filt: PrototypeFilter, taus: tuple[Fraction, ...],
+           width: Fraction) -> tuple[tuple[float, np.ndarray], ...]:
+    """(length, form) pairs of _power_sum, in first-seen order of the lengths.
 
-    Every shift's support must meet the window (see _lattice_taus).  The
-    shifts are grouped by the exact length b - a of their overlap [a, b];
-    each group is one quadratic form in the 2K - 1 real sincs of that length.
+    Keyed by the exact filter, shifts and width, and shared by every call
+    with those inputs, so each form is read-only.
     """
     K = filt.overlap_K
     hw = Fraction(K, 2)
@@ -89,12 +96,41 @@ def _power_sum(filt: PrototypeFilter, l_grid: np.ndarray, taus: list[Fraction],
         c = gains * np.exp(1j * np.pi * ks * float((a + b - 2 * tau) / K))
         # the (b-a)^2 of e_k e_k' goes into the form, so the sincs below are unscaled
         forms[b - a] = forms.get(b - a, 0) + np.real(np.outer(c.conj(), c)) * float(b - a) ** 2
+    for q in forms.values():
+        q.flags.writeable = False
+    return tuple((float(length), q) for length, q in forms.items())
+
+
+def _power_sum(filt: PrototypeFilter, l_grid: np.ndarray, taus: list[Fraction],
+               width: Fraction) -> np.ndarray:
+    """sum over taus of |integral over [0, width] of g(u - tau) exp(j 2 pi l u) du|^2.
+
+    Every shift's support must meet the window (see _lattice_taus).  The
+    shifts are grouped by the exact length b - a of their overlap [a, b];
+    each group is one quadratic form in the 2K - 1 real sincs of that length.
+    """
+    K = filt.overlap_K
+    forms = _forms(filt, tuple(taus), width)
+    freqs = np.arange(-K + 1, K)[:, None] / K
     out = np.empty(len(l_grid))
+    rows = 2 * K - 1
+    size = rows * min(_BLOCK, len(l_grid))
+    buffers = np.empty(size), np.empty(size), np.empty(size)
     for start in range(0, len(l_grid), _BLOCK):
         l = l_grid[start:start + _BLOCK]
+        # contiguous, as np.sinc's own temporaries are: on a strided operand einsum
+        # may sum in another order, with other bytes
+        x, y, e = (buf[:rows * len(l)].reshape(rows, len(l)) for buf in buffers)
+        np.add(freqs, l, out=x)
         acc = np.zeros(len(l))
-        for length, q in forms.items():
-            e = np.sinc((ks[:, None] / K + l) * float(length))
+        for length, q in forms:
+            # np.sinc(x * length), step for step: y = pi x, exact zeros nudged so
+            # that sin(y)/y is exactly 1 there, e = sin(y)/y
+            np.multiply(x, length, out=y)
+            y *= np.pi
+            if not y.all():
+                y[y == 0] = 1e-20
+            np.divide(np.sin(y, out=e), y, out=e)
             # einsum, not BLAS: the bytes do not depend on the BLAS thread count
             acc += np.einsum("kl,kl->l", e, np.einsum("kj,jl->kl", q, e))
         out[start:start + _BLOCK] = acc

@@ -36,10 +36,11 @@ periods for the even K, so its phase exp(-2 pi j k p0 / M) is exactly
 and +-j, that repeats every 4 slots: one 4-row table, taken from
 oqam_phase on the first 4 slots, rotates every block.
 
-The receiver runs its ufuncs with a buffer of _UFUNC_BUFFER elements, set
-for the call's thread only, in place of numpy's default 8192: the fold's
-broadcast and strided operands are then buffered in L1 and not in 128 KiB
-blocks allocated per call.  The bytes do not depend on the buffer size.
+The OQAM receiver and CP-OFDM synthesis run their ufuncs with a buffer of
+_UFUNC_BUFFER elements, set for the call's thread only, in place of numpy's
+default 8192: their broadcast and strided operands are then buffered in L1
+and not in 128 KiB blocks allocated per call.  The bytes do not depend on
+the buffer size.
 
 CP-OFDM synthesis reduces its carrier exactly too: the prefix phase makes
 every symbol block the same M + L carrier samples, so each subcarrier
@@ -269,20 +270,23 @@ def ofdm_modulate(config: CoexConfig, data: dict, n_range: tuple[int, int], *,
     ws = workspace or _Workspace()
     p = np.arange(-L, M)  # symbol 0's block
     blocks = None
-    for m, vec in sorted(data.items()):
-        vec = np.asarray(vec, dtype=complex)
-        if vec.shape != (nsym,):
-            raise ValueError(f"data vector for subcarrier {m} must cover n_range ({nsym} symbols)")
-        # symbol n's prefix phase exp(-2 pi j m n L / M) cancels the advance of the carrier
-        # exp(2 pi j m p / M) over n blocks, so every block is symbol 0's: one carrier
-        # block, reduced exactly as (m p) mod M, times each symbol
-        carrier = np.exp(2j * np.pi * ((m * p) % M) / M)
-        amp = (vec / np.sqrt(M))[:, None]
-        # symbol blocks tile the burst exactly: block n is [nS - L, nS + M)
-        if blocks is None:
-            blocks = np.multiply(amp, carrier, out=ws.array("ofdm.signal", (nsym, S)))
-        else:
-            blocks += np.multiply(amp, carrier, out=ws.array("ofdm.term", blocks.shape))
+    with np.errstate():  # restores the thread's buffer size on exit
+        np.setbufsize(_UFUNC_BUFFER)
+        for m, vec in sorted(data.items()):
+            vec = np.asarray(vec, dtype=complex)
+            if vec.shape != (nsym,):
+                raise ValueError(f"data vector for subcarrier {m} must cover n_range "
+                                 f"({nsym} symbols)")
+            # symbol n's prefix phase exp(-2 pi j m n L / M) cancels the advance of the
+            # carrier exp(2 pi j m p / M) over n blocks, so every block is symbol 0's: one
+            # carrier block, reduced exactly as (m p) mod M, times each symbol
+            carrier = np.exp(2j * np.pi * ((m * p) % M) / M)
+            amp = (vec / np.sqrt(M))[:, None]
+            # symbol blocks tile the burst exactly: block n is [nS - L, nS + M)
+            if blocks is None:
+                blocks = np.multiply(amp, carrier, out=ws.array("ofdm.signal", (nsym, S)))
+            else:
+                blocks += np.multiply(amp, carrier, out=ws.array("ofdm.term", blocks.shape))
     if blocks is None:
         return _zero_signal(M, n0 * S - L, n1 * S - L)
     return DiscreteSignal(blocks.ravel(), M, origin_index=L - n0 * S)
@@ -323,12 +327,14 @@ def oqam_phase(m, n):
 # multiple of 4, the period of its rotation in slots
 _DEMOD_BLOCK = 64
 
-# elements per buffered operand of the OQAM receiver's ufuncs.  numpy buffers their
-# broadcast and strided operands (the taps over a block's rows, the fold's half-rows)
-# 8192 elements at a time by default: 128 KiB of complex values per operand, which
-# the fold allocates per call and streams through L2.  512 elements stay in L1 and
-# took a 256-slot call (M = 512, 51 subcarriers) from 4.1 to 2.9 ms on a 2-vCPU Xeon;
-# the bytes do not depend on the buffer size
+# elements per buffered operand of the ufuncs of the OQAM receiver and of CP-OFDM
+# synthesis.  numpy buffers their broadcast and strided operands (the taps over a
+# block's rows, the fold's half-rows, a symbol column times a carrier block) 8192
+# elements at a time by default: 128 KiB of complex values per operand, allocated per
+# call and streamed through L2.  512 elements stay in L1.  They took a 256-slot
+# receiver call (M = 512, 51 subcarriers) from 4.1 to 2.9 ms on a 2-vCPU Xeon, and one
+# 260-symbol ofdm_modulate call from about 560 to 240-320 us (medians of 300 warm
+# calls); the bytes do not depend on the buffer size
 _UFUNC_BUFFER = 512
 
 

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 import coexsim.cli as cli
 from coexsim.checks import run_all_checks
@@ -167,6 +168,56 @@ def test_csv_bytes_match_per_scalar_formatting(tmp_path):
     assert lines[3].startswith("-0.01,")   # .10g rounds off the grid's float error
     assert lines[5] == "1e-300,1.00000000000000000e+00,0.000000"
     assert lines[6].endswith(",-inf")
+
+
+def rowwise_write_csv(path, header, columns, formats):
+    """Reference for _write_csv's bytes: one %-template per row, from per-column float lists."""
+    line = ",".join(f"%{spec}" for spec in formats) + "\n"
+    values = [np.asarray(column).tolist() for column in columns]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(map(line.__mod__, zip(*values)))
+
+
+@pytest.mark.parametrize("rows", [1, cli._CSV_CHUNK - 1, cli._CSV_CHUNK, cli._CSV_CHUNK + 1])
+def test_chunked_csv_bytes_match_rowwise_reference(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    l = -50 + 0.01 * np.arange(rows)
+    l[rows // 2] = -0.0
+    power = 10.0 ** rng.uniform(-300, 3, rows)
+    power[-1] = -0.0
+    with np.errstate(divide="ignore"):
+        db = power_db(power)
+    args = (["l", "power_linear", "power_db"], [l, power, db], [cli._L, cli._LIN, cli._DB])
+    cli._write_csv(str(tmp_path / "chunked.csv"), *args)
+    rowwise_write_csv(str(tmp_path / "rowwise.csv"), *args)
+    written = (tmp_path / "chunked.csv").read_bytes()
+    assert written == (tmp_path / "rowwise.csv").read_bytes()
+    assert written.count(b"\n") == rows + 1 and b",-0.00000000000000000e+00," in written
+
+
+class TestYamlLoader:
+    CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))
+
+    def test_there_are_configs(self):
+        assert len(self.CONFIGS) >= 2
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+    def test_configs_load_equal_under_both_loaders(self, monkeypatch, path):
+        fast = load_config(str(path))
+        monkeypatch.setattr(cli, "_YAML_LOADER", yaml.SafeLoader)
+        assert load_config(str(path)) == fast
+
+    @pytest.mark.parametrize("loader", ["fast", "pure"])
+    def test_malformed_yaml_exits_2(self, tmp_path, capsys, monkeypatch, loader):
+        if loader == "pure":
+            monkeypatch.setattr(cli, "_YAML_LOADER", yaml.SafeLoader)
+        path = tmp_path / "broken.yaml"
+        path.write_text("M: [512\ncp_ratio: 1/8\n")
+        rc = main(["table", "--config", str(path), "--direction", "s2i",
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: malformed config {path}")
 
 
 class TestSimulateCommand:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import coexsim.closedform as closedform
 from coexsim.closedform import (
     _lattice_taus,
     _ofdm_to_oqam_grid,
@@ -69,6 +70,28 @@ def direct_power_sum(filt, l_grid, taus, width):
                 * np.exp(1j * w * (a + b) / 2) * _usinc(w * (b - a) / 2)
         total += np.abs(out) ** 2
     return total
+
+
+def sinc_power_sum(filt, l_grid, taus, width):
+    """Reference for _power_sum's bytes: its forms built per call, its sincs by np.sinc."""
+    K = filt.overlap_K
+    hw = Fraction(K, 2)
+    ks = np.arange(-K + 1, K)
+    gains = np.array([filt.coeff(k) for k in ks]) / K
+    forms = {}
+    for tau in taus:
+        a, b = max(Fraction(0), tau - hw), min(width, tau + hw)
+        c = gains * np.exp(1j * np.pi * ks * float((a + b - 2 * tau) / K))
+        forms[b - a] = forms.get(b - a, 0) + np.real(np.outer(c.conj(), c)) * float(b - a) ** 2
+    out = np.empty(len(l_grid))
+    for start in range(0, len(l_grid), closedform._BLOCK):
+        l = l_grid[start:start + closedform._BLOCK]
+        acc = np.zeros(len(l))
+        for length, q in forms.items():
+            e = np.sinc((ks[:, None] / K + l) * float(length))
+            acc += np.einsum("kl,kl->l", e, np.einsum("kj,jl->kl", q, e))
+        out[start:start + closedform._BLOCK] = acc
+    return out
 
 
 CP_RATIOS = st.fractions(min_value=0, max_value=2, max_denominator=16)
@@ -182,6 +205,54 @@ class TestPowerSum:
         new = _power_sum(filt, self.GRID, taus, 1 + cp)
         ref = direct_power_sum(filt, self.GRID, taus, 1 + cp)
         assert np.max(np.abs(new - ref) / ref) <= 1e-13
+
+    @staticmethod
+    def shift_sets(filt, cp):
+        """(taus, width) of s2i and of i2s at cp, as the two grid functions pass them."""
+        s2i = _lattice_taus(filt, Fraction(1, 2), Fraction(0), Fraction(1))
+        i2s = [t for off in _slot_offsets(cp) for t in _lattice_taus(filt, 1 + cp, off, 1 + cp)]
+        return (s2i, Fraction(1)), (i2s, 1 + cp)
+
+    @pytest.mark.parametrize("cp", [Fraction(0), Fraction(1, 8), Fraction(7, 16), Fraction(2)])
+    def test_bytes_equal_np_sinc_reference(self, filt, cp):
+        for taus, width in self.shift_sets(filt, cp):
+            new = _power_sum(filt, self.GRID, taus, width)
+            assert new.tobytes() == sinc_power_sum(filt, self.GRID, taus, width).tobytes()
+
+    def test_bytes_equal_reference_where_a_sinc_argument_is_zero(self, filt):
+        # k/K + l = 0 for K = 4: the in-place sinc must give exactly 1 there, as np.sinc does
+        grid = np.array([0.0, 0.25, -0.25, 0.5, -0.5, 0.75, -0.75, -0.0, 1.0])
+        for taus, width in self.shift_sets(filt, Fraction(1, 8)):
+            new = _power_sum(filt, grid, taus, width)
+            assert np.all(np.isfinite(new))
+            assert new.tobytes() == sinc_power_sum(filt, grid, taus, width).tobytes()
+
+    @pytest.mark.parametrize("size", [1, closedform._BLOCK - 1, closedform._BLOCK,
+                                      closedform._BLOCK + 1])
+    def test_bytes_equal_reference_at_block_edges(self, filt, size):
+        # _BLOCK + 1 points end on a one-point block in the reused buffers
+        grid = -0.75 + 0.25 * np.arange(size)
+        for taus, width in self.shift_sets(filt, Fraction(7, 16)):
+            new = _power_sum(filt, grid, taus, width)
+            assert new.tobytes() == sinc_power_sum(filt, grid, taus, width).tobytes()
+
+    def test_cached_forms_are_read_only(self, filt):
+        for taus, width in self.shift_sets(filt, Fraction(1, 8)):
+            forms = closedform._forms(filt, tuple(taus), width)
+            assert forms is closedform._forms(filt, tuple(taus), width)
+            for _, q in forms:
+                assert not q.flags.writeable
+                with pytest.raises(ValueError):
+                    q[0, 0] = 0.0
+
+    def test_cache_is_keyed_by_the_exact_shifts(self, filt):
+        # a dropped shift, as the fault-injection tests of checks make, misses the cache
+        for taus, width in self.shift_sets(filt, Fraction(1, 8)):
+            full = _power_sum(filt, self.GRID, taus, width)
+            dropped = _power_sum(filt, self.GRID, taus[:-1], width)
+            assert not np.array_equal(full, dropped)
+            assert dropped.tobytes() == sinc_power_sum(filt, self.GRID, taus[:-1], width).tobytes()
+            assert _power_sum(filt, self.GRID, taus, width).tobytes() == full.tobytes()
 
     def test_bytes_do_not_depend_on_blas_threads(self):
         code = ("import hashlib, numpy as np; from fractions import Fraction; "

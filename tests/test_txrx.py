@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -588,6 +589,45 @@ class TestReceiverBuffer:
         sig = TestPolyphaseAnalysis.noise_over_support(cfg.M, (0, 200), 7)
         before = np.getbufsize()
         _oqam_demod_slots(cfg, sig, (0, 200), [0, 3])
+        assert np.getbufsize() == before != txrx._UFUNC_BUFFER
+
+
+class TestOfdmBuffer:
+    """CP-OFDM synthesis runs its ufuncs under the small buffer, as the OQAM receiver does."""
+
+    @staticmethod
+    def burst(subs, nsym, seed):
+        rng = np.random.default_rng(seed)
+        return {m: rng.normal(size=nsym) + 1j * rng.normal(size=nsym) for m in subs}
+
+    @pytest.mark.parametrize("subs", [[0], [-3, 0, 5]], ids=["one", "three"])
+    def test_bytes_do_not_depend_on_the_buffer_size(self, monkeypatch, subs):
+        cfg = CoexConfig(M=512, cp_ratio=Fraction(1, 8), incumbent_set=frozenset(subs),
+                         secondary_set=frozenset({0}))
+        data = self.burst(subs, 260, len(subs))
+        small = ofdm_modulate(cfg, data, (-3, 257)).samples
+        monkeypatch.setattr(txrx, "_UFUNC_BUFFER", np.getbufsize())
+        assert np.array_equal(small, ofdm_modulate(cfg, data, (-3, 257)).samples)
+
+    def test_warm_call_allocates_no_iterator_buffer(self):
+        # numpy's default buffer made the broadcast product allocate 256 KiB per call
+        cfg = CoexConfig(M=512, cp_ratio=Fraction(1, 8), incumbent_set=frozenset({0}),
+                         secondary_set=frozenset({0}))
+        data = self.burst([0], 260, 7)
+        ws = txrx._Workspace()
+        ofdm_modulate(cfg, data, (0, 260), workspace=ws)
+        tracemalloc.start()
+        try:
+            ofdm_modulate(cfg, data, (0, 260), workspace=ws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_caller_keeps_its_ufunc_buffer_size(self):
+        cfg = small_config()
+        before = np.getbufsize()
+        ofdm_modulate(cfg, self.burst([0], 3, 1), (0, 3))
         assert np.getbufsize() == before != txrx._UFUNC_BUFFER
 
 
