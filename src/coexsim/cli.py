@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from math import floor, isfinite
 
@@ -44,8 +44,7 @@ from .txrx import DIRECTIONS, CoexConfig, ConfigError, lookup_direction
 
 __all__ = ["main", "load_config", "ConfigError"]
 
-_CONFIG_KEYS = ("M", "cp_ratio", "incumbent_set", "secondary_set",
-                "var_qam", "var_pam", "delta_f", "seed")
+_CONFIG_KEYS = tuple(f.name for f in fields(CoexConfig))
 # libyaml's safe loader where PyYAML was built with it: the same values, about 5x faster
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _MAX_L_POINTS = 10 ** 6  # an i2s table this size: 3.7-4.3 s, 87 MiB peak RSS on a 2-vCPU Xeon
@@ -107,11 +106,11 @@ def load_config(path: str) -> CoexConfig:
 
 def _apply_overrides(config: CoexConfig, args) -> CoexConfig:
     kw = {}
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         kw["seed"] = args.seed
-    if getattr(args, "delta_f", None) is not None:
+    if args.delta_f is not None:
         kw["delta_f"] = args.delta_f
-    if getattr(args, "cp_ratio", None) is not None:
+    if args.cp_ratio is not None:
         try:
             kw["cp_ratio"] = Fraction(args.cp_ratio)
         except (ValueError, ZeroDivisionError) as e:
@@ -157,10 +156,7 @@ def _write_csv(path: str, header: list[str], columns, formats: list[str]) -> Non
             fh.write(line * len(rows) % tuple(rows.ravel().tolist()))
 
 
-def cmd_table(args) -> int:
-    config = _apply_overrides(load_config(args.config), args)
-    if lookup_direction(args.direction).offset:
-        raise ConfigError("table computes closed forms: --direction must be s2i or i2s")
+def cmd_table(args, config: CoexConfig) -> int:
     grid = _l_grid(args)
     powers = build_table(args.direction, grid, config, phydyas_k4())
     _write_csv(args.out, ["l", "power_linear", "power_db"],
@@ -168,8 +164,7 @@ def cmd_table(args) -> int:
     return 0
 
 
-def cmd_simulate(args) -> int:
-    config = _apply_overrides(load_config(args.config), args)
+def cmd_simulate(args, config: CoexConfig) -> int:
     filt = phydyas_k4()
     d = lookup_direction(args.direction)
     # each estimator is read from this module at call time, where a benchmark may wrap it
@@ -189,8 +184,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    config = _apply_overrides(load_config(args.config), args)
+def cmd_verify(args, config: CoexConfig) -> int:
     results = run_all_checks(phydyas_k4(), config.cp_ratio)
     width = max(len(r.name) for r in results)
     ok = True
@@ -202,8 +196,7 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_psd(args) -> int:
-    config = _apply_overrides(load_config(args.config), args)
+def cmd_psd(args, config: CoexConfig) -> int:
     grid = _l_grid(args)
     po = psd_ofdm_subcarrier(grid, config.cp_ratio)
     pq = psd_oqam_subcarrier(grid, phydyas_k4())
@@ -256,7 +249,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _apply_overrides(load_config(args.config), args))
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

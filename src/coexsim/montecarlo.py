@@ -17,7 +17,7 @@ closed-form convention.
 Bursts: one loop serves all three rows of txrx.DIRECTIONS.  s2i and i2s
 synthesize one burst per 256 victim windows (slots), o2o one per 32 windows,
 where a fresh timing offset is drawn per burst.  A burst synthesizes exactly the
-interferer symbols whose samples meet the samples its receiver reads.
+interferer symbols whose samples (txrx._extent) meet the samples its receiver reads.
 
 Determinism: a master seed spawns one independent substream per burst via
 numpy SeedSequence spawn keys, so results are bit-identical however bursts
@@ -46,7 +46,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .filterbank import phydyas_k4
 from .txrx import (
     CoexConfig,
     ConfigError,
@@ -56,6 +55,7 @@ from .txrx import (
     ofdm_modulate,
     oqam_modulate,
     shift_samples,
+    _extent,
     _ofdm_demod_window,
     _oqam_demod_slots,
     _Workspace,
@@ -153,13 +153,10 @@ def _reach(first: int, last: int, lo: int, hi: int, step: int) -> tuple[int, int
 def _span(config: CoexConfig, d: Direction, size: int, offset: int) -> tuple[int, int]:
     """The interferer symbols whose samples, delayed by offset, meet victim windows [0, size).
 
-    Symbol n covers samples n step + [first, last]: an OQAM slot K M + 1 samples centred on
-    n M/2, a sent CP-OFDM symbol its L prefix and M useful samples, a received one the M only.
+    The samples a sent or received symbol covers are txrx._extent's.
     """
-    M, S, half = config.M, config.symbol_samples, phydyas_k4().overlap_K * config.M // 2
-    sent = {"oqam": (-half, half, M // 2), "ofdm": (-config.cp_samples, M - 1, S)}
-    first, last, step = sent[d.interferer]
-    v_first, v_last, v_step = {**sent, "ofdm": (0, M - 1, S)}[d.victim]
+    first, last, step = _extent(config, d.interferer)
+    v_first, v_last, v_step = _extent(config, d.victim, received=True)
     return _reach(first + offset, last + offset, v_first, (size - 1) * v_step + v_last, step)
 
 

@@ -7,7 +7,7 @@ clean own-signal returns the transmitted symbol with unit gain.
 
 CP-OFDM symbol n occupies samples [n(M+L) - L, n(M+L) + M) with L cyclic
 prefix samples; the useful window is the last M of those.  OQAM half-symbol
-slot n centers its pulse at sample n M/2 and spans K M + 1 samples.
+slot n centers its pulse at sample n M/2 and spans K M + 1 samples (_extent).
 
 OQAM synthesis is polyphase (Bellanger et al., FBMC physical layer: a
 primer, PHYDYAS 2010): the taps are padded to nb = 2K + 1 blocks of M/2
@@ -169,7 +169,7 @@ def lookup_direction(name: str, lattice: bool = False) -> Direction:
     for d in DIRECTIONS:
         if d.name == name:
             if lattice and d.offset:
-                raise ValueError(f"no closed form or oracle for the offset direction {name!r}")
+                raise ConfigError(f"no closed form or oracle for the offset direction {name!r}")
             return d
     raise ValueError(f"unknown direction {name!r}, expected one of {[d.name for d in DIRECTIONS]}")
 
@@ -209,6 +209,17 @@ class DiscreteSignal:
                              f"bounds [{self.start}, {self.stop})")
         i = p0 + self.origin_index
         return self.samples[i:i + length]
+
+
+def _extent(config: CoexConfig, waveform: str, received: bool = False) -> tuple[int, int, int]:
+    """(first, last, step): symbol (slot) n of waveform covers samples n step + [first, last]:
+    an OQAM slot the K M + 1 taps of _tap_blocks, sent or received, a sent CP-OFDM symbol its
+    L prefix and M useful samples, a received one the M useful samples only.
+    """
+    if waveform == "oqam":
+        half = (len(_tap_blocks(config.M)[0]) - 1) // 2
+        return -half, half, config.M // 2
+    return 0 if received else -config.cp_samples, config.M - 1, config.symbol_samples
 
 
 def _zero_signal(M: int, start: int, stop: int) -> DiscreteSignal:
@@ -265,10 +276,11 @@ def ofdm_modulate(config: CoexConfig, data: dict, n_range: tuple[int, int], *,
     bad = set(data) - config.incumbent_set
     if bad:
         raise ValueError(f"data on subcarriers outside the incumbent set: {sorted(bad)}")
-    M, L, S = config.M, config.cp_samples, config.symbol_samples
+    M = config.M
+    first, last, S = _extent(config, "ofdm")
     nsym = n1 - n0
     ws = workspace or _Workspace()
-    p = np.arange(-L, M)  # symbol 0's block
+    p = np.arange(first, last + 1)  # symbol 0's block
     blocks = None
     with np.errstate():  # restores the thread's buffer size on exit
         np.setbufsize(_UFUNC_BUFFER)
@@ -282,14 +294,14 @@ def ofdm_modulate(config: CoexConfig, data: dict, n_range: tuple[int, int], *,
             # carrier block, reduced exactly as (m p) mod M, times each symbol
             carrier = np.exp(2j * np.pi * ((m * p) % M) / M)
             amp = (vec / np.sqrt(M))[:, None]
-            # symbol blocks tile the burst exactly: block n is [nS - L, nS + M)
+            # symbol blocks tile the burst exactly: block n is n S + [first, last]
             if blocks is None:
                 blocks = np.multiply(amp, carrier, out=ws.array("ofdm.signal", (nsym, S)))
             else:
                 blocks += np.multiply(amp, carrier, out=ws.array("ofdm.term", blocks.shape))
     if blocks is None:
-        return _zero_signal(M, n0 * S - L, n1 * S - L)
-    return DiscreteSignal(blocks.ravel(), M, origin_index=L - n0 * S)
+        return _zero_signal(M, n0 * S + first, n1 * S + first)
+    return DiscreteSignal(blocks.ravel(), M, origin_index=-(n0 * S + first))
 
 
 def _ofdm_demod_window(config: CoexConfig, signal: DiscreteSignal, n_range: tuple[int, int],
@@ -305,8 +317,9 @@ def _ofdm_demod_window(config: CoexConfig, signal: DiscreteSignal, n_range: tupl
     read in place; the spectra go to the workspace, the result is new.
     """
     n0, n1 = _symbols(n_range)
-    M, S = config.M, config.symbol_samples
-    span = signal.window(n0 * S, (n1 - n0 - 1) * S + M)
+    M = config.M
+    first, last, S = _extent(config, "ofdm", received=True)
+    span = signal.window(n0 * S + first, (n1 - n0 - 1) * S + last - first + 1)
     bins = np.asarray(subcarriers) % M
     spectra = (workspace or _Workspace()).array("ofdm.spectrum", (n1 - n0, M))
     np.fft.fft(sliding_window_view(span, M)[::S], axis=-1, out=spectra)
@@ -368,13 +381,11 @@ def oqam_modulate(config: CoexConfig, data: dict, n_range: tuple[int, int], *,
     if bad:
         raise ValueError(f"data on subcarriers outside the secondary set: {sorted(bad)}")
     M = config.M
-    taps, pulse = _tap_blocks(M)
-    pulse = pulse / np.sqrt(M)
-    nb, hop = pulse.shape
-    half = (len(taps) - 1) // 2
+    first, last, hop = _extent(config, "oqam")
+    pulse = _tap_blocks(M)[1] / np.sqrt(M)
+    nb = len(pulse)
     nsym = n1 - n0
-    start = n0 * hop - half
-    stop = (n1 - 1) * hop + half + 1
+    start, stop = n0 * hop + first, (n1 - 1) * hop + last + 1
     p = start + np.arange(pulse.size).reshape(nb, hop)  # absolute samples of slot n0's pulse
     sign = np.where(np.arange(nsym) % 2, -1.0, 1.0)
     amps = np.zeros(nsym + 2 * (nb - 1), dtype=complex)
@@ -415,18 +426,17 @@ def _oqam_demod_slots(config: CoexConfig, signal: DiscreteSignal, n_range: tuple
     M = config.M
     ws = workspace or _Workspace()
     taps, pulse = _tap_blocks(M)
-    nb, hop = pulse.shape
-    half = (len(taps) - 1) // 2
+    first, last, hop = _extent(config, "oqam", received=True)
+    nb = len(pulse)
     nsym = n1 - n0
-    start = n0 * hop - half  # first sample of slot n0's taps
     # the tap support, read in place: len(taps) = (nb - 1) hop + 1, so a slot's tap blocks
-    # 0 .. nb - 2 are whole rows of x and its block nb - 1 is one sample, an entry of last
-    flat = signal.window(start, (nsym - 1) * hop + len(taps))
+    # 0 .. nb - 2 are whole rows of x and its block nb - 1 is one sample, an entry of tail
+    flat = signal.window(n0 * hop + first, (nsym - 1) * hop + last - first + 1)
     x = flat[:(nsym + nb - 2) * hop].reshape(-1, hop)
-    last = flat[(nb - 1) * hop::hop]
+    tail = flat[(nb - 1) * hop::hop]
     m = np.asarray(subcarriers)
     k = m % M
-    # slot n's fold starts at p0 = n hop - half, and half = K M/2 is a whole number of
+    # slot n's fold starts at p0 = n hop + first, and -first = K M/2 is a whole number of
     # periods (K even), so its phase exp(-2 pi j k p0 / M) is exactly (-1)^(k n); with the
     # conjugate phase map, which has period 4 in n, it is one of 4 rows of +-1 and +-j
     quarter = np.arange(n0, n0 + 4)[:, None]
@@ -450,7 +460,7 @@ def _oqam_demod_slots(config: CoexConfig, signal: DiscreteSignal, n_range: tuple
             np.multiply(x[j + 1:j + 1 + size], pulse[1], out=folded[:, 1])
             for b in range(2, nb - 1):
                 folded[:, b % 2] += np.multiply(x[j + b:j + b + size], pulse[b], out=product)
-            folded[:, (nb - 1) % 2, 0] += last[j:j + size] * pulse[nb - 1, 0]
+            folded[:, (nb - 1) % 2, 0] += tail[j:j + size] * pulse[nb - 1, 0]
             spec = np.fft.fft(folded.reshape(size, M), axis=1, out=spectra[:size])[:, k]
             out[j:j + size] = np.real(spec * turn[:size])
     return out

@@ -116,10 +116,12 @@ class TestTableCommand:
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 2
 
-    def test_o2o_direction_rejected(self, config_file, tmp_path):
+    def test_o2o_direction_rejected(self, config_file, tmp_path, capsys):
         rc = main(["table", "--config", config_file, "--direction", "o2o",
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 2
+        assert capsys.readouterr().err == \
+            "error: no closed form or oracle for the offset direction 'o2o'\n"
 
     def test_both_directions_emit_fig5_pair(self, config_file, tmp_path):
         for direction in ("s2i", "i2s"):

@@ -4,10 +4,12 @@ Sizes here are kept moderate; the full-scale reproduction runs live in the
 acceptance suite.
 """
 
+import ast
 import itertools
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -315,8 +317,48 @@ def symbol_extent(config, waveform):
     return sigs[0].start, sigs[0].stop - 1, sigs[1].start - sigs[0].start
 
 
+@pytest.fixture
+def window_reads(monkeypatch):
+    """The sample ranges [p0, p0 + length - 1] that DiscreteSignal.window is asked for."""
+    reads = []
+    window = txrx.DiscreteSignal.window
+
+    def recorded(signal, p0, length):
+        reads.append((p0, p0 + length - 1))
+        return window(signal, p0, length)
+
+    monkeypatch.setattr(txrx.DiscreteSignal, "window", recorded)
+    return reads
+
+
 class TestSpans:
     """Each burst synthesizes exactly the interferer symbols that reach its victim samples."""
+
+    @pytest.mark.parametrize("cp", [0, Fraction(1, 8), Fraction(7, 16)])
+    @pytest.mark.parametrize("M", [16, 512])
+    def test_extent_is_what_the_modems_use(self, window_reads, M, cp):
+        cfg = CoexConfig(M=M, cp_ratio=cp, incumbent_set=frozenset({0}),
+                         secondary_set=frozenset({0}))
+        for waveform in ("oqam", "ofdm"):
+            assert txrx._extent(cfg, waveform) == symbol_extent(cfg, waveform)
+        # each receiver, asked for symbol 1 alone, reads exactly its received extent
+        sig = txrx.ofdm_modulate(cfg, {0: np.ones(3, dtype=complex)}, (0, 3))
+        txrx._ofdm_demod_window(cfg, sig, (1, 2), [0])
+        sig = txrx.oqam_modulate(cfg, {0: np.ones(3)}, (0, 3))
+        txrx._oqam_demod_slots(cfg, sig, (1, 2), [0])
+        extents = [txrx._extent(cfg, w, received=True) for w in ("ofdm", "oqam")]
+        assert window_reads == [(step + first, step + last) for first, last, step in extents]
+        assert extents[0] == (0, M - 1, cfg.symbol_samples)
+
+    def test_montecarlo_leaves_the_geometry_to_txrx(self):
+        # sample extents are txrx._extent's: montecarlo reads no filter length or prefix
+        tree = ast.parse(Path(mc.__file__).read_text())
+        imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        imported |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                     for alias in node.names}
+        assert not any("filterbank" in (name or "") for name in imported)
+        attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert not attributes & {"overlap_K", "cp_samples"}
 
     def test_reach_matches_enumeration(self):
         for step, first, lo in itertools.product(range(1, 6), range(-4, 4), range(-5, 4)):
@@ -329,19 +371,11 @@ class TestSpans:
     @pytest.mark.parametrize("cp", [0, Fraction(1, 8), Fraction(7, 16)])
     @pytest.mark.parametrize("M", [16, 512])
     @pytest.mark.parametrize("direction", ["s2i", "i2s", "o2o"])
-    def test_span_is_exact(self, monkeypatch, direction, M, cp):
+    def test_span_is_exact(self, window_reads, direction, M, cp):
         d = lookup_direction(direction)
         cfg = CoexConfig(M=M, cp_ratio=cp, incumbent_set=frozenset({0}),
                          secondary_set=frozenset({0}))
         first, last, step = symbol_extent(cfg, d.interferer)
-        reads = []
-        window = txrx.DiscreteSignal.window
-
-        def recorded(signal, p0, length):
-            reads.append((p0, p0 + length - 1))
-            return window(signal, p0, length)
-
-        monkeypatch.setattr(txrx.DiscreteSignal, "window", recorded)
         for size, off in itertools.product((1, 17, 256), (0, cfg.symbol_samples - 1)):
             if off and not d.offset:
                 continue
@@ -357,7 +391,7 @@ class TestSpans:
                 txrx._oqam_demod_slots(cfg, sig, (0, size), [0])
             else:
                 txrx._ofdm_demod_window(cfg, sig, (0, size), [0])
-            lo, hi = reads.pop()
+            lo, hi = window_reads.pop()
             n = np.arange(n0 - 1, n1 + 1)
             meets = (n * step + first + off <= hi) & (n * step + last + off >= lo)
             assert meets[1:-1].all() and not meets[0] and not meets[-1], (size, off)
