@@ -12,16 +12,17 @@ rejected to catch typos in physics parameters):
 
     M: 512
     cp_ratio: 1/8            # rational string or number
-    incumbent_set: {range: [-25, 25]}   # or an explicit list
+    incumbent_set: {range: [-25, 25]}   # at most M wide; or an explicit list
     secondary_set: [0]
     var_qam: 1.0
     var_pam: 0.5
     delta_f: 0.0
     seed: 12345
 
-Flags override config values.  All output is deterministic given
-(config, seed): fixed column order, C-locale decimal points, LF line
-endings; dB values carry 6 decimals, linear values full precision.
+--cp-ratio overrides the config on every command; --seed and --delta-f
+exist on simulate alone, the one command that reads them.  All output is
+deterministic given (config, seed): fixed column order, C-locale decimal
+points, LF line endings; dB values carry 6 decimals, linear values full precision.
 """
 
 from __future__ import annotations
@@ -57,12 +58,14 @@ def _integer(value) -> int:
     return int(value)
 
 
-def _parse_subcarrier_set(value, name: str) -> frozenset:
+def _parse_subcarrier_set(value, name: str, M: int) -> frozenset:
     if isinstance(value, dict):
         if set(value) != {"range"} or len(value["range"]) != 2:
             raise ConfigError(f"{name}: expected {{range: [lo, hi]}} or a list of integers")
-        lo, hi = value["range"]
-        return frozenset(range(_integer(lo), _integer(hi) + 1))
+        lo, hi = (_integer(x) for x in value["range"])
+        if hi - lo >= M:  # before the set is built: a range of 10^12 would exhaust memory
+            raise ConfigError(f"{name}: range [{lo}, {hi}] is wider than M = {M} subcarriers")
+        return frozenset(range(lo, hi + 1))
     if isinstance(value, (list, tuple)):
         return frozenset(_integer(m) for m in value)
     raise ConfigError(f"{name}: expected a list or {{range: [lo, hi]}}")
@@ -89,7 +92,7 @@ def load_config(path: str) -> CoexConfig:
         value = raw[key]
         try:
             if key in ("incumbent_set", "secondary_set"):
-                value = _parse_subcarrier_set(value, key)
+                value = _parse_subcarrier_set(value, key, kw.get("M", CoexConfig.M))
             elif key == "cp_ratio":
                 value = Fraction(str(value))
             elif key in ("M", "seed"):
@@ -208,12 +211,11 @@ def cmd_psd(args, config: CoexConfig) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="coexsim",
                                 description="cross-interference tables, simulations and checks")
+    p.set_defaults(seed=None, delta_f=None)  # read by _apply_overrides, set by simulate alone
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, grid=False, direction=False, symbols=False):
         sp.add_argument("--config", required=True, help="YAML scenario file")
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--delta-f", dest="delta_f", type=float, default=None)
         sp.add_argument("--cp-ratio", dest="cp_ratio", default=None,
                         help="prefix ratio as P/Q or decimal")
         if grid:
@@ -233,6 +235,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("simulate", help="Monte-Carlo estimate with closed-form/PSD overlay -> CSV")
     common(sp, direction=True, symbols=True)
+    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--delta-f", dest="delta_f", type=float, default=None)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_simulate)
 

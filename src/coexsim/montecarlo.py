@@ -42,7 +42,7 @@ on whether glibc had kept their pages or given them back to the system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,7 +80,7 @@ class McEstimate:
 
 
 def _roles(config: CoexConfig, d: Direction) -> tuple[int, list[int]]:
-    """The single interferer subcarrier and the sorted victims; CP-OFDM victims are incumbent."""
+    """Where roles are decided: the single interferer subcarrier and the sorted victims."""
     roles = [("secondary", config.secondary_set), ("incumbent", config.incumbent_set)]
     (interferer, interferers), (victim, victims) = roles if d.victim == "ofdm" else roles[::-1]
     if len(interferers) != 1:
@@ -170,18 +170,16 @@ def _bursts(config: CoexConfig, d: Direction, n_symbols: int, add) -> np.ndarray
     m, victims = _roles(config, d)
     # delta_f shifts the secondary, so an OQAM victim sees the incumbent at -delta_f
     shift = -config.delta_f if d.victim == "oqam" else config.delta_f
-    # the interferer alone, in a config both modulators accept: the o2o secondary sends CP-OFDM
-    tx = replace(config, incumbent_set=frozenset({m}), secondary_set=frozenset({m}))
     ws = _Workspace()
     for b, size in enumerate(_burst_sizes(n_symbols, d.burst)):
         rng = _rng(config.seed, d.tag, b)
         off = int(rng.integers(0, config.symbol_samples)) if d.offset else 0
         n_lo, n_hi = _span(config, d, size, off)
         if d.interferer == "oqam":
-            sig = oqam_modulate(tx, {m: _draw_pam(rng, n_hi - n_lo, config.var_pam)},
+            sig = oqam_modulate(config, {m: _draw_pam(rng, n_hi - n_lo, config.var_pam)},
                                 (n_lo, n_hi), workspace=ws)
         else:
-            sig = ofdm_modulate(tx, {m: _draw_qpsk(rng, n_hi - n_lo, config.var_qam)},
+            sig = ofdm_modulate(config, {m: _draw_qpsk(rng, n_hi - n_lo, config.var_qam)},
                                 (n_lo, n_hi), workspace=ws)
         sig = shift_samples(sig, off)
         if shift:

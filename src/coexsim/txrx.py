@@ -262,7 +262,7 @@ class _Workspace:
 
 def ofdm_modulate(config: CoexConfig, data: dict, n_range: tuple[int, int], *,
                   workspace: _Workspace | None = None) -> DiscreteSignal:
-    """Synthesize the CP-OFDM signal for QAM symbols on the incumbent subcarriers.
+    """Synthesize the CP-OFDM signal for QAM symbols on the given subcarriers.
 
     data maps subcarrier index -> complex vector covering symbols
     n_range[0] .. n_range[1]-1.  Each symbol occupies (1+cp_ratio) M samples
@@ -273,9 +273,6 @@ def ofdm_modulate(config: CoexConfig, data: dict, n_range: tuple[int, int], *,
     burst), so use it before then or copy it.
     """
     n0, n1 = _symbols(n_range)
-    bad = set(data) - config.incumbent_set
-    if bad:
-        raise ValueError(f"data on subcarriers outside the incumbent set: {sorted(bad)}")
     M = config.M
     first, last, S = _extent(config, "ofdm")
     nsym = n1 - n0
@@ -370,16 +367,13 @@ def _tap_blocks(M: int) -> tuple[np.ndarray, np.ndarray]:
 
 def oqam_modulate(config: CoexConfig, data: dict, n_range: tuple[int, int], *,
                   workspace: _Workspace | None = None) -> DiscreteSignal:
-    """Synthesize the OQAM signal for real PAM symbols on the secondary subcarriers.
+    """Synthesize the OQAM signal for real PAM symbols on the given subcarriers.
 
     data maps subcarrier index -> real vector covering half-symbol slots
     n_range[0] .. n_range[1]-1; successive slots are offset by M/2 samples.
     With a workspace the signal aliases its buffer, as ofdm_modulate's does.
     """
     n0, n1 = _symbols(n_range)
-    bad = set(data) - config.secondary_set
-    if bad:
-        raise ValueError(f"data on subcarriers outside the secondary set: {sorted(bad)}")
     M = config.M
     first, last, hop = _extent(config, "oqam")
     pulse = _tap_blocks(M)[1] / np.sqrt(M)

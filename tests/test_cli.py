@@ -41,6 +41,8 @@ FRACTIONAL_M = GOOD_CONFIG.replace("M: 512", "M: 512.7")
 FRACTIONAL_SEED = GOOD_CONFIG.replace("seed: 42", "seed: 1.5")
 FRACTIONAL_RANGE = GOOD_CONFIG.replace("range: [-5, 5]", "range: [-5.5, 5]")
 FRACTIONAL_LIST = GOOD_CONFIG.replace("secondary_set: [0]", "secondary_set: [0.5]")
+# rejected before the set is built: as a set it would exhaust memory
+WIDE_RANGE = GOOD_CONFIG.replace("range: [-5, 5]", f"range: [0, {10 ** 12}]")
 NEGATIVE_SEED = GOOD_CONFIG.replace("seed: 42", "seed: -3")
 NAN_VAR_PAM = GOOD_CONFIG.replace("var_pam: 0.5", "var_pam: .nan")
 INF_VAR_PAM = GOOD_CONFIG.replace("var_pam: 0.5", "var_pam: .inf")
@@ -91,6 +93,14 @@ class TestConfigLoading:
         assert (cfg.M, cfg.seed) == (512, 42) and type(cfg.M) is type(cfg.seed) is int
         assert cfg.incumbent_set == frozenset(range(-5, 6))
         assert cfg.secondary_set == frozenset({0})
+
+    def test_range_at_most_m_wide(self, tmp_path):
+        path = tmp_path / "band.yaml"
+        path.write_text("M: 64\nincumbent_set: {range: [-32, 31]}\n")
+        assert load_config(str(path)).incumbent_set == frozenset(range(-32, 32))
+        path.write_text("M: 64\nincumbent_set: {range: [-32, 32]}\n")
+        with pytest.raises(ConfigError, match=r"^incumbent_set: range \[-32, 32\] is wider"):
+            load_config(str(path))
 
 
 class TestTableCommand:
@@ -255,6 +265,13 @@ class TestSimulateCommand:
               "--symbols", "64", "--seed", "7", "--out", str(b)])
         assert a.read_bytes() != b.read_bytes()
 
+    def test_delta_f_override_shifts_l(self, config_file, tmp_path):
+        out = tmp_path / "s.csv"
+        rc = main(["simulate", "--config", config_file, "--direction", "s2i",
+                   "--symbols", "10", "--delta-f", "0.3", "--out", str(out)])
+        assert rc == 0
+        l_values = [float(row.split(",")[0]) for row in out.read_text().splitlines()[1:]]
+        assert np.allclose(l_values, np.arange(-5, 6) + 0.3, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("direction, estimator, config_text", [
         ("s2i", "estimate_oqam_to_ofdm", GOOD_CONFIG),
@@ -344,7 +361,7 @@ class TestErrorMapping:
         (GOOD_CONFIG, ["table", "--direction", "s2i", "--cp-ratio", "one-eighth"]),
         (GOOD_CONFIG, ["table", "--direction", "s2i", "--cp-ratio", "1/0"]),
         (BAD_CP_VALUE, ["table", "--direction", "s2i"]),
-        (GOOD_CONFIG, ["table", "--direction", "s2i", "--delta-f", "0.7"]),
+        (GOOD_CONFIG, ["simulate", "--direction", "s2i", "--symbols", "10", "--delta-f", "0.7"]),
         (GOOD_CONFIG, ["simulate", "--direction", "s2i", "--symbols", "0"]),
         (MULTI_INTERFERER, ["simulate", "--direction", "s2i", "--symbols", "10"]),
         (ODD_M_OQAM_VICTIM, ["simulate", "--direction", "i2s", "--symbols", "10"]),
@@ -368,19 +385,31 @@ class TestErrorMapping:
         (GOOD_CONFIG, ["table", "--direction", "s2i", *HUGE_GRID]),
         (GOOD_CONFIG, ["table", "--direction", "i2s", "--lmin=-1e308", "--lmax=1e308"]),
         (GOOD_CONFIG, ["psd", *HUGE_GRID]),
+        (WIDE_RANGE, ["table", "--direction", "s2i"]),
     ], ids=["cp-flag", "cp-flag-zero-denominator", "cp-config", "delta-f", "zero-symbols",
             "two-interferers", "odd-m-oqam-victim", "table-lmin-nan", "table-lstep-nan",
             "table-lmax-inf", "psd-lmin-nan", "psd-lstep-nan", "psd-lmax-inf",
             "fractional-m", "fractional-seed", "fractional-range", "fractional-list",
             "seed-flag-negative", "seed-config-negative", "var-pam-nan", "var-pam-inf",
             "s2i-no-victim", "o2o-no-victim", "i2s-no-victim", "table-huge-grid",
-            "table-overflowing-grid", "psd-huge-grid"])
+            "table-overflowing-grid", "psd-huge-grid", "wide-range"])
     def test_user_input_errors_exit_2(self, tmp_path, capsys, config_text, args):
         path = tmp_path / "scenario.yaml"
         path.write_text(config_text)
         rc = main([*args, "--config", str(path), "--out", str(tmp_path / "x.csv")])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("flag", [["--seed", "1"], ["--delta-f", "0.1"]],
+                             ids=["seed", "delta-f"])
+    @pytest.mark.parametrize("args", [["table", "--direction", "s2i", "--out", "x.csv"],
+                                      ["verify"], ["psd", "--out", "x.csv"]],
+                             ids=["table", "verify", "psd"])
+    def test_seed_and_delta_f_are_simulate_only(self, config_file, capsys, args, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*args, "--config", config_file, *flag])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_internal_value_error_is_not_a_usage_error(self, config_file, tmp_path, monkeypatch):
         def broken(*args, **kwargs):

@@ -216,10 +216,15 @@ class TestOfdm:
         split = ofdm_modulate(cfg, d1, (0, 2)).samples + ofdm_modulate(cfg, d2, (0, 2)).samples
         assert np.allclose(both.samples, split, rtol=0, atol=1e-15)
 
-    def test_rejects_foreign_subcarriers(self):
-        cfg = small_config(incumbent_set=frozenset({0, 1}))
-        with pytest.raises(ValueError):
-            ofdm_modulate(cfg, {3: np.ones(1, dtype=complex)}, (0, 1))
+    def test_subcarriers_outside_the_incumbent_set_synthesize_alike(self):
+        # roles are the estimator's: the modulator takes any subcarrier, with the same bytes
+        rng = np.random.default_rng(4)
+        data = {m: rng.normal(size=3) + 1j * rng.normal(size=3) for m in (3, 20)}
+        outside = ofdm_modulate(small_config(incumbent_set=frozenset({0, 1})), data, (0, 3))
+        inside = ofdm_modulate(small_config(incumbent_set=frozenset({3, 20})), data, (0, 3))
+        assert outside.samples.tobytes() == inside.samples.tobytes()
+        assert (outside.samples_per_symbol, outside.origin_index) == \
+            (inside.samples_per_symbol, inside.origin_index)
 
     def test_rejects_wrong_vector_length(self):
         cfg = small_config()
@@ -356,6 +361,15 @@ class TestOqam:
         cfg = small_config()
         with pytest.raises(ValueError):
             oqam_modulate(cfg, {0: np.ones(2, dtype=complex)}, (0, 2))
+
+    def test_subcarriers_outside_the_secondary_set_synthesize_alike(self):
+        rng = np.random.default_rng(5)
+        data = {m: rng.choice([1.0, -1.0], size=4) for m in (3, 20)}
+        outside = oqam_modulate(small_config(secondary_set=frozenset({0})), data, (0, 4))
+        inside = oqam_modulate(small_config(secondary_set=frozenset({3, 20})), data, (0, 4))
+        assert outside.samples.tobytes() == inside.samples.tobytes()
+        assert (outside.samples_per_symbol, outside.origin_index) == \
+            (inside.samples_per_symbol, inside.origin_index)
 
     def test_rejects_odd_m(self):
         cfg = CoexConfig(M=9, cp_ratio=0, incumbent_set=frozenset({0}),
