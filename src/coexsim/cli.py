@@ -92,7 +92,9 @@ def load_config(path: str) -> CoexConfig:
         value = raw[key]
         try:
             if key in ("incumbent_set", "secondary_set"):
-                value = _parse_subcarrier_set(value, key, kw.get("M", CoexConfig.M))
+                # CoexConfig checks M (parsed before the sets) first: a bad M gets its own message
+                M = CoexConfig(**{**kw, "incumbent_set": (), "secondary_set": ()}).M
+                value = _parse_subcarrier_set(value, key, M)
             elif key == "cp_ratio":
                 value = Fraction(str(value))
             elif key in ("M", "seed"):
@@ -214,7 +216,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(seed=None, delta_f=None)  # read by _apply_overrides, set by simulate alone
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, grid=False, direction=False, symbols=False):
+    def common(sp, grid=False, direction=False):
         sp.add_argument("--config", required=True, help="YAML scenario file")
         sp.add_argument("--cp-ratio", dest="cp_ratio", default=None,
                         help="prefix ratio as P/Q or decimal")
@@ -225,16 +227,14 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--out", required=True)
         if direction:
             sp.add_argument("--direction", choices=[d.name for d in DIRECTIONS], required=True)
-        if symbols:
-            sp.add_argument("--symbols", type=int, default=10000,
-                            help="victim windows/slots to measure")
 
     sp = sub.add_parser("table", help="closed-form interference table -> CSV")
     common(sp, grid=True, direction=True)
     sp.set_defaults(func=cmd_table)
 
     sp = sub.add_parser("simulate", help="Monte-Carlo estimate with closed-form/PSD overlay -> CSV")
-    common(sp, direction=True, symbols=True)
+    common(sp, direction=True)
+    sp.add_argument("--symbols", type=int, default=10000, help="victim windows/slots to measure")
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--delta-f", dest="delta_f", type=float, default=None)
     sp.add_argument("--out", required=True)

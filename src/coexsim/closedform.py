@@ -66,16 +66,17 @@ def power_db(power) -> np.ndarray | float:
     return 10 * np.log10(np.maximum(power, DB_FLOOR))
 
 
+@lru_cache(maxsize=256)
 def _lattice_taus(filt: PrototypeFilter, spacing: Fraction, offset: Fraction,
-                  width: Fraction) -> list[Fraction]:
+                  width: Fraction) -> tuple[Fraction, ...]:
     """Ascending tau in spacing*Z + offset whose pulse support meets [0, width].
 
-    The overlap must have nonzero measure: -K/2 < tau < width + K/2.
+    The overlap must have nonzero measure: -K/2 < tau < width + K/2.  Kept per exact input.
     """
     hw = Fraction(filt.overlap_K, 2)
     n_lo = floor((-hw - offset) / spacing) + 1
     n_hi = ceil((width + hw - offset) / spacing) - 1
-    return [offset + n * spacing for n in range(n_lo, n_hi + 1)]
+    return tuple(offset + n * spacing for n in range(n_lo, n_hi + 1))
 
 
 @lru_cache(maxsize=64)
@@ -101,7 +102,7 @@ def _forms(filt: PrototypeFilter, taus: tuple[Fraction, ...],
     return tuple((float(length), q) for length, q in forms.items())
 
 
-def _power_sum(filt: PrototypeFilter, l_grid: np.ndarray, taus: list[Fraction],
+def _power_sum(filt: PrototypeFilter, l_grid: np.ndarray, taus: tuple[Fraction, ...],
                width: Fraction) -> np.ndarray:
     """sum over taus of |integral over [0, width] of g(u - tau) exp(j 2 pi l u) du|^2.
 
@@ -156,7 +157,7 @@ def _ofdm_to_oqam_grid(l_grid: np.ndarray, filt: PrototypeFilter, cp_ratio,
     cp = Fraction(cp_ratio)
     width = 1 + cp
     offsets = _slot_offsets(cp)
-    taus = [tau for off in offsets for tau in _lattice_taus(filt, width, off, width)]
+    taus = tuple(tau for off in offsets for tau in _lattice_taus(filt, width, off, width))
     # the 1/2 real-part factor cancels against the two slots per complex symbol
     return var_qam * _power_sum(filt, l_grid, taus, width) / len(offsets)
 

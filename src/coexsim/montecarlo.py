@@ -183,7 +183,7 @@ def _bursts(config: CoexConfig, d: Direction, n_symbols: int, add) -> np.ndarray
                                 (n_lo, n_hi), workspace=ws)
         sig = shift_samples(sig, off)
         if shift:
-            sig = apply_frequency_shift(sig, shift, workspace=ws)
+            sig = apply_frequency_shift(config, sig, shift, workspace=ws)
         if d.victim == "oqam":
             add(_oqam_demod_slots(config, sig, (0, size), victims, workspace=ws) ** 2)
         else:

@@ -153,16 +153,11 @@ def victim_slot_offsets(cp_ratio: Fraction) -> list[Fraction]:
     if cp < 0:
         raise ValueError("cp_ratio must be non-negative")
     period = 1 + cp
-    seen: set[Fraction] = set()
-    out: list[Fraction] = []
-    n = 0
-    while True:
-        x = (cp + Fraction(n, 2)) % period
-        if x in seen:
-            return out
-        seen.add(x)
+    # the offsets advance by 1/2 modulo the period, so the first to recur is slot 0's, cp
+    out = [cp]
+    while (x := (cp + Fraction(len(out), 2)) % period) != cp:
         out.append(x)
-        n += 1
+    return out
 
 
 def _int_interval(lo: Fraction, hi: Fraction) -> list[int]:

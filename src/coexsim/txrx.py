@@ -1,9 +1,10 @@
 """Discrete-time synthesis and matched-filter demodulation of both waveforms.
 
-Sampling convention: the useful symbol period T spans M samples (critical
-sampling); absolute sample index p corresponds to time t = p/M in units of
-T.  Every modulator scales amplitudes by 1/sqrt(M) so that demodulating a
-clean own-signal returns the transmitted symbol with unit gain.
+Sampling convention: the useful symbol period T spans M = config.M samples
+(critical sampling), and absolute sample p is at time t = p/M in units of T.
+A DiscreteSignal is samples plus an origin on that grid; every modem
+function, the frequency shift too, takes the config.  Every modulator scales
+by 1/sqrt(M), so a clean own-signal demodulates to its symbol with unit gain.
 
 CP-OFDM symbol n occupies samples [n(M+L) - L, n(M+L) + M) with L cyclic
 prefix samples; the useful window is the last M of those.  OQAM half-symbol
@@ -176,14 +177,13 @@ def lookup_direction(name: str, lattice: bool = False) -> Direction:
 
 @dataclass
 class DiscreteSignal:
-    """Complex baseband sample stream on the absolute sample grid.
+    """Complex baseband samples and their origin on the config's sample grid.
 
     samples[i] is the sample at absolute index p = i - origin_index
-    (t = p/M).  Treated as immutable once synthesized.
+    (t = p/M, M = config.M).  Treated as immutable once synthesized.
     """
 
     samples: np.ndarray
-    samples_per_symbol: int
     origin_index: int
 
     def __post_init__(self):
@@ -222,8 +222,8 @@ def _extent(config: CoexConfig, waveform: str, received: bool = False) -> tuple[
     return 0 if received else -config.cp_samples, config.M - 1, config.symbol_samples
 
 
-def _zero_signal(M: int, start: int, stop: int) -> DiscreteSignal:
-    return DiscreteSignal(np.zeros(stop - start, dtype=complex), M, origin_index=-start)
+def _zero_signal(start: int, stop: int) -> DiscreteSignal:
+    return DiscreteSignal(np.zeros(stop - start, dtype=complex), origin_index=-start)
 
 
 def _symbols(n_range) -> tuple[int, int]:
@@ -297,8 +297,8 @@ def ofdm_modulate(config: CoexConfig, data: dict, n_range: tuple[int, int], *,
             else:
                 blocks += np.multiply(amp, carrier, out=ws.array("ofdm.term", blocks.shape))
     if blocks is None:
-        return _zero_signal(M, n0 * S + first, n1 * S + first)
-    return DiscreteSignal(blocks.ravel(), M, origin_index=-(n0 * S + first))
+        return _zero_signal(n0 * S + first, n1 * S + first)
+    return DiscreteSignal(blocks.ravel(), origin_index=-(n0 * S + first))
 
 
 def _ofdm_demod_window(config: CoexConfig, signal: DiscreteSignal, n_range: tuple[int, int],
@@ -402,8 +402,8 @@ def oqam_modulate(config: CoexConfig, data: dict, n_range: tuple[int, int], *,
         else:
             samples += np.matmul(toeplitz, blocks, out=ws.array("oqam.term", samples.shape))
     if samples is None:
-        return _zero_signal(M, start, stop)
-    return DiscreteSignal(samples.ravel()[:stop - start], M, origin_index=-start)
+        return _zero_signal(start, stop)
+    return DiscreteSignal(samples.ravel()[:stop - start], origin_index=-start)
 
 
 def _oqam_demod_slots(config: CoexConfig, signal: DiscreteSignal, n_range: tuple[int, int],
@@ -464,7 +464,7 @@ def _oqam_demod_slots(config: CoexConfig, signal: DiscreteSignal, n_range: tuple
 # Channel helpers
 # ---------------------------------------------------------------------------
 
-def apply_frequency_shift(signal: DiscreteSignal, delta_f: float, *,
+def apply_frequency_shift(config: CoexConfig, signal: DiscreteSignal, delta_f: float, *,
                           workspace: _Workspace | None = None) -> DiscreteSignal:
     """Shift the signal by delta_f subcarrier spacings (phase ramp in absolute time).
 
@@ -475,7 +475,7 @@ def apply_frequency_shift(signal: DiscreteSignal, delta_f: float, *,
     With a workspace the ramp and the shifted samples live in its buffers,
     and the result aliases it as ofdm_modulate's signal does.
     """
-    M = signal.samples_per_symbol
+    M = config.M
     q0, r0 = divmod(signal.start, M)
     blocks = -(-(r0 + len(signal.samples)) // M)
     ramp = np.exp(2j * np.pi * delta_f * np.arange(M) / M)
@@ -484,10 +484,9 @@ def apply_frequency_shift(signal: DiscreteSignal, delta_f: float, *,
     full = np.multiply(phases[:, None], ramp, out=ws.array("shift.ramp", (blocks, M)))
     full = full.ravel()[r0:r0 + len(signal.samples)]
     out = np.multiply(signal.samples, full, out=ws.array("shift.signal", full.shape))
-    return DiscreteSignal(out, M, signal.origin_index)
+    return DiscreteSignal(out, signal.origin_index)
 
 
 def shift_samples(signal: DiscreteSignal, offset: int) -> DiscreteSignal:
     """Delay the signal by a whole number of samples (relabels the time origin)."""
-    return DiscreteSignal(signal.samples, signal.samples_per_symbol,
-                          signal.origin_index - offset)
+    return DiscreteSignal(signal.samples, signal.origin_index - offset)

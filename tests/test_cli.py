@@ -102,6 +102,13 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match=r"^incumbent_set: range \[-32, 32\] is wider"):
             load_config(str(path))
 
+    def test_invalid_m_is_reported_before_a_range_width(self, tmp_path, capsys):
+        # a range is measured against M only once M itself is valid
+        path = tmp_path / "bad_m.yaml"
+        path.write_text("M: -4\nincumbent_set: {range: [0, 0]}\n")
+        assert main(["verify", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == "error: M must be >= 8\n"
+
 
 class TestTableCommand:
     def test_grid_and_symmetry(self, config_file, tmp_path):

@@ -174,7 +174,7 @@ class TestConfig:
 
 class TestDiscreteSignal:
     def test_window_bounds(self):
-        sig = DiscreteSignal(np.arange(10, dtype=complex), 8, origin_index=4)
+        sig = DiscreteSignal(np.arange(10, dtype=complex), origin_index=4)
         assert sig.start == -4 and sig.stop == 6
         assert len(sig.window(-4, 10)) == 10
         with pytest.raises(ValueError):
@@ -187,7 +187,7 @@ class TestDiscreteSignal:
         assert np.shares_memory(part, sig.samples)
 
     def test_shift_samples_relabels_origin(self):
-        sig = DiscreteSignal(np.arange(4, dtype=complex), 8, origin_index=0)
+        sig = DiscreteSignal(np.arange(4, dtype=complex), origin_index=0)
         delayed = shift_samples(sig, 3)
         assert delayed.window(3, 4) is not None
         assert np.array_equal(delayed.window(3, 4), sig.window(0, 4))
@@ -223,8 +223,7 @@ class TestOfdm:
         outside = ofdm_modulate(small_config(incumbent_set=frozenset({0, 1})), data, (0, 3))
         inside = ofdm_modulate(small_config(incumbent_set=frozenset({3, 20})), data, (0, 3))
         assert outside.samples.tobytes() == inside.samples.tobytes()
-        assert (outside.samples_per_symbol, outside.origin_index) == \
-            (inside.samples_per_symbol, inside.origin_index)
+        assert outside.origin_index == inside.origin_index
 
     def test_rejects_wrong_vector_length(self):
         cfg = small_config()
@@ -254,7 +253,7 @@ class TestOfdm:
         cfg = small_config()
         rng = np.random.default_rng(11)
         data = {m: rng.normal(size=6) + 1j * rng.normal(size=6) for m in (-3, 0, 5)}
-        sig = apply_frequency_shift(ofdm_modulate(cfg, data, (0, 6)), 0.3)
+        sig = apply_frequency_shift(cfg, ofdm_modulate(cfg, data, (0, 6)), 0.3)
         rows = _ofdm_demod_window(cfg, sig, (0, 6), all_subcarriers(cfg))
         assert rows.shape == (6, cfg.M)
         for i in range(6):
@@ -368,8 +367,7 @@ class TestOqam:
         outside = oqam_modulate(small_config(secondary_set=frozenset({0})), data, (0, 4))
         inside = oqam_modulate(small_config(secondary_set=frozenset({3, 20})), data, (0, 4))
         assert outside.samples.tobytes() == inside.samples.tobytes()
-        assert (outside.samples_per_symbol, outside.origin_index) == \
-            (inside.samples_per_symbol, inside.origin_index)
+        assert outside.origin_index == inside.origin_index
 
     def test_rejects_odd_m(self):
         cfg = CoexConfig(M=9, cp_ratio=0, incumbent_set=frozenset({0}),
@@ -377,7 +375,7 @@ class TestOqam:
         with pytest.raises(txrx.ConfigError):
             oqam_modulate(cfg, {0: np.ones(1)}, (0, 1))
         with pytest.raises(txrx.ConfigError):
-            _oqam_demod_slots(cfg, DiscreteSignal(np.zeros(100, dtype=complex), 9, 50), (0, 1),
+            _oqam_demod_slots(cfg, DiscreteSignal(np.zeros(100, dtype=complex), 50), (0, 1),
                               [0])
 
     def test_single_symbol_envelope_is_pulse(self):
@@ -482,7 +480,7 @@ class TestPolyphaseAnalysis:
         start = n_range[0] * M // 2 - (len(taps) - 1) // 2
         length = (n_range[1] - n_range[0] - 1) * M // 2 + len(taps)
         rng = np.random.default_rng(seed)
-        return DiscreteSignal(rng.normal(size=length) + 1j * rng.normal(size=length), M, -start)
+        return DiscreteSignal(rng.normal(size=length) + 1j * rng.normal(size=length), -start)
 
     @pytest.mark.parametrize("M, n_range, subs", [
         (64, (-7, 13), edge_subcarriers(64)),
@@ -506,7 +504,7 @@ class TestPolyphaseAnalysis:
         rows = _oqam_demod_slots(cfg, sig, (-3, 6), subs)
         for c, m in enumerate(subs):
             assert np.array_equal(rows[:, c], _oqam_demod_slots(cfg, sig, (-3, 6), [m])[:, 0])
-        ofdm = apply_frequency_shift(ofdm_modulate(
+        ofdm = apply_frequency_shift(cfg, ofdm_modulate(
             cfg, {m: np.ones(4, dtype=complex) for m in (-8, 0, 3)}, (0, 4)), 0.3)
         rows = _ofdm_demod_window(cfg, ofdm, (0, 4), subs)
         for c, m in enumerate(subs):
@@ -517,8 +515,8 @@ class TestPolyphaseAnalysis:
         cfg = small_config()
         sig = self.noise_over_support(cfg.M, (-3, 6), 3)
         assert _oqam_demod_slots(cfg, sig, (-3, 6), [0, 1]).shape == (9, 2)
-        short_tail = DiscreteSignal(sig.samples[:-1], cfg.M, sig.origin_index)
-        short_head = DiscreteSignal(sig.samples[1:], cfg.M, sig.origin_index - 1)
+        short_tail = DiscreteSignal(sig.samples[:-1], sig.origin_index)
+        short_head = DiscreteSignal(sig.samples[1:], sig.origin_index - 1)
         for short in (short_tail, short_head):
             with pytest.raises(ValueError):
                 _oqam_demod_slots(cfg, short, (-3, 6), [0])
@@ -533,7 +531,7 @@ class TestInPlaceReceivers:
         nsym = n_range[1] - n_range[0]
         data = {m: rng.normal(size=nsym) + 1j * rng.normal(size=nsym) for m in (-3, 0, 5)}
         sig = shift_samples(ofdm_modulate(cfg, data, n_range), 37)
-        return apply_frequency_shift(sig, 0.3)
+        return apply_frequency_shift(cfg, sig, 0.3)
 
     def test_strided_windows_equal_fft_of_gathered_copies(self):
         cfg = small_config()
@@ -659,9 +657,9 @@ class TestLinearity:
         buf_b = np.zeros(stop - start, dtype=complex)
         buf_a[a.start - start:a.stop - start] = a.samples
         buf_b[b.start - start:b.stop - start] = b.samples
-        total = DiscreteSignal(buf_a + buf_b, cfg.M, -start)
-        only_a = DiscreteSignal(buf_a, cfg.M, -start)
-        only_b = DiscreteSignal(buf_b, cfg.M, -start)
+        total = DiscreteSignal(buf_a + buf_b, -start)
+        only_a = DiscreteSignal(buf_a, -start)
+        only_b = DiscreteSignal(buf_b, -start)
         d_sum = _ofdm_demod_window(cfg, total, (0, 1), [1])[0, 0]
         d_parts = (_ofdm_demod_window(cfg, only_a, (0, 1), [1])[0, 0]
                    + _ofdm_demod_window(cfg, only_b, (0, 1), [1])[0, 0])
@@ -676,12 +674,12 @@ class TestFrequencyShift:
     def test_zero_shift_is_identity(self):
         cfg = small_config()
         sig = ofdm_modulate(cfg, {1: np.ones(1, dtype=complex)}, (0, 1))
-        assert np.array_equal(apply_frequency_shift(sig, 0.0).samples, sig.samples)
+        assert np.array_equal(apply_frequency_shift(cfg, sig, 0.0).samples, sig.samples)
 
     def test_integer_shift_relabels_subcarriers(self):
         cfg = small_config()
         sig = ofdm_modulate(cfg, {3: np.ones(1, dtype=complex)}, (0, 1))
-        shifted = apply_frequency_shift(sig, 1.0)
+        shifted = apply_frequency_shift(cfg, sig, 1.0)
         row = _ofdm_demod_window(cfg, shifted, (0, 1), [3, 4])[0]
         assert row[1] == pytest.approx(1.0, abs=1e-12)
         assert abs(row[0]) < 1e-12
@@ -690,19 +688,21 @@ class TestFrequencyShift:
         cfg = small_config()
         rng = np.random.default_rng(6)
         sig = ofdm_modulate(cfg, {0: rng.normal(size=2) + 1j * rng.normal(size=2)}, (0, 2))
-        back = apply_frequency_shift(apply_frequency_shift(sig, 0.37), -0.37)
+        back = apply_frequency_shift(cfg, apply_frequency_shift(cfg, sig, 0.37), -0.37)
         assert np.allclose(back.samples, sig.samples, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("delta_f", [0.3, 0.5, -0.25])
-    @pytest.mark.parametrize("origin_index", [333, -70])
-    def test_block_ramp_matches_direct_exponential(self, delta_f, origin_index):
-        # the signal starts mid-block, before (333) or after (-70) the time origin
-        M, n = 64, 1000
+    @pytest.mark.parametrize("origin_index, M", [(333, 64), (-70, 64), (333, 512), (-70, 512)],
+                             ids=["333", "-70", "333-M512", "-70-M512"])
+    def test_block_ramp_matches_direct_exponential(self, origin_index, M, delta_f):
+        # the signal starts mid-block, before (333) or after (-70) the time origin; the
+        # ramp's M is the config's, as the signal carries no sample rate
+        cfg, n = small_config(M=M), 1000
         rng = np.random.default_rng(8)
-        sig = DiscreteSignal(rng.normal(size=n) + 1j * rng.normal(size=n), M, origin_index)
+        sig = DiscreteSignal(rng.normal(size=n) + 1j * rng.normal(size=n), origin_index)
         p = np.arange(n) - origin_index
-        direct = sig.samples * np.exp(2j * np.pi * delta_f * p / M)
-        shifted = apply_frequency_shift(sig, delta_f)
+        direct = sig.samples * np.exp(2j * np.pi * delta_f * p / cfg.M)
+        shifted = apply_frequency_shift(cfg, sig, delta_f)
         assert shifted.origin_index == origin_index
         assert np.max(np.abs(shifted.samples - direct)) <= 1e-12 * np.max(np.abs(direct))
 
