@@ -19,10 +19,13 @@ rejected to catch typos in physics parameters):
     delta_f: 0.0
     seed: 12345
 
---cp-ratio overrides the config on every command; --seed and --delta-f
-exist on simulate alone, the one command that reads them.  All output is
-deterministic given (config, seed): fixed column order, C-locale decimal
-points, LF line endings; dB values carry 6 decimals, linear values full precision.
+CoexConfig reads and checks every value, the flags' too, and names the field
+of one it cannot read ("cp_ratio: ..."); this module only reads the file and
+expands each {range}.  --cp-ratio overrides the config on every command;
+--seed and --delta-f exist on simulate alone, the one command that reads
+them.  All output is deterministic given (config, seed): fixed column order,
+C-locale decimal points, LF line endings; dB values carry 6 decimals, linear
+values full precision.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import fields, replace
-from fractions import Fraction
 from math import floor, isfinite
 
 import numpy as np
@@ -41,7 +43,7 @@ from .closedform import build_table, power_db
 from .filterbank import phydyas_k4
 from .montecarlo import estimate_ofdm_to_ofdm, estimate_ofdm_to_oqam, estimate_oqam_to_ofdm
 from .psdmodel import psd_interference, psd_ofdm_subcarrier, psd_oqam_subcarrier
-from .txrx import DIRECTIONS, CoexConfig, ConfigError, lookup_direction
+from .txrx import DIRECTIONS, CoexConfig, ConfigError, _integer, lookup_direction
 
 __all__ = ["main", "load_config", "ConfigError"]
 
@@ -51,28 +53,25 @@ _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _MAX_L_POINTS = 10 ** 6  # an i2s table this size: 3.7-4.3 s, 87 MiB peak RSS on a 2-vCPU Xeon
 
 
-def _integer(value) -> int:
-    """int(value), except that a non-integral float is an error rather than truncated."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"expected an integer, got {value}")
-    return int(value)
-
-
-def _parse_subcarrier_set(value, name: str, M: int) -> frozenset:
-    if isinstance(value, dict):
-        if set(value) != {"range"} or len(value["range"]) != 2:
-            raise ConfigError(f"{name}: expected {{range: [lo, hi]}} or a list of integers")
-        lo, hi = (_integer(x) for x in value["range"])
-        if hi - lo >= M:  # before the set is built: a range of 10^12 would exhaust memory
-            raise ConfigError(f"{name}: range [{lo}, {hi}] is wider than M = {M} subcarriers")
-        return frozenset(range(lo, hi + 1))
+def _subcarrier_set(value, name: str, M: int):
+    """A listed set as given, or the range that {range: [lo, hi]} names, at most M wide."""
     if isinstance(value, (list, tuple)):
-        return frozenset(_integer(m) for m in value)
-    raise ConfigError(f"{name}: expected a list or {{range: [lo, hi]}}")
+        return value
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name}: expected a list or {{range: [lo, hi]}}")
+    try:
+        if set(value) != {"range"} or len(value["range"]) != 2:
+            raise ValueError("expected {range: [lo, hi]} or a list of integers")
+        lo, hi = (_integer(x) for x in value["range"])  # as CoexConfig reads a subcarrier
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{name}: {e}") from e
+    if hi - lo >= M:  # before the set is built: a range of 10^12 would exhaust memory
+        raise ConfigError(f"{name}: range [{lo}, {hi}] is wider than M = {M} subcarriers")
+    return range(lo, hi + 1)
 
 
 def load_config(path: str) -> CoexConfig:
-    """Read and validate a YAML scenario file; unknown keys are errors."""
+    """Read a YAML scenario file for CoexConfig to read and check; unknown keys are errors."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = yaml.load(fh, Loader=_YAML_LOADER)
@@ -85,42 +84,18 @@ def load_config(path: str) -> CoexConfig:
     unknown = set(raw) - set(_CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    kw = {}
-    for key in _CONFIG_KEYS:
-        if key not in raw:
-            continue
-        value = raw[key]
-        try:
-            if key in ("incumbent_set", "secondary_set"):
-                # CoexConfig checks M (parsed before the sets) first: a bad M gets its own message
-                M = CoexConfig(**{**kw, "incumbent_set": (), "secondary_set": ()}).M
-                value = _parse_subcarrier_set(value, key, M)
-            elif key == "cp_ratio":
-                value = Fraction(str(value))
-            elif key in ("M", "seed"):
-                value = _integer(value)
-            else:
-                value = float(value)
-        except ConfigError:
-            raise
-        except (TypeError, ValueError, ZeroDivisionError) as e:
-            raise ConfigError(f"{key}: {e}") from e
-        kw[key] = value
-    return CoexConfig(**kw)
+    sets = [key for key in ("incumbent_set", "secondary_set") if key in raw]
+    if sets:
+        # M (and the prefix, read before the sets) first: a bad M gets its own message
+        M = CoexConfig(**{k: raw[k] for k in ("M", "cp_ratio") if k in raw},
+                       incumbent_set=(), secondary_set=()).M
+        raw.update((key, _subcarrier_set(raw[key], key, M)) for key in sets)
+    return CoexConfig(**raw)
 
 
 def _apply_overrides(config: CoexConfig, args) -> CoexConfig:
-    kw = {}
-    if args.seed is not None:
-        kw["seed"] = args.seed
-    if args.delta_f is not None:
-        kw["delta_f"] = args.delta_f
-    if args.cp_ratio is not None:
-        try:
-            kw["cp_ratio"] = Fraction(args.cp_ratio)
-        except (ValueError, ZeroDivisionError) as e:
-            raise ConfigError(f"--cp-ratio: {e}") from e
-    return replace(config, **kw)
+    flags = ("seed", "delta_f", "cp_ratio")  # seed and delta_f exist on simulate alone
+    return replace(config, **{k: v for k in flags if (v := getattr(args, k, None)) is not None})
 
 
 def _l_grid(args) -> np.ndarray:
@@ -213,7 +188,6 @@ def cmd_psd(args, config: CoexConfig) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="coexsim",
                                 description="cross-interference tables, simulations and checks")
-    p.set_defaults(seed=None, delta_f=None)  # read by _apply_overrides, set by simulate alone
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, grid=False, direction=False):

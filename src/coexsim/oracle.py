@@ -10,14 +10,18 @@ Refinement is stacked: every (victim slot, shift tau, l) integral of one
 call is a row, and all rows refine together by composite 24-point
 Gauss-Legendre on equal panels, doubling the panel count.  Each row keeps
 its own stopping test, scaled to its own integrand (two refinements agree
-to _RTOL of the larger of |integral| and the integral of |g|), and leaves
-the active set at its first doubling that passes it (a per-row mask); a
-row still active past the panel cap raises QuadratureError.  At a given
-doubling every active row has the same panel count, so the pulse is
-sampled once per distinct tau and broadcast over its l.  Rows are summed
-in chunks of at most _CHUNK_NODES nodes, with elementwise products and
-one sum per row (no BLAS), so neither the memory nor a row's bytes depend
-on how many rows share its call.
+to _RTOL of the larger of |integral| and the integral of |g|, or to
+_FLOOR = 64 eps times the row's width), and leaves the active set at its
+first doubling that passes it (a per-row mask); a row still active past
+the panel cap raises QuadratureError.  The width floor is the noise of
+evaluating g: at cp = 511/512 an i2s row overlaps the window 1/512 wide at
+the pulse's support edge, where g ~ 1e-7 is a difference of O(1) cosines,
+and its refinements differ by ~1e-20, above _RTOL times its integral of
+|g| (~3e-23).  At a given doubling every active row has the same panel
+count, so the pulse is sampled once per distinct tau and broadcast over
+its l.  Rows are summed in chunks of at most _CHUNK_NODES nodes, with
+elementwise products and one sum per row (no BLAS), so neither the memory
+nor a row's bytes depend on how many rows share its call.
 
 Built and validated independently of the closedform module, which has its
 own relative-frame shift enumeration; neither imports the other.  The
@@ -44,9 +48,9 @@ __all__ = [
 ]
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
-# panel doubling stops when two refinements agree to _RTOL of the larger of the row's
-# |integral| and its integral of |integrand|; past _MAX_PANELS it fails
-_RTOL, _MAX_PANELS = 1e-13, 8192
+# doubling stops when two refinements agree to _RTOL of the larger of a row's |integral|
+# and integral of |integrand|, or to _FLOOR times its width; past _MAX_PANELS it fails
+_RTOL, _MAX_PANELS, _FLOOR = 1e-13, 8192, 64 * np.finfo(float).eps
 # nodes per chunk of rows in one refinement step (one row if a row has more): each
 # temporary stays near 1 MiB of complex values.  A 2^20 cap saved a fifth of the time
 # of a 41-point l grid at cp = 7/16 and raised its peak memory by 25 MiB
@@ -96,9 +100,10 @@ def _integrate(pulse, tau, a, b, l, label: str) -> np.ndarray:
     Row i is the integral over [a_i, b_i] of pulse(u - tau_i) exp(j 2 pi
     l_i u) du; all rows refine together, and a row leaves the active set
     at its first doubling that passes the stopping test: the change is at
-    most _RTOL times the larger of |integral| and the integral of |pulse|.
-    The second term is the roundoff floor of an oscillating sum, which a
-    fixed absolute floor would put out of reach at large |l|.  0 on an empty
+    most _RTOL times the larger of |integral| and the integral of |pulse|,
+    or _FLOOR times b - a.  The second term is the roundoff floor of an
+    oscillating sum, which a fixed absolute floor would put out of reach at
+    large |l|; the third, the noise of evaluating the pulse.  0 on an empty
     interval; raises QuadratureError, naming label and the failed row with
     the largest |l|, instead of returning an unconverged value.
     """
@@ -110,7 +115,8 @@ def _integrate(pulse, tau, a, b, l, label: str) -> np.ndarray:
     while active.size and n < _MAX_PANELS:
         n *= 2
         cur, mass = _panel_sums(pulse, tau[active], a[active], b[active], l[active], n)
-        done = np.abs(cur - prev) <= _RTOL * np.maximum(np.abs(cur), mass)
+        tol = np.maximum(_RTOL * np.maximum(np.abs(cur), mass), _FLOOR * (b - a)[active])
+        done = np.abs(cur - prev) <= tol
         out[active[done]] = cur[done]
         active, prev = active[~done], cur[~done]
     if active.size:

@@ -85,8 +85,22 @@ class ConfigError(ValueError):
     """An invalid scenario: bad config values or a setup an operation cannot run."""
 
 
-def _as_fraction(x) -> Fraction:
-    return Fraction(x).limit_denominator(1 << 30) if isinstance(x, float) else Fraction(x)
+def _integer(value) -> int:
+    """int(value), except that a non-integral float is an error rather than truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value}")
+    return int(value)
+
+
+def _subcarriers(values) -> frozenset:
+    return frozenset(map(_integer, values))
+
+
+# each field's reader, in field order: an integer is never a truncated float, and a
+# prefix ratio is read from its str(), so 0.1 is 1/10 (as in YAML) and "1/8" is 1/8
+_READERS = {"M": _integer, "cp_ratio": lambda x: Fraction(str(x)),
+            "incumbent_set": _subcarriers, "secondary_set": _subcarriers,
+            "var_qam": float, "var_pam": float, "delta_f": float, "seed": _integer}
 
 
 @dataclass(frozen=True)
@@ -98,7 +112,9 @@ class CoexConfig:
     misalignment of the secondary relative to the incumbent, in subcarrier
     spacings.  Defaults follow the reference scenario: M = 512, one-eighth
     prefix, unit-energy symbols (var_qam = 2 var_pam = 1), interferer on
-    subcarrier 0.
+    subcarrier 0.  Every value, from a file, a flag or Python, passes its
+    field's reader (_READERS) before the scenario is checked; a value the
+    reader rejects raises ConfigError("<field>: ...").
     """
 
     M: int = 512
@@ -111,9 +127,11 @@ class CoexConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "cp_ratio", _as_fraction(self.cp_ratio))
-        object.__setattr__(self, "incumbent_set", frozenset(int(m) for m in self.incumbent_set))
-        object.__setattr__(self, "secondary_set", frozenset(int(m) for m in self.secondary_set))
+        for name, read in _READERS.items():
+            try:
+                object.__setattr__(self, name, read(getattr(self, name)))
+            except (ArithmeticError, TypeError, ValueError) as e:  # 1/0, float(10 ** 400)
+                raise ConfigError(f"{name}: {e}") from e
         if self.M < 8:
             raise ConfigError("M must be >= 8")
         if self.cp_ratio < 0:

@@ -85,6 +85,13 @@ class TestOracleEquivalenceStrictness:
         monkeypatch.setattr(closedform, "_lattice_taus", lambda *a: taus(*a)[:-1])
         assert not check_oracle_equivalence(FILT, self.CPS).passed
 
+    @pytest.mark.parametrize("cp", [Fraction(1, 512), Fraction(511, 512)],
+                             ids=["1/512", "511/512"])
+    def test_one_sample_prefix_converges(self, cp):
+        # one prefix sample at M = 512: an i2s row overlaps the window 1/512 wide at the
+        # pulse's support edge, and stops only on the oracle's width floor
+        assert check_oracle_equivalence(FILT, (cp,)).passed
+
 
 @settings(max_examples=15, deadline=None, database=None)
 @given(st.tuples(*[st.floats(0.0, 1.0)] * 3))

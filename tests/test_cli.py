@@ -46,6 +46,8 @@ WIDE_RANGE = GOOD_CONFIG.replace("range: [-5, 5]", f"range: [0, {10 ** 12}]")
 NEGATIVE_SEED = GOOD_CONFIG.replace("seed: 42", "seed: -3")
 NAN_VAR_PAM = GOOD_CONFIG.replace("var_pam: 0.5", "var_pam: .nan")
 INF_VAR_PAM = GOOD_CONFIG.replace("var_pam: 0.5", "var_pam: .inf")
+# a YAML integer too large for a float
+HUGE_VAR_QAM = GOOD_CONFIG.replace("var_qam: 1.0", f"var_qam: {10 ** 400}")
 # no victim subcarrier to measure
 NO_INCUMBENT = GOOD_CONFIG.replace("incumbent_set: {range: [-5, 5]}", "incumbent_set: []")
 NO_SECONDARY = "M: 512\ncp_ratio: 1/8\nincumbent_set: [0]\nsecondary_set: []\n"
@@ -386,6 +388,7 @@ class TestErrorMapping:
         (NEGATIVE_SEED, ["simulate", "--direction", "s2i", "--symbols", "10"]),
         (NAN_VAR_PAM, ["table", "--direction", "s2i"]),
         (INF_VAR_PAM, ["table", "--direction", "s2i"]),
+        (HUGE_VAR_QAM, ["table", "--direction", "s2i"]),
         (NO_INCUMBENT, ["simulate", "--direction", "s2i", "--symbols", "10"]),
         (NO_INCUMBENT, ["simulate", "--direction", "o2o", "--symbols", "10"]),
         (NO_SECONDARY, ["simulate", "--direction", "i2s", "--symbols", "10"]),
@@ -398,6 +401,7 @@ class TestErrorMapping:
             "table-lmax-inf", "psd-lmin-nan", "psd-lstep-nan", "psd-lmax-inf",
             "fractional-m", "fractional-seed", "fractional-range", "fractional-list",
             "seed-flag-negative", "seed-config-negative", "var-pam-nan", "var-pam-inf",
+            "var-qam-overflow",
             "s2i-no-victim", "o2o-no-victim", "i2s-no-victim", "table-huge-grid",
             "table-overflowing-grid", "psd-huge-grid", "wide-range"])
     def test_user_input_errors_exit_2(self, tmp_path, capsys, config_text, args):
@@ -406,6 +410,11 @@ class TestErrorMapping:
         rc = main([*args, "--config", str(path), "--out", str(tmp_path / "x.csv")])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_cp_ratio_flag_is_read_by_the_config(self, config_file, capsys):
+        # the flag's value passes the field's reader, so its error names the field
+        assert main(["verify", "--config", config_file, "--cp-ratio", "1/0"]) == 2
+        assert capsys.readouterr().err == "error: cp_ratio: Fraction(1, 0)\n"
 
     @pytest.mark.parametrize("flag", [["--seed", "1"], ["--delta-f", "0.1"]],
                              ids=["seed", "delta-f"])

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -161,6 +162,21 @@ class TestConfig:
                     dict(var_qam=float("nan")), dict(var_qam=float("inf"))):
             with pytest.raises(txrx.ConfigError):
                 CoexConfig(**bad)
+        # a value its field cannot read is an error naming the field, never truncated
+        for bad in (dict(M=512.5), dict(seed=1.5), dict(incumbent_set=[2.5]),
+                    dict(secondary_set=[0, 0.5]), dict(cp_ratio="1/0"), dict(delta_f="x"),
+                    dict(var_qam=10 ** 400)):
+            with pytest.raises(txrx.ConfigError, match=rf"^{next(iter(bad))}: "):
+                CoexConfig(**bad)
+
+    def test_integral_floats_read_as_integers(self):
+        cfg = CoexConfig(M=512.0, seed=7.0, incumbent_set=[-1.0, 2], secondary_set=range(2))
+        assert (cfg.M, cfg.seed) == (512, 7) and type(cfg.M) is type(cfg.seed) is int
+        assert cfg.incumbent_set == frozenset({-1, 2}) and cfg.secondary_set == frozenset({0, 1})
+        assert all(type(m) is int for m in cfg.incumbent_set)
+
+    def test_every_field_has_a_reader(self):
+        assert list(txrx._READERS) == [f.name for f in fields(CoexConfig)]
 
     def test_overlapping_sets_allowed(self):
         cfg = CoexConfig(incumbent_set=frozenset({0, 1}), secondary_set=frozenset({0}))
