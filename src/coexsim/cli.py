@@ -65,8 +65,9 @@ def _subcarrier_set(value, name: str, M: int):
         lo, hi = (_integer(x) for x in value["range"])  # as CoexConfig reads a subcarrier
     except (TypeError, ValueError) as e:
         raise ConfigError(f"{name}: {e}") from e
-    if hi - lo >= M:  # before the set is built: a range of 10^12 would exhaust memory
-        raise ConfigError(f"{name}: range [{lo}, {hi}] is wider than M = {M} subcarriers")
+    if not 0 <= hi - lo < M:  # before the set is built: a range of 10^12 would exhaust memory
+        raise ConfigError(f"{name}: range [{lo}, {hi}] is "
+                          + ("reversed" if hi < lo else f"wider than M = {M} subcarriers"))
     return range(lo, hi + 1)
 
 

@@ -68,6 +68,8 @@ __all__ = [
     "estimate_ofdm_to_ofdm",
 ]
 
+_MAX_BURST_SAMPLES = 2 ** 23  # a burst's samples as _burst_sizes counts them: 128 MiB complex
+
 
 @dataclass(frozen=True, eq=False)
 class McEstimate:
@@ -79,7 +81,7 @@ class McEstimate:
     trials: int
 
 
-def _roles(config: CoexConfig, d: Direction) -> tuple[int, list[int]]:
+def _roles(config: CoexConfig, d: Direction) -> tuple[int, np.ndarray]:
     """Where roles are decided: the single interferer subcarrier and the sorted victims."""
     roles = [("secondary", config.secondary_set), ("incumbent", config.incumbent_set)]
     (interferer, interferers), (victim, victims) = roles if d.victim == "ofdm" else roles[::-1]
@@ -88,7 +90,7 @@ def _roles(config: CoexConfig, d: Direction) -> tuple[int, list[int]]:
                           f"got {sorted(interferers)}")
     if not victims:
         raise ConfigError(f"estimator needs at least one {victim} (victim) subcarrier")
-    return next(iter(interferers)), sorted(victims)
+    return next(iter(interferers)), np.array(sorted(victims))
 
 
 def _rng(seed: int, tag: int, burst: int) -> np.random.Generator:
@@ -102,14 +104,18 @@ def _draw_pam(rng: np.random.Generator, n: int, variance: float) -> np.ndarray:
 
 def _draw_qpsk(rng: np.random.Generator, n: int, variance: float) -> np.ndarray:
     """i.i.d. QPSK at the requested variance (proper: E d^2 = 0)."""
-    return (rng.choice([1.0, -1.0], size=n) + 1j * rng.choice([1.0, -1.0], size=n)) \
-        * np.sqrt(variance / 2)
+    return (_draw_pam(rng, n, 1.0) + 1j * _draw_pam(rng, n, 1.0)) * np.sqrt(variance / 2)
 
 
-def _burst_sizes(n_total: int, burst: int) -> list[int]:
+def _burst_sizes(config: CoexConfig, d: Direction, n_total: int) -> list[int]:
     if n_total < 1:
         raise ConfigError("n_symbols must be >= 1")
-    return [min(burst, n_total - start) for start in range(0, n_total, burst)]
+    # before any array exists: the windows at M + L samples, an interferer symbol + step each side
+    first, last, step = _extent(config, d.interferer)
+    span = min(d.burst, n_total) * config.symbol_samples + 2 * (last - first + step)
+    if span > _MAX_BURST_SAMPLES:  # CoexConfig takes M = 10^30
+        raise ConfigError(f"M = {config.M}: a burst spans {span} > {_MAX_BURST_SAMPLES} samples")
+    return [min(d.burst, n_total - start) for start in range(0, n_total, d.burst)]
 
 
 class _MomentSums:
@@ -171,8 +177,9 @@ def _bursts(config: CoexConfig, d: Direction, n_symbols: int, add) -> np.ndarray
     # delta_f shifts the secondary, so an OQAM victim sees the incumbent at -delta_f
     shift = -config.delta_f if d.victim == "oqam" else config.delta_f
     ws = _Workspace()
-    for b, size in enumerate(_burst_sizes(n_symbols, d.burst)):
-        rng = _rng(config.seed, d.tag, b)
+    sizes = _burst_sizes(config, d, n_symbols)
+    # every burst's generator, built in one loop: between bursts each took 2-5x longer
+    for rng, size in zip([_rng(config.seed, d.tag, b) for b in range(len(sizes))], sizes):
         off = int(rng.integers(0, config.symbol_samples)) if d.offset else 0
         n_lo, n_hi = _span(config, d, size, off)
         if d.interferer == "oqam":

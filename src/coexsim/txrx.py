@@ -20,6 +20,9 @@ one amplitude.  Each subcarrier's burst is then one product of the
 block matrix; with inner dimension nb the bytes do not depend on the BLAS
 thread count.
 
+_carrier_blocks builds those blocks once per (M, m mod M, first sample mod
+M), the last being 0 or M/2, and keeps 8 read-only for the bursts to come.
+
 OQAM demodulation is the polyphase analysis dual.  The receiver reads the
 burst in place, as a view of blocks of M/2 samples; slot n + 1 reads the
 same nb tap blocks one block later.  The K M + 1 taps end one sample into
@@ -68,11 +71,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
-from math import inf
+from functools import cache, cached_property, lru_cache
+from math import inf, prod
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .filterbank import phydyas_k4, sample_taps
 
@@ -93,6 +95,8 @@ def _integer(value) -> int:
 
 
 def _subcarriers(values) -> frozenset:
+    if isinstance(values, (str, bytes)):  # iterable, but its characters are no subcarriers
+        raise TypeError(f"expected integers, got {values!r}")
     return frozenset(map(_integer, values))
 
 
@@ -149,11 +153,11 @@ class CoexConfig:
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
 
-    @property
+    @cached_property
     def cp_samples(self) -> int:
         return int(self.M * self.cp_ratio)
 
-    @property
+    @cached_property
     def symbol_samples(self) -> int:
         """Samples per CP-OFDM symbol including the prefix."""
         return self.M + self.cp_samples
@@ -197,15 +201,15 @@ def lookup_direction(name: str, lattice: bool = False) -> Direction:
 class DiscreteSignal:
     """Complex baseband samples and their origin on the config's sample grid.
 
-    samples[i] is the sample at absolute index p = i - origin_index
-    (t = p/M, M = config.M).  Treated as immutable once synthesized.
+    samples[i], C-contiguous complex128 (16 bytes), is the sample at absolute
+    index p = i - origin_index (t = p/M, M = config.M); immutable once made.
     """
 
     samples: np.ndarray
     origin_index: int
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=complex)
+        self.samples = np.ascontiguousarray(self.samples, dtype=complex)
 
     @property
     def start(self) -> int:
@@ -235,7 +239,7 @@ def _extent(config: CoexConfig, waveform: str, received: bool = False) -> tuple[
     L prefix and M useful samples, a received one the M useful samples only.
     """
     if waveform == "oqam":
-        half = (len(_tap_blocks(config.M)[0]) - 1) // 2
+        half = _OVERLAP * config.M // 2
         return -half, half, config.M // 2
     return 0 if received else -config.cp_samples, config.M - 1, config.symbol_samples
 
@@ -254,7 +258,7 @@ def _symbols(n_range) -> tuple[int, int]:
 
 
 class _Workspace:
-    """Complex scratch arrays that successive calls reuse.
+    """Complex scratch arrays, 16 bytes an entry, that successive calls reuse.
 
     array(name, shape) is a view of the first entries of one flat buffer per
     name, which grows when a call needs more and is never shrunk.  Its
@@ -267,7 +271,7 @@ class _Workspace:
         self._buffers: dict[str, np.ndarray] = {}
 
     def array(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
-        size = int(np.prod(shape))
+        size = prod(shape)
         buf = self._buffers.get(name)
         if buf is None or buf.size < size:
             buf = self._buffers[name] = np.empty(size, dtype=complex)
@@ -335,10 +339,9 @@ def _ofdm_demod_window(config: CoexConfig, signal: DiscreteSignal, n_range: tupl
     M = config.M
     first, last, S = _extent(config, "ofdm", received=True)
     span = signal.window(n0 * S + first, (n1 - n0 - 1) * S + last - first + 1)
-    bins = np.asarray(subcarriers) % M
     spectra = (workspace or _Workspace()).array("ofdm.spectrum", (n1 - n0, M))
-    np.fft.fft(sliding_window_view(span, M)[::S], axis=-1, out=spectra)
-    return spectra[:, bins] / np.sqrt(M)
+    np.fft.fft(np.ndarray(spectra.shape, complex, span, strides=(S * 16, 16)), out=spectra)
+    return spectra[:, np.asarray(subcarriers) % M] / np.sqrt(M)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +350,7 @@ def _ofdm_demod_window(config: CoexConfig, signal: DiscreteSignal, n_range: tupl
 
 def oqam_phase(m, n):
     """Modulation phase (-1)^(m n) j^(m+n) of slot n on subcarrier m; broadcasts over arrays."""
-    return np.where((m * n) % 2, -1.0, 1.0) * 1j ** ((m + n) % 4)
+    return np.where((m * n) % 2, -1.0, 1.0) * _QUARTER_TURNS[(m + n) % 4]
 
 
 # slots the OQAM receiver folds and transforms at a time: its fold and FFT stay in
@@ -364,6 +367,9 @@ _DEMOD_BLOCK = 64
 # 260-symbol ofdm_modulate call from about 560 to 240-320 us (medians of 300 warm
 # calls); the bytes do not depend on the buffer size
 _UFUNC_BUFFER = 512
+
+_QUARTER_TURNS = 1j ** np.arange(4)  # j^k computed as the power it stands for: its bytes
+_OVERLAP = phydyas_k4().overlap_K  # K, read once: _extent measures bursts without building taps
 
 
 @cache
@@ -383,6 +389,16 @@ def _tap_blocks(M: int) -> tuple[np.ndarray, np.ndarray]:
     return taps, blocks.reshape(-1, hop)
 
 
+@lru_cache(maxsize=8)
+def _carrier_blocks(M: int, m: int, start: int) -> np.ndarray:
+    """The tap blocks / sqrt(M) times the carrier at samples start + (0, 1, ..); read-only."""
+    pulse = _tap_blocks(M)[1] / np.sqrt(M)
+    p = start + np.arange(pulse.size).reshape(pulse.shape)
+    blocks = pulse * np.exp(2j * np.pi * ((m * p) % M) / M)
+    blocks.flags.writeable = False
+    return blocks
+
+
 def oqam_modulate(config: CoexConfig, data: dict, n_range: tuple[int, int], *,
                   workspace: _Workspace | None = None) -> DiscreteSignal:
     """Synthesize the OQAM signal for real PAM symbols on the given subcarriers.
@@ -394,15 +410,13 @@ def oqam_modulate(config: CoexConfig, data: dict, n_range: tuple[int, int], *,
     n0, n1 = _symbols(n_range)
     M = config.M
     first, last, hop = _extent(config, "oqam")
-    pulse = _tap_blocks(M)[1] / np.sqrt(M)
-    nb = len(pulse)
+    nb = len(_tap_blocks(M)[1])
     nsym = n1 - n0
     start, stop = n0 * hop + first, (n1 - 1) * hop + last + 1
-    p = start + np.arange(pulse.size).reshape(nb, hop)  # absolute samples of slot n0's pulse
-    sign = np.where(np.arange(nsym) % 2, -1.0, 1.0)
-    amps = np.zeros(nsym + 2 * (nb - 1), dtype=complex)
-    toeplitz = sliding_window_view(amps, nb)[:, ::-1]  # row k holds amps of slots k-nb+1 .. k
     ws = workspace or _Workspace()
+    amps = ws.array("oqam.amps", (nsym + 2 * (nb - 1),))
+    amps[:nb - 1] = amps[1 - nb:] = 0  # toeplitz row k holds slots k - nb + 1 .. k, last first
+    toeplitz = np.ndarray((nsym + nb - 1, nb), complex, amps, (nb - 1) * 16, (16, -16))
     samples = None
     for m, vec in sorted(data.items()):
         vec = np.asarray(vec)
@@ -410,11 +424,9 @@ def oqam_modulate(config: CoexConfig, data: dict, n_range: tuple[int, int], *,
             raise ValueError(f"OQAM data must be real (subcarrier {m})")
         if vec.shape != (nsym,):
             raise ValueError(f"data vector for subcarrier {m} must cover n_range ({nsym} slots)")
-        # carrier exp(2 pi j m p / M) of slot n0's pulse, reduced exactly as (m p) mod M;
-        # slot n0 + j starts j half periods later, which multiplies it by (-1)^(m j)
-        blocks = pulse * np.exp(2j * np.pi * ((m * p) % M) / M)
+        blocks = _carrier_blocks(M, m % M, start % M)  # slot n0 + j's: (-1)^(m j) times these
         amp = oqam_phase(m, np.arange(n0, n1)) * vec
-        amps[nb - 1:nb - 1 + nsym] = amp * sign if m % 2 else amp
+        amps[nb - 1:1 - nb] = amp * np.where(np.arange(nsym) % 2, -1.0, 1.0) if m % 2 else amp
         if samples is None:
             samples = np.matmul(toeplitz, blocks, out=ws.array("oqam.signal", (len(toeplitz), hop)))
         else:

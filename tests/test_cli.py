@@ -4,6 +4,7 @@ import ast
 import os
 import subprocess
 import sys
+import tracemalloc
 from argparse import Namespace
 from fractions import Fraction
 from pathlib import Path
@@ -13,6 +14,7 @@ import pytest
 import yaml
 
 import coexsim.cli as cli
+import coexsim.montecarlo as mc
 from coexsim.checks import run_all_checks
 from coexsim.cli import ConfigError, load_config, main
 from coexsim.closedform import build_table, power_db
@@ -103,6 +105,19 @@ class TestConfigLoading:
         path.write_text("M: 64\nincumbent_set: {range: [-32, 32]}\n")
         with pytest.raises(ConfigError, match=r"^incumbent_set: range \[-32, 32\] is wider"):
             load_config(str(path))
+
+    def test_reversed_range_rejected(self, tmp_path, capsys):
+        # a reversed range names no subcarrier; one of width 1 names one
+        path = tmp_path / "reversed.yaml"
+        path.write_text("M: 64\nincumbent_set: {range: [3, 3]}\n")
+        assert load_config(str(path)).incumbent_set == frozenset({3})
+        path.write_text("M: 64\nincumbent_set: {range: [5, 3]}\n")
+        with pytest.raises(ConfigError, match=r"^incumbent_set: range \[5, 3\] is reversed$"):
+            load_config(str(path))
+        out = tmp_path / "t.csv"
+        assert main(["table", "--config", str(path), "--direction", "s2i", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: incumbent_set: range [5, 3] is reversed\n"
+        assert not out.exists()
 
     def test_invalid_m_is_reported_before_a_range_width(self, tmp_path, capsys):
         # a range is measured against M only once M itself is valid
@@ -303,6 +318,34 @@ class TestSimulateCommand:
                    "--symbols", "300", "--out", str(tmp_path / "x.csv")])
         assert rc == 0
         assert trials == [300]
+
+
+# s2i at cp 0 and 10 windows: a burst is counted as 10 M samples plus an OQAM pulse span (K M)
+# and a slot step (M/2) either side, 19 M in all; the smallest even M over the cap
+ABOVE_CAP_M = 2 * (mc._MAX_BURST_SAMPLES // 38 + 1)
+
+
+class TestBurstCap:
+    @pytest.mark.parametrize("M", [10 ** 30, ABOVE_CAP_M, 512], ids=["1e30", "above-cap", "512"])
+    def test_simulate_measures_a_burst_before_building_it(self, tmp_path, capsys, M):
+        assert 19 * (ABOVE_CAP_M - 2) <= mc._MAX_BURST_SAMPLES < 19 * ABOVE_CAP_M
+        path = tmp_path / "scenario.yaml"
+        path.write_text(f"M: {M}\ncp_ratio: 0\nincumbent_set: {{range: [-5, 5]}}\nsecondary_set: [0]\n")
+        out = tmp_path / "s.csv"
+        tracemalloc.start()
+        try:
+            rc = main(["simulate", "--config", str(path), "--direction", "s2i", "--symbols", "10",
+                       "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        if M == 512:
+            assert rc == 0 and out.exists()
+            return
+        assert rc == 2 and not out.exists()
+        assert capsys.readouterr().err == (f"error: M = {M}: a burst spans {19 * M} > "
+                                           f"{mc._MAX_BURST_SAMPLES} samples\n")
+        assert peak < 2 ** 20  # nothing M long was built
 
 
 class TestDirectionTable:

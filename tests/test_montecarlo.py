@@ -437,3 +437,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             self_reconstruction_floor(s2i_config(), 0)
 
+    @pytest.mark.parametrize("estimate", [estimate_oqam_to_ofdm, estimate_ofdm_to_oqam,
+                                          estimate_ofdm_to_ofdm], ids=["s2i", "i2s", "o2o"])
+    def test_oversize_m_rejected_before_any_array(self, estimate):
+        # CoexConfig takes any M >= 8; a burst of one window at M = 10^30 is measured, not built
+        cfg = CoexConfig(M=10 ** 30, incumbent_set=frozenset({0}), secondary_set=frozenset({0}))
+        with pytest.raises(txrx.ConfigError, match=rf"^M = {10 ** 30}: a burst spans \d+ > "
+                                                   rf"{mc._MAX_BURST_SAMPLES} samples$"):
+            estimate(cfg, 1)

@@ -1,5 +1,6 @@
 """Modulators, demodulators, signal helpers, configuration validation."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -162,10 +163,11 @@ class TestConfig:
                     dict(var_qam=float("nan")), dict(var_qam=float("inf"))):
             with pytest.raises(txrx.ConfigError):
                 CoexConfig(**bad)
-        # a value its field cannot read is an error naming the field, never truncated
+        # a value its field cannot read is an error naming the field, never truncated; a
+        # string is iterable, but its characters (bytes) are no subcarriers
         for bad in (dict(M=512.5), dict(seed=1.5), dict(incumbent_set=[2.5]),
                     dict(secondary_set=[0, 0.5]), dict(cp_ratio="1/0"), dict(delta_f="x"),
-                    dict(var_qam=10 ** 400)):
+                    dict(var_qam=10 ** 400), dict(incumbent_set="012"), dict(secondary_set=b"01")):
             with pytest.raises(txrx.ConfigError, match=rf"^{next(iter(bad))}: "):
                 CoexConfig(**bad)
 
@@ -201,6 +203,16 @@ class TestDiscreteSignal:
         part = sig.window(-1, 4)
         assert np.array_equal(part, [3, 4, 5, 6])
         assert np.shares_memory(part, sig.samples)
+
+    def test_samples_are_contiguous(self):
+        # the CP-OFDM receiver views its windows directly in the samples' buffer
+        cfg = small_config()
+        strided = np.random.default_rng(3).normal(size=(2, 5 * cfg.symbol_samples))[0] + 0j
+        sig = DiscreteSignal(strided[::-1], origin_index=0)
+        assert sig.samples.flags.c_contiguous
+        copy = DiscreteSignal(strided[::-1].copy(), origin_index=0)
+        assert np.array_equal(_ofdm_demod_window(cfg, sig, (0, 4), [0, 3]),
+                              _ofdm_demod_window(cfg, copy, (0, 4), [0, 3]))
 
     def test_shift_samples_relabels_origin(self):
         sig = DiscreteSignal(np.arange(4, dtype=complex), origin_index=0)
@@ -355,6 +367,15 @@ class TestOqamPhases:
         assert np.array_equal(oqam_phase(m, n + 4), oqam_phase(m, n))
         assert np.all(np.isin(oqam_phase(m, n), [1, -1, 1j, -1j]))
 
+    def test_quarter_turn_table_is_the_power_bit_for_bit(self):
+        # the map reads j^k from a table; its bytes, signed zeros included, are the power's
+        powers = np.array([1j ** k for k in range(4)])  # 1j ** 3 is (-0-1j)
+        assert txrx._QUARTER_TURNS.tobytes() == powers.tobytes()
+        assert np.signbit(txrx._QUARTER_TURNS.real).tolist() == [False, False, True, True]
+        m, n = np.arange(-9, 10)[:, None], np.arange(-11, 12)[None, :]
+        power_map = np.where((m * n) % 2, -1.0, 1.0) * 1j ** ((m + n) % 4)
+        assert oqam_phase(m, n).tobytes() == power_map.tobytes()
+
     def test_demodulator_conjugates_modulator_phase(self):
         # the demodulator evaluates the modulator's map over a (slot,
         # subcarrier) grid; the vectorised map must match the per-element formula
@@ -471,6 +492,49 @@ class TestPolyphaseSynthesis:
         for shared in (taps, blocks):
             with pytest.raises(ValueError, match="read-only"):
                 shared[0] = 1.0
+
+    def test_carrier_blocks_are_shared_read_only_and_keyed_by_m_and_start(self):
+        M = 64
+        pulse = txrx._tap_blocks(M)[1] / np.sqrt(M)
+        built = {}
+        for m, start in [(1, 0), (1, M // 2), (3, 0), (3, M // 2), (4, 0), (4, M // 2)]:
+            blocks = txrx._carrier_blocks(M, m, start)
+            assert txrx._carrier_blocks(M, m, start) is blocks
+            with pytest.raises(ValueError, match="read-only"):
+                blocks[0, 0] = 0
+            p = start + np.arange(pulse.size).reshape(pulse.shape)
+            assert np.array_equal(blocks, pulse * np.exp(2j * np.pi * ((m * p) % M) / M))
+            built[m, start] = blocks
+        # an odd m's carrier changes sign over M/2 samples, an even m's repeats
+        distinct = [built[1, 0], built[1, M // 2], built[3, 0], built[3, M // 2], built[4, 0]]
+        for i, j in itertools.combinations(range(len(distinct)), 2):
+            assert not np.allclose(distinct[i], distinct[j])
+        assert np.array_equal(built[4, 0], built[4, M // 2])
+
+    @pytest.mark.parametrize("m", [-3, 0, 1, 6])
+    def test_cached_blocks_match_loop_reference_at_both_start_phases(self, m):
+        # slot n0's first sample is n0 M/2 - K M/2: 0 mod M for even n0, M/2 for odd.  The
+        # cache outlives a call, so the phases alternate and a range comes back
+        cfg = CoexConfig(M=64, incumbent_set=frozenset({0}), secondary_set=frozenset({m}))
+        rng = np.random.default_rng(m + 10)
+        hits = txrx._carrier_blocks.cache_info().hits
+        for n_range in [(0, 9), (-7, 4), (2, 30), (5, 6), (0, 9)]:
+            data = {m: rng.normal(size=n_range[1] - n_range[0])}
+            sig = oqam_modulate(cfg, data, n_range)
+            ref, origin = loop_oqam_modulate(cfg, data, n_range)
+            assert sig.origin_index == origin and len(sig.samples) == len(ref)
+            assert np.max(np.abs(sig.samples - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert txrx._carrier_blocks.cache_info().hits >= hits + 3
+
+    def test_workspace_amplitudes_are_rewritten(self):
+        # the slot amplitudes live in the workspace; its guard zeros are written every call
+        cfg = CoexConfig(M=64, incumbent_set=frozenset({0}), secondary_set=frozenset({-3, 2}))
+        rng = np.random.default_rng(5)
+        data = {m: rng.normal(size=20) for m in (-3, 2)}
+        ws = txrx._Workspace()
+        ws.array("oqam.amps", (1000,))[:] = np.nan
+        sig = oqam_modulate(cfg, data, (-7, 13), workspace=ws)
+        assert np.array_equal(sig.samples, oqam_modulate(cfg, data, (-7, 13)).samples)
 
     def test_bytes_do_not_depend_on_blas_threads(self):
         code = ("import hashlib, numpy as np; from coexsim.txrx import CoexConfig, oqam_modulate; "
