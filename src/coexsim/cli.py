@@ -19,9 +19,9 @@ rejected to catch typos in physics parameters):
     delta_f: 0.0
     seed: 12345
 
-CoexConfig reads and checks every value, the flags' too, and names the field
-of one it cannot read ("cp_ratio: ..."); this module only reads the file and
-expands each {range}.  --cp-ratio overrides the config on every command;
+CoexConfig reads and checks every value, the flags' and each {range} too,
+and names the field of one it cannot read ("cp_ratio: ..."); this module
+only reads the file.  --cp-ratio overrides the config on every command;
 --seed and --delta-f exist on simulate alone, the one command that reads
 them.  All output is deterministic given (config, seed): fixed column order,
 C-locale decimal points, LF line endings; dB values carry 6 decimals, linear
@@ -43,32 +43,13 @@ from .closedform import build_table, power_db
 from .filterbank import phydyas_k4
 from .montecarlo import estimate_ofdm_to_ofdm, estimate_ofdm_to_oqam, estimate_oqam_to_ofdm
 from .psdmodel import psd_interference, psd_ofdm_subcarrier, psd_oqam_subcarrier
-from .txrx import DIRECTIONS, CoexConfig, ConfigError, _integer, lookup_direction
+from .txrx import DIRECTIONS, CoexConfig, ConfigError, lookup_direction
 
 __all__ = ["main", "load_config", "ConfigError"]
 
-_CONFIG_KEYS = tuple(f.name for f in fields(CoexConfig))
 # libyaml's safe loader where PyYAML was built with it: the same values, about 5x faster
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _MAX_L_POINTS = 10 ** 6  # an i2s table this size: 3.7-4.3 s, 87 MiB peak RSS on a 2-vCPU Xeon
-
-
-def _subcarrier_set(value, name: str, M: int):
-    """A listed set as given, or the range that {range: [lo, hi]} names, at most M wide."""
-    if isinstance(value, (list, tuple)):
-        return value
-    if not isinstance(value, dict):
-        raise ConfigError(f"{name}: expected a list or {{range: [lo, hi]}}")
-    try:
-        if set(value) != {"range"} or len(value["range"]) != 2:
-            raise ValueError("expected {range: [lo, hi]} or a list of integers")
-        lo, hi = (_integer(x) for x in value["range"])  # as CoexConfig reads a subcarrier
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"{name}: {e}") from e
-    if not 0 <= hi - lo < M:  # before the set is built: a range of 10^12 would exhaust memory
-        raise ConfigError(f"{name}: range [{lo}, {hi}] is "
-                          + ("reversed" if hi < lo else f"wider than M = {M} subcarriers"))
-    return range(lo, hi + 1)
 
 
 def load_config(path: str) -> CoexConfig:
@@ -82,15 +63,9 @@ def load_config(path: str) -> CoexConfig:
         raise ConfigError(f"malformed config {path}: {e}") from e
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a mapping")
-    unknown = set(raw) - set(_CONFIG_KEYS)
+    unknown = set(raw) - {f.name for f in fields(CoexConfig)}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    sets = [key for key in ("incumbent_set", "secondary_set") if key in raw]
-    if sets:
-        # M (and the prefix, read before the sets) first: a bad M gets its own message
-        M = CoexConfig(**{k: raw[k] for k in ("M", "cp_ratio") if k in raw},
-                       incumbent_set=(), secondary_set=()).M
-        raw.update((key, _subcarrier_set(raw[key], key, M)) for key in sets)
     return CoexConfig(**raw)
 
 

@@ -52,7 +52,7 @@ from math import ceil, floor, gcd
 import numpy as np
 
 from .filterbank import PrototypeFilter
-from .txrx import lookup_direction
+from .txrx import MAX_OFFSET_CYCLE, ConfigError, lookup_direction
 
 __all__ = ["build_table", "DB_FLOOR"]
 
@@ -141,9 +141,12 @@ def _power_sum(filt: PrototypeFilter, l_grid: np.ndarray, taus: tuple[Fraction, 
 def _slot_offsets(cp: Fraction) -> list[Fraction]:
     """Interferer-lattice offsets (cp + n/2) mod (1+cp) of victim slots n over one cycle.
 
-    At cp = p/q the offsets repeat after 2(p+q)/gcd(2, q) slots.
+    At cp = p/q the offsets repeat after 2(p+q)/gcd(2, q) slots, at most MAX_OFFSET_CYCLE.
     """
     cycle = 2 * (cp.numerator + cp.denominator) // gcd(2, cp.denominator)
+    if cycle > MAX_OFFSET_CYCLE:  # refused before any offset is built
+        raise ConfigError(f"cp_ratio = {cp}: i2s offset cycle of {cycle} slots, "
+                          f"over {MAX_OFFSET_CYCLE}")
     return [(cp + Fraction(n, 2)) % (1 + cp) for n in range(cycle)]
 
 

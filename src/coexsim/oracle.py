@@ -37,7 +37,7 @@ from math import ceil, floor
 import numpy as np
 
 from .filterbank import PrototypeFilter, evaluate_g
-from .txrx import lookup_direction
+from .txrx import MAX_OFFSET_CYCLE, ConfigError, lookup_direction
 
 __all__ = [
     "QuadratureError",
@@ -153,7 +153,7 @@ def victim_slot_offsets(cp_ratio: Fraction) -> list[Fraction]:
     For victim half-symbol slot n the interferer lattice (spacing 1+cp) sits
     at offset (cp + n/2) mod (1+cp).  For rational cp the offsets cycle;
     the full cycle is returned (length 2(p+q)/gcd(2, q) at cp=p/q: 2 at
-    cp=0, 9 at 1/8, 8 at 1/3).
+    cp=0, 9 at 1/8, 8 at 1/3); a walk past MAX_OFFSET_CYCLE is a ConfigError.
     """
     cp = Fraction(cp_ratio)
     if cp < 0:
@@ -162,6 +162,8 @@ def victim_slot_offsets(cp_ratio: Fraction) -> list[Fraction]:
     # the offsets advance by 1/2 modulo the period, so the first to recur is slot 0's, cp
     out = [cp]
     while (x := (cp + Fraction(len(out), 2)) % period) != cp:
+        if len(out) == MAX_OFFSET_CYCLE:
+            raise ConfigError(f"cp_ratio = {cp}: i2s offset cycle of over {MAX_OFFSET_CYCLE} slots")
         out.append(x)
     return out
 

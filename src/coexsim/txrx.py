@@ -80,7 +80,7 @@ from .filterbank import phydyas_k4, sample_taps
 
 __all__ = ["CoexConfig", "Direction", "DIRECTIONS", "lookup_direction", "DiscreteSignal",
            "ofdm_modulate", "oqam_modulate", "apply_frequency_shift", "shift_samples",
-           "oqam_phase", "ConfigError"]
+           "oqam_phase", "ConfigError", "MAX_OFFSET_CYCLE"]
 
 
 class ConfigError(ValueError):
@@ -94,9 +94,18 @@ def _integer(value) -> int:
     return int(value)
 
 
-def _subcarriers(values) -> frozenset:
-    if isinstance(values, (str, bytes)):  # iterable, but its characters are no subcarriers
-        raise TypeError(f"expected integers, got {values!r}")
+def _subcarriers(values, M: int) -> frozenset:
+    """A list of subcarriers, or the ones {range: [lo, hi]} names, at most M of them."""
+    if isinstance(values, dict):
+        if set(values) != {"range"} or len(values["range"]) != 2:
+            raise ValueError("expected {range: [lo, hi]} or a list of integers")
+        lo, hi = map(_integer, values["range"])
+        if not 0 <= hi - lo < M:  # before the set is built: a range of 10^12 would exhaust memory
+            raise ValueError(f"range [{lo}, {hi}] is "
+                             + ("reversed" if hi < lo else f"wider than M = {M} subcarriers"))
+        return frozenset(range(lo, hi + 1))
+    if isinstance(values, (str, bytes)) or not hasattr(values, "__iter__"):  # "012" is no list
+        raise TypeError("expected a list or {range: [lo, hi]}")
     return frozenset(map(_integer, values))
 
 
@@ -117,8 +126,9 @@ class CoexConfig:
     spacings.  Defaults follow the reference scenario: M = 512, one-eighth
     prefix, unit-energy symbols (var_qam = 2 var_pam = 1), interferer on
     subcarrier 0.  Every value, from a file, a flag or Python, passes its
-    field's reader (_READERS) before the scenario is checked; a value the
-    reader rejects raises ConfigError("<field>: ...").
+    field's reader (_READERS) and is checked in field order, so the first
+    bad field is named: ConfigError("<field>: ...") if its reader rejects
+    it.  A set may be {"range": [lo, hi]}, read against the checked M.
     """
 
     M: int = 512
@@ -131,27 +141,31 @@ class CoexConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, read in _READERS.items():
-            try:
-                object.__setattr__(self, name, read(getattr(self, name)))
-            except (ArithmeticError, TypeError, ValueError) as e:  # 1/0, float(10 ** 400)
-                raise ConfigError(f"{name}: {e}") from e
-        if self.M < 8:
+        M = self._read("M")
+        if M < 8:
             raise ConfigError("M must be >= 8")
-        if self.cp_ratio < 0:
+        cp = self._read("cp_ratio")
+        if cp < 0:
             raise ConfigError("cp_ratio must be non-negative")
-        if (self.M * self.cp_ratio).denominator != 1:
+        if (M * cp).denominator != 1:
             raise ConfigError("M * cp_ratio must be an integer number of samples")
-        lo, hi = -self.M // 2, self.M // 2 - 1
-        for name, s in (("incumbent_set", self.incumbent_set), ("secondary_set", self.secondary_set)):
-            if any(m < lo or m > hi for m in s):
+        lo, hi = -M // 2, M // 2 - 1
+        for name in ("incumbent_set", "secondary_set"):
+            if any(m < lo or m > hi for m in self._read(name, M)):
                 raise ConfigError(f"{name} entries must lie in [{lo}, {hi}]")
-        if not all(0 < v < inf for v in (self.var_qam, self.var_pam)):
+        if not all(0 < self._read(name) < inf for name in ("var_qam", "var_pam")):
             raise ConfigError("symbol variances must be positive and finite")
-        if not (-0.5 < self.delta_f <= 0.5):
+        if not (-0.5 < self._read("delta_f") <= 0.5):
             raise ConfigError("delta_f must lie in (-0.5, 0.5]")
-        if self.seed < 0:
+        if self._read("seed") < 0:
             raise ConfigError("seed must be non-negative")
+
+    def _read(self, name: str, *args):
+        try:
+            object.__setattr__(self, name, _READERS[name](getattr(self, name), *args))
+        except (ArithmeticError, TypeError, ValueError) as e:  # 1/0, float(10 ** 400)
+            raise ConfigError(f"{name}: {e}") from e
+        return getattr(self, name)
 
     @cached_property
     def cp_samples(self) -> int:
@@ -185,6 +199,11 @@ DIRECTIONS = (
     Direction("i2s", "ofdm", "oqam", tag=1, burst=256),
     Direction("o2o", "ofdm", "ofdm", tag=2, burst=32, offset=True),
 )
+
+# i2s slots per offset cycle (2(p + q)/gcd(2, q) at cp = p/q) that closedform and oracle take:
+# every k/512 prefix has <= 1,024; on a 2-vCPU Xeon 1/4096 (4,097) took a 10,001-point i2s
+# table 8.4 s, and 1/2^20 over a minute
+MAX_OFFSET_CYCLE = 1 << 12
 
 
 def lookup_direction(name: str, lattice: bool = False) -> Direction:

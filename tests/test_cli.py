@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 from argparse import Namespace
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -125,6 +126,63 @@ class TestConfigLoading:
         path.write_text("M: -4\nincumbent_set: {range: [0, 0]}\n")
         assert main(["verify", "--config", str(path)]) == 2
         assert capsys.readouterr().err == "error: M must be >= 8\n"
+
+    def test_python_range_reads_as_the_file_does(self, tmp_path):
+        path = tmp_path / "band.yaml"
+        path.write_text("incumbent_set: {range: [-25, 25]}\n")
+        cfg = CoexConfig(incumbent_set={"range": [-25, 25]})
+        assert cfg == load_config(str(path)) == CoexConfig()
+        assert cfg.incumbent_set == frozenset(range(-25, 26))
+
+    def test_python_range_is_measured_before_it_is_built(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=r"^incumbent_set: range \[0, 1000000000000\] is "
+                                                  r"wider than M = 512 subcarriers$"):
+                CoexConfig(incumbent_set={"range": [0, 10 ** 12]})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20  # no set, nor a list of its members, was built
+
+    @pytest.mark.parametrize("incumbent, secondary", [
+        ({"range": [5, 3]}, {"range": [0, 10 ** 12]}),
+        ([1000], {"range": [0, 10 ** 12]}),
+        ("abc", {"range": [5, 3]}),
+        ({"range": [0, 10 ** 12]}, [0.5]),
+    ], ids=["reversed-wide", "outside-wide", "string-reversed", "wide-fractional"])
+    def test_first_bad_set_is_named(self, tmp_path, incumbent, secondary):
+        # the fields are read in order, so with both sets bad the incumbent's error is reported
+        path = tmp_path / "sets.yaml"
+        path.write_text(yaml.safe_dump({"incumbent_set": incumbent, "secondary_set": secondary}))
+        for read in (lambda: CoexConfig(incumbent_set=incumbent, secondary_set=secondary),
+                     lambda: load_config(str(path))):
+            with pytest.raises(ConfigError, match=r"^incumbent_set"):
+                read()
+
+    def test_replace_on_a_config_loaded_from_a_range(self, config_file):
+        cfg = load_config(config_file)
+        moved = replace(cfg, cp_ratio="7/16")
+        assert moved.cp_ratio == Fraction(7, 16)
+        assert moved.incumbent_set == cfg.incumbent_set == frozenset(range(-5, 6))
+        assert replace(moved, cp_ratio=Fraction(1, 8)) == cfg
+
+    @pytest.mark.parametrize("value", ["5", "abc", "2.5", "null", "true"])
+    def test_scalar_set_rejected(self, tmp_path, value):
+        # a file's scalar and a Python caller's scalar or string get the same message
+        path = tmp_path / "scalar.yaml"
+        path.write_text(f"incumbent_set: {value}\n")
+        for read in (lambda: load_config(str(path)),
+                     lambda: CoexConfig(incumbent_set=yaml.safe_load(value))):
+            with pytest.raises(ConfigError,
+                               match=r"^incumbent_set: expected a list or \{range: \[lo, hi\]\}$"):
+                read()
+
+    def test_cli_imports_no_private_name(self):
+        tree = ast.parse(Path(cli.__file__).read_text())
+        private = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                   for alias in node.names if alias.name.startswith("_")]
+        assert private == []
 
 
 class TestTableCommand:
@@ -346,6 +404,21 @@ class TestBurstCap:
         assert capsys.readouterr().err == (f"error: M = {M}: a burst spans {19 * M} > "
                                            f"{mc._MAX_BURST_SAMPLES} samples\n")
         assert peak < 2 ** 20  # nothing M long was built
+
+
+class TestOffsetCycleCap:
+    @pytest.mark.parametrize("args", [["table", "--direction", "i2s"], ["verify"]],
+                             ids=["i2s-table", "verify"])
+    def test_long_i2s_cycle_exits_2(self, tmp_path, capsys, args):
+        # cp = 1/2^20: a cycle of 2^20 + 1 slots, refused before it is enumerated
+        path = tmp_path / "scenario.yaml"
+        path.write_text("M: 1048576\n")
+        out = tmp_path / "t.csv"
+        rc = main([*args, "--config", str(path), "--cp-ratio", "1/1048576",
+                   *(["--out", str(out)] if args[0] == "table" else [])])
+        assert rc == 2 and not out.exists()
+        assert capsys.readouterr() == ("", "error: cp_ratio = 1/1048576: i2s offset cycle of "
+                                           "1048577 slots, over 4096\n")
 
 
 class TestDirectionTable:

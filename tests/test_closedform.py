@@ -22,7 +22,7 @@ from coexsim.closedform import (
 )
 from coexsim.filterbank import _usinc, phydyas_k4
 from coexsim.oracle import _window_taus, quadrature_I, victim_slot_offsets
-from coexsim.txrx import CoexConfig
+from coexsim.txrx import MAX_OFFSET_CYCLE, CoexConfig, ConfigError
 
 ACCEPT_GRID = (0.0, 0.5, 1.0, 2.0, 3.0, 5.0, 8.0)
 
@@ -331,6 +331,20 @@ class TestGeometry:
                         or set(i2s) != set(_window_taus("i2s", nv, cp, filt))):
                     mismatched.append((cp, nv))
         assert mismatched == []
+
+    def test_offset_cycle_cap(self):
+        # every k/512 prefix fits (511/512 is the longest, 1,023 slots); 1/2047 has exactly
+        # MAX_OFFSET_CYCLE slots, 1/4096 one more, refused before its offsets are built, as
+        # is Fraction(0.1) = p/2^55 with its p + 2^55 slots
+        assert max(len(_slot_offsets(Fraction(k, 512))) for k in range(513)) == 1023
+        assert len(_slot_offsets(Fraction(1, 2047))) == MAX_OFFSET_CYCLE == 4096
+        for cp, cycle in ((Fraction(1, 4096), 4097), (Fraction(0.1), 39631676720860365)):
+            with pytest.raises(ConfigError, match=rf"^cp_ratio = {cp}: i2s offset cycle of "
+                                                  rf"{cycle} slots, over 4096$"):
+                _slot_offsets(cp)
+        with pytest.raises(ConfigError, match="i2s offset cycle"):
+            build_table("i2s", [0.0], CoexConfig(M=2 ** 20, cp_ratio=Fraction(1, 2 ** 20)),
+                        phydyas_k4())
 
 
 class TestTables:

@@ -21,6 +21,7 @@ from coexsim.oracle import (
     quadrature_I,
     victim_slot_offsets,
 )
+from coexsim.txrx import MAX_OFFSET_CYCLE, ConfigError
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +154,18 @@ class TestQuadratureI:
         # cycle length 2(p+q)/gcd(2, q) at cp = p/q
         for cp, length in ((Fraction(1, 3), 8), (Fraction(2, 3), 10), (Fraction(1, 5), 12)):
             assert len(victim_slot_offsets(cp)) == length
+
+    def test_slot_offset_cycle_cap(self, filt):
+        # the longest k/512 cycle fits; the walk stops one offset past MAX_OFFSET_CYCLE, so
+        # Fraction(0.1), with its 2^55 denominator, is refused at once
+        assert len(victim_slot_offsets(Fraction(511, 512))) == 1023
+        assert len(victim_slot_offsets(Fraction(1, 2047))) == MAX_OFFSET_CYCLE == 4096
+        for cp in (Fraction(1, 4096), Fraction(0.1)):
+            with pytest.raises(ConfigError, match=rf"^cp_ratio = {cp}: i2s offset cycle of "
+                                                  r"over 4096 slots$"):
+                victim_slot_offsets(cp)
+        with pytest.raises(ConfigError, match="i2s offset cycle"):
+            quadrature_I("i2s", 0.0, filt, 0.1)
 
     def test_parseval_constant(self, filt):
         # captured pulse energy equals 2 sum G^2 / K (quadrature vs analytic)
