@@ -41,7 +41,8 @@ import yaml
 from .checks import run_all_checks
 from .closedform import build_table, power_db
 from .filterbank import phydyas_k4
-from .montecarlo import estimate_ofdm_to_ofdm, estimate_ofdm_to_oqam, estimate_oqam_to_ofdm
+from .montecarlo import (estimate_ofdm_to_ofdm, estimate_ofdm_to_oqam, estimate_oqam_to_ofdm,
+                         l_values)
 from .psdmodel import psd_interference, psd_ofdm_subcarrier, psd_oqam_subcarrier
 from .txrx import DIRECTIONS, CoexConfig, ConfigError, lookup_direction
 
@@ -123,6 +124,12 @@ def cmd_table(args, config: CoexConfig) -> int:
 def cmd_simulate(args, config: CoexConfig) -> int:
     filt = phydyas_k4()
     d = lookup_direction(args.direction)
+    # the estimate's checks and the overlay first, so either refuses before the Monte-Carlo run;
+    # the overlay is the lattice closed form into the same victim (OQAM interferer for o2o)
+    grid = l_values(config, args.direction, args.symbols)
+    overlay = next(c for c in DIRECTIONS if c.victim == d.victim and not c.offset)
+    closed = build_table(overlay.name, grid, config, filt)
+    psd = psd_interference(args.direction, grid, config, filt)
     # each estimator is read from this module at call time, where a benchmark may wrap it
     if d.offset:
         est = estimate_ofdm_to_ofdm(config, args.symbols)
@@ -130,10 +137,6 @@ def cmd_simulate(args, config: CoexConfig) -> int:
         est = estimate_oqam_to_ofdm(config, args.symbols)
     else:
         est = estimate_ofdm_to_oqam(config, args.symbols)
-    # closed-form overlay: the lattice direction into the same victim (OQAM interferer for o2o)
-    overlay = next(c for c in DIRECTIONS if c.victim == d.victim and not c.offset)
-    closed = build_table(overlay.name, est.l_values, config, filt)
-    psd = psd_interference(args.direction, est.l_values, config, filt)
     _write_csv(args.out, ["l", "power_mc", "std_err", "power_closed", "power_psd"],
                [est.l_values, est.powers, est.std_errors, closed, psd],
                [_L, _LIN, _LIN, _LIN, _LIN])

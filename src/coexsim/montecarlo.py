@@ -61,14 +61,13 @@ from .txrx import (
     _Workspace,
 )
 
-__all__ = [
-    "McEstimate",
-    "estimate_oqam_to_ofdm",
-    "estimate_ofdm_to_oqam",
-    "estimate_ofdm_to_ofdm",
-]
+__all__ = ["McEstimate", "l_values", "estimate_oqam_to_ofdm", "estimate_ofdm_to_oqam",
+           "estimate_ofdm_to_ofdm"]
 
-_MAX_BURST_SAMPLES = 2 ** 23  # a burst's samples as _burst_sizes counts them: 128 MiB complex
+_MAX_BURST_SAMPLES = 2 ** 23  # a burst's samples as _burst_count counts them: 128 MiB complex
+# bursts whose generators one loop builds, as 10^4 s2i or i2s windows' 40: built between bursts
+# each took 2-5x longer, and all at once 10^6 o2o windows held 31,250 of them (about 30 MB)
+_RNG_CHUNK = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,8 +80,10 @@ class McEstimate:
     trials: int
 
 
-def _roles(config: CoexConfig, d: Direction) -> tuple[int, np.ndarray]:
-    """Where roles are decided: the single interferer subcarrier and the sorted victims."""
+def _roles(config: CoexConfig, d: Direction) -> tuple[int, np.ndarray, float]:
+    """Where roles are decided: the one interferer subcarrier m, the victims v in ascending
+    l = m + shift - v (descending v), and the shift (delta_f moves the secondary).
+    """
     roles = [("secondary", config.secondary_set), ("incumbent", config.incumbent_set)]
     (interferer, interferers), (victim, victims) = roles if d.victim == "ofdm" else roles[::-1]
     if len(interferers) != 1:
@@ -90,7 +91,16 @@ def _roles(config: CoexConfig, d: Direction) -> tuple[int, np.ndarray]:
                           f"got {sorted(interferers)}")
     if not victims:
         raise ConfigError(f"estimator needs at least one {victim} (victim) subcarrier")
-    return next(iter(interferers)), np.array(sorted(victims))
+    shift = -config.delta_f if d.victim == "oqam" else config.delta_f
+    return next(iter(interferers)), np.array(sorted(victims, reverse=True)), shift
+
+
+def l_values(config: CoexConfig, direction: str, n_symbols: int) -> np.ndarray:
+    """The ascending l_values of an n_symbols estimate, its roles and burst size checked first."""
+    d = lookup_direction(direction)
+    m, victims, shift = _roles(config, d)
+    _burst_count(config, d, n_symbols)
+    return m + shift - victims
 
 
 def _rng(seed: int, tag: int, burst: int) -> np.random.Generator:
@@ -107,7 +117,7 @@ def _draw_qpsk(rng: np.random.Generator, n: int, variance: float) -> np.ndarray:
     return (_draw_pam(rng, n, 1.0) + 1j * _draw_pam(rng, n, 1.0)) * np.sqrt(variance / 2)
 
 
-def _burst_sizes(config: CoexConfig, d: Direction, n_total: int) -> list[int]:
+def _burst_count(config: CoexConfig, d: Direction, n_total: int) -> int:
     if n_total < 1:
         raise ConfigError("n_symbols must be >= 1")
     # before any array exists: the windows at M + L samples, an interferer symbol + step each side
@@ -115,7 +125,7 @@ def _burst_sizes(config: CoexConfig, d: Direction, n_total: int) -> list[int]:
     span = min(d.burst, n_total) * config.symbol_samples + 2 * (last - first + step)
     if span > _MAX_BURST_SAMPLES:  # CoexConfig takes M = 10^30
         raise ConfigError(f"M = {config.M}: a burst spans {span} > {_MAX_BURST_SAMPLES} samples")
-    return [min(d.burst, n_total - start) for start in range(0, n_total, d.burst)]
+    return -(-n_total // d.burst)
 
 
 class _MomentSums:
@@ -140,17 +150,6 @@ class _MomentSums:
         return np.sqrt(np.maximum(var, 0.0) / self.count)
 
 
-def _finish(acc: _MomentSums, d: Direction, l_values: np.ndarray) -> McEstimate:
-    """The estimate ascending in l; column c of acc has l_values[c].
-
-    An OQAM victim reports per complex symbol period: twice the per-slot mean.
-    """
-    scale = 2.0 if d.victim == "oqam" else 1.0
-    order = np.argsort(l_values)
-    return McEstimate(l_values=l_values[order], powers=scale * acc.mean()[order],
-                      std_errors=scale * acc.std_error()[order], trials=acc.count)
-
-
 def _reach(first: int, last: int, lo: int, hi: int, step: int) -> tuple[int, int]:
     """The half-open range of symbols n whose samples n step + [first, last] meet [lo, hi]."""
     return -((last - lo) // step), (hi - first) // step + 1
@@ -166,42 +165,44 @@ def _span(config: CoexConfig, d: Direction, size: int, offset: int) -> tuple[int
     return _reach(first + offset, last + offset, v_first, (size - 1) * v_step + v_last, step)
 
 
-def _bursts(config: CoexConfig, d: Direction, n_symbols: int, add) -> np.ndarray:
+def _bursts(config: CoexConfig, d: Direction, n_symbols: int, add) -> None:
     """Pass add() each burst's |demodulated|^2 windows: (windows, victims) rows in window order.
 
-    Returns the l of every victim column.  A callback, not a generator: a consumer's loop
-    variable kept each burst's rows alive through the next burst, which cost 15x the page
-    faults (+40% s2i run time).
+    A callback, not a generator: a consumer's loop variable kept each burst's rows alive
+    through the next burst, which cost 15x the page faults (+40% s2i run time).
     """
-    m, victims = _roles(config, d)
-    # delta_f shifts the secondary, so an OQAM victim sees the incumbent at -delta_f
-    shift = -config.delta_f if d.victim == "oqam" else config.delta_f
+    m, victims, shift = _roles(config, d)
     ws = _Workspace()
-    sizes = _burst_sizes(config, d, n_symbols)
-    # every burst's generator, built in one loop: between bursts each took 2-5x longer
-    for rng, size in zip([_rng(config.seed, d.tag, b) for b in range(len(sizes))], sizes):
-        off = int(rng.integers(0, config.symbol_samples)) if d.offset else 0
-        n_lo, n_hi = _span(config, d, size, off)
-        if d.interferer == "oqam":
-            sig = oqam_modulate(config, {m: _draw_pam(rng, n_hi - n_lo, config.var_pam)},
-                                (n_lo, n_hi), workspace=ws)
-        else:
-            sig = ofdm_modulate(config, {m: _draw_qpsk(rng, n_hi - n_lo, config.var_qam)},
-                                (n_lo, n_hi), workspace=ws)
-        sig = shift_samples(sig, off)
-        if shift:
-            sig = apply_frequency_shift(config, sig, shift, workspace=ws)
-        if d.victim == "oqam":
-            add(_oqam_demod_slots(config, sig, (0, size), victims, workspace=ws) ** 2)
-        else:
-            add(np.abs(_ofdm_demod_window(config, sig, (0, size), victims, workspace=ws)) ** 2)
-    return np.array([float(m + shift - v) for v in victims])
+    n_bursts = _burst_count(config, d, n_symbols)
+    for chunk in range(0, n_bursts, _RNG_CHUNK):
+        bursts = range(chunk, min(chunk + _RNG_CHUNK, n_bursts))
+        for b, rng in zip(bursts, [_rng(config.seed, d.tag, b) for b in bursts]):
+            size = min(d.burst, n_symbols - b * d.burst)
+            off = int(rng.integers(0, config.symbol_samples)) if d.offset else 0
+            n_lo, n_hi = _span(config, d, size, off)
+            if d.interferer == "oqam":
+                sig = oqam_modulate(config, m, _draw_pam(rng, n_hi - n_lo, config.var_pam),
+                                    (n_lo, n_hi), workspace=ws)
+            else:
+                sig = ofdm_modulate(config, m, _draw_qpsk(rng, n_hi - n_lo, config.var_qam),
+                                    (n_lo, n_hi), workspace=ws)
+            sig = shift_samples(sig, off)
+            if shift:
+                sig = apply_frequency_shift(config, sig, shift, workspace=ws)
+            if d.victim == "oqam":
+                add(_oqam_demod_slots(config, sig, (0, size), victims, workspace=ws) ** 2)
+            else:
+                add(np.abs(_ofdm_demod_window(config, sig, (0, size), victims, workspace=ws)) ** 2)
 
 
 def _estimate(config: CoexConfig, direction: str, n_symbols: int) -> McEstimate:
+    """Column c of the bursts' rows has l_values[c]; an OQAM victim reports twice the mean."""
     d = lookup_direction(direction)
     acc = _MomentSums()
-    return _finish(acc, d, _bursts(config, d, n_symbols, acc.add))
+    _bursts(config, d, n_symbols, acc.add)
+    scale = 2.0 if d.victim == "oqam" else 1.0
+    return McEstimate(l_values(config, direction, n_symbols), scale * acc.mean(),
+                      scale * acc.std_error(), acc.count)
 
 
 def estimate_oqam_to_ofdm(config: CoexConfig, n_symbols: int) -> McEstimate:

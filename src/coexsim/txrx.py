@@ -3,8 +3,9 @@
 Sampling convention: the useful symbol period T spans M = config.M samples
 (critical sampling), and absolute sample p is at time t = p/M in units of T.
 A DiscreteSignal is samples plus an origin on that grid; every modem
-function, the frequency shift too, takes the config.  Every modulator scales
-by 1/sqrt(M), so a clean own-signal demodulates to its symbol with unit gain.
+function, the frequency shift too, takes the config.  A modulator sends one
+subcarrier, as the estimators' one interferer does, and scales by 1/sqrt(M),
+so a clean own-signal demodulates to its symbol with unit gain.
 
 CP-OFDM symbol n occupies samples [n(M+L) - L, n(M+L) + M) with L cyclic
 prefix samples; the useful window is the last M of those.  OQAM half-symbol
@@ -15,10 +16,9 @@ primer, PHYDYAS 2010): the taps are padded to nb = 2K + 1 blocks of M/2
 samples and the carrier, reduced exactly as (m p) mod M, is folded into
 them.  A slot starts one half period after its predecessor, which
 multiplies its carrier by (-1)^m, so its pulse is the same nb blocks times
-one amplitude.  Each subcarrier's burst is then one product of the
-(slots + nb - 1) x nb Toeplitz matrix of slot amplitudes with the nb x M/2
-block matrix; with inner dimension nb the bytes do not depend on the BLAS
-thread count.
+one amplitude.  A burst is then one product of the (slots + nb - 1) x nb
+Toeplitz matrix of slot amplitudes with the nb x M/2 block matrix; with
+inner dimension nb the bytes do not depend on the BLAS thread count.
 
 _carrier_blocks builds those blocks once per (M, m mod M, first sample mod
 M), the last being 0 or M/2, and keeps 8 read-only for the bursts to come.
@@ -47,8 +47,8 @@ and not in 128 KiB blocks allocated per call.  The bytes do not depend on
 the buffer size.
 
 CP-OFDM synthesis reduces its carrier exactly too: the prefix phase makes
-every symbol block the same M + L carrier samples, so each subcarrier
-evaluates its carrier over one block only.
+every symbol block the same M + L carrier samples, so the carrier is
+evaluated over one block only.
 
 Both receivers return only the subcarriers they are asked for, in the order
 asked: the FFT runs over all M bins and the requested columns are read
@@ -87,26 +87,29 @@ class ConfigError(ValueError):
     """An invalid scenario: bad config values or a setup an operation cannot run."""
 
 
-def _integer(value) -> int:
-    """int(value), except that a non-integral float is an error rather than truncated."""
+def _integer(value, lo=-inf, hi=inf) -> int:
+    """int(value) in [lo, hi]; a non-integral float is an error rather than truncated."""
     if isinstance(value, float) and not value.is_integer():
         raise ValueError(f"expected an integer, got {value}")
-    return int(value)
+    if not lo <= (n := int(value)) <= hi:
+        raise ValueError(f"entries must lie in [{lo}, {hi}], got {n}")
+    return n
 
 
 def _subcarriers(values, M: int) -> frozenset:
-    """A list of subcarriers, or the ones {range: [lo, hi]} names, at most M of them."""
+    """A list of subcarriers, or the ones {range: [lo, hi]} names, each checked as it is read."""
+    lo, hi = -M // 2, M // 2 - 1
     if isinstance(values, dict):
         if set(values) != {"range"} or len(values["range"]) != 2:
             raise ValueError("expected {range: [lo, hi]} or a list of integers")
-        lo, hi = map(_integer, values["range"])
-        if not 0 <= hi - lo < M:  # before the set is built: a range of 10^12 would exhaust memory
-            raise ValueError(f"range [{lo}, {hi}] is "
-                             + ("reversed" if hi < lo else f"wider than M = {M} subcarriers"))
-        return frozenset(range(lo, hi + 1))
+        a, b = map(_integer, values["range"])
+        if not 0 <= b - a < M:  # before the set is built: a range of 10^12 would exhaust memory
+            raise ValueError(f"range [{a}, {b}] is "
+                             + ("reversed" if b < a else f"wider than M = {M} subcarriers"))
+        return frozenset(range(_integer(a, lo, hi), _integer(b, lo, hi) + 1))  # its ends bound it
     if isinstance(values, (str, bytes)) or not hasattr(values, "__iter__"):  # "012" is no list
         raise TypeError("expected a list or {range: [lo, hi]}")
-    return frozenset(map(_integer, values))
+    return frozenset(_integer(value, lo, hi) for value in values)
 
 
 # each field's reader, in field order: an integer is never a truncated float, and a
@@ -149,10 +152,8 @@ class CoexConfig:
             raise ConfigError("cp_ratio must be non-negative")
         if (M * cp).denominator != 1:
             raise ConfigError("M * cp_ratio must be an integer number of samples")
-        lo, hi = -M // 2, M // 2 - 1
-        for name in ("incumbent_set", "secondary_set"):
-            if any(m < lo or m > hi for m in self._read(name, M)):
-                raise ConfigError(f"{name} entries must lie in [{lo}, {hi}]")
+        self._read("incumbent_set", M)
+        self._read("secondary_set", M)
         if not all(0 < self._read(name) < inf for name in ("var_qam", "var_pam")):
             raise ConfigError("symbol variances must be positive and finite")
         if not (-0.5 < self._read("delta_f") <= 0.5):
@@ -263,10 +264,6 @@ def _extent(config: CoexConfig, waveform: str, received: bool = False) -> tuple[
     return 0 if received else -config.cp_samples, config.M - 1, config.symbol_samples
 
 
-def _zero_signal(start: int, stop: int) -> DiscreteSignal:
-    return DiscreteSignal(np.zeros(stop - start, dtype=complex), origin_index=-start)
-
-
 def _symbols(n_range) -> tuple[int, int]:
     """n_range as (n0, n1); a ValueError unless it is a tuple of integers n0 < n1, not an array."""
     if not (isinstance(n_range, tuple) and len(n_range) == 2
@@ -301,13 +298,13 @@ class _Workspace:
 # CP-OFDM
 # ---------------------------------------------------------------------------
 
-def ofdm_modulate(config: CoexConfig, data: dict, n_range: tuple[int, int], *,
+def ofdm_modulate(config: CoexConfig, m: int, vec, n_range: tuple[int, int], *,
                   workspace: _Workspace | None = None) -> DiscreteSignal:
-    """Synthesize the CP-OFDM signal for QAM symbols on the given subcarriers.
+    """Synthesize the CP-OFDM signal of the QAM symbols vec on subcarrier m.
 
-    data maps subcarrier index -> complex vector covering symbols
-    n_range[0] .. n_range[1]-1.  Each symbol occupies (1+cp_ratio) M samples
-    (prefix first); sample values carry the 1/sqrt(M) amplitude convention.
+    vec is a complex vector covering symbols n_range[0] .. n_range[1]-1.
+    Each symbol occupies (1+cp_ratio) M samples (prefix first); sample
+    values carry the 1/sqrt(M) amplitude convention.
 
     With a workspace the samples live in its buffer: the signal aliases the
     workspace and is overwritten by the next call that shares it (the next
@@ -316,29 +313,19 @@ def ofdm_modulate(config: CoexConfig, data: dict, n_range: tuple[int, int], *,
     n0, n1 = _symbols(n_range)
     M = config.M
     first, last, S = _extent(config, "ofdm")
-    nsym = n1 - n0
-    ws = workspace or _Workspace()
+    vec = np.asarray(vec, dtype=complex)
+    if vec.shape != (n1 - n0,):
+        raise ValueError(f"data vector for subcarrier {m} must cover n_range ({n1 - n0} symbols)")
     p = np.arange(first, last + 1)  # symbol 0's block
-    blocks = None
     with np.errstate():  # restores the thread's buffer size on exit
         np.setbufsize(_UFUNC_BUFFER)
-        for m, vec in sorted(data.items()):
-            vec = np.asarray(vec, dtype=complex)
-            if vec.shape != (nsym,):
-                raise ValueError(f"data vector for subcarrier {m} must cover n_range "
-                                 f"({nsym} symbols)")
-            # symbol n's prefix phase exp(-2 pi j m n L / M) cancels the advance of the
-            # carrier exp(2 pi j m p / M) over n blocks, so every block is symbol 0's: one
-            # carrier block, reduced exactly as (m p) mod M, times each symbol
-            carrier = np.exp(2j * np.pi * ((m * p) % M) / M)
-            amp = (vec / np.sqrt(M))[:, None]
-            # symbol blocks tile the burst exactly: block n is n S + [first, last]
-            if blocks is None:
-                blocks = np.multiply(amp, carrier, out=ws.array("ofdm.signal", (nsym, S)))
-            else:
-                blocks += np.multiply(amp, carrier, out=ws.array("ofdm.term", blocks.shape))
-    if blocks is None:
-        return _zero_signal(n0 * S + first, n1 * S + first)
+        # symbol n's prefix phase exp(-2 pi j m n L / M) cancels the advance of the carrier
+        # exp(2 pi j m p / M) over n blocks, so every block is symbol 0's: one carrier block,
+        # reduced exactly as (m p) mod M, times each symbol
+        carrier = np.exp(2j * np.pi * ((m * p) % M) / M)
+        # symbol blocks tile the burst exactly: block n is n S + [first, last]
+        blocks = (workspace or _Workspace()).array("ofdm.signal", (n1 - n0, S))
+        np.multiply((vec / np.sqrt(M))[:, None], carrier, out=blocks)
     return DiscreteSignal(blocks.ravel(), origin_index=-(n0 * S + first))
 
 
@@ -418,40 +405,31 @@ def _carrier_blocks(M: int, m: int, start: int) -> np.ndarray:
     return blocks
 
 
-def oqam_modulate(config: CoexConfig, data: dict, n_range: tuple[int, int], *,
+def oqam_modulate(config: CoexConfig, m: int, vec, n_range: tuple[int, int], *,
                   workspace: _Workspace | None = None) -> DiscreteSignal:
-    """Synthesize the OQAM signal for real PAM symbols on the given subcarriers.
+    """Synthesize the OQAM signal of the real PAM symbols vec on subcarrier m.
 
-    data maps subcarrier index -> real vector covering half-symbol slots
-    n_range[0] .. n_range[1]-1; successive slots are offset by M/2 samples.
-    With a workspace the signal aliases its buffer, as ofdm_modulate's does.
+    vec covers half-symbol slots n_range[0] .. n_range[1]-1; successive
+    slots are offset by M/2 samples.  With a workspace the signal aliases
+    its buffer, as ofdm_modulate's does.
     """
     n0, n1 = _symbols(n_range)
     M = config.M
     first, last, hop = _extent(config, "oqam")
     nb = len(_tap_blocks(M)[1])
     nsym = n1 - n0
+    vec = np.asarray(vec)
+    if np.iscomplexobj(vec) or vec.shape != (nsym,):
+        raise ValueError(f"OQAM data for subcarrier {m} must be real, one value per slot ({nsym})")
     start, stop = n0 * hop + first, (n1 - 1) * hop + last + 1
     ws = workspace or _Workspace()
     amps = ws.array("oqam.amps", (nsym + 2 * (nb - 1),))
     amps[:nb - 1] = amps[1 - nb:] = 0  # toeplitz row k holds slots k - nb + 1 .. k, last first
     toeplitz = np.ndarray((nsym + nb - 1, nb), complex, amps, (nb - 1) * 16, (16, -16))
-    samples = None
-    for m, vec in sorted(data.items()):
-        vec = np.asarray(vec)
-        if np.iscomplexobj(vec):
-            raise ValueError(f"OQAM data must be real (subcarrier {m})")
-        if vec.shape != (nsym,):
-            raise ValueError(f"data vector for subcarrier {m} must cover n_range ({nsym} slots)")
-        blocks = _carrier_blocks(M, m % M, start % M)  # slot n0 + j's: (-1)^(m j) times these
-        amp = oqam_phase(m, np.arange(n0, n1)) * vec
-        amps[nb - 1:1 - nb] = amp * np.where(np.arange(nsym) % 2, -1.0, 1.0) if m % 2 else amp
-        if samples is None:
-            samples = np.matmul(toeplitz, blocks, out=ws.array("oqam.signal", (len(toeplitz), hop)))
-        else:
-            samples += np.matmul(toeplitz, blocks, out=ws.array("oqam.term", samples.shape))
-    if samples is None:
-        return _zero_signal(start, stop)
+    blocks = _carrier_blocks(M, m % M, start % M)  # slot n0 + j's: (-1)^(m j) times these
+    amp = oqam_phase(m, np.arange(n0, n1)) * vec
+    amps[nb - 1:1 - nb] = amp * np.where(np.arange(nsym) % 2, -1.0, 1.0) if m % 2 else amp
+    samples = np.matmul(toeplitz, blocks, out=ws.array("oqam.signal", (len(toeplitz), hop)))
     return DiscreteSignal(samples.ravel()[:stop - start], origin_index=-start)
 
 

@@ -25,6 +25,7 @@ from coexsim.filterbank import phydyas_k4
 from coexsim.montecarlo import estimate_ofdm_to_ofdm, estimate_ofdm_to_oqam, estimate_oqam_to_ofdm
 from coexsim.txrx import CoexConfig, _ofdm_demod_window, ofdm_modulate
 from test_montecarlo import self_reconstruction_floor, window_class_estimates
+from test_txrx import superpose
 
 FILT = phydyas_k4()
 
@@ -211,7 +212,7 @@ class TestCriterion8Structural:
         for _ in range(100):
             data = {m: (rng.choice([1, -1], 2) + 1j * rng.choice([1, -1], 2)) / np.sqrt(2)
                     for m in subs}
-            sig = ofdm_modulate(cfg, data, (0, 2))
+            sig = superpose(ofdm_modulate, cfg, data, (0, 2))
             rows = _ofdm_demod_window(cfg, sig, (0, 2), subs)
             sent = np.array([data[m] for m in subs]).T
             worst = max(worst, float(np.max(np.abs(rows - sent))))

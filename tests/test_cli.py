@@ -145,6 +145,21 @@ class TestConfigLoading:
             tracemalloc.stop()
         assert peak < 2 ** 20  # no set, nor a list of its members, was built
 
+    @pytest.mark.parametrize("incumbent, M, bad", [
+        (range(10 ** 6), 512, 256), ([0, -9, 3], 16, -9), ({"range": [200, 300]}, 512, 300),
+        ({"range": [-300, -200]}, 512, -300)],
+        ids=["python-range", "list", "range-high", "range-low"])
+    def test_set_is_refused_at_an_entry_out_of_bounds(self, incumbent, M, bad):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=rf"^incumbent_set: entries must lie in "
+                                                  rf"\[{-M // 2}, {M // 2 - 1}\], got {bad}$"):
+                CoexConfig(M=M, incumbent_set=incumbent)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20  # range(10 ** 6) was read up to its entry 256, not built
+
     @pytest.mark.parametrize("incumbent, secondary", [
         ({"range": [5, 3]}, {"range": [0, 10 ** 12]}),
         ([1000], {"range": [0, 10 ** 12]}),
@@ -378,6 +393,25 @@ class TestSimulateCommand:
         assert trials == [300]
 
 
+    @pytest.mark.parametrize("config_text, symbols, error", [
+        (GOOD_CONFIG, "0", "n_symbols must be >= 1"),
+        (MULTI_INTERFERER, "10", "estimator needs exactly one secondary (interferer) subcarrier"),
+        (GOOD_CONFIG.replace("M: 512", f"M: {10 ** 30}"), "10", "M = 10"),
+    ], ids=["zero-symbols", "two-interferers", "burst-cap"])
+    def test_estimator_input_is_refused_before_the_overlay(self, tmp_path, capsys, monkeypatch,
+                                                           config_text, symbols, error):
+        # a victim set M wide makes the overlay a table of M points: it is built only for a
+        # run the estimator accepts
+        path = tmp_path / "scenario.yaml"
+        path.write_text(config_text)
+        calls = []
+        monkeypatch.setattr(cli, "build_table", lambda *args: calls.append(args))
+        rc = main(["simulate", "--config", str(path), "--direction", "s2i", "--symbols", symbols,
+                   "--out", str(tmp_path / "s.csv")])
+        assert rc == 2 and calls == []
+        assert capsys.readouterr().err.startswith(f"error: {error}")
+
+
 # s2i at cp 0 and 10 windows: a burst is counted as 10 M samples plus an OQAM pulse span (K M)
 # and a slot step (M/2) either side, 19 M in all; the smallest even M over the cap
 ABOVE_CAP_M = 2 * (mc._MAX_BURST_SAMPLES // 38 + 1)
@@ -419,6 +453,25 @@ class TestOffsetCycleCap:
         assert rc == 2 and not out.exists()
         assert capsys.readouterr() == ("", "error: cp_ratio = 1/1048576: i2s offset cycle of "
                                            "1048577 slots, over 4096\n")
+
+    def test_simulate_refuses_the_cycle_before_the_monte_carlo_run(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        # the overlay is built first, on the estimate's l values, so the estimator never runs
+        path = tmp_path / "scenario.yaml"
+        path.write_text("M: 4096\nincumbent_set: [0]\nsecondary_set: {range: [-25, 25]}\n")
+        original, calls = cli.estimate_ofdm_to_oqam, []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "estimate_ofdm_to_oqam", spy)
+        out = tmp_path / "s.csv"
+        rc = main(["simulate", "--config", str(path), "--direction", "i2s", "--symbols", "10000",
+                   "--cp-ratio", "1/4096", "--out", str(out)])
+        assert rc == 2 and not out.exists() and calls == []
+        assert capsys.readouterr() == ("", "error: cp_ratio = 1/4096: i2s offset cycle of "
+                                           "4097 slots, over 4096\n")
 
 
 class TestDirectionTable:

@@ -20,7 +20,7 @@ from coexsim.closedform import build_table
 from coexsim.filterbank import phydyas_k4
 from coexsim.montecarlo import estimate_ofdm_to_ofdm, estimate_ofdm_to_oqam, estimate_oqam_to_ofdm
 from coexsim.txrx import CoexConfig, lookup_direction
-from test_txrx import floor_phase
+from test_txrx import floor_phase, superpose
 
 # spawn key (3, 0): a substream disjoint from the estimators' tags 0-2
 _TAG_FLOOR = 3
@@ -58,8 +58,9 @@ def window_class_estimates(config, n_symbols):
         for c, acc in enumerate(accs):
             acc.add(rows[c::4])
 
-    l_values = mc._bursts(config, S2I, n_symbols, add)
-    return [mc._finish(acc, S2I, l_values) for acc in accs]
+    mc._bursts(config, S2I, n_symbols, add)
+    l_values = mc.l_values(config, "s2i", n_symbols)
+    return [mc.McEstimate(l_values, acc.mean(), acc.std_error(), acc.count) for acc in accs]
 
 
 def self_reconstruction_floor(config, n_symbols):
@@ -74,7 +75,7 @@ def self_reconstruction_floor(config, n_symbols):
     rng = mc._rng(config.seed, _TAG_FLOOR, 0)
     n_lo, n_hi = -2 * K, n_symbols + 2 * K
     data = {m: mc._draw_pam(rng, n_hi - n_lo, config.var_pam) for m in active}
-    sig = txrx.oqam_modulate(config, data, (n_lo, n_hi))
+    sig = superpose(txrx.oqam_modulate, config, data, (n_lo, n_hi))
     vals = txrx._oqam_demod_slots(config, sig, (0, n_symbols), active)
     sent = np.array([data[m][-n_lo:-n_lo + n_symbols] for m in active]).T
     return float(np.sum((vals - sent) ** 2) / (n_symbols * len(active)) / config.var_pam)
@@ -280,14 +281,14 @@ class TestWorkspace:
         assert max(rises[1:]) < txrx._DEMOD_BLOCK * cfg.M * 16
 
     def test_shared_ofdm_modulate_equals_fresh(self):
-        """The first subcarrier is written into the signal buffer, later ones added to it."""
+        """Each call writes all of the signal buffer it returns, the first one and shorter ones."""
         cfg = CoexConfig(incumbent_set=frozenset({-7, 0, 3}), secondary_set=frozenset({0}))
         rng = np.random.default_rng(6)
         ws = PoisonedWorkspace()
-        for nsym, subs in ((40, (-7, 0, 3)), (9, (0,)), (5, (0, 3)), (3, ())):
-            data = {m: rng.standard_normal(nsym) + 1j * rng.standard_normal(nsym) for m in subs}
-            shared = txrx.ofdm_modulate(cfg, data, (-1, nsym - 1), workspace=ws)
-            fresh = txrx.ofdm_modulate(cfg, data, (-1, nsym - 1))
+        for nsym, m in ((40, -7), (9, 0), (5, 3), (3, 0)):
+            vec = rng.standard_normal(nsym) + 1j * rng.standard_normal(nsym)
+            shared = txrx.ofdm_modulate(cfg, m, vec, (-1, nsym - 1), workspace=ws)
+            fresh = txrx.ofdm_modulate(cfg, m, vec, (-1, nsym - 1))
             assert (shared.start, shared.stop) == (fresh.start, fresh.stop)
             assert np.array_equal(shared.samples, fresh.samples)
 
@@ -300,8 +301,8 @@ class TestWorkspace:
         # one-slot block after a full one
         for size in (256, 65, 17):
             n_lo, n_hi = mc._span(cfg, I2S, size, 0)
-            data = {0: rng.standard_normal(n_hi - n_lo) + 1j * rng.standard_normal(n_hi - n_lo)}
-            sig = txrx.ofdm_modulate(cfg, data, (n_lo, n_hi))
+            vec = rng.standard_normal(n_hi - n_lo) + 1j * rng.standard_normal(n_hi - n_lo)
+            sig = txrx.ofdm_modulate(cfg, 0, vec, (n_lo, n_hi))
             shared = txrx._oqam_demod_slots(cfg, sig, (0, size), victims, workspace=ws)
             assert np.array_equal(shared, txrx._oqam_demod_slots(cfg, sig, (0, size), victims))
 
@@ -310,10 +311,9 @@ def symbol_extent(config, waveform):
     """(first, last, step): sent symbol n covers n step + [first, last], read off its modulator."""
     cfg = replace(config, incumbent_set=frozenset({0}), secondary_set=frozenset({0}))
     if waveform == "oqam":
-        sigs = [txrx.oqam_modulate(cfg, {0: np.ones(1)}, (n, n + 1)) for n in (0, 1)]
+        sigs = [txrx.oqam_modulate(cfg, 0, np.ones(1), (n, n + 1)) for n in (0, 1)]
     else:
-        sigs = [txrx.ofdm_modulate(cfg, {0: np.ones(1, dtype=complex)}, (n, n + 1))
-                for n in (0, 1)]
+        sigs = [txrx.ofdm_modulate(cfg, 0, np.ones(1, dtype=complex), (n, n + 1)) for n in (0, 1)]
     return sigs[0].start, sigs[0].stop - 1, sigs[1].start - sigs[0].start
 
 
@@ -342,9 +342,9 @@ class TestSpans:
         for waveform in ("oqam", "ofdm"):
             assert txrx._extent(cfg, waveform) == symbol_extent(cfg, waveform)
         # each receiver, asked for symbol 1 alone, reads exactly its received extent
-        sig = txrx.ofdm_modulate(cfg, {0: np.ones(3, dtype=complex)}, (0, 3))
+        sig = txrx.ofdm_modulate(cfg, 0, np.ones(3, dtype=complex), (0, 3))
         txrx._ofdm_demod_window(cfg, sig, (1, 2), [0])
-        sig = txrx.oqam_modulate(cfg, {0: np.ones(3)}, (0, 3))
+        sig = txrx.oqam_modulate(cfg, 0, np.ones(3), (0, 3))
         txrx._oqam_demod_slots(cfg, sig, (1, 2), [0])
         extents = [txrx._extent(cfg, w, received=True) for w in ("ofdm", "oqam")]
         assert window_reads == [(step + first, step + last) for first, last, step in extents]
@@ -380,11 +380,8 @@ class TestSpans:
             if off and not d.offset:
                 continue
             n0, n1 = mc._span(cfg, d, size, off)
-            data = {0: np.zeros(n1 - n0)}
-            if d.interferer == "oqam":
-                sig = txrx.oqam_modulate(cfg, data, (n0, n1))
-            else:
-                sig = txrx.ofdm_modulate(cfg, data, (n0, n1))
+            modulate = txrx.oqam_modulate if d.interferer == "oqam" else txrx.ofdm_modulate
+            sig = modulate(cfg, 0, np.zeros(n1 - n0), (n0, n1))
             sig = txrx.shift_samples(sig, off)
             # the receiver reads the victim samples [lo, hi] and raises if they leave sig
             if d.victim == "oqam":
@@ -423,6 +420,55 @@ class TestSelfReconstruction:
         cfg = CoexConfig(M=128, cp_ratio=0, incumbent_set=frozenset({0}),
                          secondary_set=frozenset({0}), seed=1)
         assert self_reconstruction_floor(cfg, 50) == 0.0
+
+
+class TestLValues:
+    @pytest.mark.parametrize("delta_f", [0.0, 0.3])
+    @pytest.mark.parametrize("direction", ["s2i", "i2s", "o2o"])
+    def test_are_the_estimates_in_ascending_order(self, direction, delta_f):
+        # known before any burst, and ascending: _roles puts the victims in descending order
+        victims = frozenset({-9, -2, 0, 4})
+        if direction == "i2s":
+            cfg, shift = i2s_config(secondary_set=victims, delta_f=delta_f), -delta_f
+        else:
+            cfg, shift = s2i_config(incumbent_set=victims, delta_f=delta_f), delta_f
+        l_values = mc.l_values(cfg, direction, 40)
+        assert np.all(np.diff(l_values) > 0)
+        assert l_values.tobytes() == mc._estimate(cfg, direction, 40).l_values.tobytes()
+        assert l_values.tolist() == sorted(0 + shift - v for v in victims)
+
+
+class TestBurstPlan:
+    def test_memory_does_not_grow_with_the_window_count(self, monkeypatch):
+        # 10^6 o2o windows are 31,250 bursts: built all at once, their generators took about
+        # 30 MB before the first burst ran
+        class FirstBurst(Exception):
+            pass
+
+        def modulate(*args, **kwargs):
+            raise FirstBurst
+
+        monkeypatch.setattr(mc, "ofdm_modulate", modulate)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FirstBurst):
+                estimate_ofdm_to_ofdm(s2i_config(), 10 ** 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+
+    @pytest.mark.parametrize("chunk", [1, 2, 4])
+    def test_chunk_size_leaves_the_estimate_unchanged(self, monkeypatch, chunk):
+        # 5 o2o bursts, the last one short: chunks of 1, 2 and 4 end on every burst
+        cfg = s2i_config(delta_f=0.3)
+        whole = estimate_ofdm_to_ofdm(cfg, 4 * 32 + 5)
+        monkeypatch.setattr(mc, "_RNG_CHUNK", chunk)
+        assert same_estimate(whole, estimate_ofdm_to_ofdm(cfg, 4 * 32 + 5))
+
+    def test_ten_thousand_windows_take_one_chunk(self):
+        for d in (S2I, I2S):
+            assert mc._burst_count(s2i_config(), d, 10_000) <= mc._RNG_CHUNK
 
 
 class TestValidation:

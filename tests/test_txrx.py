@@ -35,6 +35,18 @@ def floor_phase(m, n):
     return np.where((m * n) % 2, -1.0, 1.0) * 1j ** (((m + n) // 2) % 4)
 
 
+def superpose(modulate, config, data, n_range):
+    """Test-only: the signal of data {subcarrier: vector}, one modulate call per subcarrier,
+    added in place in ascending subcarrier order to a copy of the first one's samples.
+    """
+    (m, vec), *rest = sorted(data.items())
+    first = modulate(config, m, vec, n_range)
+    samples = first.samples.copy()
+    for m, vec in rest:
+        samples += modulate(config, m, vec, n_range).samples
+    return DiscreteSignal(samples, first.origin_index)
+
+
 def loop_oqam_modulate(config, data, n_range):
     """Test-only reference: slot-by-slot OQAM synthesis with exactly reduced carriers.
 
@@ -226,37 +238,25 @@ class TestOfdm:
         # one unit symbol on the center subcarrier: (1+cp) M constant samples
         cfg = CoexConfig(M=512, cp_ratio=Fraction(1, 8),
                          incumbent_set=frozenset({0}), secondary_set=frozenset({0}))
-        sig = ofdm_modulate(cfg, {0: np.array([1.0 + 0j])}, (0, 1))
+        sig = ofdm_modulate(cfg, 0, np.array([1.0 + 0j]), (0, 1))
         assert len(sig.samples) == 576
         assert np.allclose(sig.samples, 1 / np.sqrt(512), rtol=0, atol=1e-15)
-
-    def test_empty_data_gives_zero_signal(self):
-        cfg = small_config()
-        sig = ofdm_modulate(cfg, {}, (0, 3))
-        assert np.all(sig.samples == 0)
-
-    def test_superposition(self):
-        cfg = small_config()
-        rng = np.random.default_rng(0)
-        d1 = {2: rng.normal(size=2) + 1j * rng.normal(size=2)}
-        d2 = {5: rng.normal(size=2) + 1j * rng.normal(size=2)}
-        both = ofdm_modulate(cfg, {**d1, **d2}, (0, 2))
-        split = ofdm_modulate(cfg, d1, (0, 2)).samples + ofdm_modulate(cfg, d2, (0, 2)).samples
-        assert np.allclose(both.samples, split, rtol=0, atol=1e-15)
 
     def test_subcarriers_outside_the_incumbent_set_synthesize_alike(self):
         # roles are the estimator's: the modulator takes any subcarrier, with the same bytes
         rng = np.random.default_rng(4)
         data = {m: rng.normal(size=3) + 1j * rng.normal(size=3) for m in (3, 20)}
-        outside = ofdm_modulate(small_config(incumbent_set=frozenset({0, 1})), data, (0, 3))
-        inside = ofdm_modulate(small_config(incumbent_set=frozenset({3, 20})), data, (0, 3))
+        outside = superpose(ofdm_modulate, small_config(incumbent_set=frozenset({0, 1})), data,
+                            (0, 3))
+        inside = superpose(ofdm_modulate, small_config(incumbent_set=frozenset({3, 20})), data,
+                           (0, 3))
         assert outside.samples.tobytes() == inside.samples.tobytes()
         assert outside.origin_index == inside.origin_index
 
     def test_rejects_wrong_vector_length(self):
         cfg = small_config()
         with pytest.raises(ValueError):
-            ofdm_modulate(cfg, {0: np.ones(2, dtype=complex)}, (0, 3))
+            ofdm_modulate(cfg, 0, np.ones(2, dtype=complex), (0, 3))
 
     def test_round_trip_100_random_grids(self):
         cfg = small_config()
@@ -266,7 +266,7 @@ class TestOfdm:
         for _ in range(100):
             data = {m: (rng.choice([1, -1], 3) + 1j * rng.choice([1, -1], 3)) / np.sqrt(2)
                     for m in subs}
-            sig = ofdm_modulate(cfg, data, (0, 3))
+            sig = superpose(ofdm_modulate, cfg, data, (0, 3))
             rows = _ofdm_demod_window(cfg, sig, (0, 3), subs)
             sent = np.array([data[m] for m in subs]).T
             worst = max(worst, np.max(np.abs(rows - sent)))
@@ -274,14 +274,14 @@ class TestOfdm:
 
     def test_zero_signal_demodulates_to_zero(self):
         cfg = small_config()
-        sig = ofdm_modulate(cfg, {}, (0, 1))
+        sig = ofdm_modulate(cfg, 0, np.zeros(1), (0, 1))
         assert np.all(_ofdm_demod_window(cfg, sig, (0, 1), all_subcarriers(cfg)) == 0)
 
     def test_batched_windows_bit_equal_to_single(self):
         cfg = small_config()
         rng = np.random.default_rng(11)
         data = {m: rng.normal(size=6) + 1j * rng.normal(size=6) for m in (-3, 0, 5)}
-        sig = apply_frequency_shift(cfg, ofdm_modulate(cfg, data, (0, 6)), 0.3)
+        sig = apply_frequency_shift(cfg, superpose(ofdm_modulate, cfg, data, (0, 6)), 0.3)
         rows = _ofdm_demod_window(cfg, sig, (0, 6), all_subcarriers(cfg))
         assert rows.shape == (6, cfg.M)
         for i in range(6):
@@ -290,7 +290,7 @@ class TestOfdm:
 
     def test_window_out_of_bounds(self):
         cfg = small_config()
-        sig = ofdm_modulate(cfg, {}, (0, 1))
+        sig = ofdm_modulate(cfg, 0, np.zeros(1), (0, 1))
         with pytest.raises(ValueError):
             _ofdm_demod_window(cfg, sig, (2, 3), [0])
 
@@ -301,7 +301,7 @@ class TestOfdm:
         n0, n1 = -5, 4
         rng = np.random.default_rng(M)
         data = {m: rng.normal(size=n1 - n0) + 1j * rng.normal(size=n1 - n0) for m in subs}
-        sig = ofdm_modulate(cfg, data, (n0, n1))
+        sig = superpose(ofdm_modulate, cfg, data, (n0, n1))
         S, L = cfg.symbol_samples, cfg.cp_samples
         p = np.arange(n0 * S - L, (n1 - 1) * S + M)
         assert sig.start == p[0] and sig.stop == p[-1] + 1
@@ -318,10 +318,11 @@ class TestSymbolRange:
     @staticmethod
     def entry_points():
         cfg = small_config()
-        ofdm = ofdm_modulate(cfg, {0: np.ones(8, dtype=complex)}, (-2, 6))
-        oqam = oqam_modulate(cfg, {0: np.ones(16)}, (-4, 12))
-        return [lambda r: ofdm_modulate(cfg, {}, r),
-                lambda r: oqam_modulate(cfg, {}, r),
+        ofdm = ofdm_modulate(cfg, 0, np.ones(8, dtype=complex), (-2, 6))
+        oqam = oqam_modulate(cfg, 0, np.ones(16), (-4, 12))
+        # n_range is read before the symbols, so two symbols serve every case
+        return [lambda r: ofdm_modulate(cfg, 0, np.zeros(2), r),
+                lambda r: oqam_modulate(cfg, 0, np.zeros(2), r),
                 lambda r: _ofdm_demod_window(cfg, ofdm, r, [0]),
                 lambda r: _oqam_demod_slots(cfg, oqam, r, [0])]
 
@@ -388,21 +389,18 @@ class TestOqamPhases:
 
 
 class TestOqam:
-    def test_empty_data_gives_zero_signal(self):
-        cfg = small_config()
-        sig = oqam_modulate(cfg, {}, (0, 4))
-        assert np.all(sig.samples == 0)
-
     def test_rejects_complex_data(self):
         cfg = small_config()
         with pytest.raises(ValueError):
-            oqam_modulate(cfg, {0: np.ones(2, dtype=complex)}, (0, 2))
+            oqam_modulate(cfg, 0, np.ones(2, dtype=complex), (0, 2))
 
     def test_subcarriers_outside_the_secondary_set_synthesize_alike(self):
         rng = np.random.default_rng(5)
         data = {m: rng.choice([1.0, -1.0], size=4) for m in (3, 20)}
-        outside = oqam_modulate(small_config(secondary_set=frozenset({0})), data, (0, 4))
-        inside = oqam_modulate(small_config(secondary_set=frozenset({3, 20})), data, (0, 4))
+        outside = superpose(oqam_modulate, small_config(secondary_set=frozenset({0})), data,
+                            (0, 4))
+        inside = superpose(oqam_modulate, small_config(secondary_set=frozenset({3, 20})), data,
+                           (0, 4))
         assert outside.samples.tobytes() == inside.samples.tobytes()
         assert outside.origin_index == inside.origin_index
 
@@ -410,7 +408,7 @@ class TestOqam:
         cfg = CoexConfig(M=9, cp_ratio=0, incumbent_set=frozenset({0}),
                          secondary_set=frozenset({0}))
         with pytest.raises(txrx.ConfigError):
-            oqam_modulate(cfg, {0: np.ones(1)}, (0, 1))
+            oqam_modulate(cfg, 0, np.ones(1), (0, 1))
         with pytest.raises(txrx.ConfigError):
             _oqam_demod_slots(cfg, DiscreteSignal(np.zeros(100, dtype=complex), 50), (0, 1),
                               [0])
@@ -418,20 +416,20 @@ class TestOqam:
     def test_single_symbol_envelope_is_pulse(self):
         # m = 0, n = 0: phase 1, so samples are exactly taps / sqrt(M)
         cfg = small_config()
-        sig = oqam_modulate(cfg, {0: np.array([1.0])}, (0, 1))
+        sig = oqam_modulate(cfg, 0, np.array([1.0]), (0, 1))
         taps = sample_taps(phydyas_k4(), cfg.M)
         assert np.allclose(sig.samples, taps / np.sqrt(cfg.M), rtol=0, atol=1e-15)
         assert sig.start == -2 * cfg.M
 
     def test_single_symbol_recovered(self):
         cfg = small_config()
-        sig = oqam_modulate(cfg, {0: np.array([1.0])}, (0, 1))
+        sig = oqam_modulate(cfg, 0, np.array([1.0]), (0, 1))
         rec = _oqam_demod_slots(cfg, sig, (0, 1), [0])[0, 0]
         assert abs(rec - 1.0) < 1e-3
 
     def test_zero_signal_demodulates_to_zero(self):
         cfg = small_config()
-        sig = oqam_modulate(cfg, {}, (-4, 8))
+        sig = oqam_modulate(cfg, 0, np.zeros(12), (-4, 8))
         assert np.all(_oqam_demod_slots(cfg, sig, (0, 1), all_subcarriers(cfg)) == 0.0)
 
     def test_round_trip_floor_below_minus_50db(self):
@@ -441,7 +439,7 @@ class TestOqam:
         n0, n1 = -8, 48
         data = {m: rng.choice([1.0, -1.0], n1 - n0) * np.sqrt(cfg.var_pam)
                 for m in sorted(cfg.secondary_set)}
-        sig = oqam_modulate(cfg, data, (n0, n1))
+        sig = superpose(oqam_modulate, cfg, data, (n0, n1))
         subs = sorted(cfg.secondary_set)
         rec = _oqam_demod_slots(cfg, sig, (0, 40), subs)
         sent = np.array([data[m][-n0:40 - n0] for m in subs]).T
@@ -454,7 +452,7 @@ class TestOqam:
                          secondary_set=frozenset(range(-2, 3)), seed=3)
 
         def leaked(m_s, n_s):
-            sig = oqam_modulate(cfg, {m_s: np.eye(8)[n_s]}, (0, 8))
+            sig = oqam_modulate(cfg, m_s, np.eye(8)[n_s], (0, 8))
             return np.abs(_ofdm_demod_window(cfg, sig, (0, 1), sorted(cfg.incumbent_set))[0]) ** 2
 
         cases = ((0, 0), (1, 3), (-2, 5))
@@ -466,22 +464,19 @@ class TestOqam:
 
 class TestPolyphaseSynthesis:
     @pytest.mark.parametrize("M", [64, 512])
-    @pytest.mark.parametrize("subs", ["none", "dc", "edges", "band"])
+    @pytest.mark.parametrize("subs", ["dc", "edges", "band"])
     @pytest.mark.parametrize("n_range", [(0, 1), (-7, 13)], ids=["one-slot", "odd-negative-n0"])
     def test_matches_loop_reference(self, M, subs, n_range):
-        active = {"none": [], "dc": [0], "edges": [-M // 2, M // 2 - 1, 1, -3],
+        active = {"dc": [0], "edges": [-M // 2, M // 2 - 1, 1, -3],
                   "band": list(range(-25, 26))}[subs]
         cfg = CoexConfig(M=M, incumbent_set=frozenset({0}), secondary_set=frozenset(active))
         rng = np.random.default_rng(M + len(active))
         data = {m: rng.normal(size=n_range[1] - n_range[0]) for m in active}
-        sig = oqam_modulate(cfg, data, n_range)
+        sig = superpose(oqam_modulate, cfg, data, n_range)
         ref, origin = loop_oqam_modulate(cfg, data, n_range)
         assert sig.origin_index == origin
         assert len(sig.samples) == len(ref)
-        if not active:
-            assert np.all(sig.samples == 0)
-        else:
-            assert np.max(np.abs(sig.samples - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.max(np.abs(sig.samples - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_tap_blocks_are_shared_and_read_only(self):
         # built once per M for every modem call, so no caller may write to them
@@ -520,7 +515,7 @@ class TestPolyphaseSynthesis:
         hits = txrx._carrier_blocks.cache_info().hits
         for n_range in [(0, 9), (-7, 4), (2, 30), (5, 6), (0, 9)]:
             data = {m: rng.normal(size=n_range[1] - n_range[0])}
-            sig = oqam_modulate(cfg, data, n_range)
+            sig = oqam_modulate(cfg, m, data[m], n_range)
             ref, origin = loop_oqam_modulate(cfg, data, n_range)
             assert sig.origin_index == origin and len(sig.samples) == len(ref)
             assert np.max(np.abs(sig.samples - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -530,22 +525,26 @@ class TestPolyphaseSynthesis:
         # the slot amplitudes live in the workspace; its guard zeros are written every call
         cfg = CoexConfig(M=64, incumbent_set=frozenset({0}), secondary_set=frozenset({-3, 2}))
         rng = np.random.default_rng(5)
-        data = {m: rng.normal(size=20) for m in (-3, 2)}
         ws = txrx._Workspace()
-        ws.array("oqam.amps", (1000,))[:] = np.nan
-        sig = oqam_modulate(cfg, data, (-7, 13), workspace=ws)
-        assert np.array_equal(sig.samples, oqam_modulate(cfg, data, (-7, 13)).samples)
+        for m in (-3, 2):
+            vec = rng.normal(size=20)
+            ws.array("oqam.amps", (1000,))[:] = np.nan
+            sig = oqam_modulate(cfg, m, vec, (-7, 13), workspace=ws)
+            assert np.array_equal(sig.samples, oqam_modulate(cfg, m, vec, (-7, 13)).samples)
 
     def test_bytes_do_not_depend_on_blas_threads(self):
         code = ("import hashlib, numpy as np; from coexsim.txrx import CoexConfig, oqam_modulate; "
+                "from test_txrx import superpose; "
                 "subs = range(-25, 26); rng = np.random.default_rng(7); "
                 "cfg = CoexConfig(secondary_set=frozenset(subs)); "
-                "sig = oqam_modulate(cfg, {m: rng.choice([-1.0, 1.0], 608) for m in subs}, (-8, 600)); "
+                "data = {m: rng.choice([-1.0, 1.0], 608) for m in subs}; "
+                "sig = superpose(oqam_modulate, cfg, data, (-8, 600)); "
                 "print(hashlib.sha256(sig.samples.tobytes()).hexdigest())")
-        src = str(Path(__file__).resolve().parents[1] / "src")
+        here = Path(__file__).resolve().parent
+        path = os.pathsep.join([str(here.parent / "src"), str(here)])
         digests = set()
         for threads in ("1", "2"):
-            env = {**os.environ, "PYTHONPATH": src,
+            env = {**os.environ, "PYTHONPATH": path,
                    "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
             digests.add(subprocess.run([sys.executable, "-c", code], capture_output=True,
                                        text=True, check=True, env=env).stdout)
@@ -584,8 +583,8 @@ class TestPolyphaseAnalysis:
         rows = _oqam_demod_slots(cfg, sig, (-3, 6), subs)
         for c, m in enumerate(subs):
             assert np.array_equal(rows[:, c], _oqam_demod_slots(cfg, sig, (-3, 6), [m])[:, 0])
-        ofdm = apply_frequency_shift(cfg, ofdm_modulate(
-            cfg, {m: np.ones(4, dtype=complex) for m in (-8, 0, 3)}, (0, 4)), 0.3)
+        ofdm = apply_frequency_shift(cfg, superpose(
+            ofdm_modulate, cfg, {m: np.ones(4, dtype=complex) for m in (-8, 0, 3)}, (0, 4)), 0.3)
         rows = _ofdm_demod_window(cfg, ofdm, (0, 4), subs)
         for c, m in enumerate(subs):
             single = _ofdm_demod_window(cfg, ofdm, (0, 4), [m])
@@ -610,7 +609,7 @@ class TestInPlaceReceivers:
         rng = np.random.default_rng(seed)
         nsym = n_range[1] - n_range[0]
         data = {m: rng.normal(size=nsym) + 1j * rng.normal(size=nsym) for m in (-3, 0, 5)}
-        sig = shift_samples(ofdm_modulate(cfg, data, n_range), 37)
+        sig = shift_samples(superpose(ofdm_modulate, cfg, data, n_range), 37)
         return apply_frequency_shift(cfg, sig, 0.3)
 
     def test_strided_windows_equal_fft_of_gathered_copies(self):
@@ -697,20 +696,20 @@ class TestOfdmBuffer:
         cfg = CoexConfig(M=512, cp_ratio=Fraction(1, 8), incumbent_set=frozenset(subs),
                          secondary_set=frozenset({0}))
         data = self.burst(subs, 260, len(subs))
-        small = ofdm_modulate(cfg, data, (-3, 257)).samples
+        small = superpose(ofdm_modulate, cfg, data, (-3, 257)).samples
         monkeypatch.setattr(txrx, "_UFUNC_BUFFER", np.getbufsize())
-        assert np.array_equal(small, ofdm_modulate(cfg, data, (-3, 257)).samples)
+        assert np.array_equal(small, superpose(ofdm_modulate, cfg, data, (-3, 257)).samples)
 
     def test_warm_call_allocates_no_iterator_buffer(self):
         # numpy's default buffer made the broadcast product allocate 256 KiB per call
         cfg = CoexConfig(M=512, cp_ratio=Fraction(1, 8), incumbent_set=frozenset({0}),
                          secondary_set=frozenset({0}))
-        data = self.burst([0], 260, 7)
+        vec = self.burst([0], 260, 7)[0]
         ws = txrx._Workspace()
-        ofdm_modulate(cfg, data, (0, 260), workspace=ws)
+        ofdm_modulate(cfg, 0, vec, (0, 260), workspace=ws)
         tracemalloc.start()
         try:
-            ofdm_modulate(cfg, data, (0, 260), workspace=ws)
+            ofdm_modulate(cfg, 0, vec, (0, 260), workspace=ws)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -719,7 +718,7 @@ class TestOfdmBuffer:
     def test_caller_keeps_its_ufunc_buffer_size(self):
         cfg = small_config()
         before = np.getbufsize()
-        ofdm_modulate(cfg, self.burst([0], 3, 1), (0, 3))
+        ofdm_modulate(cfg, 0, self.burst([0], 3, 1)[0], (0, 3))
         assert np.getbufsize() == before != txrx._UFUNC_BUFFER
 
 
@@ -727,9 +726,8 @@ class TestLinearity:
     def test_both_receivers_additive(self):
         cfg = small_config()
         rng = np.random.default_rng(4)
-        a = ofdm_modulate(cfg, {1: rng.normal(size=2) + 0j}, (0, 2))
-        b_data = {0: rng.choice([1.0, -1.0], 12)}
-        b = oqam_modulate(cfg, b_data, (-4, 8))
+        a = ofdm_modulate(cfg, 1, rng.normal(size=2) + 0j, (0, 2))
+        b = oqam_modulate(cfg, 0, rng.choice([1.0, -1.0], 12), (-4, 8))
         # overlay on a common span
         start = min(a.start, b.start)
         stop = max(a.stop, b.stop)
@@ -753,12 +751,12 @@ class TestLinearity:
 class TestFrequencyShift:
     def test_zero_shift_is_identity(self):
         cfg = small_config()
-        sig = ofdm_modulate(cfg, {1: np.ones(1, dtype=complex)}, (0, 1))
+        sig = ofdm_modulate(cfg, 1, np.ones(1, dtype=complex), (0, 1))
         assert np.array_equal(apply_frequency_shift(cfg, sig, 0.0).samples, sig.samples)
 
     def test_integer_shift_relabels_subcarriers(self):
         cfg = small_config()
-        sig = ofdm_modulate(cfg, {3: np.ones(1, dtype=complex)}, (0, 1))
+        sig = ofdm_modulate(cfg, 3, np.ones(1, dtype=complex), (0, 1))
         shifted = apply_frequency_shift(cfg, sig, 1.0)
         row = _ofdm_demod_window(cfg, shifted, (0, 1), [3, 4])[0]
         assert row[1] == pytest.approx(1.0, abs=1e-12)
@@ -767,7 +765,7 @@ class TestFrequencyShift:
     def test_shift_round_trip(self):
         cfg = small_config()
         rng = np.random.default_rng(6)
-        sig = ofdm_modulate(cfg, {0: rng.normal(size=2) + 1j * rng.normal(size=2)}, (0, 2))
+        sig = ofdm_modulate(cfg, 0, rng.normal(size=2) + 1j * rng.normal(size=2), (0, 2))
         back = apply_frequency_shift(cfg, apply_frequency_shift(cfg, sig, 0.37), -0.37)
         assert np.allclose(back.samples, sig.samples, rtol=0, atol=1e-12)
 
@@ -794,8 +792,8 @@ class TestSignalPower:
                          secondary_set=frozenset({0}), seed=5)
         rng = np.random.default_rng(9)
         n_slots = 420
-        data = {0: rng.choice([1.0, -1.0], n_slots) * np.sqrt(cfg.var_pam)}
-        sig = oqam_modulate(cfg, data, (0, n_slots))
+        sig = oqam_modulate(cfg, 0, rng.choice([1.0, -1.0], n_slots) * np.sqrt(cfg.var_pam),
+                            (0, n_slots))
         taps = sample_taps(phydyas_k4(), cfg.M)
         energy = float(np.dot(taps, taps))
         core = sig.window(2 * cfg.M, (n_slots // 2 - 4) * cfg.M)  # >= 1e5 interior samples
