@@ -40,7 +40,6 @@ import yaml
 
 from .checks import run_all_checks
 from .closedform import build_table, power_db
-from .filterbank import phydyas_k4
 from .montecarlo import (estimate_ofdm_to_ofdm, estimate_ofdm_to_oqam, estimate_oqam_to_ofdm,
                          l_values)
 from .psdmodel import psd_interference, psd_ofdm_subcarrier, psd_oqam_subcarrier
@@ -72,7 +71,8 @@ def load_config(path: str) -> CoexConfig:
 
 def _apply_overrides(config: CoexConfig, args) -> CoexConfig:
     flags = ("seed", "delta_f", "cp_ratio")  # seed and delta_f exist on simulate alone
-    return replace(config, **{k: v for k in flags if (v := getattr(args, k, None)) is not None})
+    given = {k: v for k in flags if (v := getattr(args, k, None)) is not None}
+    return replace(config, **given) if given else config  # no flag: no set is read again
 
 
 def _l_grid(args) -> np.ndarray:
@@ -115,21 +115,20 @@ def _write_csv(path: str, header: list[str], columns, formats: list[str]) -> Non
 
 def cmd_table(args, config: CoexConfig) -> int:
     grid = _l_grid(args)
-    powers = build_table(args.direction, grid, config, phydyas_k4())
+    powers = build_table(args.direction, grid, config)
     _write_csv(args.out, ["l", "power_linear", "power_db"],
                [grid, powers, power_db(powers)], [_L, _LIN, _DB])
     return 0
 
 
 def cmd_simulate(args, config: CoexConfig) -> int:
-    filt = phydyas_k4()
     d = lookup_direction(args.direction)
     # the estimate's checks and the overlay first, so either refuses before the Monte-Carlo run;
     # the overlay is the lattice closed form into the same victim (OQAM interferer for o2o)
     grid = l_values(config, args.direction, args.symbols)
     overlay = next(c for c in DIRECTIONS if c.victim == d.victim and not c.offset)
-    closed = build_table(overlay.name, grid, config, filt)
-    psd = psd_interference(args.direction, grid, config, filt)
+    closed = build_table(overlay.name, grid, config)
+    psd = psd_interference(args.direction, grid, config)
     # each estimator is read from this module at call time, where a benchmark may wrap it
     if d.offset:
         est = estimate_ofdm_to_ofdm(config, args.symbols)
@@ -144,7 +143,7 @@ def cmd_simulate(args, config: CoexConfig) -> int:
 
 
 def cmd_verify(args, config: CoexConfig) -> int:
-    results = run_all_checks(phydyas_k4(), config.cp_ratio)
+    results = run_all_checks(config.filt, config.cp_ratio)
     width = max(len(r.name) for r in results)
     ok = True
     for r in results:
@@ -158,7 +157,7 @@ def cmd_verify(args, config: CoexConfig) -> int:
 def cmd_psd(args, config: CoexConfig) -> int:
     grid = _l_grid(args)
     po = psd_ofdm_subcarrier(grid, config.cp_ratio)
-    pq = psd_oqam_subcarrier(grid, phydyas_k4())
+    pq = psd_oqam_subcarrier(grid, config.filt)
     _write_csv(args.out, ["f_norm", "psd_cpofdm", "psd_oqam", "psd_cpofdm_db", "psd_oqam_db"],
                [grid, po, pq, power_db(po), power_db(pq)], [_L, _LIN, _LIN, _DB, _DB])
     return 0

@@ -23,11 +23,9 @@ sincs and one (2K-1) x (2K-1) form per distinct length, not complex
 exponentials per shift.  At cp = 1/8 the 9 s2i shifts share 2 lengths and
 the 40 i2s shifts of a full offset cycle share 9.
 
-The forms depend only on the exact (filter, shifts, width), not on l, so
-they are built once per such triple (from exact Fraction shifts) and kept
-read-only for later calls.  The sincs of each block of l are computed in
-three buffers reused across lengths and blocks, step for step as np.sinc
-computes them, so the bytes equal np.sinc's.
+The forms do not depend on l: they are built once per exact (filter,
+shifts, width) and kept read-only.  The sincs are computed in three reused
+buffers, step for step as np.sinc computes them, so the bytes are its own.
 
 Direction conventions (time in symbol periods, l possibly fractional):
   s2i (OQAM -> CP-OFDM):  interference per victim CP-OFDM symbol, canonical
@@ -165,18 +163,18 @@ def _ofdm_to_oqam_grid(l_grid: np.ndarray, filt: PrototypeFilter, cp_ratio,
     return var_qam * _power_sum(filt, l_grid, taus, width) / len(offsets)
 
 
-def build_table(direction: str, l_grid, config, filt: PrototypeFilter) -> np.ndarray:
+def build_table(direction: str, l_grid, config) -> np.ndarray:
     """Closed-form interference powers over a grid of spectral distances.
 
     direction names a lattice row of txrx.DIRECTIONS: "s2i" (one OQAM subcarrier
     into a CP-OFDM subcarrier at distance l) or "i2s" (one CP-OFDM subcarrier into
     an OQAM subcarrier, per victim complex symbol period); scenario parameters
-    (cp_ratio, symbol variances) come from the config.  Powers are strictly
+    (prototype filter, cp_ratio, symbol variances) come from the config.  Powers are strictly
     positive, even in l and linear in the interferer's variance; l may be fractional.
     """
     grid = np.asarray(l_grid, dtype=float)
     if grid.size == 0:
         raise ValueError("l_grid must be non-empty")
     if lookup_direction(direction, lattice=True).interferer == "oqam":
-        return _oqam_to_ofdm_grid(grid, filt, config.var_pam)
-    return _ofdm_to_oqam_grid(grid, filt, config.cp_ratio, config.var_qam)
+        return _oqam_to_ofdm_grid(grid, config.filt, config.var_pam)
+    return _ofdm_to_oqam_grid(grid, config.filt, config.cp_ratio, config.var_qam)

@@ -165,13 +165,14 @@ def _span(config: CoexConfig, d: Direction, size: int, offset: int) -> tuple[int
     return _reach(first + offset, last + offset, v_first, (size - 1) * v_step + v_last, step)
 
 
-def _bursts(config: CoexConfig, d: Direction, n_symbols: int, add) -> None:
+def _bursts(config: CoexConfig, d: Direction, roles: tuple[int, np.ndarray, float],
+            n_symbols: int, add) -> None:
     """Pass add() each burst's |demodulated|^2 windows: (windows, victims) rows in window order.
 
-    A callback, not a generator: a consumer's loop variable kept each burst's rows alive
-    through the next burst, which cost 15x the page faults (+40% s2i run time).
+    roles is _roles(config, d).  A callback, not a generator: a consumer's loop variable kept
+    each burst's rows alive through the next burst: 15x the page faults, +40% s2i run time.
     """
-    m, victims, shift = _roles(config, d)
+    m, victims, shift = roles
     ws = _Workspace()
     n_bursts = _burst_count(config, d, n_symbols)
     for chunk in range(0, n_bursts, _RNG_CHUNK):
@@ -198,11 +199,11 @@ def _bursts(config: CoexConfig, d: Direction, n_symbols: int, add) -> None:
 def _estimate(config: CoexConfig, direction: str, n_symbols: int) -> McEstimate:
     """Column c of the bursts' rows has l_values[c]; an OQAM victim reports twice the mean."""
     d = lookup_direction(direction)
+    m, victims, shift = roles = _roles(config, d)
     acc = _MomentSums()
-    _bursts(config, d, n_symbols, acc.add)
+    _bursts(config, d, roles, n_symbols, acc.add)
     scale = 2.0 if d.victim == "oqam" else 1.0
-    return McEstimate(l_values(config, direction, n_symbols), scale * acc.mean(),
-                      scale * acc.std_error(), acc.count)
+    return McEstimate(m + shift - victims, scale * acc.mean(), scale * acc.std_error(), acc.count)
 
 
 def estimate_oqam_to_ofdm(config: CoexConfig, n_symbols: int) -> McEstimate:

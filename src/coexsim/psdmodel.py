@@ -59,17 +59,17 @@ def psd_oqam_subcarrier(f_norm, filt: PrototypeFilter) -> float | np.ndarray:
     return out[()]
 
 
-def psd_interference(direction: str, l, config, filt: PrototypeFilter) -> float | np.ndarray:
+def psd_interference(direction: str, l, config) -> float | np.ndarray:
     """PSD-model interference at spectral distance l: victim-band integral.
 
     Integrates the interferer's subcarrier PSD over [l - 1/2, l + 1/2] and
     scales by the interferer's symbol power.  The interferer waveform of the
     direction's row in txrx.DIRECTIONS selects the PSD: OQAM ("s2i", power
-    2 var_pam) or CP-OFDM ("i2s" and "o2o", power var_qam).  l is a scalar or
+    2 var_pam, with config.filt) or CP-OFDM ("i2s" and "o2o", power var_qam).  l is a scalar or
     an array; only l enters, absolute subcarrier positions are irrelevant.
     """
     if lookup_direction(direction).interferer == "oqam":
-        psd = lambda f: psd_oqam_subcarrier(f, filt)
+        psd = lambda f: psd_oqam_subcarrier(f, config.filt)
         power = 2 * config.var_pam
     else:
         psd = lambda f: psd_ofdm_subcarrier(f, config.cp_ratio)

@@ -20,8 +20,9 @@ one amplitude.  A burst is then one product of the (slots + nb - 1) x nb
 Toeplitz matrix of slot amplitudes with the nb x M/2 block matrix; with
 inner dimension nb the bytes do not depend on the BLAS thread count.
 
-_carrier_blocks builds those blocks once per (M, m mod M, first sample mod
-M), the last being 0 or M/2, and keeps 8 read-only for the bursts to come.
+The prototype filter is config.filt.  _tap_blocks builds its taps once per
+(filter, M), and _carrier_blocks those blocks once per (filter, M, m mod M,
+first sample mod M), the last being 0 or M/2, keeping 8 read-only.
 
 OQAM demodulation is the polyphase analysis dual.  The receiver reads the
 burst in place, as a view of blocks of M/2 samples; slot n + 1 reads the
@@ -30,41 +31,20 @@ the last block, so that block holds a single tap.  So nb - 1 block
 products, alternating between the two halves of M, and one column update
 for the last tap fold a run of slots' tap-weighted windows onto M samples
 each, and one FFT per slot follows; nothing is copied or zero-padded.  It
-works through the slots 64 at a time (_DEMOD_BLOCK): the first two
-products of a block write its fold, the other six and the last tap add to
-it, and its FFT runs while the fold is still in cache, instead of every
-product streaming a whole burst's fold through memory.  Slot n's fold
-starts at sample p0 = n M/2 - K M/2, and K M/2 is a whole number of
-periods for the even K, so its phase exp(-2 pi j k p0 / M) is exactly
-(-1)^(k n).  With the conjugate phase map it is a quarter turn, one of +-1
-and +-j, that repeats every 4 slots: one 4-row table, taken from
-oqam_phase on the first 4 slots, rotates every block.
+works through the slots _DEMOD_BLOCK at a time: the first two products of
+a block write its fold, the other 2K - 2 and the last tap add to it, and
+its FFT runs while the fold is still in cache.  Slot n's fold starts at
+sample p0 = (n - K) M/2, so its phase exp(-2 pi j k p0 / M) is exactly
+(-1)^(k (n + K)) for any K.  With the conjugate phase map it is a quarter
+turn, one of +-1 and +-j, that repeats every 4 slots: one 4-row table,
+taken from oqam_phase on the first 4 slots, rotates every block.  Both
+receivers return only the subcarriers they are asked for, in that order.
 
-The OQAM receiver and CP-OFDM synthesis run their ufuncs with a buffer of
-_UFUNC_BUFFER elements, set for the call's thread only, in place of numpy's
-default 8192: their broadcast and strided operands are then buffered in L1
-and not in 128 KiB blocks allocated per call.  The bytes do not depend on
-the buffer size.
-
-CP-OFDM synthesis reduces its carrier exactly too: the prefix phase makes
-every symbol block the same M + L carrier samples, so the carrier is
-evaluated over one block only.
-
-Both receivers return only the subcarriers they are asked for, in the order
-asked: the FFT runs over all M bins and the requested columns are read
-from it.  DiscreteSignal.window returns a view, and both receivers read
-the burst in place: the CP-OFDM receiver reads one span covering a run of
-windows and takes them as a strided view of it, one window every M + L
-samples, which one block transform demodulates.
-
-OQAM phase map: slot n of subcarrier m carries oqam_phase(m, n) =
-(-1)^(m n) j^(m+n).  The one vectorised map serves both sides: the
-modulator applies it, the demodulator applies its conjugate over 4 slots x
-requested subcarriers.  Adjacent slots and subcarriers sit in quadrature,
-which keeps the intrinsic own-signal interference purely imaginary
-(near-perfect reconstruction).  Cross-system interference powers do not
-depend on the phase map (each slot contributes one unimodular factor);
-own-signal reconstruction does.
+OQAM phase map: slot n of subcarrier m carries oqam_phase(m, n) = (-1)^(m n)
+j^(m+n); the modulator applies it, the demodulator its conjugate.  Adjacent
+slots and subcarriers sit in quadrature (near-perfect reconstruction).
+Cross-system interference powers do not depend on the map (each slot gets one
+unimodular factor); own-signal reconstruction does.
 """
 
 from __future__ import annotations
@@ -72,15 +52,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
+from itertools import islice
 from math import inf, prod
 
 import numpy as np
 
-from .filterbank import phydyas_k4, sample_taps
+from .filterbank import PrototypeFilter, phydyas_k4, sample_taps
 
 __all__ = ["CoexConfig", "Direction", "DIRECTIONS", "lookup_direction", "DiscreteSignal",
            "ofdm_modulate", "oqam_modulate", "apply_frequency_shift", "shift_samples",
-           "oqam_phase", "ConfigError", "MAX_OFFSET_CYCLE"]
+           "oqam_phase", "ConfigError", "MAX_OFFSET_CYCLE", "MAX_SET_ENTRIES"]
 
 
 class ConfigError(ValueError):
@@ -96,6 +77,12 @@ def _integer(value, lo=-inf, hi=inf) -> int:
     return n
 
 
+# entries a set may hold, counted before a {range} is built and as a list is read: only simulate
+# reads the sets, and its one-window burst of over 4 M samples caps M below 2^21.  Bounded by M
+# alone, M = 10^30 let {range: [0, 10^12]} be built until the process was killed for memory
+MAX_SET_ENTRIES = 1 << 21
+
+
 def _subcarriers(values, M: int) -> frozenset:
     """A list of subcarriers, or the ones {range: [lo, hi]} names, each checked as it is read."""
     lo, hi = -M // 2, M // 2 - 1
@@ -106,17 +93,29 @@ def _subcarriers(values, M: int) -> frozenset:
         if not 0 <= b - a < M:  # before the set is built: a range of 10^12 would exhaust memory
             raise ValueError(f"range [{a}, {b}] is "
                              + ("reversed" if b < a else f"wider than M = {M} subcarriers"))
+        if b - a >= MAX_SET_ENTRIES:
+            raise ValueError(f"range [{a}, {b}] holds over {MAX_SET_ENTRIES} entries")
         return frozenset(range(_integer(a, lo, hi), _integer(b, lo, hi) + 1))  # its ends bound it
     if isinstance(values, (str, bytes)) or not hasattr(values, "__iter__"):  # "012" is no list
         raise TypeError("expected a list or {range: [lo, hi]}")
-    return frozenset(_integer(value, lo, hi) for value in values)
+    entries = [_integer(value, lo, hi) for value in islice(values, MAX_SET_ENTRIES + 1)]
+    if len(entries) > MAX_SET_ENTRIES:
+        raise ValueError(f"a set may hold at most {MAX_SET_ENTRIES} entries")
+    return frozenset(entries)
+
+
+def _filter(value) -> PrototypeFilter:
+    if not isinstance(value, PrototypeFilter):  # no file value is one: set it in Python
+        raise TypeError(f"expected a filterbank.PrototypeFilter, got {value!r}")
+    return value
 
 
 # each field's reader, in field order: an integer is never a truncated float, and a
 # prefix ratio is read from its str(), so 0.1 is 1/10 (as in YAML) and "1/8" is 1/8
 _READERS = {"M": _integer, "cp_ratio": lambda x: Fraction(str(x)),
             "incumbent_set": _subcarriers, "secondary_set": _subcarriers,
-            "var_qam": float, "var_pam": float, "delta_f": float, "seed": _integer}
+            "var_qam": float, "var_pam": float, "delta_f": float, "seed": _integer,
+            "filt": _filter}
 
 
 @dataclass(frozen=True)
@@ -131,7 +130,8 @@ class CoexConfig:
     subcarrier 0.  Every value, from a file, a flag or Python, passes its
     field's reader (_READERS) and is checked in field order, so the first
     bad field is named: ConfigError("<field>: ...") if its reader rejects
-    it.  A set may be {"range": [lo, hi]}, read against the checked M.
+    it.  A set may be {"range": [lo, hi]}, read against the checked M.  filt
+    is the one record of the prototype filter, which every model reads.
     """
 
     M: int = 512
@@ -142,6 +142,7 @@ class CoexConfig:
     var_pam: float = 0.5
     delta_f: float = 0.0
     seed: int = 0
+    filt: PrototypeFilter = phydyas_k4()
 
     def __post_init__(self):
         M = self._read("M")
@@ -160,6 +161,7 @@ class CoexConfig:
             raise ConfigError("delta_f must lie in (-0.5, 0.5]")
         if self._read("seed") < 0:
             raise ConfigError("seed must be non-negative")
+        self._read("filt")
 
     def _read(self, name: str, *args):
         try:
@@ -259,7 +261,7 @@ def _extent(config: CoexConfig, waveform: str, received: bool = False) -> tuple[
     L prefix and M useful samples, a received one the M useful samples only.
     """
     if waveform == "oqam":
-        half = _OVERLAP * config.M // 2
+        half = config.filt.overlap_K * config.M // 2
         return -half, half, config.M // 2
     return 0 if received else -config.cp_samples, config.M - 1, config.symbol_samples
 
@@ -375,18 +377,17 @@ _DEMOD_BLOCK = 64
 _UFUNC_BUFFER = 512
 
 _QUARTER_TURNS = 1j ** np.arange(4)  # j^k computed as the power it stands for: its bytes
-_OVERLAP = phydyas_k4().overlap_K  # K, read once: _extent measures bursts without building taps
 
 
 @cache
-def _tap_blocks(M: int) -> tuple[np.ndarray, np.ndarray]:
+def _tap_blocks(filt: PrototypeFilter, M: int) -> tuple[np.ndarray, np.ndarray]:
     """The prototype taps, and the taps zero-padded to nb blocks of M/2 samples: (nb, M/2).
 
-    Built once per M and shared by every modem call, so both arrays are read-only.
+    Built once per (filter, M) and shared by every modem call, so both arrays are read-only.
     """
     if M % 2:
         raise ConfigError("OQAM requires even M (half-period slots must be whole samples)")
-    taps = sample_taps(phydyas_k4(), M)
+    taps = sample_taps(filt, M)
     hop = M // 2
     # K M + 1 taps: nb = 2K + 1 blocks (9 for K = 4), the last of them one tap
     blocks = np.zeros(-(-len(taps) // hop) * hop)
@@ -396,9 +397,9 @@ def _tap_blocks(M: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=8)
-def _carrier_blocks(M: int, m: int, start: int) -> np.ndarray:
+def _carrier_blocks(filt: PrototypeFilter, M: int, m: int, start: int) -> np.ndarray:
     """The tap blocks / sqrt(M) times the carrier at samples start + (0, 1, ..); read-only."""
-    pulse = _tap_blocks(M)[1] / np.sqrt(M)
+    pulse = _tap_blocks(filt, M)[1] / np.sqrt(M)
     p = start + np.arange(pulse.size).reshape(pulse.shape)
     blocks = pulse * np.exp(2j * np.pi * ((m * p) % M) / M)
     blocks.flags.writeable = False
@@ -416,7 +417,7 @@ def oqam_modulate(config: CoexConfig, m: int, vec, n_range: tuple[int, int], *,
     n0, n1 = _symbols(n_range)
     M = config.M
     first, last, hop = _extent(config, "oqam")
-    nb = len(_tap_blocks(M)[1])
+    nb = len(_tap_blocks(config.filt, M)[1])
     nsym = n1 - n0
     vec = np.asarray(vec)
     if np.iscomplexobj(vec) or vec.shape != (nsym,):
@@ -426,7 +427,7 @@ def oqam_modulate(config: CoexConfig, m: int, vec, n_range: tuple[int, int], *,
     amps = ws.array("oqam.amps", (nsym + 2 * (nb - 1),))
     amps[:nb - 1] = amps[1 - nb:] = 0  # toeplitz row k holds slots k - nb + 1 .. k, last first
     toeplitz = np.ndarray((nsym + nb - 1, nb), complex, amps, (nb - 1) * 16, (16, -16))
-    blocks = _carrier_blocks(M, m % M, start % M)  # slot n0 + j's: (-1)^(m j) times these
+    blocks = _carrier_blocks(config.filt, M, m % M, start % M)  # slot n0 + j: (-1)^(m j) x these
     amp = oqam_phase(m, np.arange(n0, n1)) * vec
     amps[nb - 1:1 - nb] = amp * np.where(np.arange(nsym) % 2, -1.0, 1.0) if m % 2 else amp
     samples = np.matmul(toeplitz, blocks, out=ws.array("oqam.signal", (len(toeplitz), hop)))
@@ -446,7 +447,7 @@ def _oqam_demod_slots(config: CoexConfig, signal: DiscreteSignal, n_range: tuple
     n0, n1 = _symbols(n_range)
     M = config.M
     ws = workspace or _Workspace()
-    taps, pulse = _tap_blocks(M)
+    taps, pulse = _tap_blocks(config.filt, M)
     first, last, hop = _extent(config, "oqam", received=True)
     nb = len(pulse)
     nsym = n1 - n0
@@ -457,11 +458,12 @@ def _oqam_demod_slots(config: CoexConfig, signal: DiscreteSignal, n_range: tuple
     tail = flat[(nb - 1) * hop::hop]
     m = np.asarray(subcarriers)
     k = m % M
-    # slot n's fold starts at p0 = n hop + first, and -first = K M/2 is a whole number of
-    # periods (K even), so its phase exp(-2 pi j k p0 / M) is exactly (-1)^(k n); with the
-    # conjugate phase map, which has period 4 in n, it is one of 4 rows of +-1 and +-j
+    # slot n's fold starts at p0 = (n - K) M/2, so its phase exp(-2 pi j k p0 / M) is exactly
+    # (-1)^(k (n + K)); with the conjugate phase map, which has period 4 in n, it is one of 4
+    # rows of +-1 and +-j
     quarter = np.arange(n0, n0 + 4)[:, None]
-    turn = np.where((k * quarter) % 2, -1.0, 1.0) * np.conj(oqam_phase(m, quarter))
+    K = config.filt.overlap_K
+    turn = np.where((k * (quarter + K)) % 2, -1.0, 1.0) * np.conj(oqam_phase(m, quarter))
     turn *= np.sqrt(M) / float(np.dot(taps, taps))
     block = min(_DEMOD_BLOCK, nsym)
     # every block starts a multiple of 4 slots after n0, so its row i takes row i mod 4

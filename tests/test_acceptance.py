@@ -80,7 +80,7 @@ class TestCriterion2SimulationMatch:
         cfg = s2i_cfg()
         est = estimate_oqam_to_ofdm(cfg, 10_000)
         worst, where = max_dev_db(
-            est, build_table("s2i", est.l_values, cfg, FILT),
+            est, build_table("s2i", est.l_values, cfg),
             l_filter=lambda l: abs(l) <= 20 and float(l).is_integer(),
             within_60db_of_peak=True)
         report("criterion 2 (incumbent victim)", worst <= 0.5,
@@ -91,7 +91,7 @@ class TestCriterion2SimulationMatch:
         cfg = i2s_cfg()
         est = estimate_ofdm_to_oqam(cfg, 10_000)
         worst, where = max_dev_db(
-            est, build_table("i2s", est.l_values, cfg, FILT),
+            est, build_table("i2s", est.l_values, cfg),
             l_filter=lambda l: abs(l) <= 20 and float(l).is_integer(),
             within_60db_of_peak=True)
         report("criterion 2 (secondary victim)", worst <= 0.5,
@@ -121,7 +121,7 @@ class TestCriterion4FrequencyMisalignment:
     def test_oqam_to_ofdm_fractional(self, delta_f):
         cfg = s2i_cfg(delta_f=delta_f, incumbent_set=frozenset(range(-10, 11)))
         est = estimate_oqam_to_ofdm(cfg, 8000)
-        worst, where = max_dev_db(est, build_table("s2i", est.l_values, cfg, FILT),
+        worst, where = max_dev_db(est, build_table("s2i", est.l_values, cfg),
                                   l_filter=lambda l: abs(l) <= 10)
         report(f"criterion 4 (s->i, delta_f={delta_f})", worst <= 0.5,
                f"max |MC - closed(fractional l)| = {worst:.3f} dB at l = {where} (<= 0.5)")
@@ -130,7 +130,7 @@ class TestCriterion4FrequencyMisalignment:
     def test_ofdm_to_oqam_fractional(self, delta_f):
         cfg = i2s_cfg(delta_f=delta_f, secondary_set=frozenset(range(-10, 11)))
         est = estimate_ofdm_to_oqam(cfg, 8000)
-        worst, where = max_dev_db(est, build_table("i2s", est.l_values, cfg, FILT),
+        worst, where = max_dev_db(est, build_table("i2s", est.l_values, cfg),
                                   l_filter=lambda l: abs(l) <= 10)
         report(f"criterion 4 (i->s, delta_f={delta_f})", worst <= 0.5,
                f"max |MC - closed(fractional l)| = {worst:.3f} dB at l = {where} (<= 0.5)")
@@ -143,8 +143,8 @@ class TestCriterion5PsdContrast:
         ls = np.arange(-10.0, 11.0)
 
         def dev_db(direction):
-            psd = psd_interference(direction, ls, cfg, FILT)
-            return float(np.max(np.abs(10 * np.log10(psd / build_table(direction, ls, cfg, FILT)))))
+            psd = psd_interference(direction, ls, cfg)
+            return float(np.max(np.abs(10 * np.log10(psd / build_table(direction, ls, cfg)))))
 
         track, fail = dev_db("i2s"), dev_db("s2i")
         report("criterion 5", track <= 3.0 and fail > 10.0,
@@ -157,7 +157,7 @@ class TestCriterion6OfdmBaseline:
     def test_gap_at_most_3db_plus_tolerance(self):
         cfg = s2i_cfg()
         est = estimate_ofdm_to_ofdm(cfg, 10_000)
-        closed = build_table("s2i", est.l_values, cfg, FILT)
+        closed = build_table("s2i", est.l_values, cfg)
         worst, where = -np.inf, None
         for l, p, c in zip(est.l_values, est.powers, closed):
             if abs(l) > 20:

@@ -1,6 +1,7 @@
 """CLI: config ingestion, CSV emission, verification report, exit codes."""
 
 import ast
+import itertools
 import os
 import subprocess
 import sys
@@ -16,13 +17,14 @@ import yaml
 
 import coexsim.cli as cli
 import coexsim.montecarlo as mc
+import coexsim.txrx as txrx
 from coexsim.checks import run_all_checks
 from coexsim.cli import ConfigError, load_config, main
 from coexsim.closedform import build_table, power_db
 from coexsim.filterbank import PrototypeFilter, phydyas_k4
 from coexsim.oracle import contributing_shifts, quadrature_I
 from coexsim.psdmodel import psd_interference
-from coexsim.txrx import DIRECTIONS, CoexConfig, lookup_direction
+from coexsim.txrx import DIRECTIONS, MAX_SET_ENTRIES, CoexConfig, lookup_direction
 
 GOOD_CONFIG = """\
 M: 512
@@ -80,6 +82,16 @@ class TestConfigLoading:
         path.write_text(GOOD_CONFIG + "cp_ration: 1/4\n")
         with pytest.raises(ConfigError):
             load_config(str(path))
+
+    @pytest.mark.parametrize("value", ["3", "phydyas_k4",
+                                       "{overlap_K: 4, coeffs: [1, 0.97, 0.7, 0.2]}"])
+    def test_filt_is_no_file_key(self, tmp_path, capsys, value):
+        # the filter is set from Python only: a file's value is refused as a bad filt
+        path = tmp_path / "filt.yaml"
+        path.write_text(GOOD_CONFIG + f"filt: {value}\n")
+        assert main(["verify", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: filt: expected a filterbank.PrototypeFilter")
 
     def test_missing_file(self):
         with pytest.raises(ConfigError):
@@ -159,6 +171,30 @@ class TestConfigLoading:
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20  # range(10 ** 6) was read up to its entry 256, not built
+
+    def test_set_entry_cap_stops_a_huge_range_before_it_is_built(self, tmp_path, capsys):
+        # M = 10^30 lets a range of 10^12 subcarriers pass the width bound: the entry cap stops it
+        path = tmp_path / "huge.yaml"
+        path.write_text(f"M: {10 ** 30}\nincumbent_set: {{range: [0, {10 ** 12}]}}\n")
+        tracemalloc.start()
+        try:
+            rc = main(["verify", "--config", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        assert capsys.readouterr().err == (f"error: incumbent_set: range [0, {10 ** 12}] holds "
+                                           f"over {MAX_SET_ENTRIES} entries\n")
+        assert peak < 2 ** 20
+
+    @pytest.mark.parametrize("entries", [
+        {"range": [-2, 2]}, [0, 1, 2, 3, 0], itertools.repeat(0)], ids=["range", "list", "endless"])
+    def test_set_entry_cap_holds_for_ranges_and_lists(self, monkeypatch, entries):
+        monkeypatch.setattr(txrx, "MAX_SET_ENTRIES", 4)
+        with pytest.raises(ConfigError, match=r"^incumbent_set: .* 4 entries$"):
+            CoexConfig(incumbent_set=entries)
+        assert CoexConfig(incumbent_set=[0, 1, 2, 0]).incumbent_set == frozenset({0, 1, 2})
+        assert CoexConfig(incumbent_set={"range": [-2, 1]}).incumbent_set == frozenset(range(-2, 2))
 
     @pytest.mark.parametrize("incumbent, secondary", [
         ({"range": [5, 3]}, {"range": [0, 10 ** 12]}),
@@ -488,17 +524,17 @@ class TestDirectionTable:
     def test_one_unknown_direction_error(self):
         filt, cfg = phydyas_k4(), CoexConfig()
         calls = [lambda: lookup_direction("sideways"),
-                 lambda: build_table("sideways", [0.0], cfg, filt),
+                 lambda: build_table("sideways", [0.0], cfg),
                  lambda: quadrature_I("sideways", 0.0, filt),
                  lambda: contributing_shifts("sideways", 0, 0, filt),
-                 lambda: psd_interference("sideways", 0.0, cfg, filt)]
+                 lambda: psd_interference("sideways", 0.0, cfg)]
         for call in calls:
             with pytest.raises(ValueError, match=r"^unknown direction 'sideways', expected one of"):
                 call()
 
     def test_offset_direction_has_no_closed_form_or_oracle(self):
         filt = phydyas_k4()
-        for call in (lambda: build_table("o2o", [0.0], CoexConfig(), filt),
+        for call in (lambda: build_table("o2o", [0.0], CoexConfig()),
                      lambda: quadrature_I("o2o", 0.0, filt),
                      lambda: contributing_shifts("o2o", 0, 0, filt)):
             with pytest.raises(ValueError, match="offset direction 'o2o'"):
@@ -579,6 +615,22 @@ class TestErrorMapping:
         rc = main([*args, "--config", str(path), "--out", str(tmp_path / "x.csv")])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("args", [["table", "--direction", "s2i", "--out", "x.csv"],
+                                      ["verify"], ["psd", "--out", "x.csv"],
+                                      ["simulate", "--direction", "s2i", "--out", "x.csv"]],
+                             ids=["table", "verify", "psd", "simulate"])
+    def test_no_flag_keeps_the_loaded_config(self, config_file, args):
+        # nothing to override: the config is not replaced, so its sets are not read again
+        parsed = cli._build_parser().parse_args([*args, "--config", config_file])
+        config = load_config(config_file)
+        assert cli._apply_overrides(config, parsed) is config
+        moved = cli._apply_overrides(config, cli._build_parser().parse_args(
+            [*args, "--config", config_file, "--cp-ratio", "7/16"]))
+        assert moved == replace(config, cp_ratio=Fraction(7, 16))
+        with pytest.raises(ConfigError, match=r"^cp_ratio: "):
+            cli._apply_overrides(config, cli._build_parser().parse_args(
+                [*args, "--config", config_file, "--cp-ratio", "1/0"]))
 
     def test_cp_ratio_flag_is_read_by_the_config(self, config_file, capsys):
         # the flag's value passes the field's reader, so its error names the field

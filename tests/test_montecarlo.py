@@ -20,7 +20,7 @@ from coexsim.closedform import build_table
 from coexsim.filterbank import phydyas_k4
 from coexsim.montecarlo import estimate_ofdm_to_ofdm, estimate_ofdm_to_oqam, estimate_oqam_to_ofdm
 from coexsim.txrx import CoexConfig, lookup_direction
-from test_txrx import floor_phase, superpose
+from test_txrx import K3, floor_phase, superpose
 
 # spawn key (3, 0): a substream disjoint from the estimators' tags 0-2
 _TAG_FLOOR = 3
@@ -58,7 +58,7 @@ def window_class_estimates(config, n_symbols):
         for c, acc in enumerate(accs):
             acc.add(rows[c::4])
 
-    mc._bursts(config, S2I, n_symbols, add)
+    mc._bursts(config, S2I, mc._roles(config, S2I), n_symbols, add)
     l_values = mc.l_values(config, "s2i", n_symbols)
     return [mc.McEstimate(l_values, acc.mean(), acc.std_error(), acc.count) for acc in accs]
 
@@ -148,14 +148,27 @@ class TestStatistics:
     def test_matches_closed_form(self, filt):
         cfg = s2i_config()
         est = estimate_oqam_to_ofdm(cfg, 1500)
-        closed = build_table("s2i", est.l_values, cfg, filt)
+        closed = build_table("s2i", est.l_values, cfg)
         assert np.all(np.abs(10 * np.log10(est.powers / closed)) < 0.5)
 
     def test_i2s_matches_closed_form(self, filt):
         cfg = i2s_config()
         est = estimate_ofdm_to_oqam(cfg, 1500)
-        closed = build_table("i2s", est.l_values, cfg, filt)
+        closed = build_table("i2s", est.l_values, cfg)
         assert np.all(np.abs(10 * np.log10(est.powers / closed)) < 0.5)
+
+    @pytest.mark.parametrize("direction", ["s2i", "i2s"])
+    def test_k3_filter_matches_its_closed_form(self, direction):
+        # the modems and the closed form read the one filter of the config
+        band = frozenset(range(-20, 21))
+        if direction == "s2i":
+            cfg = s2i_config(incumbent_set=band, filt=K3)
+        else:
+            cfg = i2s_config(secondary_set=band, filt=K3)
+        est = mc._estimate(cfg, direction, 10 ** 4)
+        closed = build_table(direction, est.l_values, cfg)
+        near = closed >= 1e-6 * closed.max()  # within 60 dB of the peak
+        assert np.all(np.abs(10 * np.log10(est.powers / closed))[near] < 0.5)
 
     def test_phase_convention_leaves_interference_unchanged(self, monkeypatch):
         # expectations agree under a test-only alternative (floor) phase map
@@ -250,7 +263,7 @@ class TestWorkspace:
         tracemalloc.start()
         try:
             start = [tracemalloc.get_traced_memory()[0]]
-            mc._bursts(cfg, d, 3 * d.burst, add)
+            mc._bursts(cfg, d, mc._roles(cfg, d), 3 * d.burst, add)
         finally:
             tracemalloc.stop()
         return rises
@@ -398,7 +411,7 @@ class TestOfdmToOfdm:
     def test_uniform_offsets_track_reference_gap(self, filt):
         cfg = s2i_config()
         est = estimate_ofdm_to_ofdm(cfg, 2048)
-        gap = 10 * np.log10(est.powers / build_table("s2i", est.l_values, cfg, filt))
+        gap = 10 * np.log10(est.powers / build_table("s2i", est.l_values, cfg))
         assert np.all(gap < 4.5)  # acceptance runs the tight bound at full scale
 
 
@@ -436,6 +449,21 @@ class TestLValues:
         assert np.all(np.diff(l_values) > 0)
         assert l_values.tobytes() == mc._estimate(cfg, direction, 40).l_values.tobytes()
         assert l_values.tolist() == sorted(0 + shift - v for v in victims)
+
+    @pytest.mark.parametrize("direction", ["s2i", "i2s", "o2o"])
+    def test_roles_are_decided_once_per_estimate(self, monkeypatch, direction):
+        # the bursts and the l values take the same roles
+        roles, calls = mc._roles, []
+
+        def spy(*args):
+            calls.append(args)
+            return roles(*args)
+
+        monkeypatch.setattr(mc, "_roles", spy)
+        cfg = i2s_config() if direction == "i2s" else s2i_config()
+        est = mc._estimate(cfg, direction, 40)
+        assert len(calls) == 1
+        assert est.l_values.tobytes() == mc.l_values(cfg, direction, 40).tobytes()
 
 
 class TestBurstPlan:
@@ -491,3 +519,12 @@ class TestValidation:
         with pytest.raises(txrx.ConfigError, match=rf"^M = {10 ** 30}: a burst spans \d+ > "
                                                    rf"{mc._MAX_BURST_SAMPLES} samples$"):
             estimate(cfg, 1)
+
+    def test_no_run_takes_a_set_at_the_entry_cap(self):
+        # txrx.MAX_SET_ENTRIES: a set that large needs M at least that large, and then even
+        # one window's burst is over the burst cap, in every direction and at cp = 0
+        cfg = CoexConfig(M=txrx.MAX_SET_ENTRIES, cp_ratio=0, incumbent_set=frozenset({0}),
+                         secondary_set=frozenset({0}))
+        for d in txrx.DIRECTIONS:
+            with pytest.raises(txrx.ConfigError, match="a burst spans"):
+                mc._burst_count(cfg, d, 1)

@@ -89,13 +89,13 @@ class TestBandRule:
     def test_ofdm_matches_tight_quad(self, config, filt, cp):
         cfg = replace(config, cp_ratio=cp)
         ls = np.concatenate([np.arange(-256.0, 257.0), self.FRACTIONAL])
-        rule = psd_interference("i2s", ls, cfg, filt)
+        rule = psd_interference("i2s", ls, cfg)
         ref = np.array([band_quad(lambda f: psd_ofdm_subcarrier(f, cp), l) for l in ls])
         assert np.max(np.abs(rule / (cfg.var_qam * ref) - 1)) <= 1e-12
 
     def test_oqam_matches_tight_quad(self, config, filt):
         ls = np.concatenate([np.arange(-20.0, 21.0), np.arange(-20.0, 20.0) + 0.37])
-        rule = psd_interference("s2i", ls, config, filt)
+        rule = psd_interference("s2i", ls, config)
         ref = np.array([band_quad(lambda f: psd_oqam_subcarrier(f, filt), l) for l in ls])
         # the OQAM integrand's own roundoff floor sits near 1e-10
         assert np.max(np.abs(rule / (2 * config.var_pam * ref) - 1)) <= 1e-9
@@ -103,43 +103,43 @@ class TestBandRule:
     @pytest.mark.parametrize("direction", ["s2i", "i2s", "o2o"])
     def test_array_call_bit_equal_to_scalar_calls(self, config, filt, direction):
         ls = np.concatenate([np.arange(-25.0, 26.0), np.arange(-5.0, 5.0) + 0.3])
-        rows = psd_interference(direction, ls, config, filt)
-        scalars = [psd_interference(direction, l, config, filt) for l in ls]
+        rows = psd_interference(direction, ls, config)
+        scalars = [psd_interference(direction, l, config) for l in ls]
         assert all(type(v) is np.float64 for v in scalars)
         assert np.array_equal(rows, scalars)
 
 
 class TestPsdInterference:
     def test_band_partition_recovers_interferer_power(self, config, filt):
-        total_i2s = psd_interference("i2s", np.arange(-3000.0, 3001.0), config, filt).sum()
+        total_i2s = psd_interference("i2s", np.arange(-3000.0, 3001.0), config).sum()
         assert total_i2s == pytest.approx(config.var_qam, rel=1e-3)
-        total_s2i = psd_interference("s2i", np.arange(-20.0, 21.0), config, filt).sum()
+        total_s2i = psd_interference("s2i", np.arange(-20.0, 21.0), config).sum()
         assert total_s2i == pytest.approx(2 * config.var_pam, rel=1e-3)
 
     def test_tracks_closed_form_toward_oqam_victim(self, config, filt):
         # the OQAM receive window is wider than the interferer's pulse, so
         # band integration is a fair estimate in this direction
         ls = np.arange(0.0, 11.0)
-        psd = psd_interference("i2s", ls, config, filt)
-        closed = build_table("i2s", ls, config, filt)
+        psd = psd_interference("i2s", ls, config)
+        closed = build_table("i2s", ls, config)
         assert np.all(np.abs(10 * np.log10(psd / closed)) < 3.0)
 
     def test_fails_toward_ofdm_victim(self, config, filt):
         # the rectangular receive window destroys the interferer's spectral
         # containment; the PSD estimate misses that entirely
         ls = np.arange(2.0, 11.0)
-        psd = psd_interference("s2i", ls, config, filt)
-        closed = build_table("s2i", ls, config, filt)
+        psd = psd_interference("s2i", ls, config)
+        closed = build_table("s2i", ls, config)
         assert np.max(np.abs(10 * np.log10(psd / closed))) > 10.0
 
     def test_only_l_enters(self, config, filt):
         # API takes the spectral distance directly; absolute indices never enter
-        a = psd_interference("i2s", 3.0, config, filt)
+        a = psd_interference("i2s", 3.0, config)
         b = psd_interference("i2s", 3.0,
                              replace(config, incumbent_set=frozenset({10}),
-                                     secondary_set=frozenset({7})), filt)
+                                     secondary_set=frozenset({7})))
         assert a == b
 
     def test_unknown_direction(self, config, filt):
         with pytest.raises(ValueError):
-            psd_interference("up", 0.0, config, filt)
+            psd_interference("up", 0.0, config)

@@ -1,5 +1,6 @@
 """Modulators, demodulators, signal helpers, configuration validation."""
 
+import ast
 import itertools
 import os
 import subprocess
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import coexsim.txrx as txrx
-from coexsim.filterbank import phydyas_k4, sample_taps
+from coexsim.filterbank import PrototypeFilter, phydyas_k4, sample_taps
 from coexsim.txrx import (
     CoexConfig,
     DiscreteSignal,
@@ -99,7 +100,7 @@ def padded_fold_oqam_demod(config, signal, n_range, subcarriers):
     """
     n0, n1 = n_range
     M = config.M
-    taps, pulse = txrx._tap_blocks(M)
+    taps, pulse = txrx._tap_blocks(config.filt, M)
     nb, hop = pulse.shape
     nsym = n1 - n0
     start = n0 * hop - (len(taps) - 1) // 2
@@ -200,6 +201,53 @@ class TestConfig:
         cfg = small_config()
         assert cfg.cp_samples == 8
         assert cfg.symbol_samples == 72
+
+
+# the K = 3 PHYDYAS coefficients, whose sum of G^2 is 3 to six digits: a filter besides the default
+K3 = PrototypeFilter(3, (1.0, 0.911438, 0.411438))
+
+
+class TestFilterRecord:
+    def test_only_the_config_default_calls_phydyas_k4(self):
+        # CoexConfig.filt is the one record of the prototype filter: no module builds its own
+        src = Path(txrx.__file__).parent
+        calls = [(path.name, node.lineno) for path in sorted(src.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Call)
+                 and getattr(node.func, "id", getattr(node.func, "attr", None)) == "phydyas_k4"]
+        config = next(node for node in ast.walk(ast.parse(Path(txrx.__file__).read_text()))
+                      if isinstance(node, ast.ClassDef) and node.name == "CoexConfig")
+        default = next(node for node in config.body
+                       if isinstance(node, ast.AnnAssign) and node.target.id == "filt")
+        assert calls == [("txrx.py", default.value.lineno)]
+
+    @pytest.mark.parametrize("value", [3, "phydyas_k4", {"overlap_K": 3, "coeffs": [1, 0.9, 0.4]}])
+    def test_filt_must_be_a_prototype_filter(self, value):
+        with pytest.raises(txrx.ConfigError, match=r"^filt: expected a filterbank\.Prototype"):
+            CoexConfig(filt=value)
+
+    def test_modems_read_the_config_filter(self):
+        cfg = CoexConfig(M=64, filt=K3)
+        assert txrx._extent(cfg, "oqam") == (-96, 96, 32)  # K M/2 either side
+        assert txrx._tap_blocks(K3, 64)[1].shape == (7, 32)  # 2K + 1 blocks
+        assert txrx._tap_blocks(phydyas_k4(), 64)[1].shape == (9, 32)
+        assert txrx._carrier_blocks(K3, 64, 1, 0).shape == (7, 32)
+        sig = oqam_modulate(cfg, 1, np.ones(3), (0, 3))
+        assert (sig.start, sig.stop) == (-96, 2 * 32 + 96 + 1)
+
+    def test_k3_own_signal_reconstruction(self):
+        # slot n's fold phase is (-1)^(k (n + K)): (-1)^(k n) alone flips the odd subcarriers'
+        # signs at an odd K, a max error of 2
+        cfg = CoexConfig(M=512, incumbent_set=frozenset({0}),
+                         secondary_set=frozenset(range(-4, 4)), filt=K3)
+        rng = np.random.default_rng(3)
+        n0, n1 = -6, 46
+        subs = sorted(cfg.secondary_set)
+        data = {m: rng.choice([1.0, -1.0], n1 - n0) for m in subs}
+        sig = superpose(oqam_modulate, cfg, data, (n0, n1))
+        rec = _oqam_demod_slots(cfg, sig, (0, 40), subs)
+        sent = np.array([data[m][-n0:40 - n0] for m in subs]).T
+        assert np.max(np.abs(rec - sent)) <= 0.05
 
 
 class TestDiscreteSignal:
@@ -479,9 +527,9 @@ class TestPolyphaseSynthesis:
         assert np.max(np.abs(sig.samples - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_tap_blocks_are_shared_and_read_only(self):
-        # built once per M for every modem call, so no caller may write to them
-        taps, blocks = txrx._tap_blocks(64)
-        assert txrx._tap_blocks(64)[1] is blocks
+        # built once per (filter, M) for every modem call, so no caller may write to them
+        taps, blocks = txrx._tap_blocks(phydyas_k4(), 64)
+        assert txrx._tap_blocks(phydyas_k4(), 64)[1] is blocks
         assert np.array_equal(taps, sample_taps(phydyas_k4(), 64))
         assert np.array_equal(blocks.ravel()[:len(taps)], taps)
         for shared in (taps, blocks):
@@ -489,12 +537,12 @@ class TestPolyphaseSynthesis:
                 shared[0] = 1.0
 
     def test_carrier_blocks_are_shared_read_only_and_keyed_by_m_and_start(self):
-        M = 64
-        pulse = txrx._tap_blocks(M)[1] / np.sqrt(M)
+        M, filt = 64, phydyas_k4()
+        pulse = txrx._tap_blocks(filt, M)[1] / np.sqrt(M)
         built = {}
         for m, start in [(1, 0), (1, M // 2), (3, 0), (3, M // 2), (4, 0), (4, M // 2)]:
-            blocks = txrx._carrier_blocks(M, m, start)
-            assert txrx._carrier_blocks(M, m, start) is blocks
+            blocks = txrx._carrier_blocks(filt, M, m, start)
+            assert txrx._carrier_blocks(filt, M, m, start) is blocks
             with pytest.raises(ValueError, match="read-only"):
                 blocks[0, 0] = 0
             p = start + np.arange(pulse.size).reshape(pulse.shape)
@@ -647,7 +695,7 @@ class TestInPlaceReceivers:
 
     @pytest.mark.parametrize("M", [8, 10, 16, 64, 512])
     def test_last_tap_block_holds_one_tap(self, M):
-        taps, blocks = txrx._tap_blocks(M)
+        taps, blocks = txrx._tap_blocks(phydyas_k4(), M)
         nb, hop = blocks.shape
         assert len(taps) == (nb - 1) * hop + 1
         assert np.all(blocks[-1, 1:] == 0)
