@@ -15,6 +15,9 @@
 #   simulate_<dir>_<cp>_df<f>_n<N>.csv s2i, i2s and o2o at delta_f 0 and 0.3 and
 #                                      N = 17, 2000, 2113 and 10000 windows (slots)
 #   verify_<cp>.txt                    verify's report
+#   table_i2s_cp511_512.csv            i2s over l = -5 .. 5, step 0.5, at cp 511/512
+#   verify_cp511_512.txt               verify's report at cp 511/512 (both: an offset
+#                                      cycle of 1,023 slots)
 #   psd.csv                            both PSDs over f = -10 .. 10, step 0.05
 set -euo pipefail
 
@@ -52,5 +55,8 @@ for dir in s2i i2s; do
     coexsim table --config "$configs/reference.yaml" --direction "$dir" \
         --lmin 0 --lmax 4096 --lstep 1 --out "$out/table_4097_$dir.csv"
 done
+coexsim table --config "$configs/reference.yaml" --cp-ratio 511/512 --direction i2s \
+    --lmin -5 --lmax 5 --lstep 0.5 --out "$out/table_i2s_cp511_512.csv"
+coexsim verify --config "$configs/reference.yaml" --cp-ratio 511/512 > "$out/verify_cp511_512.txt"
 coexsim psd --config "$configs/reference.yaml" --lmin -10 --lmax 10 --lstep 0.05 \
     --out "$out/psd.csv"

@@ -52,7 +52,7 @@ import numpy as np
 from .filterbank import PrototypeFilter
 from .txrx import MAX_OFFSET_CYCLE, ConfigError, lookup_direction
 
-__all__ = ["build_table", "DB_FLOOR"]
+__all__ = ["build_table", "DB_FLOOR", "power_db"]
 
 # linear powers below this are clamped for dB display only
 DB_FLOOR = 1e-15
@@ -64,7 +64,8 @@ def power_db(power) -> np.ndarray | float:
     return 10 * np.log10(np.maximum(power, DB_FLOOR))
 
 
-@lru_cache(maxsize=256)
+# one i2s grid asks for one lattice per offset of its cycle: the cache holds a whole cycle
+@lru_cache(maxsize=MAX_OFFSET_CYCLE)
 def _lattice_taus(filt: PrototypeFilter, spacing: Fraction, offset: Fraction,
                   width: Fraction) -> tuple[Fraction, ...]:
     """Ascending tau in spacing*Z + offset whose pulse support meets [0, width].

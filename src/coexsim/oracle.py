@@ -42,6 +42,7 @@ from .txrx import MAX_OFFSET_CYCLE, ConfigError, lookup_direction
 __all__ = [
     "QuadratureError",
     "quadrature_I",
+    "quadrature_window_energy",
     "contributing_shifts",
     "victim_slot_offsets",
     "oracle_parseval_constant",
@@ -127,23 +128,18 @@ def _integrate(pulse, tau, a, b, l, label: str) -> np.ndarray:
     return out
 
 
-def _window_overlap(tau, width: float, halfwidth: float):
-    """Intersection of the pulse support [tau-hw, tau+hw] with the window [0, width]."""
-    return np.maximum(0.0, tau - halfwidth), np.minimum(width, tau + halfwidth)
+def _window_integrals(pulse, halfwidth: float, taus, width: float, ls, label: str) -> np.ndarray:
+    """integral over [0, width] of pulse(u - tau) exp(j 2 pi l u) du for every (tau, l): (taus, ls).
 
-
-def _window_integrals(filt: PrototypeFilter, taus, width: float, ls, label: str) -> np.ndarray:
-    """integral over [0, width] of g(u - tau) exp(j 2 pi l u) du for every (tau, l): (taus, ls).
-
-    The integrand vanishes outside the pulse support, so integration runs
-    over the support overlap only (the support edge is the one point where
+    The oracle's one route to _integrate.  pulse vanishes outside [-halfwidth,
+    halfwidth], so integration runs over the overlap [max(0, tau - halfwidth),
+    min(width, tau + halfwidth)] only (the support edge is the one point where
     the integrand is not smooth).
     """
     taus, ls = np.asarray(taus, dtype=float), np.asarray(ls, dtype=float)
-    a, b = _window_overlap(taus, width, filt.support_halfwidth)
+    a, b = np.maximum(0.0, taus - halfwidth), np.minimum(width, taus + halfwidth)
     tau_rows, a_rows, b_rows = (np.repeat(v, len(ls)) for v in (taus, a, b))
-    vals = _integrate(lambda t: evaluate_g(filt, t), tau_rows, a_rows, b_rows,
-                      np.tile(ls, len(taus)), label)
+    vals = _integrate(pulse, tau_rows, a_rows, b_rows, np.tile(ls, len(taus)), label)
     return vals.reshape(len(taus), len(ls))
 
 
@@ -229,7 +225,8 @@ def quadrature_I(direction: str, l, filt: PrototypeFilter, cp_ratio=Fraction(0))
         victims, width = range(len(victim_slot_offsets(cp))), float(1 + cp)
         label = f"{direction} (cp = {cp})"
     taus = [float(tau) for nv in victims for tau in _window_taus(direction, nv, cp, filt)]
-    vals = _window_integrals(filt, taus, width, ls.ravel(), label)
+    vals = _window_integrals(lambda t: evaluate_g(filt, t), filt.support_halfwidth, taus, width,
+                             ls.ravel(), label)
     # summed shift by shift in victim order (np.sum would sum a single l pairwise), so a
     # value does not depend on the other l of the call
     acc = np.zeros(ls.size)
@@ -243,9 +240,8 @@ def quadrature_I(direction: str, l, filt: PrototypeFilter, cp_ratio=Fraction(0))
 def quadrature_window_energy(filt: PrototypeFilter, tau, width: float):
     """integral over [0, width] of g^2(u - tau) du, by quadrature; tau a scalar or an array."""
     taus = np.asarray(tau, dtype=float)
-    a, b = _window_overlap(taus.ravel(), width, filt.support_halfwidth)
-    vals = _integrate(lambda t: evaluate_g(filt, t) ** 2, taus.ravel(), a, b,
-                      np.zeros(taus.size), "window energy")
+    vals = _window_integrals(lambda t: evaluate_g(filt, t) ** 2, filt.support_halfwidth,
+                             taus.ravel(), width, [0.0], "window energy")
     return np.real(vals).reshape(taus.shape)[()]
 
 

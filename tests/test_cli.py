@@ -5,6 +5,7 @@ import itertools
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from argparse import Namespace
 from dataclasses import replace
@@ -14,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 import coexsim.cli as cli
 import coexsim.montecarlo as mc
@@ -688,3 +690,87 @@ def test_cli_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src}).stdout
     assert out.strip() == "[]"
+
+
+def _either(valid, invalid):
+    """Valid values fifteen times in sixteen, so that whole scenarios often run."""
+    return st.sampled_from(range(16)).flatmap(lambda k: invalid if k == 0 else valid)
+
+
+def _ratio(q):
+    return st.tuples(st.integers(0, 64), q).map(lambda pq: f"{pq[0]}/{pq[1]}")
+
+
+_JUNK = st.sampled_from(["junk", "", [1], {"a": 1}, None, True])
+# one subcarrier often: each estimator takes exactly one interferer
+_SUBCARRIERS = _either(
+    st.one_of(st.integers(-4, 3).map(lambda n: [n]), st.lists(st.integers(-4, 3), max_size=3),
+              st.tuples(st.integers(-4, 3), st.integers(0, 3)).map(
+                  lambda r: {"range": [r[0], r[0] + r[1]]})),
+    st.one_of(st.integers(-5, 5), st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=2),
+              st.lists(st.floats(allow_nan=True), min_size=1, max_size=2),
+              st.tuples(st.integers(-10 ** 12, 10 ** 12), st.integers(-10 ** 12, 10 ** 12)).map(
+                  lambda r: {"range": list(r)}),
+              st.just({"range": [0]}), st.just({"span": [0, 1]}), _JUNK))
+_VARIANCE = _either(st.floats(1e-3, 1e3),
+                    st.one_of(st.sampled_from([0.0, -1.0, float("inf"), float("nan"), 10 ** 400]),
+                              _JUNK))
+_SCENARIO = st.tuples(st.fixed_dictionaries({
+    "M": _either(st.sampled_from([8, 16, 64, 512]),
+                 st.sampled_from([7, 10 ** 30, 512.5, -8, "512", float("nan")])),
+    # p/q with q <= 64, most often a power of two, so that M cp is whole; longer offset cycles
+    # are slow by design, not faulty
+    "cp_ratio": _either(
+        st.one_of(_ratio(st.sampled_from([1, 2, 4, 8, 16, 32, 64])),
+                  st.sampled_from([0, 0.0, 0.125, 0.25, 1.5])),
+        st.one_of(_ratio(st.integers(1, 64)), st.sampled_from([0.1, 0.3, -0.125]),
+                  st.sampled_from(["one-eighth", "1/0", "-1/8", float("nan"), float("inf")]),
+                  _JUNK)),
+    "incumbent_set": _SUBCARRIERS,
+    "secondary_set": _SUBCARRIERS,
+    "var_qam": _VARIANCE,
+    "var_pam": _VARIANCE,
+    "delta_f": _either(st.floats(-0.49, 0.5),
+                       st.one_of(st.sampled_from([0.5000001, -0.5, float("inf"), float("nan")]),
+                                 _JUNK)),
+    "seed": _either(st.integers(0, 2 ** 70),
+                    st.one_of(st.sampled_from([-1, 1.5, float("inf"), float("nan")]), _JUNK))}),
+    _either(st.just({}), st.just({"unknown_key": 1}))).map(lambda kv: {**kv[0], **kv[1]})
+_GRID = _either(
+    st.tuples(st.integers(-40, 40), st.sampled_from([0.25, 0.5, 1.0, 3.0]), st.integers(0, 4)).map(
+        lambda g: ["--lmin", str(g[0] / 2), "--lmax", str(g[0] / 2 + g[1] * g[2]),
+                   "--lstep", str(g[1])]),
+    st.sampled_from([["--lstep", "0"], ["--lstep", "-1"], ["--lmin", "3", "--lmax", "1"],
+                     ["--lmin", "nan"], ["--lstep", "x"]]))
+_DIRECTION = _either(st.sampled_from([d.name for d in DIRECTIONS]), st.just("sideways"))
+_COMMAND = st.one_of(
+    st.tuples(st.just(["table", "--direction"]), _DIRECTION.map(lambda d: [d]), _GRID),
+    st.tuples(st.just(["simulate", "--direction"]), _DIRECTION.map(lambda d: [d]),
+              st.integers(-1, 40).map(lambda n: ["--symbols", str(n)])),
+    st.tuples(st.just(["verify"]), st.just([]), st.just([])),
+    st.tuples(st.just(["psd"]), st.just([]), _GRID))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(scenario=_SCENARIO, command=_COMMAND)
+def test_any_scenario_exits_0_1_or_2_in_bounded_time_and_memory(tmp_path_factory, scenario,
+                                                                 command):
+    # every command on generated scenario files: a result or a clear refusal, never a traceback
+    work = tmp_path_factory.mktemp("scenario")
+    path = work / "scenario.yaml"
+    path.write_text(yaml.safe_dump(scenario))
+    out = [] if command[0] == ["verify"] else ["--out", str(work / "out.csv")]
+    argv = [*itertools.chain(*command), "--config", str(path), *out]
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        try:
+            rc = main(argv)
+        except SystemExit as e:  # argparse's usage error
+            rc = e.code
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc in (0, 1, 2), argv
+    assert time.perf_counter() - start < 5.0, argv
+    assert peak < 64 * 2 ** 20, argv

@@ -254,6 +254,15 @@ class TestPowerSum:
             assert dropped.tobytes() == sinc_power_sum(filt, self.GRID, taus[:-1], width).tobytes()
             assert _power_sum(filt, self.GRID, taus, width).tobytes() == full.tobytes()
 
+    def test_shift_cache_holds_a_whole_offset_cycle(self):
+        # cp = 511/512 asks for 1,023 lattices per i2s call; a cache smaller than the
+        # cycle misses every one of them again on the next call
+        config = CoexConfig(cp_ratio=Fraction(511, 512))
+        build_table("i2s", [0.0], config)
+        misses = _lattice_taus.cache_info().misses
+        build_table("i2s", [0.0], config)
+        assert _lattice_taus.cache_info().misses == misses
+
     def test_bytes_do_not_depend_on_blas_threads(self):
         code = ("import hashlib, numpy as np; from fractions import Fraction; "
                 "from coexsim.closedform import build_table; "

@@ -31,7 +31,8 @@ def filt():
 
 def term(filt, l, tau):
     """|integral_0^1 g(u - tau) exp(j 2 pi l u) du|^2: one shift's power in the unit window."""
-    return abs(_window_integrals(filt, [tau], 1.0, [l], "term")[0, 0]) ** 2
+    pulse = lambda t: evaluate_g(filt, t)
+    return abs(_window_integrals(pulse, filt.support_halfwidth, [tau], 1.0, [l], "term")[0, 0]) ** 2
 
 
 class TestTerm:
@@ -222,6 +223,18 @@ class TestBatchedOracle:
         taus = np.array([-1.5, 0.0, 0.75, 2.5])
         batch = oracle.quadrature_window_energy(filt, taus, 1.0)
         assert list(batch) == [oracle.quadrature_window_energy(filt, t, 1.0) for t in taus]
+
+    def test_one_route_to_integrate(self):
+        # g and g^2 share one overlap and row-stacking path: _integrate is called only there
+        tree = ast.parse(Path(oracle.__file__).read_text())
+
+        def calls(node):
+            return sum(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                       and n.func.id == "_integrate" for n in ast.walk(node))
+
+        route, = (fn for fn in tree.body
+                  if isinstance(fn, ast.FunctionDef) and fn.name == "_window_integrals")
+        assert calls(tree) == calls(route) == 1
 
     def test_never_imports_closedform(self):
         # the oracle is the independent reference of the closed forms
