@@ -23,9 +23,9 @@ sincs and one (2K-1) x (2K-1) form per distinct length, not complex
 exponentials per shift.  At cp = 1/8 the 9 s2i shifts share 2 lengths and
 the 40 i2s shifts of a full offset cycle share 9.
 
-The forms do not depend on l: they are built once per exact (filter,
-shifts, width) and kept read-only.  The sincs are computed in three reused
-buffers, step for step as np.sinc computes them, so the bytes are its own.
+The forms do not depend on l: they are cached per (filter, prefix) and kept
+read-only.  The sincs are computed in three reused buffers, step for step as
+np.sinc computes them, so the bytes are its own.
 
 Direction conventions (time in symbol periods, l possibly fractional):
   s2i (OQAM -> CP-OFDM):  interference per victim CP-OFDM symbol, canonical
@@ -64,53 +64,60 @@ def power_db(power) -> np.ndarray | float:
     return 10 * np.log10(np.maximum(power, DB_FLOOR))
 
 
-# one i2s grid asks for one lattice per offset of its cycle: the cache holds a whole cycle
-@lru_cache(maxsize=MAX_OFFSET_CYCLE)
 def _lattice_taus(filt: PrototypeFilter, spacing: Fraction, offset: Fraction,
                   width: Fraction) -> tuple[Fraction, ...]:
-    """Ascending tau in spacing*Z + offset whose pulse support meets [0, width].
-
-    The overlap must have nonzero measure: -K/2 < tau < width + K/2.  Kept per exact input.
-    """
+    """Ascending tau in spacing*Z + offset whose support meets [0, width] in nonzero measure."""
     hw = Fraction(filt.overlap_K, 2)
     n_lo = floor((-hw - offset) / spacing) + 1
     n_hi = ceil((width + hw - offset) / spacing) - 1
     return tuple(offset + n * spacing for n in range(n_lo, n_hi + 1))
 
 
-@lru_cache(maxsize=64)
-def _forms(filt: PrototypeFilter, taus: tuple[Fraction, ...],
-           width: Fraction) -> tuple[tuple[float, np.ndarray], ...]:
-    """(length, form) pairs of _power_sum, in first-seen order of the lengths.
+def _slot_offsets(cp: Fraction) -> list[Fraction]:
+    """Interferer-lattice offsets (cp + n/2) mod (1+cp) of victim slots n over one cycle.
 
-    Keyed by the exact filter, shifts and width, and shared by every call
-    with those inputs, so each form is read-only.
+    At cp = p/q the offsets repeat after 2(p+q)/gcd(2, q) slots, at most MAX_OFFSET_CYCLE.
+    """
+    cycle = 2 * (cp.numerator + cp.denominator) // gcd(2, cp.denominator)
+    if cycle > MAX_OFFSET_CYCLE:  # refused before any offset is built
+        raise ConfigError(f"cp_ratio = {cp}: i2s offset cycle of {cycle} slots, "
+                          f"over {MAX_OFFSET_CYCLE}")
+    return [(cp + Fraction(n, 2)) % (1 + cp) for n in range(cycle)]
+
+
+@lru_cache(maxsize=64)
+def _forms(filt: PrototypeFilter, cp: Fraction | None) -> tuple[int, tuple]:
+    """Victim count and (length, form) pairs of _power_sum, in first-seen order of the lengths.
+
+    cp None: s2i, the window [0, 1] on the half-period lattice.  A Fraction: i2s, the window
+    [0, 1 + cp] on the CP-OFDM symbol lattice at each slot offset of the cycle, in turn.
+    Shared by every call with the same (filter, cp), so each form is read-only.
     """
     K = filt.overlap_K
     hw = Fraction(K, 2)
+    width = Fraction(1) if cp is None else 1 + cp
+    lattices = ([(Fraction(1, 2), Fraction(0))] if cp is None
+                else [(width, offset) for offset in _slot_offsets(cp)])
     ks = np.arange(-K + 1, K)
     gains = np.array([filt.coeff(k) for k in ks]) / K
     forms: dict[Fraction, np.ndarray] = {}
-    for tau in taus:
-        a, b = max(Fraction(0), tau - hw), min(width, tau + hw)
-        c = gains * np.exp(1j * np.pi * ks * float((a + b - 2 * tau) / K))
-        # the (b-a)^2 of e_k e_k' goes into the form, so the sincs below are unscaled
-        forms[b - a] = forms.get(b - a, 0) + np.real(np.outer(c.conj(), c)) * float(b - a) ** 2
+    for spacing, offset in lattices:
+        for tau in _lattice_taus(filt, spacing, offset, width):
+            a, b = max(Fraction(0), tau - hw), min(width, tau + hw)
+            c = gains * np.exp(1j * np.pi * ks * float((a + b - 2 * tau) / K))
+            # the (b-a)^2 of e_k e_k' goes into the form, so the sincs below are unscaled
+            forms[b - a] = forms.get(b - a, 0) + np.real(np.outer(c.conj(), c)) * float(b - a) ** 2
     for q in forms.values():
         q.flags.writeable = False
-    return tuple((float(length), q) for length, q in forms.items())
+    return len(lattices), tuple((float(length), q) for length, q in forms.items())
 
 
-def _power_sum(filt: PrototypeFilter, l_grid: np.ndarray, taus: tuple[Fraction, ...],
-               width: Fraction) -> np.ndarray:
-    """sum over taus of |integral over [0, width] of g(u - tau) exp(j 2 pi l u) du|^2.
+def _power_sum(K: int, l_grid: np.ndarray, forms) -> np.ndarray:
+    """sum over the shifts of |integral over the window of g(u - tau) exp(j 2 pi l u) du|^2.
 
-    Every shift's support must meet the window (see _lattice_taus).  The
-    shifts are grouped by the exact length b - a of their overlap [a, b];
-    each group is one quadratic form in the 2K - 1 real sincs of that length.
+    forms are _forms' pairs: the shifts grouped by the exact length b - a of their overlap
+    [a, b] with the window, each group one quadratic form in the 2K - 1 real sincs of that length.
     """
-    K = filt.overlap_K
-    forms = _forms(filt, tuple(taus), width)
     freqs = np.arange(-K + 1, K)[:, None] / K
     out = np.empty(len(l_grid))
     rows = 2 * K - 1
@@ -137,45 +144,35 @@ def _power_sum(filt: PrototypeFilter, l_grid: np.ndarray, taus: tuple[Fraction, 
     return out
 
 
-def _slot_offsets(cp: Fraction) -> list[Fraction]:
-    """Interferer-lattice offsets (cp + n/2) mod (1+cp) of victim slots n over one cycle.
-
-    At cp = p/q the offsets repeat after 2(p+q)/gcd(2, q) slots, at most MAX_OFFSET_CYCLE.
-    """
-    cycle = 2 * (cp.numerator + cp.denominator) // gcd(2, cp.denominator)
-    if cycle > MAX_OFFSET_CYCLE:  # refused before any offset is built
-        raise ConfigError(f"cp_ratio = {cp}: i2s offset cycle of {cycle} slots, "
-                          f"over {MAX_OFFSET_CYCLE}")
-    return [(cp + Fraction(n, 2)) % (1 + cp) for n in range(cycle)]
-
-
 def _oqam_to_ofdm_grid(l_grid: np.ndarray, filt: PrototypeFilter, var_pam: float) -> np.ndarray:
-    taus = _lattice_taus(filt, Fraction(1, 2), Fraction(0), Fraction(1))
-    return var_pam * _power_sum(filt, l_grid, taus, Fraction(1))
+    _, forms = _forms(filt, None)
+    return var_pam * _power_sum(filt.overlap_K, l_grid, forms)
 
 
 def _ofdm_to_oqam_grid(l_grid: np.ndarray, filt: PrototypeFilter, cp_ratio,
                        var_qam: float) -> np.ndarray:
-    cp = Fraction(cp_ratio)
-    width = 1 + cp
-    offsets = _slot_offsets(cp)
-    taus = tuple(tau for off in offsets for tau in _lattice_taus(filt, width, off, width))
+    victims, forms = _forms(filt, Fraction(cp_ratio))
     # the 1/2 real-part factor cancels against the two slots per complex symbol
-    return var_qam * _power_sum(filt, l_grid, taus, width) / len(offsets)
+    return var_qam * _power_sum(filt.overlap_K, l_grid, forms) / victims
 
 
-def build_table(direction: str, l_grid, config) -> np.ndarray:
-    """Closed-form interference powers over a grid of spectral distances.
+def build_table(direction: str, l_grid, config) -> np.ndarray | float:
+    """Closed-form interference powers at spectral distances l_grid.
 
     direction names a lattice row of txrx.DIRECTIONS: "s2i" (one OQAM subcarrier
     into a CP-OFDM subcarrier at distance l) or "i2s" (one CP-OFDM subcarrier into
     an OQAM subcarrier, per victim complex symbol period); scenario parameters
     (prototype filter, cp_ratio, symbol variances) come from the config.  Powers are strictly
-    positive, even in l and linear in the interferer's variance; l may be fractional.
+    positive, even in l and linear in the interferer's variance.  l_grid is a scalar or an array
+    of finite, possibly fractional l; the result has its shape.
     """
     grid = np.asarray(l_grid, dtype=float)
     if grid.size == 0:
         raise ValueError("l_grid must be non-empty")
+    if not np.isfinite(grid).all():
+        raise ValueError(f"l_grid must be finite, got {grid[~np.isfinite(grid)][0]}")
     if lookup_direction(direction, lattice=True).interferer == "oqam":
-        return _oqam_to_ofdm_grid(grid, config.filt, config.var_pam)
-    return _ofdm_to_oqam_grid(grid, config.filt, config.cp_ratio, config.var_qam)
+        powers = _oqam_to_ofdm_grid(grid.ravel(), config.filt, config.var_pam)
+    else:
+        powers = _ofdm_to_oqam_grid(grid.ravel(), config.filt, config.cp_ratio, config.var_qam)
+    return powers.reshape(grid.shape)[()]

@@ -20,6 +20,22 @@ from coexsim.oracle import oracle_parseval_constant
 FILT = phydyas_k4()
 
 
+@pytest.fixture
+def drop_outermost_shift(monkeypatch):
+    """Call it to drop each lattice's outermost shift from the closed forms.
+
+    The forms are cached per (filter, prefix), so a warm entry would hide the fault: the
+    cache is cleared when the fault is applied and again after the test.
+    """
+    def apply():
+        taus = closedform._lattice_taus
+        monkeypatch.setattr(closedform, "_lattice_taus", lambda *a: taus(*a)[:-1])
+        closedform._forms.cache_clear()
+    yield apply
+    monkeypatch.undo()
+    closedform._forms.cache_clear()
+
+
 def test_results_are_json_serialisable():
     results = run_all_checks(FILT, Fraction(1, 8))
     assert len(results) == 8
@@ -55,9 +71,13 @@ class TestParsevalTail:
         monkeypatch.setattr(checks, "_oqam_to_ofdm_grid", lambda *a: grid(*a) * (1 + 1e-8))
         assert not check_parseval(FILT).passed
 
-    def test_dropped_outermost_shift_fails(self, monkeypatch):
-        taus = closedform._lattice_taus
-        monkeypatch.setattr(closedform, "_lattice_taus", lambda *a: taus(*a)[:-1])
+    def test_dropped_outermost_shift_fails(self, drop_outermost_shift):
+        drop_outermost_shift()
+        assert not check_parseval(FILT).passed
+
+    def test_dropped_outermost_shift_fails_after_a_warm_call(self, drop_outermost_shift):
+        assert check_parseval(FILT).passed
+        drop_outermost_shift()
         assert not check_parseval(FILT).passed
 
     def test_disagreeing_estimates_fail(self, monkeypatch):
@@ -80,9 +100,13 @@ class TestOracleEquivalenceStrictness:
         assert not result.passed
         assert "i2s" in result.detail
 
-    def test_dropped_outermost_shift_fails(self, monkeypatch):
-        taus = closedform._lattice_taus
-        monkeypatch.setattr(closedform, "_lattice_taus", lambda *a: taus(*a)[:-1])
+    def test_dropped_outermost_shift_fails(self, drop_outermost_shift):
+        drop_outermost_shift()
+        assert not check_oracle_equivalence(FILT, self.CPS).passed
+
+    def test_dropped_outermost_shift_fails_after_a_warm_call(self, drop_outermost_shift):
+        assert check_oracle_equivalence(FILT, self.CPS).passed
+        drop_outermost_shift()
         assert not check_oracle_equivalence(FILT, self.CPS).passed
 
     @pytest.mark.parametrize("cp", [Fraction(1, 512), Fraction(511, 512)],

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import coexsim.closedform as closedform
 from coexsim.closedform import (
+    _forms,
     _lattice_taus,
     _ofdm_to_oqam_grid,
     _oqam_to_ofdm_grid,
@@ -72,8 +73,8 @@ def direct_power_sum(filt, l_grid, taus, width):
     return total
 
 
-def sinc_power_sum(filt, l_grid, taus, width):
-    """Reference for _power_sum's bytes: its forms built per call, its sincs by np.sinc."""
+def shift_forms(filt, taus, width):
+    """(length, form) pairs of an explicit shift list, built per call as _forms builds them."""
     K = filt.overlap_K
     hw = Fraction(K, 2)
     ks = np.arange(-K + 1, K)
@@ -83,12 +84,19 @@ def sinc_power_sum(filt, l_grid, taus, width):
         a, b = max(Fraction(0), tau - hw), min(width, tau + hw)
         c = gains * np.exp(1j * np.pi * ks * float((a + b - 2 * tau) / K))
         forms[b - a] = forms.get(b - a, 0) + np.real(np.outer(c.conj(), c)) * float(b - a) ** 2
+    return [(float(length), q) for length, q in forms.items()]
+
+
+def sinc_power_sum(filt, l_grid, taus, width):
+    """Reference for _power_sum's bytes: its forms built per call, its sincs by np.sinc."""
+    K = filt.overlap_K
+    ks = np.arange(-K + 1, K)
     out = np.empty(len(l_grid))
     for start in range(0, len(l_grid), closedform._BLOCK):
         l = l_grid[start:start + closedform._BLOCK]
         acc = np.zeros(len(l))
-        for length, q in forms.items():
-            e = np.sinc((ks[:, None] / K + l) * float(length))
+        for length, q in shift_forms(filt, taus, width):
+            e = np.sinc((ks[:, None] / K + l) * length)
             acc += np.einsum("kl,kl->l", e, np.einsum("kj,jl->kl", q, e))
         out[start:start + closedform._BLOCK] = acc
     return out
@@ -192,38 +200,43 @@ class TestPowerSum:
 
     @pytest.mark.parametrize("grid", [GRID, INTEGER_GRID], ids=["table", "integer"])
     def test_s2i_matches_direct(self, filt, grid):
+        victims, forms = _forms(filt, None)
+        new = _power_sum(filt.overlap_K, grid, forms)
         taus = _lattice_taus(filt, Fraction(1, 2), Fraction(0), Fraction(1))
-        new = _power_sum(filt, grid, taus, Fraction(1))
         ref = direct_power_sum(filt, grid, taus, 1)
+        assert victims == 1
         assert np.max(np.abs(new - ref) / ref) <= 1e-13
 
     @pytest.mark.parametrize("cp", [Fraction(0), Fraction(1, 8), Fraction(1, 3),
                                     Fraction(7, 16), Fraction(2)])
     def test_i2s_matches_direct(self, filt, cp):
-        # all shifts of one offset cycle, as _ofdm_to_oqam_grid passes them
-        taus = [t for off in _slot_offsets(cp) for t in _lattice_taus(filt, 1 + cp, off, 1 + cp)]
-        new = _power_sum(filt, self.GRID, taus, 1 + cp)
+        # the forms of a whole offset cycle against all of its shifts, one by one
+        victims, forms = _forms(filt, cp)
+        new = _power_sum(filt.overlap_K, self.GRID, forms)
+        offsets = _slot_offsets(cp)
+        taus = [t for off in offsets for t in _lattice_taus(filt, 1 + cp, off, 1 + cp)]
         ref = direct_power_sum(filt, self.GRID, taus, 1 + cp)
+        assert victims == len(offsets)
         assert np.max(np.abs(new - ref) / ref) <= 1e-13
 
     @staticmethod
     def shift_sets(filt, cp):
-        """(taus, width) of s2i and of i2s at cp, as the two grid functions pass them."""
+        """(key, taus, width) of s2i and of i2s at cp: the _forms key and its explicit shifts."""
         s2i = _lattice_taus(filt, Fraction(1, 2), Fraction(0), Fraction(1))
         i2s = [t for off in _slot_offsets(cp) for t in _lattice_taus(filt, 1 + cp, off, 1 + cp)]
-        return (s2i, Fraction(1)), (i2s, 1 + cp)
+        return (None, s2i, Fraction(1)), (cp, i2s, 1 + cp)
 
     @pytest.mark.parametrize("cp", [Fraction(0), Fraction(1, 8), Fraction(7, 16), Fraction(2)])
     def test_bytes_equal_np_sinc_reference(self, filt, cp):
-        for taus, width in self.shift_sets(filt, cp):
-            new = _power_sum(filt, self.GRID, taus, width)
+        for key, taus, width in self.shift_sets(filt, cp):
+            new = _power_sum(filt.overlap_K, self.GRID, _forms(filt, key)[1])
             assert new.tobytes() == sinc_power_sum(filt, self.GRID, taus, width).tobytes()
 
     def test_bytes_equal_reference_where_a_sinc_argument_is_zero(self, filt):
         # k/K + l = 0 for K = 4: the in-place sinc must give exactly 1 there, as np.sinc does
         grid = np.array([0.0, 0.25, -0.25, 0.5, -0.5, 0.75, -0.75, -0.0, 1.0])
-        for taus, width in self.shift_sets(filt, Fraction(1, 8)):
-            new = _power_sum(filt, grid, taus, width)
+        for key, taus, width in self.shift_sets(filt, Fraction(1, 8)):
+            new = _power_sum(filt.overlap_K, grid, _forms(filt, key)[1])
             assert np.all(np.isfinite(new))
             assert new.tobytes() == sinc_power_sum(filt, grid, taus, width).tobytes()
 
@@ -232,36 +245,48 @@ class TestPowerSum:
     def test_bytes_equal_reference_at_block_edges(self, filt, size):
         # _BLOCK + 1 points end on a one-point block in the reused buffers
         grid = -0.75 + 0.25 * np.arange(size)
-        for taus, width in self.shift_sets(filt, Fraction(7, 16)):
-            new = _power_sum(filt, grid, taus, width)
+        for key, taus, width in self.shift_sets(filt, Fraction(7, 16)):
+            new = _power_sum(filt.overlap_K, grid, _forms(filt, key)[1])
             assert new.tobytes() == sinc_power_sum(filt, grid, taus, width).tobytes()
 
     def test_cached_forms_are_read_only(self, filt):
-        for taus, width in self.shift_sets(filt, Fraction(1, 8)):
-            forms = closedform._forms(filt, tuple(taus), width)
-            assert forms is closedform._forms(filt, tuple(taus), width)
-            for _, q in forms:
+        for key, _, _ in self.shift_sets(filt, Fraction(1, 8)):
+            forms = _forms(filt, key)
+            assert forms is _forms(filt, key)
+            for _, q in forms[1]:
                 assert not q.flags.writeable
                 with pytest.raises(ValueError):
                     q[0, 0] = 0.0
 
-    def test_cache_is_keyed_by_the_exact_shifts(self, filt):
-        # a dropped shift, as the fault-injection tests of checks make, misses the cache
-        for taus, width in self.shift_sets(filt, Fraction(1, 8)):
-            full = _power_sum(filt, self.GRID, taus, width)
-            dropped = _power_sum(filt, self.GRID, taus[:-1], width)
+    def test_dropped_shift_moves_the_sum(self, filt):
+        # forms of an explicit shift list less its last shift, as the fault-injection tests
+        # of checks drop it
+        for key, taus, width in self.shift_sets(filt, Fraction(1, 8)):
+            full = _power_sum(filt.overlap_K, self.GRID, _forms(filt, key)[1])
+            dropped = _power_sum(filt.overlap_K, self.GRID, shift_forms(filt, taus[:-1], width))
             assert not np.array_equal(full, dropped)
             assert dropped.tobytes() == sinc_power_sum(filt, self.GRID, taus[:-1], width).tobytes()
-            assert _power_sum(filt, self.GRID, taus, width).tobytes() == full.tobytes()
+            assert _power_sum(filt.overlap_K, self.GRID,
+                              _forms(filt, key)[1]).tobytes() == full.tobytes()
 
-    def test_shift_cache_holds_a_whole_offset_cycle(self):
-        # cp = 511/512 asks for 1,023 lattices per i2s call; a cache smaller than the
-        # cycle misses every one of them again on the next call
+    def test_warm_call_builds_no_shift_or_offset_list(self, monkeypatch):
+        # the forms are cached per (filter, cp): cp = 511/512 has 1,023 offsets and 2,046
+        # shifts, and a second call rebuilds and hashes none of them
         config = CoexConfig(cp_ratio=Fraction(511, 512))
         build_table("i2s", [0.0], config)
-        misses = _lattice_taus.cache_info().misses
+        calls = []
+        for name in ("_lattice_taus", "_slot_offsets"):
+            spied = getattr(closedform, name)
+            monkeypatch.setattr(closedform, name,
+                                lambda *a, f=spied, n=name: calls.append(n) or f(*a))
+        misses = _forms.cache_info().misses
         build_table("i2s", [0.0], config)
-        assert _lattice_taus.cache_info().misses == misses
+        assert _forms.cache_info().misses == misses
+        assert calls == []
+        # the spies see a cold call
+        _forms.cache_clear()
+        build_table("i2s", [0.0], config)
+        assert calls.count("_slot_offsets") == 1 and calls.count("_lattice_taus") == 1023
 
     def test_bytes_do_not_depend_on_blas_threads(self):
         code = ("import hashlib, numpy as np; from fractions import Fraction; "
@@ -376,6 +401,25 @@ class TestTables:
     def test_empty_grid_rejected(self, filt):
         with pytest.raises(ValueError):
             build_table("s2i", [], CoexConfig())
+
+    def test_scalar_l(self):
+        for direction in ("s2i", "i2s"):
+            value = build_table(direction, 2.5, CoexConfig())
+            assert np.ndim(value) == 0
+            assert value == build_table(direction, [2.5], CoexConfig())[0]
+
+    def test_any_shape(self):
+        grid = np.arange(-3.0, 3.0).reshape(2, 3) + 0.3
+        for direction in ("s2i", "i2s"):
+            table = build_table(direction, grid, CoexConfig())
+            assert table.shape == (2, 3)
+            assert table.tobytes() == build_table(direction, grid.ravel(), CoexConfig()).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_l_rejected(self, bad):
+        for direction in ("s2i", "i2s"):
+            with pytest.raises(ValueError, match=rf"^l_grid must be finite, got {bad}$"):
+                build_table(direction, [0.0, bad], CoexConfig())
 
     def test_mc_direction_rejected(self, filt):
         with pytest.raises(ValueError):
