@@ -2,9 +2,10 @@
 
 Ground truth for the closed forms: every value here is obtained by direct
 numerical integration of the pulse against the victim receive window, with
-the contributing symbol shifts enumerated exactly (rational arithmetic) from
-the pulse support and the absolute placement of victim and interferer
-symbols (never from any fixed a-priori range).
+the contributing pulse shifts enumerated once, by _window_taus, exactly
+(rational arithmetic) from the pulse support and the absolute placement of
+victim and interferer symbols (never from any fixed a-priori range).  Every
+integral goes through _window_integrals, which refuses a non-finite tau or l.
 
 Refinement is stacked: every (victim slot, shift tau, l) integral of one
 call is a row, and all rows refine together by composite 24-point
@@ -43,7 +44,6 @@ __all__ = [
     "QuadratureError",
     "quadrature_I",
     "quadrature_window_energy",
-    "contributing_shifts",
     "victim_slot_offsets",
     "oracle_parseval_constant",
 ]
@@ -134,9 +134,13 @@ def _window_integrals(pulse, halfwidth: float, taus, width: float, ls, label: st
     The oracle's one route to _integrate.  pulse vanishes outside [-halfwidth,
     halfwidth], so integration runs over the overlap [max(0, tau - halfwidth),
     min(width, tau + halfwidth)] only (the support edge is the one point where
-    the integrand is not smooth).
+    the integrand is not smooth).  A non-finite tau or l is a ValueError, raised
+    before any quadrature: it would make the overlap empty or never converge.
     """
     taus, ls = np.asarray(taus, dtype=float), np.asarray(ls, dtype=float)
+    for name, v in (("tau", taus), ("l", ls)):
+        if not np.isfinite(v).all():
+            raise ValueError(f"{name} must be finite, got {v[~np.isfinite(v)][0]}")
     a, b = np.maximum(0.0, taus - halfwidth), np.minimum(width, taus + halfwidth)
     tau_rows, a_rows, b_rows = (np.repeat(v, len(ls)) for v in (taus, a, b))
     vals = _integrate(pulse, tau_rows, a_rows, b_rows, np.tile(ls, len(taus)), label)
@@ -169,42 +173,25 @@ def _int_interval(lo: Fraction, hi: Fraction) -> list[int]:
     return list(range(floor(lo) + 1, ceil(hi)))
 
 
-def contributing_shifts(direction: str, n_victim: int, cp_ratio, filt: PrototypeFilter) -> set[int]:
-    """Interferer symbol indices whose pulse/window support meets the victim window.
-
-    A CP-OFDM victim ("s2i") is the useful window of symbol n_victim, and
-    interferer indices count OQAM half-symbol slots.  An OQAM victim ("i2s")
-    is the receive-filter span of slot n_victim, and interferer indices
-    count CP-OFDM symbols (whole extent including the prefix).  Overlap must
-    have nonzero measure.
-    """
-    cp = Fraction(cp_ratio)
-    hw = Fraction(filt.overlap_K, 2)
-    if lookup_direction(direction, lattice=True).victim == "ofdm":
-        w0 = n_victim * (1 + cp)
-        w1 = w0 + 1
-        # slot n: pulse on (n/2 - hw, n/2 + hw)
-        return set(_int_interval(2 * (w0 - hw), 2 * (w1 + hw)))
-    v0 = Fraction(n_victim, 2) - hw
-    v1 = Fraction(n_victim, 2) + hw
-    # symbol n: occupies (n(1+cp) - cp, n(1+cp) + 1)
-    lo = (v0 - 1) / (1 + cp)
-    hi = (v1 + cp) / (1 + cp)
-    return set(_int_interval(lo, hi))
-
-
 def _window_taus(direction: str, n_victim: int, cp: Fraction,
                  filt: PrototypeFilter) -> list[Fraction]:
     """Contributing pulse centers relative to the victim window start, ascending.
 
-    s2i: OQAM slot centers against CP-OFDM window n_victim.  i2s: OQAM slot
-    n_victim's center against the start of each CP-OFDM symbol's whole
-    extent (prefix included), so ascending tau is descending symbol index.
+    A shift contributes when its pulse support meets the victim window in
+    nonzero measure, bounded exactly from absolute placement.  s2i: OQAM
+    half-symbol slot n (pulse on (n/2 - hw, n/2 + hw)) against the useful
+    window of CP-OFDM symbol n_victim; tau ascends with n.  i2s: OQAM slot
+    n_victim's receive-filter span against CP-OFDM symbol n (whole extent
+    (n(1+cp) - cp, n(1+cp) + 1), prefix included), tau taken from that
+    symbol's start, so ascending tau is descending n.
     """
-    shifts = contributing_shifts(direction, n_victim, cp, filt)
+    hw = Fraction(filt.overlap_K, 2)
     if lookup_direction(direction, lattice=True).victim == "ofdm":
-        return sorted(Fraction(n, 2) - n_victim * (1 + cp) for n in shifts)
-    return sorted(Fraction(n_victim, 2) + cp - n * (1 + cp) for n in shifts)
+        w0 = n_victim * (1 + cp)
+        return [Fraction(n, 2) - w0 for n in _int_interval(2 * (w0 - hw), 2 * (w0 + 1 + hw))]
+    center = Fraction(n_victim, 2)
+    lo, hi = (center - hw - 1) / (1 + cp), (center + hw + cp) / (1 + cp)
+    return [center + cp - n * (1 + cp) for n in reversed(_int_interval(lo, hi))]
 
 
 def quadrature_I(direction: str, l, filt: PrototypeFilter, cp_ratio=Fraction(0)):

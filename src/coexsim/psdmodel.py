@@ -66,14 +66,17 @@ def psd_interference(direction: str, l, config) -> float | np.ndarray:
     scales by the interferer's symbol power.  The interferer waveform of the
     direction's row in txrx.DIRECTIONS selects the PSD: OQAM ("s2i", power
     2 var_pam, with config.filt) or CP-OFDM ("i2s" and "o2o", power var_qam).  l is a scalar or
-    an array; only l enters, absolute subcarrier positions are irrelevant.
+    an array; only l enters, absolute subcarrier positions are irrelevant.  A
+    non-finite l is a ValueError.
     """
+    l = np.asarray(l, dtype=float)
+    if not np.isfinite(l).all():
+        raise ValueError(f"l must be finite, got {l[~np.isfinite(l)][0]}")
     if lookup_direction(direction).interferer == "oqam":
         psd = lambda f: psd_oqam_subcarrier(f, config.filt)
         power = 2 * config.var_pam
     else:
         psd = lambda f: psd_ofdm_subcarrier(f, config.cp_ratio)
         power = config.var_qam
-    l = np.asarray(l, dtype=float)
     out = power * 0.5 * np.sum(psd(l[..., None] + 0.5 * _NODES) * _WEIGHTS, axis=-1)
     return out[()]

@@ -24,7 +24,7 @@ from coexsim.checks import run_all_checks
 from coexsim.cli import ConfigError, load_config, main
 from coexsim.closedform import build_table, power_db
 from coexsim.filterbank import PrototypeFilter, phydyas_k4
-from coexsim.oracle import contributing_shifts, quadrature_I
+from coexsim.oracle import _window_taus, quadrature_I
 from coexsim.psdmodel import psd_interference
 from coexsim.txrx import DIRECTIONS, MAX_SET_ENTRIES, CoexConfig, lookup_direction
 
@@ -528,7 +528,7 @@ class TestDirectionTable:
         calls = [lambda: lookup_direction("sideways"),
                  lambda: build_table("sideways", [0.0], cfg),
                  lambda: quadrature_I("sideways", 0.0, filt),
-                 lambda: contributing_shifts("sideways", 0, 0, filt),
+                 lambda: _window_taus("sideways", 0, 0, filt),
                  lambda: psd_interference("sideways", 0.0, cfg)]
         for call in calls:
             with pytest.raises(ValueError, match=r"^unknown direction 'sideways', expected one of"):
@@ -538,7 +538,7 @@ class TestDirectionTable:
         filt = phydyas_k4()
         for call in (lambda: build_table("o2o", [0.0], CoexConfig()),
                      lambda: quadrature_I("o2o", 0.0, filt),
-                     lambda: contributing_shifts("o2o", 0, 0, filt)):
+                     lambda: _window_taus("o2o", 0, 0, filt)):
             with pytest.raises(ValueError, match="offset direction 'o2o'"):
                 call()
 

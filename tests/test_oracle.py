@@ -16,7 +16,6 @@ from coexsim.oracle import (
     _panel_sums,
     _window_integrals,
     _window_taus,
-    contributing_shifts,
     oracle_parseval_constant,
     quadrature_I,
     victim_slot_offsets,
@@ -104,27 +103,54 @@ class TestTerm:
         assert levels == [2, 4, 8, 16, 32, 64]
 
 
-class TestContributingShifts:
+class TestWindowTaus:
     def test_aligned_case_is_contiguous_2k_plus_1(self, filt):
-        shifts = contributing_shifts("s2i", 0, Fraction(0), filt)
-        assert shifts == set(range(-3, 6))
-        assert len(shifts) == 2 * filt.overlap_K + 1
+        taus = _window_taus("s2i", 0, Fraction(0), filt)
+        assert taus == [Fraction(n, 2) for n in range(-3, 6)]
+        assert len(taus) == 2 * filt.overlap_K + 1
 
     def test_translation_by_whole_half_periods(self, filt):
-        base = contributing_shifts("s2i", 0, Fraction(0), filt)
-        assert contributing_shifts("s2i", 1, Fraction(0), filt) == {n + 2 for n in base}
+        # relative taus: a window shift by whole half-periods leaves them equal
+        base = _window_taus("s2i", 0, Fraction(0), filt)
+        assert _window_taus("s2i", 1, Fraction(0), filt) == base
         # cp = 1/8: four windows advance the lattice by nine half-periods
-        base8 = contributing_shifts("s2i", 0, Fraction(1, 8), filt)
-        assert contributing_shifts("s2i", 4, Fraction(1, 8), filt) == {n + 9 for n in base8}
+        base8 = _window_taus("s2i", 0, Fraction(1, 8), filt)
+        assert _window_taus("s2i", 4, Fraction(1, 8), filt) == base8
 
     def test_i2s_shifts(self, filt):
-        assert contributing_shifts("i2s", 0, Fraction(1, 8), filt) == {-2, -1, 0, 1}
+        # symbols 1, 0, -1, -2 in ascending tau: tau = cp - n (1 + cp) for slot 0
+        for cp in (Fraction(1, 8), Fraction(0)):
+            assert _window_taus("i2s", 0, cp, filt) == [cp - n * (1 + cp) for n in (1, 0, -1, -2)]
         # cp = 0 symbols tile the filter span exactly
-        assert contributing_shifts("i2s", 0, Fraction(0), filt) == {-2, -1, 0, 1}
+        assert _window_taus("i2s", 0, Fraction(0), filt) == [-1, 0, 1, 2]
 
     def test_unknown_direction(self, filt):
         with pytest.raises(ValueError):
-            contributing_shifts("sideways", 0, Fraction(0), filt)
+            _window_taus("sideways", 0, Fraction(0), filt)
+
+    @pytest.mark.parametrize("cp", [Fraction(0), Fraction(1, 8), Fraction(1, 3),
+                                    Fraction(7, 16), Fraction(2)])
+    @pytest.mark.parametrize("direction", ["s2i", "i2s"])
+    def test_matches_brute_force_scan(self, filt, direction, cp):
+        # keep every n of a wide range whose support meets the window in nonzero measure
+        # (support ends that only touch a window edge stay out), in ascending tau
+        hw, span = Fraction(filt.overlap_K, 2), range(-100, 101)
+        for nv in range(len(victim_slot_offsets(cp))):
+            if direction == "s2i":
+                # OQAM slot n, pulse on [n/2 - hw, n/2 + hw], against CP-OFDM window nv
+                w0 = nv * (1 + cp)
+                kept = [n for n in span if max(w0, Fraction(n, 2) - hw)
+                        < min(w0 + 1, Fraction(n, 2) + hw)]
+                taus = [Fraction(n, 2) - w0 for n in kept]
+            else:
+                # CP-OFDM symbol n on [n (1 + cp) - cp, n (1 + cp) + 1], against OQAM slot
+                # nv's span; tau from the symbol's start
+                c = Fraction(nv, 2)
+                kept = [n for n in span if max(c - hw, n * (1 + cp) - cp)
+                        < min(c + hw, n * (1 + cp) + 1)]
+                taus = [c + cp - n * (1 + cp) for n in kept]
+            assert kept and span[0] < min(kept) and max(kept) < span[-1]
+            assert _window_taus(direction, nv, cp, filt) == sorted(taus)
 
 
 class TestQuadratureI:
@@ -223,6 +249,18 @@ class TestBatchedOracle:
         taus = np.array([-1.5, 0.0, 0.75, 2.5])
         batch = oracle.quadrature_window_energy(filt, taus, 1.0)
         assert list(batch) == [oracle.quadrature_window_energy(filt, t, 1.0) for t in taus]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_refused_before_quadrature(self, filt, bad, monkeypatch):
+        calls = []
+        monkeypatch.setattr(oracle, "_panel_sums", lambda *args: calls.append(args))
+        for name, call in (("l", lambda: quadrature_I("s2i", bad, filt)),
+                           ("l", lambda: quadrature_I("i2s", [0.0, bad], filt, Fraction(1, 8))),
+                           ("tau", lambda: oracle.quadrature_window_energy(filt, bad, 1.0)),
+                           ("tau", lambda: oracle.quadrature_window_energy(filt, [0.0, bad], 1.0))):
+            with pytest.raises(ValueError, match=rf"^{name} must be finite, got {bad}$"):
+                call()
+        assert calls == []
 
     def test_one_route_to_integrate(self):
         # g and g^2 share one overlap and row-stacking path: _integrate is called only there

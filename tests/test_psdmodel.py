@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import coexsim.psdmodel as psdmodel
 from coexsim.closedform import build_table
 from coexsim.filterbank import phydyas_k4
 from coexsim.psdmodel import psd_interference, psd_ofdm_subcarrier, psd_oqam_subcarrier
@@ -143,3 +144,15 @@ class TestPsdInterference:
     def test_unknown_direction(self, config, filt):
         with pytest.raises(ValueError):
             psd_interference("up", 0.0, config)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("direction", ["s2i", "i2s"])
+    def test_non_finite_l_rejected(self, config, direction, bad, monkeypatch):
+        # refused before either subcarrier PSD is evaluated, in build_table's form
+        calls = []
+        for name in ("psd_oqam_subcarrier", "psd_ofdm_subcarrier"):
+            monkeypatch.setattr(psdmodel, name, lambda *args: calls.append(args))
+        for l in (bad, [0.0, bad]):
+            with pytest.raises(ValueError, match=rf"^l must be finite, got {bad}$"):
+                psd_interference(direction, l, config)
+        assert calls == []
