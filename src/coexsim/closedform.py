@@ -50,7 +50,7 @@ from math import ceil, floor, gcd
 import numpy as np
 
 from .filterbank import PrototypeFilter
-from .txrx import MAX_OFFSET_CYCLE, ConfigError, lookup_direction
+from .txrx import MAX_OFFSET_CYCLE, ConfigError, lookup_direction, require_finite
 
 __all__ = ["build_table", "DB_FLOOR", "power_db"]
 
@@ -166,11 +166,9 @@ def build_table(direction: str, l_grid, config) -> np.ndarray | float:
     positive, even in l and linear in the interferer's variance.  l_grid is a scalar or an array
     of finite, possibly fractional l; the result has its shape.
     """
-    grid = np.asarray(l_grid, dtype=float)
+    grid = require_finite("l_grid", l_grid)
     if grid.size == 0:
         raise ValueError("l_grid must be non-empty")
-    if not np.isfinite(grid).all():
-        raise ValueError(f"l_grid must be finite, got {grid[~np.isfinite(grid)][0]}")
     if lookup_direction(direction, lattice=True).interferer == "oqam":
         powers = _oqam_to_ofdm_grid(grid.ravel(), config.filt, config.var_pam)
     else:

@@ -38,7 +38,7 @@ from math import ceil, floor
 import numpy as np
 
 from .filterbank import PrototypeFilter, evaluate_g
-from .txrx import MAX_OFFSET_CYCLE, ConfigError, lookup_direction
+from .txrx import MAX_OFFSET_CYCLE, ConfigError, lookup_direction, require_finite
 
 __all__ = [
     "QuadratureError",
@@ -137,10 +137,7 @@ def _window_integrals(pulse, halfwidth: float, taus, width: float, ls, label: st
     the integrand is not smooth).  A non-finite tau or l is a ValueError, raised
     before any quadrature: it would make the overlap empty or never converge.
     """
-    taus, ls = np.asarray(taus, dtype=float), np.asarray(ls, dtype=float)
-    for name, v in (("tau", taus), ("l", ls)):
-        if not np.isfinite(v).all():
-            raise ValueError(f"{name} must be finite, got {v[~np.isfinite(v)][0]}")
+    taus, ls = require_finite("tau", taus), require_finite("l", ls)
     a, b = np.maximum(0.0, taus - halfwidth), np.minimum(width, taus + halfwidth)
     tau_rows, a_rows, b_rows = (np.repeat(v, len(ls)) for v in (taus, a, b))
     vals = _integrate(pulse, tau_rows, a_rows, b_rows, np.tile(ls, len(taus)), label)

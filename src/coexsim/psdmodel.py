@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .filterbank import PrototypeFilter, frequency_response, _usinc
-from .txrx import lookup_direction
+from .txrx import lookup_direction, require_finite
 
 __all__ = ["psd_ofdm_subcarrier", "psd_oqam_subcarrier", "psd_interference"]
 
@@ -69,9 +69,7 @@ def psd_interference(direction: str, l, config) -> float | np.ndarray:
     an array; only l enters, absolute subcarrier positions are irrelevant.  A
     non-finite l is a ValueError.
     """
-    l = np.asarray(l, dtype=float)
-    if not np.isfinite(l).all():
-        raise ValueError(f"l must be finite, got {l[~np.isfinite(l)][0]}")
+    l = require_finite("l", l)
     if lookup_direction(direction).interferer == "oqam":
         psd = lambda f: psd_oqam_subcarrier(f, config.filt)
         power = 2 * config.var_pam

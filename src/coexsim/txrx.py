@@ -61,7 +61,7 @@ from .filterbank import PrototypeFilter, phydyas_k4, sample_taps
 
 __all__ = ["CoexConfig", "Direction", "DIRECTIONS", "lookup_direction", "DiscreteSignal",
            "ofdm_modulate", "oqam_modulate", "apply_frequency_shift", "shift_samples",
-           "oqam_phase", "ConfigError", "MAX_OFFSET_CYCLE", "MAX_SET_ENTRIES"]
+           "oqam_phase", "ConfigError", "MAX_OFFSET_CYCLE", "MAX_SET_ENTRIES", "require_finite"]
 
 
 class ConfigError(ValueError):
@@ -217,6 +217,14 @@ def lookup_direction(name: str, lattice: bool = False) -> Direction:
                 raise ConfigError(f"no closed form or oracle for the offset direction {name!r}")
             return d
     raise ValueError(f"unknown direction {name!r}, expected one of {[d.name for d in DIRECTIONS]}")
+
+
+def require_finite(name: str, values) -> np.ndarray:
+    """values as a float array; a non-finite entry is a ValueError that names the argument."""
+    v = np.asarray(values, dtype=float)
+    if not np.isfinite(v).all():
+        raise ValueError(f"{name} must be finite, got {v[~np.isfinite(v)][0]}")
+    return v
 
 
 @dataclass

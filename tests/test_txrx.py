@@ -203,6 +203,15 @@ class TestConfig:
         assert cfg.symbol_samples == 72
 
 
+class TestRequireFinite:
+    def test_only_place_that_tests_finiteness(self):
+        # build_table, the oracle and the PSD model share one refusal and its message
+        src = Path(txrx.__file__).parent
+        for name in ("closedform.py", "oracle.py", "psdmodel.py"):
+            text = (src / name).read_text()
+            assert "isfinite" not in text and "require_finite(" in text
+
+
 # the K = 3 PHYDYAS coefficients, whose sum of G^2 is 3 to six digits: a filter besides the default
 K3 = PrototypeFilter(3, (1.0, 0.911438, 0.411438))
 
