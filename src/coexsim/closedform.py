@@ -38,7 +38,8 @@ Direction conventions (time in symbol periods, l possibly fractional):
 
 The contributing shifts of each victim frame are enumerated here from exact
 rational bounds, independently of the quadrature oracle's geometry; a test
-checks that the two enumerations agree.
+checks that the two enumerations agree, and that _slot_offsets' formula
+gives the i2s offset cycle the oracle finds by walking its own shifts.
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@ Ground truth for the closed forms: every value here is obtained by direct
 numerical integration of the pulse against the victim receive window, with
 the contributing pulse shifts enumerated once, by _window_taus, exactly
 (rational arithmetic) from the pulse support and the absolute placement of
-victim and interferer symbols (never from any fixed a-priori range).  Every
+victim and interferer symbols (never from any fixed a-priori range); the
+i2s offset cycle ends where slot 0's shifts recur (_victim_taus).  Every
 integral goes through _window_integrals, which refuses a non-finite tau or l.
 
 Refinement is stacked: every (victim slot, shift tau, l) integral of one
@@ -40,13 +41,8 @@ import numpy as np
 from .filterbank import PrototypeFilter, evaluate_g
 from .txrx import MAX_OFFSET_CYCLE, ConfigError, lookup_direction, require_finite
 
-__all__ = [
-    "QuadratureError",
-    "quadrature_I",
-    "quadrature_window_energy",
-    "victim_slot_offsets",
-    "oracle_parseval_constant",
-]
+__all__ = ["QuadratureError", "quadrature_I", "quadrature_window_energy",
+           "oracle_parseval_constant"]
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 # doubling stops when two refinements agree to _RTOL of the larger of a row's |integral|
@@ -144,27 +140,6 @@ def _window_integrals(pulse, halfwidth: float, taus, width: float, ls, label: st
     return vals.reshape(len(taus), len(ls))
 
 
-def victim_slot_offsets(cp_ratio: Fraction) -> list[Fraction]:
-    """Offsets of the interferer symbol lattice relative to successive victim slots.
-
-    For victim half-symbol slot n the interferer lattice (spacing 1+cp) sits
-    at offset (cp + n/2) mod (1+cp).  For rational cp the offsets cycle;
-    the full cycle is returned (length 2(p+q)/gcd(2, q) at cp=p/q: 2 at
-    cp=0, 9 at 1/8, 8 at 1/3); a walk past MAX_OFFSET_CYCLE is a ConfigError.
-    """
-    cp = Fraction(cp_ratio)
-    if cp < 0:
-        raise ValueError("cp_ratio must be non-negative")
-    period = 1 + cp
-    # the offsets advance by 1/2 modulo the period, so the first to recur is slot 0's, cp
-    out = [cp]
-    while (x := (cp + Fraction(len(out), 2)) % period) != cp:
-        if len(out) == MAX_OFFSET_CYCLE:
-            raise ConfigError(f"cp_ratio = {cp}: i2s offset cycle of over {MAX_OFFSET_CYCLE} slots")
-        out.append(x)
-    return out
-
-
 def _int_interval(lo: Fraction, hi: Fraction) -> list[int]:
     """Integers strictly inside the open interval (lo, hi)."""
     return list(range(floor(lo) + 1, ceil(hi)))
@@ -191,24 +166,40 @@ def _window_taus(direction: str, n_victim: int, cp: Fraction,
     return [center + cp - n * (1 + cp) for n in reversed(_int_interval(lo, hi))]
 
 
+def _victim_taus(direction: str, cp: Fraction, filt: PrototypeFilter) -> list[list[Fraction]]:
+    """_window_taus of each victim quadrature_I averages: s2i window 0, i2s one offset cycle.
+
+    An i2s slot's shifts depend on it only through its offset against the CP-OFDM lattice,
+    so the cycle ends before the first slot whose shifts equal slot 0's.  A cycle of over
+    MAX_OFFSET_CYCLE slots is a ConfigError, a negative cp a ValueError.
+    """
+    if lookup_direction(direction, lattice=True).victim == "ofdm":
+        return [_window_taus(direction, 0, cp, filt)]
+    if cp < 0:
+        raise ValueError("cp_ratio must be non-negative")
+    cycle = [_window_taus(direction, 0, cp, filt)]
+    while (taus := _window_taus(direction, len(cycle), cp, filt)) != cycle[0]:
+        if len(cycle) == MAX_OFFSET_CYCLE:
+            raise ConfigError(f"cp_ratio = {cp}: i2s offset cycle of over {MAX_OFFSET_CYCLE} slots")
+        cycle.append(taus)
+    return cycle
+
+
 def quadrature_I(direction: str, l, filt: PrototypeFilter, cp_ratio=Fraction(0)):
     """Mean interference power at spectral distance l, by direct quadrature.
 
-    Unit interferer symbol variance.  direction "s2i": per victim CP-OFDM
-    symbol (canonical window n_i = 0).  direction "i2s": per victim complex
-    symbol period, i.e. twice the mean, over the victim half-symbol slots of
-    one offset cycle, of the per-slot power including the real-part factor
-    1/2.  l is a scalar or an array; the result has its shape, and each
-    value does not depend on the other l it is computed with.
+    Unit interferer symbol variance.  direction "s2i": per victim CP-OFDM symbol (canonical
+    window n_i = 0).  direction "i2s": per victim complex symbol period, i.e. twice the mean,
+    over the victim half-symbol slots of one offset cycle (found from the oracle's own shifts),
+    of the per-slot power including the real-part factor 1/2.  l is a scalar or an array; the
+    result has its shape, and each value does not depend on the other l it is computed with.
     """
     cp = Fraction(cp_ratio)
     ls = np.asarray(l, dtype=float)
-    if lookup_direction(direction, lattice=True).victim == "ofdm":
-        victims, width, label = [0], 1.0, direction
-    else:
-        victims, width = range(len(victim_slot_offsets(cp))), float(1 + cp)
-        label = f"{direction} (cp = {cp})"
-    taus = [float(tau) for nv in victims for tau in _window_taus(direction, nv, cp, filt)]
+    s2i = lookup_direction(direction, lattice=True).victim == "ofdm"
+    victims = _victim_taus(direction, cp, filt)
+    width, label = (1.0, direction) if s2i else (float(1 + cp), f"{direction} (cp = {cp})")
+    taus = [float(tau) for window in victims for tau in window]
     vals = _window_integrals(lambda t: evaluate_g(filt, t), filt.support_halfwidth, taus, width,
                              ls.ravel(), label)
     # summed shift by shift in victim order (np.sum would sum a single l pairwise), so a

@@ -68,11 +68,18 @@ class ConfigError(ValueError):
     """An invalid scenario: bad config values or a setup an operation cannot run."""
 
 
+def _number(value, kind=float):
+    """kind(value), but no bool: YAML 1.1 loads yes/no/on/off as True/False, not as 1/0."""
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return kind(value)
+
+
 def _integer(value, lo=-inf, hi=inf) -> int:
     """int(value) in [lo, hi]; a non-integral float is an error rather than truncated."""
     if isinstance(value, float) and not value.is_integer():
         raise ValueError(f"expected an integer, got {value}")
-    if not lo <= (n := int(value)) <= hi:
+    if not lo <= (n := _number(value, int)) <= hi:
         raise ValueError(f"entries must lie in [{lo}, {hi}], got {n}")
     return n
 
@@ -110,11 +117,11 @@ def _filter(value) -> PrototypeFilter:
     return value
 
 
-# each field's reader, in field order: an integer is never a truncated float, and a
-# prefix ratio is read from its str(), so 0.1 is 1/10 (as in YAML) and "1/8" is 1/8
+# each field's reader, in field order: an integer is never a truncated float, no number is a
+# bool, and a prefix ratio is read from its str(), so 0.1 is 1/10 (as in YAML) and "1/8" is 1/8
 _READERS = {"M": _integer, "cp_ratio": lambda x: Fraction(str(x)),
             "incumbent_set": _subcarriers, "secondary_set": _subcarriers,
-            "var_qam": float, "var_pam": float, "delta_f": float, "seed": _integer,
+            "var_qam": _number, "var_pam": _number, "delta_f": _number, "seed": _integer,
             "filt": _filter}
 
 

@@ -231,6 +231,21 @@ class TestConfigLoading:
                                match=r"^incumbent_set: expected a list or \{range: \[lo, hi\]\}$"):
                 read()
 
+    @pytest.mark.parametrize("line, read", [
+        ("secondary_set: [on]", True), ("var_qam: yes", True), ("delta_f: off", False),
+        ("seed: yes", True), ("M: true", True), ("incumbent_set: {range: [no, 3]}", False)])
+    def test_yaml_booleans_exit_2(self, tmp_path, capsys, line, read):
+        # YAML 1.1 booleans: the first four ran simulate with exit 0 on subcarrier 1, var 1.0,
+        # shift 0.0 and seed 1
+        path = tmp_path / "flags.yaml"
+        path.write_text(line + "\n")
+        out = tmp_path / "s.csv"
+        rc = main(["simulate", "--config", str(path), "--direction", "s2i", "--symbols", "10",
+                   "--out", str(out)])
+        assert rc == 2 and not out.exists()
+        field = line.split(":")[0]
+        assert capsys.readouterr().err == f"error: {field}: expected a number, got {read}\n"
+
     def test_cli_imports_no_private_name(self):
         tree = ast.parse(Path(cli.__file__).read_text())
         private = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)

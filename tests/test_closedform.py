@@ -21,8 +21,8 @@ from coexsim.closedform import (
     build_table,
     power_db,
 )
-from coexsim.filterbank import _usinc, phydyas_k4
-from coexsim.oracle import _window_taus, quadrature_I, victim_slot_offsets
+from coexsim.filterbank import _usinc, evaluate_g, phydyas_k4
+from coexsim.oracle import _victim_taus, _window_taus, quadrature_I
 from coexsim.txrx import MAX_OFFSET_CYCLE, CoexConfig, ConfigError
 
 ACCEPT_GRID = (0.0, 0.5, 1.0, 2.0, 3.0, 5.0, 8.0)
@@ -193,6 +193,28 @@ class TestOracleFarRange:
         assert np.max(np.abs(closed - oracle) / oracle) <= 1e-9
 
 
+class TestJumpAsymptote:
+    """A third reference at large |l|, from neither the coefficient expansion nor quadrature.
+
+    Integrating by parts, each shift's window integral over its overlap [a, b] is
+    (g(b - tau) e^{j 2 pi l b} - g(a - tau) e^{j 2 pi l a}) / (j 2 pi l) + O(1/l^2), so
+    I_s2i(l) (2 pi l)^2 tends to the jump sum J over the shifts, and the next term, from the
+    jumps of g', makes (I (2 pi l)^2 - J) / J fall as 1/l^2 with a coefficient near 0.51.
+    """
+
+    @pytest.mark.parametrize("l", [100, 101, 1000, 1001, 10 ** 4, 10 ** 4 + 1])
+    def test_s2i_tends_to_the_jump_sum(self, filt, l):
+        hw = filt.overlap_K / 2
+        jumps = 0.0
+        for tau in map(float, _window_taus("s2i", 0, Fraction(0), filt)):
+            a, b = max(0.0, tau - hw), min(1.0, tau + hw)
+            jumps += abs(evaluate_g(filt, b - tau) * np.exp(2j * np.pi * l * b)
+                         - evaluate_g(filt, a - tau) * np.exp(2j * np.pi * l * a)) ** 2
+        power = build_table("s2i", float(l), CoexConfig(var_pam=1.0))
+        # measured 0.5094-0.5097 at these l
+        assert 0.50 <= (power * (2 * np.pi * l) ** 2 - jumps) / jumps * l ** 2 <= 0.52
+
+
 class TestPowerSum:
     # the table grid of the benchmark, and the Parseval grid (several evaluation blocks)
     GRID = -50 + 0.01 * np.arange(10_001)
@@ -348,21 +370,21 @@ class TestStructure:
 
 class TestGeometry:
     def test_closed_form_shifts_match_oracle(self, filt):
-        # every prefix ratio p/q with q <= 16, p <= 2q; every victim of one cycle
+        # every prefix ratio p/q with q <= 16, p <= 2q; every victim of one cycle.  The cycle
+        # length is the closed form's formula against the oracle's walk over its own shifts
         ratios = sorted({Fraction(p, q) for q in range(1, 17) for p in range(2 * q + 1)})
         assert len(ratios) == 161
         mismatched = []
         for cp in ratios:
-            offsets = _slot_offsets(cp)
-            assert len(offsets) == len(victim_slot_offsets(cp))
-            for nv, off in enumerate(offsets):
+            offsets, walked = _slot_offsets(cp), _victim_taus("i2s", cp, filt)
+            assert len(offsets) == len(walked)
+            for nv, (off, oracle_i2s) in enumerate(zip(offsets, walked)):
                 # s2i: CP-OFDM window nv against the half-period slot lattice
                 s2i = _lattice_taus(filt, Fraction(1, 2), -nv * (1 + cp) % Fraction(1, 2),
                                     Fraction(1))
-                # i2s: OQAM slot nv against the CP-OFDM symbol lattice
+                # i2s: OQAM slot nv against the CP-OFDM symbol lattice; both ascend in tau
                 i2s = _lattice_taus(filt, 1 + cp, off, 1 + cp)
-                if (set(s2i) != set(_window_taus("s2i", nv, cp, filt))
-                        or set(i2s) != set(_window_taus("i2s", nv, cp, filt))):
+                if list(s2i) != _window_taus("s2i", nv, cp, filt) or list(i2s) != oracle_i2s:
                     mismatched.append((cp, nv))
         assert mismatched == []
 

@@ -14,11 +14,11 @@ from coexsim.oracle import (
     QuadratureError,
     _integrate,
     _panel_sums,
+    _victim_taus,
     _window_integrals,
     _window_taus,
     oracle_parseval_constant,
     quadrature_I,
-    victim_slot_offsets,
 )
 from coexsim.txrx import MAX_OFFSET_CYCLE, ConfigError
 
@@ -135,7 +135,7 @@ class TestWindowTaus:
         # keep every n of a wide range whose support meets the window in nonzero measure
         # (support ends that only touch a window edge stay out), in ascending tau
         hw, span = Fraction(filt.overlap_K, 2), range(-100, 101)
-        for nv in range(len(victim_slot_offsets(cp))):
+        for nv in range(len(_victim_taus("i2s", cp, filt))):
             if direction == "s2i":
                 # OQAM slot n, pulse on [n/2 - hw, n/2 + hw], against CP-OFDM window nv
                 w0 = nv * (1 + cp)
@@ -173,26 +173,34 @@ class TestQuadratureI:
         spread = (max(vals) - min(vals)) / min(vals)
         assert 1e-12 < spread < 1e-3
 
-    def test_slot_offset_cycles(self):
-        assert victim_slot_offsets(Fraction(0)) == [Fraction(0), Fraction(1, 2)]
-        offs = victim_slot_offsets(Fraction(1, 8))
+    def test_slot_offset_cycles(self, filt):
+        # the walk's slots, each named by its offset tau mod (1 + cp) against the CP-OFDM lattice
+        def offsets(cp):
+            return [taus[0] % (1 + cp) for taus in _victim_taus("i2s", cp, filt)]
+
+        assert offsets(Fraction(0)) == [Fraction(0), Fraction(1, 2)]
+        offs = offsets(Fraction(1, 8))
         assert len(offs) == 9
         assert sorted(offs) == [Fraction(k, 8) for k in range(9)]
         # cycle length 2(p+q)/gcd(2, q) at cp = p/q
         for cp, length in ((Fraction(1, 3), 8), (Fraction(2, 3), 10), (Fraction(1, 5), 12)):
-            assert len(victim_slot_offsets(cp)) == length
+            assert len(_victim_taus("i2s", cp, filt)) == length
+        s2i = _window_taus("s2i", 0, Fraction(1, 8), filt)
+        assert _victim_taus("s2i", Fraction(1, 8), filt) == [s2i]  # window 0 only
 
     def test_slot_offset_cycle_cap(self, filt):
-        # the longest k/512 cycle fits; the walk stops one offset past MAX_OFFSET_CYCLE, so
-        # Fraction(0.1), with its 2^55 denominator, is refused at once
-        assert len(victim_slot_offsets(Fraction(511, 512))) == 1023
-        assert len(victim_slot_offsets(Fraction(1, 2047))) == MAX_OFFSET_CYCLE == 4096
+        # the longest k/512 cycle fits; the walk stops one slot past MAX_OFFSET_CYCLE, so
+        # Fraction(0.1), with its 2^55 denominator, is refused after 4,096 slots
+        assert len(_victim_taus("i2s", Fraction(511, 512), filt)) == 1023
+        assert len(_victim_taus("i2s", Fraction(1, 2047), filt)) == MAX_OFFSET_CYCLE == 4096
         for cp in (Fraction(1, 4096), Fraction(0.1)):
             with pytest.raises(ConfigError, match=rf"^cp_ratio = {cp}: i2s offset cycle of "
                                                   r"over 4096 slots$"):
-                victim_slot_offsets(cp)
+                _victim_taus("i2s", cp, filt)
         with pytest.raises(ConfigError, match="i2s offset cycle"):
             quadrature_I("i2s", 0.0, filt, 0.1)
+        with pytest.raises(ValueError, match=r"^cp_ratio must be non-negative$"):
+            quadrature_I("i2s", 0.0, filt, Fraction(-1, 8))
 
     def test_parseval_constant(self, filt):
         # captured pulse energy equals 2 sum G^2 / K (quadrature vs analytic)
@@ -273,6 +281,12 @@ class TestBatchedOracle:
         route, = (fn for fn in tree.body
                   if isinstance(fn, ast.FunctionDef) and fn.name == "_window_integrals")
         assert calls(tree) == calls(route) == 1
+
+    def test_no_modulo(self):
+        # no offset formula (cp + n/2) mod (1 + cp): the i2s cycle comes from the shifts alone
+        tree = ast.parse(Path(oracle.__file__).read_text())
+        assert not any(isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Mod)
+                       for node in ast.walk(tree))
 
     def test_never_imports_closedform(self):
         # the oracle is the independent reference of the closed forms

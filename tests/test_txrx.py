@@ -190,6 +190,19 @@ class TestConfig:
         assert cfg.incumbent_set == frozenset({-1, 2}) and cfg.secondary_set == frozenset({0, 1})
         assert all(type(m) is int for m in cfg.incumbent_set)
 
+    @pytest.mark.parametrize("flag", [True, False, np.True_, np.False_], ids=str)
+    @pytest.mark.parametrize("field, wrap", [
+        ("M", None), ("seed", None), ("var_qam", None), ("var_pam", None), ("delta_f", None),
+        ("incumbent_set", lambda b: [0, b]), ("secondary_set", lambda b: [b]),
+        ("incumbent_set", lambda b: {"range": [b, 3]}),
+        ("secondary_set", lambda b: {"range": [-2, b]}),
+    ], ids=["M", "seed", "var_qam", "var_pam", "delta_f", "incumbent-entry", "secondary-entry",
+            "range-start", "range-end"])
+    def test_booleans_are_no_numbers(self, field, wrap, flag):
+        # YAML 1.1 loads yes/no/on/off as booleans, which int() and float() read as 1 and 0
+        with pytest.raises(txrx.ConfigError, match=rf"^{field}: expected a number, got "):
+            CoexConfig(**{field: wrap(flag) if wrap else flag})
+
     def test_every_field_has_a_reader(self):
         assert list(txrx._READERS) == [f.name for f in fields(CoexConfig)]
 
