@@ -26,6 +26,8 @@ _PARSEVAL_L = 1 << 13
 # pass bounds, in battery order
 _NORMALIZATION_TOL, _UNIT_ENERGY_TOL, _DFT_TOL = 1e-5, 1e-6, 1e-3
 _ORACLE_TOL, _SYMMETRY_TOL, _RECIPROCITY_TOL, _PARSEVAL_TOL = 1e-9, 1e-12, 1e-12, 1e-10
+# oracle-equivalence measures a gap against at least this share of its row's largest value
+_ORACLE_FLOOR = 1e-12
 # captured energy vs 2 is limited by the 6-digit K=4 coefficients (1.8e-7), not by the sum
 _ENERGY_TOL = 1e-6
 _RIPPLE_DB = 1.0
@@ -82,9 +84,13 @@ def check_oracle_equivalence(filt: PrototypeFilter, cp_ratios) -> CheckResult:
                quadrature_I("i2s", grid, filt, cp)) for cp in cp_ratios]
     worst, where = 0.0, ""
     for label, closed, oracle in pairs:
+        # each gap against the larger value, but not below _ORACLE_FLOOR of the row's largest:
+        # where the power is exactly 0 (K = 1, even l) both sides are rounding noise
+        floor = _ORACLE_FLOOR * max(np.max(np.abs(closed)), np.max(np.abs(oracle)))
         for l, c, o in zip(ORACLE_L_GRID, closed, oracle):
-            if _rel(c, o) > worst:
-                worst, where = _rel(c, o), f"{label} l={l}"
+            dev = abs(c - o) / max(abs(c), abs(o), floor, 1e-300)
+            if dev > worst:
+                worst, where = dev, f"{label} l={l}"
     return CheckResult("oracle-equivalence", worst <= _ORACLE_TOL,
                        f"max rel dev {worst:.2e} ({where})")
 

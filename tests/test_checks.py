@@ -50,6 +50,7 @@ def test_pass_bounds_are_pinned():
     assert (checks._ORACLE_TOL, checks._SYMMETRY_TOL, checks._RECIPROCITY_TOL,
             checks._PARSEVAL_TOL, checks._ENERGY_TOL, checks._RIPPLE_DB) \
         == (1e-9, 1e-12, 1e-12, 1e-10, 1e-6, 1.0)
+    assert checks._ORACLE_FLOOR == 1e-12
 
 
 class TestParsevalTail:
@@ -108,6 +109,23 @@ class TestOracleEquivalenceStrictness:
         assert check_oracle_equivalence(FILT, self.CPS).passed
         drop_outermost_shift()
         assert not check_oracle_equivalence(FILT, self.CPS).passed
+
+    SHORT_FILTERS = pytest.mark.parametrize(
+        "filt", [PrototypeFilter(1, (1.0,)), PrototypeFilter(2, (1.0, 0.5 ** 0.5))],
+        ids=["K1", "K2"])
+
+    @SHORT_FILTERS
+    def test_short_filters_pass(self, filt):
+        # K = 1's s2i power is exactly 0 at even l != 0, where the closed form and the oracle
+        # give rounding noise (2.3e-33 against 1.3e-30): that gap is measured against 1e-12
+        # of the row's largest value
+        result = check_oracle_equivalence(filt, (Fraction(0), Fraction(1, 8), Fraction(7, 16)))
+        assert result.passed, result.detail
+
+    @SHORT_FILTERS
+    def test_short_filters_dropped_outermost_shift_fails(self, filt, drop_outermost_shift):
+        drop_outermost_shift()
+        assert not check_oracle_equivalence(filt, self.CPS).passed
 
     @pytest.mark.parametrize("cp", [Fraction(1, 512), Fraction(511, 512)],
                              ids=["1/512", "511/512"])
