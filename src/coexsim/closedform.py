@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, floor, gcd
+from math import ceil, floor, gcd, lcm, sqrt
 
 import numpy as np
 
@@ -59,6 +59,10 @@ __all__ = ["build_table", "DB_FLOOR", "power_db"]
 DB_FLOOR = 1e-15
 # l points per evaluation block: bounds the temporaries on the largest grids
 _BLOCK = 1 << 12
+# R: the recurrence for sin(j theta) restarts from two direct sines every R steps
+_RESEED = 12
+_SPLIT = float((1 << 27) + 1)  # Dekker's splitter: a double as two 26-bit halves
+_TINY = np.finfo(float).tiny  # the smallest normal double
 
 
 def power_db(power) -> np.ndarray | float:
@@ -87,74 +91,159 @@ def _slot_offsets(cp: Fraction) -> list[Fraction]:
 
 
 @lru_cache(maxsize=64)
-def _forms(filt: PrototypeFilter, cp: Fraction | None) -> tuple[int, tuple]:
-    """Victim count and (length, form) pairs of _power_sum, in first-seen order of the lengths.
+def _forms(filt: PrototypeFilter, cp: Fraction | None) -> tuple[int, Fraction, tuple]:
+    """Victim count, then _shift_forms of every shift that the victims see.
 
     cp None: s2i, the window [0, 1] on the half-period lattice.  A Fraction: i2s, the window
     [0, 1 + cp] on the CP-OFDM symbol lattice at each slot offset of the cycle, in turn.
     Shared by every call with the same (filter, cp), so each form is read-only.
     """
-    K = filt.overlap_K
-    hw = Fraction(K, 2)
     width = Fraction(1) if cp is None else 1 + cp
     lattices = ([(Fraction(1, 2), Fraction(0))] if cp is None
                 else [(width, offset) for offset in _slot_offsets(cp)])
+    taus = (tau for spacing, offset in lattices
+            for tau in _lattice_taus(filt, spacing, offset, width))
+    return len(lattices), *_shift_forms(filt, taus, width)
+
+
+def _shift_forms(filt: PrototypeFilter, taus, width: Fraction) -> tuple[Fraction, tuple]:
+    """Base length delta and (j, rows) pairs of _power_sum for the shifts taus, ascending in j.
+
+    Shift tau overlaps [0, width] on [a, b], and every length b - a is j delta, delta the
+    gcd of the exact lengths.  The shift's form is Re(c^H c) = Re(c)^T Re(c) + Im(c)^T Im(c),
+    with c_k = (G_|k|/K) exp(j pi k (a + b - 2 tau)/K), times (b - a)^2 = j^2 delta^2, of
+    which j^2 goes into the sincs.  A shift mirrored about the window's center has the same
+    length and Re c and the opposite Im c, so the shifts are counted per
+    (length, |a + b - 2 tau|) and their rows weighted by the root of the count.  The rows of
+    one length are kept as the upper-triangular factor R of their QR decomposition: R^T R
+    is the same form, in at most 2K - 1 rows, row i zero left of column i.
+    """
+    K = filt.overlap_K
+    hw = Fraction(K, 2)
+    counts: dict[tuple[Fraction, Fraction], int] = {}
+    for tau in taus:
+        a, b = max(Fraction(0), tau - hw), min(width, tau + hw)
+        key = b - a, abs(a + b - 2 * tau)
+        counts[key] = counts.get(key, 0) + 1
+    scale = lcm(*(length.denominator for length, _ in counts))
+    delta = Fraction(gcd(*(int(length * scale) for length, _ in counts)), scale)
     ks = np.arange(-K + 1, K)
-    gains = np.array([filt.coeff(k) for k in ks]) / K
-    forms: dict[Fraction, np.ndarray] = {}
-    for spacing, offset in lattices:
-        for tau in _lattice_taus(filt, spacing, offset, width):
-            a, b = max(Fraction(0), tau - hw), min(width, tau + hw)
-            c = gains * np.exp(1j * np.pi * ks * float((a + b - 2 * tau) / K))
-            # the (b-a)^2 of e_k e_k' goes into the form, so the sincs below are unscaled
-            forms[b - a] = forms.get(b - a, 0) + np.real(np.outer(c.conj(), c)) * float(b - a) ** 2
-    for q in forms.values():
-        q.flags.writeable = False
-    return len(lattices), tuple((float(length), q) for length, q in forms.items())
+    gains = np.array([filt.coeff(k) for k in ks]) * float(delta) / K
+    rows: dict[int, list] = {}
+    for (length, phase), count in counts.items():
+        c = sqrt(count) * gains * np.exp(1j * np.pi * ks * float(phase / K))
+        rows.setdefault(int(length / delta), []).extend((c.real, c.imag) if phase else (c.real,))
+    forms = []
+    for j in sorted(rows):
+        r = np.linalg.qr(np.array(rows[j]), mode="r")
+        r.flags.writeable = False
+        forms.append((j, r))
+    return delta, tuple(forms)
 
 
-def _power_sum(K: int, l_grid: np.ndarray, forms) -> np.ndarray:
+def _sines(turns_k: np.ndarray, turns_l: np.ndarray, j: int, zero, out: np.ndarray,
+           spare: np.ndarray, high: np.ndarray) -> None:
+    """out = sin(j theta) / theta, and j where zero is set; theta / (2 pi) = turns_k + turns_l.
+
+    j theta / (2 pi) is reduced exactly mod 1 before the float sin sees it: it is split into
+    a 26-bit high part and the rest (Dekker), so that both products with j are exact.
+    """
+    scaled = np.add(turns_k, turns_l, out=out)
+    if j == 1:
+        np.rint(scaled, out=high)
+        np.subtract(scaled, high, out=spare)
+    else:
+        np.multiply(scaled, _SPLIT, out=high)
+        np.subtract(high, scaled, out=spare)
+        high -= spare
+        np.subtract(scaled, high, out=spare)
+        high *= j
+        spare *= j
+        high -= np.rint(high, out=out)
+        spare += high
+        np.add(turns_k, turns_l, out=out)
+    spare *= 2 * np.pi
+    np.sin(spare, out=spare)
+    out *= 2 * np.pi
+    if zero is not None:
+        out[zero] = 1.0
+    np.divide(spare, out, out=out)
+    if zero is not None:
+        out[zero] = j
+
+
+def _power_sum(K: int, l_grid: np.ndarray, delta: Fraction, forms) -> np.ndarray:
     """sum over the shifts of |integral over the window of g(u - tau) exp(j 2 pi l u) du|^2.
 
-    forms are _forms' pairs: the shifts grouped by the exact length b - a of their overlap
-    [a, b] with the window, each group one quadratic form in the 2K - 1 real sincs of that length.
+    delta and forms are _shift_forms': the shifts grouped by the length j delta of their
+    overlap with the window, each group the rows r of a factor of its form, and the power
+    sum_r (r . v_j)^2.  v_j holds sin(j theta) / theta = j sinc(j theta), theta = pi x delta,
+    at the 2K - 1 frequencies x = k/K + l.
     """
-    freqs = np.arange(-K + 1, K)[:, None] / K
-    out = np.empty(len(l_grid))
     rows = 2 * K - 1
+    half = float(delta) / 2
+    # theta / (2 pi) = x delta / 2 is l delta / 2 + k delta / (2K), at any K and delta
+    turns_k = np.arange(-K + 1, K)[:, None] * half / K
+    # 2 cos and 2 sin of pi delta k / K, for 2 cos theta by angle addition
+    cos_k, sin_k = 2 * np.cos(2 * np.pi * turns_k), 2 * np.sin(2 * np.pi * turns_k)
+    out = np.empty(len(l_grid))
     size = rows * min(_BLOCK, len(l_grid))
-    buffers = np.empty(size), np.empty(size), np.empty(size)
+    buffers = [np.empty(size) for _ in range(5)]
     for start in range(0, len(l_grid), _BLOCK):
-        l = l_grid[start:start + _BLOCK]
-        # contiguous, as np.sinc's own temporaries are: on a strided operand einsum
-        # may sum in another order, with other bytes
-        x, y, e = (buf[:rows * len(l)].reshape(rows, len(l)) for buf in buffers)
-        np.add(freqs, l, out=x)
-        acc = np.zeros(len(l))
-        for length, q in forms:
-            # np.sinc(x * length), step for step: y = pi x, exact zeros nudged so
-            # that sin(y)/y is exactly 1 there, e = sin(y)/y
-            np.multiply(x, length, out=y)
-            y *= np.pi
-            if not y.all():
-                y[y == 0] = 1e-20
-            np.divide(np.sin(y, out=e), y, out=e)
-            # einsum, not BLAS: the bytes do not depend on the BLAS thread count
-            acc += np.einsum("kl,kl->l", e, np.einsum("kj,jl->kl", q, e))
-        out[start:start + _BLOCK] = acc
+        turns_l = l_grid[start:start + _BLOCK] * half
+        cos2, prev, cur, y, t = (buf[:rows * len(turns_l)].reshape(rows, len(turns_l))
+                                 for buf in buffers)
+        # at theta = 0, and where theta is subnormal and short of bits, the limit
+        zero = np.abs(np.add(turns_k, turns_l, out=t), out=t) < _TINY
+        if not zero.any():
+            zero = None
+        _sines(turns_k, turns_l, 1, zero, cur, t, y)
+        # pi delta l reduced exactly mod 2 pi, then 2 cos theta = 2 cos(pi delta l + pi delta k/K)
+        phase = turns_l - np.rint(turns_l)
+        phase *= 2 * np.pi
+        np.multiply(cos_k, np.cos(phase), out=cos2)
+        cos2 -= np.multiply(sin_k, np.sin(phase, out=phase), out=t)
+        if zero is not None:
+            cos2[zero] = 2.0
+        acc = np.zeros(len(turns_l))
+        j = 1
+        for jf, r in forms:
+            while j < jf:
+                j += 1
+                prev, cur = cur, prev
+                if j % _RESEED < 2:
+                    # two direct sines every _RESEED steps bound the recurrence's error growth
+                    _sines(turns_k, turns_l, j, zero, cur, t, y)
+                elif j == 2:
+                    np.multiply(cos2, prev, out=cur)
+                else:
+                    # sin(j theta) = 2 cos theta sin((j - 1) theta) - sin((j - 2) theta)
+                    np.multiply(cos2, prev, out=t)
+                    np.subtract(t, cur, out=cur)
+            # R v_j column by column, then its squares row by row: a fixed order of
+            # operations for each l, so the bytes of one l do not depend on the points around it
+            p, q = y[:len(r)], t[:len(r)]
+            np.multiply(r[:, :1], cur[0], out=p)
+            for k in range(1, rows):
+                n = min(k + 1, len(r))
+                p[:n] += np.multiply(r[:n, k:k + 1], cur[k], out=q[:n])
+            p *= p
+            for row in p:
+                acc += row
+        out[start:start + len(turns_l)] = acc
     return out
 
 
 def _oqam_to_ofdm_grid(l_grid: np.ndarray, filt: PrototypeFilter, var_pam: float) -> np.ndarray:
-    _, forms = _forms(filt, None)
-    return var_pam * _power_sum(filt.overlap_K, l_grid, forms)
+    _, delta, forms = _forms(filt, None)
+    return var_pam * _power_sum(filt.overlap_K, l_grid, delta, forms)
 
 
 def _ofdm_to_oqam_grid(l_grid: np.ndarray, filt: PrototypeFilter, cp_ratio,
                        var_qam: float) -> np.ndarray:
-    victims, forms = _forms(filt, Fraction(cp_ratio))
+    victims, delta, forms = _forms(filt, Fraction(cp_ratio))
     # the 1/2 real-part factor cancels against the two slots per complex symbol
-    return var_qam * _power_sum(filt.overlap_K, l_grid, forms) / victims
+    return var_qam * _power_sum(filt.overlap_K, l_grid, delta, forms) / victims
 
 
 def build_table(direction: str, l_grid, config) -> np.ndarray | float:

@@ -427,6 +427,61 @@ class TestRenderLin:
         assert seen == []
 
 
+class TestRenderFixedPoint:
+    """_l_text (%.10g) and _db_text (%.6f): the bytes of Python's %, value by value."""
+
+    @staticmethod
+    def percent(values, spec):
+        return [(f"%{spec}" % v).encode() for v in np.asarray(values, dtype=float).tolist()]
+
+    @pytest.mark.parametrize("spec, exponents", [(cli._L, (-17, 34)), (cli._DB, (-30, 15))],
+                             ids=["l", "db"])
+    def test_random_values(self, spec, exponents):
+        # any bit pattern, and both signs around the range each renderer computes
+        rng = np.random.default_rng(47)
+        exponent = rng.integers(1023 + exponents[0], 1023 + exponents[1], 20_000, dtype=np.uint64)
+        bits = np.concatenate([rng.integers(0, 2 ** 64, 20_000, dtype=np.uint64),
+                               (exponent << np.uint64(52))
+                               | rng.integers(0, 2 ** 52, 20_000, dtype=np.uint64)
+                               | rng.integers(0, 2, 20_000, dtype=np.uint64) << np.uint64(63)])
+        values = bits.view(np.float64)
+        assert cli._cells(cli._TEXT[spec](values)) == self.percent(values, spec)
+
+    def test_exact_ties_round_to_even(self):
+        # q / 2^(10-X), q odd, is halfway between two 10-digit decimals; q / 2^7 between
+        # two 6-decimal ones
+        ties = np.concatenate([np.arange(1025, 10240, 2) / 2.0 ** 10,
+                               np.arange(1, 40_000, 2) / 2.0 ** 13])
+        assert "%.10g" % ties[0] == "1.000976562"  # 1.0009765625, to even
+        assert cli._cells(cli._l_text(-ties)) == self.percent(-ties, cli._L)
+        ties = np.arange(1, 1 << 16, 2) / 2.0 ** 7
+        assert "%.6f" % ties[0] == "0.007812"  # 0.0078125, to even
+        assert cli._cells(cli._db_text(-ties)) == self.percent(-ties, cli._DB)
+
+    def test_edges(self):
+        values = np.array([0.0, -0.0, 1e-4, -9.99999999995e-5, 9.999999999e-5, 123456.789012345678,
+                           9999999999.4, 9999999999.5, 1e10, 0.1 * 3, 1e-300, 5e-324, 1.0, -7.5,
+                           9999.9999994, 9999.9999995, 1e4, -1e-9, 1e300, np.inf, -np.inf, np.nan])
+        for spec in (cli._L, cli._DB):
+            assert cli._cells(cli._TEXT[spec](values)) == self.percent(values, spec)
+
+    def test_reference_tables_fall_back_only_at_zero(self, monkeypatch):
+        # the validate tables' only cell that goes through % is l = 0 ("0"); l = -0.01 and
+        # 0.01 are 0.00999999999999801 in doubles, whose 10 digits carry into 0.01
+        seen = []
+
+        def spy(values, spec):
+            seen.extend((spec, v) for v in values.tolist())
+            return self.percent(values, spec)
+        monkeypatch.setattr(cli, "_percent", spy)
+        for direction in ("s2i", "i2s"):
+            rc = main(["table", "--config", str(TestRenderLin.REFERENCE), "--direction",
+                       direction, "--lmin", "-50", "--lmax", "50", "--lstep", "0.01",
+                       "--out", os.devnull])
+            assert rc == 0
+        assert seen == [(cli._L, 0.0)] * 2
+
+
 class TestYamlLoader:
     CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))
 

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from datetime import timedelta
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,11 +18,12 @@ from coexsim.closedform import (
     _ofdm_to_oqam_grid,
     _oqam_to_ofdm_grid,
     _power_sum,
+    _shift_forms,
     _slot_offsets,
     build_table,
     power_db,
 )
-from coexsim.filterbank import _usinc, evaluate_g, phydyas_k4
+from coexsim.filterbank import PrototypeFilter, evaluate_g, phydyas_k4
 from coexsim.oracle import _victim_taus, _window_taus, quadrature_I
 from coexsim.txrx import MAX_OFFSET_CYCLE, CoexConfig, ConfigError
 
@@ -53,56 +55,64 @@ def filt():
     return phydyas_k4()
 
 
+def exact_turns(l_grid, k, K, r):
+    """((l + k/K) r) mod 2 for each float l and a Fraction r = p/q, exact but for the last rounding.
+
+    It is ((l K p + k p) mod 2Kq) / (Kq), as Fraction(l) would give it: l splits into a
+    26-bit high part and the rest (Dekker), so that both products with the integer K p are
+    exact, np.fmod reduces the high one exactly, and only the sum of the parts and the
+    final division round, each by about 2^-52 of its result.
+    """
+    p, q = r.numerator, r.denominator
+    period = 2 * K * q
+    split = l_grid * (2.0 ** 27 + 1)
+    high = split - (split - l_grid)
+    turns = np.fmod(high * (K * p), period) + (k * p) % period
+    turns += (l_grid - high) * (K * p)
+    return np.fmod(turns, period) / (K * q)
+
+
 def direct_power_sum(filt, l_grid, taus, width):
     """Reference for _power_sum: each shift's window integral as a complex sum over k.
 
     On the overlap [a, b] of the shifted support with [0, width], coefficient k
     contributes (G_|k|/K) exp(-j 2 pi k tau / K) (b-a) exp(j w (a+b)/2)
-    sinc(w (b-a)/2), with w = 2 pi (k/K + l).
+    sinc(w (b-a)/2), with w = 2 pi (k/K + l).  The arguments w (b-a)/2 and
+    w (a+b)/2 are pi times (k/K + l)(b-a) and (k/K + l)(a+b): exact_turns reduces
+    both mod 2 from the exact l before the float sin and exp see them.
     """
-    hw, K = filt.support_halfwidth, filt.overlap_K
+    hw, K = Fraction(filt.overlap_K, 2), filt.overlap_K
     total = np.zeros(len(l_grid))
-    for tau in map(float, taus):
-        a, b = max(0.0, tau - hw), min(float(width), tau + hw)
+    for tau in taus:
+        a, b = max(Fraction(0), tau - hw), min(width, tau + hw)
         out = np.zeros(len(l_grid), dtype=complex)
         for k in range(-K + 1, K):
-            w = 2 * np.pi * (k / K + l_grid)
-            out += (filt.coeff(k) / K) * np.exp(-2j * np.pi * k * tau / K) * (b - a) \
-                * np.exp(1j * w * (a + b) / 2) * _usinc(w * (b - a) / 2)
+            arg = np.pi * (l_grid + k / K) * float(b - a)
+            sinc = np.sin(np.pi * exact_turns(l_grid, k, K, b - a))
+            # sinc(x) = 1 - x^2/6 + ... is 1.0 in doubles below 1e-9, where a subnormal x
+            # would lose bits
+            limit = np.abs(arg) < 1e-9
+            np.divide(sinc, arg, out=sinc, where=~limit)
+            sinc[limit] = 1.0
+            out += (filt.coeff(k) / K) * np.exp(-2j * np.pi * k * float(tau / K)) * float(b - a) \
+                * np.exp(1j * np.pi * exact_turns(l_grid, k, K, a + b)) * sinc
         total += np.abs(out) ** 2
     return total
 
 
-def shift_forms(filt, taus, width):
-    """(length, form) pairs of an explicit shift list, built per call as _forms builds them."""
-    K = filt.overlap_K
-    hw = Fraction(K, 2)
-    ks = np.arange(-K + 1, K)
-    gains = np.array([filt.coeff(k) for k in ks]) / K
-    forms = {}
-    for tau in taus:
-        a, b = max(Fraction(0), tau - hw), min(width, tau + hw)
-        c = gains * np.exp(1j * np.pi * ks * float((a + b - 2 * tau) / K))
-        forms[b - a] = forms.get(b - a, 0) + np.real(np.outer(c.conj(), c)) * float(b - a) ** 2
-    return [(float(length), q) for length, q in forms.items()]
-
-
-def sinc_power_sum(filt, l_grid, taus, width):
-    """Reference for _power_sum's bytes: its forms built per call, its sincs by np.sinc."""
-    K = filt.overlap_K
-    ks = np.arange(-K + 1, K)
-    out = np.empty(len(l_grid))
-    for start in range(0, len(l_grid), closedform._BLOCK):
-        l = l_grid[start:start + closedform._BLOCK]
-        acc = np.zeros(len(l))
-        for length, q in shift_forms(filt, taus, width):
-            e = np.sinc((ks[:, None] / K + l) * length)
-            acc += np.einsum("kl,kl->l", e, np.einsum("kj,jl->kl", q, e))
-        out[start:start + closedform._BLOCK] = acc
-    return out
-
-
 CP_RATIOS = st.fractions(min_value=0, max_value=2, max_denominator=16)
+# K in 1..6, G_0 = 1 and the other G in [0, 1]: K = 1 and 2 meet windows wider than the pulse
+FILTERS = st.integers(1, 6).flatmap(
+    lambda K: st.lists(st.floats(0.0, 1.0), min_size=K - 1, max_size=K - 1)
+    .map(lambda tail: PrototypeFilter(K, (1.0, *tail))))
+
+
+def gaps(a, b):
+    """|a - b| against the larger of each pair, but not below 1e-12 of the largest value, as
+    checks measures oracle equivalence: where a power is exactly 0 (K = 1, even l), both
+    sides are rounding noise."""
+    floor = 1e-12 * max(np.max(np.abs(a)), np.max(np.abs(b)))
+    return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
 
 
 def s2i(l_grid, filt, var_pam):
@@ -222,8 +232,8 @@ class TestPowerSum:
 
     @pytest.mark.parametrize("grid", [GRID, INTEGER_GRID], ids=["table", "integer"])
     def test_s2i_matches_direct(self, filt, grid):
-        victims, forms = _forms(filt, None)
-        new = _power_sum(filt.overlap_K, grid, forms)
+        victims, delta, forms = _forms(filt, None)
+        new = _power_sum(filt.overlap_K, grid, delta, forms)
         taus = _lattice_taus(filt, Fraction(1, 2), Fraction(0), Fraction(1))
         ref = direct_power_sum(filt, grid, taus, 1)
         assert victims == 1
@@ -233,12 +243,24 @@ class TestPowerSum:
                                     Fraction(7, 16), Fraction(2)])
     def test_i2s_matches_direct(self, filt, cp):
         # the forms of a whole offset cycle against all of its shifts, one by one
-        victims, forms = _forms(filt, cp)
-        new = _power_sum(filt.overlap_K, self.GRID, forms)
+        victims, delta, forms = _forms(filt, cp)
+        new = _power_sum(filt.overlap_K, self.GRID, delta, forms)
         offsets = _slot_offsets(cp)
         taus = [t for off in offsets for t in _lattice_taus(filt, 1 + cp, off, 1 + cp)]
         ref = direct_power_sum(filt, self.GRID, taus, 1 + cp)
         assert victims == len(offsets)
+        assert np.max(np.abs(new - ref) / ref) <= 1e-13
+
+    def test_i2s_matches_direct_over_a_long_cycle(self, filt):
+        # cp 511/512: lengths j/512 up to j = 1023, so nearly every sine comes from the
+        # recurrence, restarted every _RESEED steps
+        cp = Fraction(511, 512)
+        grid = self.GRID[::100]
+        victims, delta, forms = _forms(filt, cp)
+        assert delta == Fraction(1, 512) and forms[-1][0] == 1023
+        new = _power_sum(filt.overlap_K, grid, delta, forms)
+        taus = [t for off in _slot_offsets(cp) for t in _lattice_taus(filt, 1 + cp, off, 1 + cp)]
+        ref = direct_power_sum(filt, grid, taus, 1 + cp)
         assert np.max(np.abs(new - ref) / ref) <= 1e-13
 
     @staticmethod
@@ -248,48 +270,62 @@ class TestPowerSum:
         i2s = [t for off in _slot_offsets(cp) for t in _lattice_taus(filt, 1 + cp, off, 1 + cp)]
         return (None, s2i, Fraction(1)), (cp, i2s, 1 + cp)
 
-    @pytest.mark.parametrize("cp", [Fraction(0), Fraction(1, 8), Fraction(7, 16), Fraction(2)])
-    def test_bytes_equal_np_sinc_reference(self, filt, cp):
-        for key, taus, width in self.shift_sets(filt, cp):
-            new = _power_sum(filt.overlap_K, self.GRID, _forms(filt, key)[1])
-            assert new.tobytes() == sinc_power_sum(filt, self.GRID, taus, width).tobytes()
-
-    def test_bytes_equal_reference_where_a_sinc_argument_is_zero(self, filt):
-        # k/K + l = 0 for K = 4: the in-place sinc must give exactly 1 there, as np.sinc does
-        grid = np.array([0.0, 0.25, -0.25, 0.5, -0.5, 0.75, -0.75, -0.0, 1.0])
-        for key, taus, width in self.shift_sets(filt, Fraction(1, 8)):
-            new = _power_sum(filt.overlap_K, grid, _forms(filt, key)[1])
+    def test_matches_direct_where_a_sinc_argument_is_zero(self, filt):
+        # k/K + l = 0 for K = 4, and a subnormal l, which x delta / 2 cannot resolve
+        grid = np.array([0.0, 0.25, -0.25, 0.5, -0.5, 0.75, -0.75, -0.0, 1.0, 5e-324, -1e-310])
+        for key, taus, width in self.shift_sets(filt, Fraction(7, 16)):
+            new = _power_sum(filt.overlap_K, grid, *_forms(filt, key)[1:])
             assert np.all(np.isfinite(new))
-            assert new.tobytes() == sinc_power_sum(filt, grid, taus, width).tobytes()
+            ref = direct_power_sum(filt, grid, taus, width)
+            assert np.max(np.abs(new - ref) / ref) <= 1e-13
+        # the sincs there: a one-row form that picks coefficient k gives v_j^2, and
+        # v_j = j sinc(j theta) is exactly j, by direct sines, the recurrence and its restarts
+        R = closedform._RESEED
+        for j in (1, 2, 7, R, R + 1, 3 * R + 2):
+            for k in range(-3, 4):
+                row = np.zeros((1, 7))
+                row[0, k + 3] = 1.0
+                l = np.array([-k / 4, 5e-324 if k == 0 else -k / 4])
+                assert _power_sum(4, l, Fraction(1, 8), ((j, row),)).tolist() == [j * j] * 2
 
     @pytest.mark.parametrize("size", [1, closedform._BLOCK - 1, closedform._BLOCK,
                                       closedform._BLOCK + 1])
     def test_bytes_equal_reference_at_block_edges(self, filt, size):
-        # _BLOCK + 1 points end on a one-point block in the reused buffers
-        grid = -0.75 + 0.25 * np.arange(size)
-        for key, taus, width in self.shift_sets(filt, Fraction(7, 16)):
-            new = _power_sum(filt.overlap_K, grid, _forms(filt, key)[1])
-            assert new.tobytes() == sinc_power_sum(filt, grid, taus, width).tobytes()
+        # the reference is the same grid in other calls: uneven pieces, and points one at a
+        # time; _BLOCK + 1 points end on a one-point block
+        grid = -0.75 + 0.25 * np.arange(size) + 0.001 * (np.arange(size) % 3)
+        cuts = sorted({0, size, *np.random.default_rng(size).integers(0, size, 12).tolist()})
+        points = sorted({0, size - 1, size // 2, *range(0, size, 37),
+                         *(i for i in range(closedform._BLOCK - 2, closedform._BLOCK + 1)
+                           if i < size)})
+        for key, _, _ in self.shift_sets(filt, Fraction(7, 16)):
+            forms = _forms(filt, key)[1:]
+            whole = _power_sum(filt.overlap_K, grid, *forms)
+            pieces = [_power_sum(filt.overlap_K, grid[a:b], *forms) for a, b in zip(cuts, cuts[1:])]
+            assert np.concatenate(pieces).tobytes() == whole.tobytes()
+            for i in points:
+                assert _power_sum(filt.overlap_K, grid[i:i + 1], *forms)[0] == whole[i]
 
     def test_cached_forms_are_read_only(self, filt):
         for key, _, _ in self.shift_sets(filt, Fraction(1, 8)):
             forms = _forms(filt, key)
             assert forms is _forms(filt, key)
-            for _, q in forms[1]:
-                assert not q.flags.writeable
+            for _, r in forms[2]:
+                assert not r.flags.writeable
                 with pytest.raises(ValueError):
-                    q[0, 0] = 0.0
+                    r[0, 0] = 0.0
 
     def test_dropped_shift_moves_the_sum(self, filt):
         # forms of an explicit shift list less its last shift, as the fault-injection tests
-        # of checks drop it
+        # of checks drop it; the full list gives _forms' bytes
         for key, taus, width in self.shift_sets(filt, Fraction(1, 8)):
-            full = _power_sum(filt.overlap_K, self.GRID, _forms(filt, key)[1])
-            dropped = _power_sum(filt.overlap_K, self.GRID, shift_forms(filt, taus[:-1], width))
+            full = _power_sum(filt.overlap_K, self.GRID, *_forms(filt, key)[1:])
+            dropped = _power_sum(filt.overlap_K, self.GRID, *_shift_forms(filt, taus[:-1], width))
             assert not np.array_equal(full, dropped)
-            assert dropped.tobytes() == sinc_power_sum(filt, self.GRID, taus[:-1], width).tobytes()
             assert _power_sum(filt.overlap_K, self.GRID,
-                              _forms(filt, key)[1]).tobytes() == full.tobytes()
+                              *_shift_forms(filt, taus, width)).tobytes() == full.tobytes()
+            assert _power_sum(filt.overlap_K, self.GRID,
+                              *_forms(filt, key)[1:]).tobytes() == full.tobytes()
 
     def test_warm_call_builds_no_shift_or_offset_list(self, monkeypatch):
         # the forms are cached per (filter, cp): cp = 511/512 has 1,023 offsets and 2,046
@@ -350,6 +386,21 @@ class TestProperties:
         s2i = _oqam_to_ofdm_grid(ls, filt, 1.0)
         i2s = _ofdm_to_oqam_grid(ls, filt, Fraction(0), 2.0)
         assert np.max(np.abs(s2i - i2s) / s2i) <= 1e-12
+
+
+    @settings(max_examples=10, deadline=timedelta(seconds=10), database=None)
+    @given(FILTERS, CP_RATIOS, st.lists(st.floats(0.0, 8.0), min_size=2, max_size=3))
+    def test_any_filter_and_prefix(self, filt, cp, ls):
+        # l = 0 first, so that gaps' floor is set by a power of order 1
+        ls = np.array([0.0, *ls])
+        s2i = _oqam_to_ofdm_grid(ls, filt, 1.0)
+        i2s = _ofdm_to_oqam_grid(ls, filt, cp, 1.0)
+        assert np.max(gaps(s2i, quadrature_I("s2i", ls, filt))) <= 1e-9
+        assert np.max(gaps(i2s, quadrature_I("i2s", ls, filt, cp))) <= 1e-9
+        assert np.max(gaps(s2i, _oqam_to_ofdm_grid(-ls, filt, 1.0))) <= 1e-12
+        assert np.max(gaps(i2s, _ofdm_to_oqam_grid(-ls, filt, cp, 1.0))) <= 1e-12
+        # at cp = 0 the two directions interfere equally: i2s with var_qam = 2 var_pam is s2i
+        assert np.max(gaps(s2i, _ofdm_to_oqam_grid(ls, filt, Fraction(0), 2.0))) <= 1e-12
 
 
 class TestStructure:
