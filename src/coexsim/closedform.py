@@ -24,8 +24,30 @@ exponentials per shift.  At cp = 1/8 the 9 s2i shifts share 2 lengths and
 the 40 i2s shifts of a full offset cycle share 9.
 
 The forms do not depend on l: they are cached per (filter, prefix) and kept
-read-only.  The sincs are computed in three reused buffers, step for step as
-np.sinc computes them, so the bytes are its own.
+read-only.  Each is kept as the rows of a triangular factor R, R^T R the form
+(a QR decomposition of the shifts' rows Re c and Im c), so that the power of
+one length is a sum of squares of at most 2K - 1 row products.  They are
+summed elementwise in a fixed order, so the bytes at one l do not depend on
+the other points of the grid or on how it is split into calls.
+
+Every overlap length is a multiple j delta of one base length delta, the gcd
+of the exact lengths (1/2 for s2i, 1/8 at cp 1/8, 1/16 at 7/16, 1/512 at
+511/512), so the sincs of one frequency x = k/K + l are sin(j theta)/(j theta)
+with theta = pi x delta.  sin theta is one float sin per (k, l), of
+theta / (2 pi) = x delta / 2 reduced exactly mod 1, so no large argument
+reaches sin.  2 cos theta comes by angle addition, from one cos and one sin of
+pi delta l per l, reduced the same way, and the constants cos and sin of
+pi delta k/K.  The sine cannot come that way: an angle-added sine cancels as
+x -> 0.  Then sin((j+1) theta) = 2 cos theta sin(j theta) - sin((j-1) theta),
+restarted from two direct sines every _RESEED = 12 steps, their products
+j x delta / 2 made exact by Dekker's split.  The recurrence's error grows like
+j^2 times the rounding error near theta = 0 and pi (Gentleman, Comput. J. 12,
+1969), and the restarts bound it.  Against sums whose sinc and phase
+arguments are reduced exactly, the power is within 2.5e-14 relative on the
+table grid l = -50 .. 50 step 0.01 (s2i, and i2s at cp 0, 1/8, 1/3, 7/16, 2
+and 511/512), and within 2e-15 on the integer grid |l| <= 2^13.  At
+theta = 0, and where x delta / 2 is subnormal, the sinc is its limit 1,
+exactly.
 
 Direction conventions (time in symbol periods, l possibly fractional):
   s2i (OQAM -> CP-OFDM):  interference per victim CP-OFDM symbol, canonical
