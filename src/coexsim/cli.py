@@ -141,6 +141,7 @@ def _percent(values: np.ndarray, spec: str) -> list[bytes]:
 
 
 def _percent_lin(values: np.ndarray) -> list[bytes]:
+    """_percent with _LIN: the rows _lin_text cannot prove."""
     return _percent(values, _LIN)
 
 
@@ -262,11 +263,6 @@ def _lin_text(values: np.ndarray) -> np.ndarray:
     return _fill(text.view(np.uint8), slow, _percent_lin(values[slow]))
 
 
-def _render_lin(values: np.ndarray) -> list[bytes]:
-    """_percent_lin(values), the same bytes, computed in numpy for the rows _lin_text proves."""
-    return _cells(_lin_text(values))
-
-
 @functools.cache
 def _words() -> np.ndarray:
     """"dddd" for 0 ... 9999 as 4-byte words, in four kinds of 10^4, kind k at k * 10^4 + value.
@@ -316,7 +312,7 @@ def _l_text(values: np.ndarray) -> np.ndarray:
     carry = n == 10 ** 10
     n[carry] //= 10
     e += carry
-    candidate &= (whole >= 10 ** 9) & (e >= -4) & (e <= 9)
+    candidate &= (whole >= 10 ** 9) & (n < 10 ** 10) & (e >= -4) & (e <= 9)
     slow = np.flatnonzero(~candidate)
     n[slow], e[slow] = 10 ** 9, 0  # in range for the tables; replaced below
     # N 10^(X-9) = whole + n 10^-13: 10 integer digits (2-4-4) and 13 fraction digits (1-4-4-4)

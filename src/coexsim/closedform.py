@@ -25,7 +25,7 @@ the 40 i2s shifts of a full offset cycle share 9.
 
 The forms do not depend on l: they are cached per (filter, prefix) and kept
 read-only.  Each is kept as the rows of a triangular factor R, R^T R the form
-(a QR decomposition of the shifts' rows Re c and Im c), so that the power of
+(Givens rotations of the shifts' rows Re c and Im c), so that the power of
 one length is a sum of squares of at most 2K - 1 row products.  They are
 summed elementwise in a fixed order, so the bytes at one l do not depend on
 the other points of the grid or on how it is split into calls.
@@ -68,7 +68,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, floor, gcd, lcm, sqrt
+from math import ceil, floor, gcd, hypot, lcm, sqrt
 
 import numpy as np
 
@@ -137,8 +137,8 @@ def _shift_forms(filt: PrototypeFilter, taus, width: Fraction) -> tuple[Fraction
     which j^2 goes into the sincs.  A shift mirrored about the window's center has the same
     length and Re c and the opposite Im c, so the shifts are counted per
     (length, |a + b - 2 tau|) and their rows weighted by the root of the count.  The rows of
-    one length are kept as the upper-triangular factor R of their QR decomposition: R^T R
-    is the same form, in at most 2K - 1 rows, row i zero left of column i.
+    one length are kept as an upper-triangular factor R (_triangular): R^T R is the same
+    form, in at most 2K - 1 rows, row i zero left of column i.
     """
     K = filt.overlap_K
     hw = Fraction(K, 2)
@@ -157,10 +157,32 @@ def _shift_forms(filt: PrototypeFilter, taus, width: Fraction) -> tuple[Fraction
         rows.setdefault(int(length / delta), []).extend((c.real, c.imag) if phase else (c.real,))
     forms = []
     for j in sorted(rows):
-        r = np.linalg.qr(np.array(rows[j]), mode="r")
+        r = _triangular(rows[j])
         r.flags.writeable = False
         forms.append((j, r))
     return delta, tuple(forms)
+
+
+def _triangular(rows: list[np.ndarray]) -> np.ndarray:
+    """Upper-triangular R with R^T R = sum of row^T row, one Givens rotation per entry zeroed.
+
+    Each row is rotated into R in turn, column by column; R keeps its rows up to the last
+    one a row reached, at most as many as the columns.  Plain arithmetic, not LAPACK's QR,
+    whose first call alone adds about 0.7 MiB to a process's peak RSS.
+    """
+    size = len(rows[0])
+    r = np.zeros((size, size))
+    used = 0
+    for row in rows:
+        row = np.array(row, dtype=float)
+        for i in range(size):
+            if row[i] == 0:
+                continue
+            h = hypot(r[i, i], row[i])
+            c, s = r[i, i] / h, row[i] / h
+            r[i, i:], row[i:] = c * r[i, i:] + s * row[i:], c * row[i:] - s * r[i, i:]
+            used = max(used, i + 1)
+    return r[:used].copy()
 
 
 def _sines(turns_k: np.ndarray, turns_l: np.ndarray, j: int, zero, out: np.ndarray,

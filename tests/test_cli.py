@@ -341,7 +341,9 @@ def rowwise_write_csv(path, header, columns, formats):
         fh.writelines(map(line.__mod__, zip(*values)))
 
 
-@pytest.mark.parametrize("rows", [1, cli._CSV_CHUNK - 1, cli._CSV_CHUNK, cli._CSV_CHUNK + 1])
+# one row, and a second chunk that ends one row short, full, and a one-row third chunk
+@pytest.mark.parametrize("rows", [1, 2 * cli._CSV_CHUNK - 1, 2 * cli._CSV_CHUNK,
+                                  2 * cli._CSV_CHUNK + 1])
 def test_chunked_csv_bytes_match_rowwise_reference(tmp_path, rows):
     rng = np.random.default_rng(rows)
     l = -50 + 0.01 * np.arange(rows)
@@ -359,7 +361,7 @@ def test_chunked_csv_bytes_match_rowwise_reference(tmp_path, rows):
 
 
 def percent_e17(values):
-    """The reference for cli._render_lin: Python's % with .17e, one value at a time."""
+    """The reference for cli._lin_text: Python's % with .17e, one value at a time."""
     return [("%.17e" % v).encode() for v in np.asarray(values, dtype=float).tolist()]
 
 
@@ -372,7 +374,7 @@ class TestRenderLin:
     def test_reference_tables(self, direction, cp):
         config = replace(load_config(str(self.REFERENCE)), cp_ratio=cp)
         values = build_table(direction, self.TABLE_L, config)
-        assert cli._render_lin(values) == percent_e17(values)
+        assert cli._cells(cli._lin_text(values)) == percent_e17(values)
 
     def test_random_bit_patterns(self):
         rng = np.random.default_rng(31)
@@ -381,25 +383,25 @@ class TestRenderLin:
         exponent = rng.integers(1023 - 330, 1023 + 333, 50_000, dtype=np.uint64)
         in_range = (exponent << np.uint64(52)) | rng.integers(0, 2 ** 52, 50_000, dtype=np.uint64)
         values = np.concatenate([anything, in_range]).view(np.float64)
-        assert cli._render_lin(values) == percent_e17(values)
+        assert cli._cells(cli._lin_text(values)) == percent_e17(values)
 
     def test_powers_of_ten_and_their_neighbours(self):
         # the largest double below each power of ten is the only value that could round up to
         # it, a carry into the exponent
         powers = np.array([float(f"1e{k}") for k in range(-99, 101)])
         values = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
-        assert cli._render_lin(values) == percent_e17(values)
+        assert cli._cells(cli._lin_text(values)) == percent_e17(values)
 
     def test_exact_ties(self):
         # q / 2^18 in [1, 2) for odd q is exactly halfway between two 18-digit decimals
         values = np.arange((1 << 18) + 1, (1 << 18) + 20_000, 2) / 2.0 ** 18
         assert "%.17e" % values[0] == "1.00000381469726562e+00"  # 1.000003814697265625, to even
-        assert cli._render_lin(values) == percent_e17(values)
+        assert cli._cells(cli._lin_text(values)) == percent_e17(values)
 
     def test_values_outside_the_rendered_range(self):
         values = np.array([0.0, -0.0, -1.0, -2.5e-7, 5e-324, 2.2e-309, np.inf, -np.inf, np.nan,
                            1e-100, 9.99e-100, 1e-99, 1e100, 1e300, 1.7976931348623157e308, 0.1])
-        rendered = cli._render_lin(values)
+        rendered = cli._cells(cli._lin_text(values))
         assert rendered == percent_e17(values)
         assert rendered[:3] == [b"0.00000000000000000e+00", b"-0.00000000000000000e+00",
                                 b"-1.00000000000000000e+00"]
@@ -416,7 +418,8 @@ class TestRenderLin:
             return percent_e17(values)
         monkeypatch.setattr(cli, "_percent_lin", spy)
         # 0.5 is an exact 18-digit decimal: a scaled value on an integer goes to the fallback
-        assert cli._render_lin(np.array([0.1, 0.0, 0.5, 0.3])) == percent_e17([0.1, 0.0, 0.5, 0.3])
+        values = np.array([0.1, 0.0, 0.5, 0.3])
+        assert cli._cells(cli._lin_text(values)) == percent_e17(values)
         assert seen == [0.0, 0.5]
         seen.clear()
         for direction in ("s2i", "i2s"):
