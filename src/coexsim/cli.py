@@ -51,7 +51,7 @@ __all__ = ["main", "load_config", "ConfigError"]
 
 # libyaml's safe loader where PyYAML was built with it: the same values, about 5x faster
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-_MAX_L_POINTS = 10 ** 6  # an i2s table this size: 1.4 s, 64 MiB peak RSS on a 2-vCPU Xeon
+_MAX_L_POINTS = 10 ** 6  # an i2s table this size: 0.9-1.4 s, 64 MiB peak RSS on a 2-vCPU Xeon
 
 
 def load_config(path: str) -> CoexConfig:
