@@ -444,6 +444,7 @@ def cmd_psd(args, config: CoexConfig) -> int:
     return 0
 
 
+@functools.cache  # built on a process's first main() call, not at import, then reused
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="coexsim",
                                 description="cross-interference tables, simulations and checks")

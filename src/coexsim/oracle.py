@@ -44,7 +44,27 @@ from .txrx import MAX_OFFSET_CYCLE, ConfigError, lookup_direction, require_finit
 __all__ = ["QuadratureError", "quadrature_I", "quadrature_window_energy",
            "oracle_parseval_constant"]
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
+# the 24-point Gauss-Legendre rule on [-1, 1], which psdmodel reads too: the reprs of
+# np.polynomial.legendre.leggauss(24), so the bits are that eigensolve's without running
+# it (or loading numpy.polynomial) at import
+_GL_NODES = np.array([
+    -0.9951872199970213, -0.9747285559713095, -0.9382745520027328, -0.8864155270044011,
+    -0.820001985973903, -0.7401241915785544, -0.6480936519369755, -0.5454214713888396,
+    -0.4337935076260451, -0.3150426796961634, -0.1911188674736163, -0.06405689286260563,
+    0.06405689286260563, 0.1911188674736163, 0.3150426796961634, 0.4337935076260451,
+    0.5454214713888396, 0.6480936519369755, 0.7401241915785544, 0.820001985973903,
+    0.8864155270044011, 0.9382745520027328, 0.9747285559713095, 0.9951872199970213,
+])
+_GL_WEIGHTS = np.array([
+    0.01234122979998869, 0.02853138862893356, 0.04427743881741941, 0.05929858491543636,
+    0.07334648141108016, 0.0861901615319532, 0.09761865210411393, 0.10744427011596556,
+    0.11550566805372552, 0.1216704729278033, 0.12583745634682825, 0.12793819534675202,
+    0.12793819534675202, 0.12583745634682825, 0.1216704729278033, 0.11550566805372552,
+    0.10744427011596556, 0.09761865210411393, 0.0861901615319532, 0.07334648141108016,
+    0.05929858491543636, 0.04427743881741941, 0.02853138862893356, 0.01234122979998869,
+])
+_GL_NODES.setflags(write=False)
+_GL_WEIGHTS.setflags(write=False)
 # doubling stops when two refinements agree to _RTOL of the larger of a row's |integral|
 # and integral of |integrand|, or to _FLOOR times its width; past _MAX_PANELS it fails
 _RTOL, _MAX_PANELS, _FLOOR = 1e-13, 8192, 64 * np.finfo(float).eps

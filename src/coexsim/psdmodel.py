@@ -10,7 +10,8 @@ whose two staggered real streams share the period).
 The OQAM PSD is |frequency response|^2 under i.i.d. symbols; the
 half-symbol staggering does not change the wide-sense spectrum.
 
-Band integrals use one fixed 24-point Gauss-Legendre rule per unit band.
+Band integrals use one fixed 24-point Gauss-Legendre rule per unit band, the
+oracle's constant rule (no adaptivity: the band integrands are smooth).
 Each PSD transforms a pulse autocorrelation lasting 2K = 8 periods (OQAM) or
 2(1 + cp) periods (CP-OFDM), so across one band the integrand is entire with
 a few oscillations, and a rule exact to degree 47 is limited by roundoff
@@ -26,12 +27,10 @@ from fractions import Fraction
 import numpy as np
 
 from .filterbank import PrototypeFilter, frequency_response, _usinc
+from .oracle import _GL_NODES, _GL_WEIGHTS
 from .txrx import lookup_direction, require_finite
 
 __all__ = ["psd_ofdm_subcarrier", "psd_oqam_subcarrier", "psd_interference"]
-
-# fixed rule on [-1, 1]: the band integrands are smooth, so adaptivity buys nothing
-_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(24)
 
 
 def psd_ofdm_subcarrier(f_norm, cp_ratio) -> float | np.ndarray:
@@ -76,5 +75,5 @@ def psd_interference(direction: str, l, config) -> float | np.ndarray:
     else:
         psd = lambda f: psd_ofdm_subcarrier(f, config.cp_ratio)
         power = config.var_qam
-    out = power * 0.5 * np.sum(psd(l[..., None] + 0.5 * _NODES) * _WEIGHTS, axis=-1)
+    out = power * 0.5 * np.sum(psd(l[..., None] + 0.5 * _GL_NODES) * _GL_WEIGHTS, axis=-1)
     return out[()]

@@ -12,6 +12,8 @@ from coexsim.checks import (
     _parseval_estimates,
     check_oracle_equivalence,
     check_parseval,
+    check_reciprocity,
+    check_symmetry,
     run_all_checks,
 )
 from coexsim.filterbank import PrototypeFilter, evaluate_g, phydyas_k4
@@ -133,6 +135,56 @@ class TestOracleEquivalenceStrictness:
         # one prefix sample at M = 512: an i2s row overlaps the window 1/512 wide at the
         # pulse's support edge, and stops only on the oracle's width floor
         assert check_oracle_equivalence(FILT, (cp,)).passed
+
+
+class TestSymmetryAndReciprocityStrictness:
+    CP = Fraction(1, 8)
+
+    @staticmethod
+    def recorded(monkeypatch, name, factor=lambda ls: 1.0):
+        """Install a wrapper on checks' grid `name` that records each l grid and scales by factor."""
+        grid, calls = getattr(checks, name), []
+
+        def wrapper(ls, *args, **kwargs):
+            calls.append(np.array(ls))
+            return grid(ls, *args, **kwargs) * factor(ls)
+
+        monkeypatch.setattr(checks, name, wrapper)
+        return calls
+
+    def test_unmodified_grids_pass(self):
+        assert check_symmetry(FILT, self.CP).passed
+        assert check_reciprocity(FILT).passed
+
+    @pytest.mark.parametrize("name", ["_oqam_to_ofdm_grid", "_ofdm_to_oqam_grid"])
+    def test_odd_perturbation_fails_symmetry(self, monkeypatch, name):
+        # 1e-11 relative, odd in l: ten times the check's bound apart at l and -l
+        self.recorded(monkeypatch, name, lambda ls: 1 + 1e-11 * np.sign(ls))
+        result = check_symmetry(FILT, self.CP)
+        assert not result.passed, result.detail
+
+    def test_scaled_cp0_i2s_grid_fails_reciprocity(self, monkeypatch):
+        self.recorded(monkeypatch, "_ofdm_to_oqam_grid", lambda ls: 1 + 1e-11)
+        result = check_reciprocity(FILT)
+        assert not result.passed, result.detail
+
+    def test_symmetry_points(self, monkeypatch):
+        # 200 distinct fixed points in (0.01, 30), compared with their negatives
+        calls = self.recorded(monkeypatch, "_oqam_to_ofdm_grid")
+        check_symmetry(FILT, self.CP)
+        pos, neg = calls
+        assert pos.shape == (200,) and np.unique(pos).size == 200
+        assert np.all((pos > 0.01) & (pos < 30.0))
+        assert np.array_equal(neg, -pos)
+
+    def test_reciprocity_points(self, monkeypatch):
+        # the integers 0..20, then 179 distinct fixed points in (-30, 30)
+        calls = self.recorded(monkeypatch, "_oqam_to_ofdm_grid")
+        check_reciprocity(FILT)
+        ls, = calls
+        assert ls.shape == (200,)
+        assert np.array_equal(ls[:21], np.arange(21))
+        assert np.all((ls[21:] > -30.0) & (ls[21:] < 30.0)) and np.unique(ls[21:]).size == 179
 
 
 @settings(max_examples=15, deadline=None, database=None)

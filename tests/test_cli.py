@@ -1,7 +1,9 @@
 """CLI: config ingestion, CSV emission, verification report, exit codes."""
 
+import argparse
 import ast
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -824,14 +826,99 @@ class TestPsdCommand:
         assert len(lines) == 10
 
 
+def run_fresh(code: str, cwd=None, args=()) -> subprocess.CompletedProcess:
+    """Run Python code in a fresh interpreter that imports coexsim from this tree."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          cwd=cwd, env={**os.environ, "PYTHONPATH": src})
+
+
 def test_cli_import_does_not_load_scipy():
     # scipy is a test-only dependency: the runtime must not import it
-    src = str(Path(__file__).resolve().parents[1] / "src")
     code = ("import sys, coexsim.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
-    assert out.strip() == "[]"
+    assert run_fresh(code).stdout.strip() == "[]"
+
+
+class TestParserBuiltOnce:
+    CALLS = [["table", "--direction", "s2i", "--lmin", "-3", "--lmax", "3", "--out", "a.csv"],
+             ["verify"],
+             ["table", "--direction", "i2s", "--lmin", "-3", "--lmax", "3", "--out", "b.csv"]]
+    USAGE_ERROR = ["table", "--out", "c.csv"]   # no --direction
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Counts parser builds from here on (each adds the subcommands once); the cache
+        starts and ends empty."""
+        builds = []
+        add_subparsers = argparse.ArgumentParser.add_subparsers
+
+        def spy(parser, **kwargs):
+            builds.append(parser.prog)
+            return add_subparsers(parser, **kwargs)
+
+        cli._build_parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", spy)
+        yield builds
+        cli._build_parser.cache_clear()
+
+    def test_one_build_per_process(self, built, config_file, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        cfg = ["--config", config_file]
+        runs = []
+        for args in self.CALLS:
+            runs.append((main([*args, *cfg]), *capsys.readouterr()))
+        with pytest.raises(SystemExit) as exit_info:
+            main([*self.USAGE_ERROR, *cfg])
+        runs.append((exit_info.value.code, *capsys.readouterr()))
+        assert built == ["coexsim"]
+        outputs = {name: (tmp_path / name).read_bytes() for name in ("a.csv", "b.csv")}
+        # the same calls, one fresh process each
+        code = "import sys\nfrom coexsim.cli import main\nsys.exit(main(sys.argv[1:]))"
+        fresh_dir = tmp_path / "fresh"
+        fresh_dir.mkdir()
+        fresh = [run_fresh(code, fresh_dir, [*args, *cfg])
+                 for args in [*self.CALLS, self.USAGE_ERROR]]
+        assert runs == [(done.returncode, done.stdout, done.stderr) for done in fresh]
+        assert [rc for rc, _, _ in runs] == [0, 0, 0, 2]
+        assert outputs == {name: (fresh_dir / name).read_bytes() for name in outputs}
+
+
+class TestImportFootprint:
+    """verify, table and psd load neither numpy.random nor numpy.polynomial."""
+    MODULES = ("numpy.random", "numpy.polynomial")
+    LOADED = ("import json, sys\n{run}\n"
+              "print(json.dumps([m for m in {modules!r} if m in sys.modules]))")
+
+    @pytest.fixture(scope="class")
+    def checked(self, tmp_path_factory):
+        """The modules that a bare `import numpy` leaves unloaded: only those can be checked."""
+        done = run_fresh(self.LOADED.format(run="import numpy", modules=self.MODULES),
+                         tmp_path_factory.mktemp("bare"))
+        preloaded = json.loads(done.stdout)
+        return [m for m in self.MODULES if m not in preloaded]
+
+    def loaded(self, args, config_file, cwd):
+        run = f"from coexsim.cli import main\nassert main({[*args, '--config', config_file]!r}) == 0"
+        done = run_fresh(self.LOADED.format(run=run, modules=self.MODULES), cwd)
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout.splitlines()[-1])
+
+    @pytest.mark.parametrize("args", [["verify"],
+                                      ["table", "--direction", "i2s", "--out", "t.csv"],
+                                      ["psd", "--out", "p.csv"]],
+                             ids=["verify", "table", "psd"])
+    def test_command_leaves_modules_unloaded(self, checked, config_file, tmp_path, args):
+        if not checked:
+            pytest.skip("a bare `import numpy` loads every module checked here")
+        assert [m for m in self.loaded(args, config_file, tmp_path) if m in checked] == []
+
+    def test_simulate_loads_numpy_random(self, checked, config_file, tmp_path):
+        # the control: a Monte-Carlo run draws its symbols from numpy.random
+        if "numpy.random" not in checked:
+            pytest.skip("a bare `import numpy` loads numpy.random")
+        args = ["simulate", "--direction", "s2i", "--symbols", "10", "--out", "s.csv"]
+        assert "numpy.random" in self.loaded(args, config_file, tmp_path)
 
 
 def _either(valid, invalid):

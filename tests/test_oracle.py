@@ -9,6 +9,7 @@ import pytest
 from scipy.integrate import quad
 
 import coexsim.oracle as oracle
+import coexsim.psdmodel as psdmodel
 from coexsim.filterbank import evaluate_g, phydyas_k4
 from coexsim.oracle import (
     QuadratureError,
@@ -295,3 +296,24 @@ class TestBatchedOracle:
         imported |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
                      for alias in node.names}
         assert not any("closedform" in (name or "") for name in imported)
+
+
+def test_gauss_legendre_rule_is_one_constant_record():
+    # leggauss(24) solves an eigenproblem; the constants must carry its exact bits
+    nodes, weights = np.polynomial.legendre.leggauss(24)
+    assert oracle._GL_NODES.tobytes() == nodes.tobytes()
+    assert oracle._GL_WEIGHTS.tobytes() == weights.tobytes()
+    assert oracle._GL_NODES.dtype == oracle._GL_WEIGHTS.dtype == np.float64
+    assert not oracle._GL_NODES.flags.writeable and not oracle._GL_WEIGHTS.flags.writeable
+    # the PSD model reads the same arrays
+    assert psdmodel._GL_NODES is oracle._GL_NODES and psdmodel._GL_WEIGHTS is oracle._GL_WEIGHTS
+
+
+def test_no_source_module_uses_numpy_polynomial_or_linalg():
+    # neither is needed at run time: no eigen- or QR solve, and no numpy.polynomial import
+    for path in Path(oracle.__file__).parent.glob("*.py"):
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        names = [n.attr for n in nodes if isinstance(n, ast.Attribute)]
+        names += [n.module or "" for n in nodes if isinstance(n, ast.ImportFrom)]
+        names += [n.name for n in nodes if isinstance(n, ast.alias)]
+        assert not [n for n in names if "polynomial" in n or "linalg" in n], path.name
