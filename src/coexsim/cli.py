@@ -370,8 +370,16 @@ def _db_text(values: np.ndarray) -> np.ndarray:
 _TEXT = {_L: _l_text, _LIN: _lin_text, _DB: _db_text}
 
 
-def _write_csv(path: str, header: list[str], columns, formats: list[str]) -> None:
-    """The header, then row i of the columns, column c formatted by formats[c].
+def _open_out(path: str):
+    """path opened for writing; one that cannot be is a usage error, found before the run."""
+    try:
+        return open(path, "wb")
+    except OSError as e:  # a missing directory, a directory, no permission
+        raise ConfigError(f"cannot write {path}: {e.strerror}") from e
+
+
+def _write_csv(fh, header: list[str], columns, formats: list[str]) -> None:
+    """The header, then row i of the columns, column c formatted by formats[c], into fh.
 
     Rows go out _CSV_CHUNK at a time: each column's cells come from its
     renderer in _TEXT as NUL-padded text, the bytes Python's % gives,
@@ -380,25 +388,30 @@ def _write_csv(path: str, header: list[str], columns, formats: list[str]) -> Non
     """
     columns = [np.asarray(column, dtype=float) for column in columns]
     ends = [ord(",")] * (len(formats) - 1) + [ord("\n")]
-    with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\n").encode())
-        for start in range(0, len(columns[0]), _CSV_CHUNK):
-            parts = []
-            for column, spec, end in zip(columns, formats, ends):
-                cells = _TEXT[spec](column[start:start + _CSV_CHUNK])
-                parts += [cells, np.full((len(cells), 1), end, np.uint8)]
-            text = bytearray(sum(part.size for part in parts))
-            np.concatenate(parts, axis=1,
-                           out=np.frombuffer(text, np.uint8).reshape(len(parts[0]), -1))
-            del parts
-            fh.write(text.translate(None, b"\0"))
+    fh.write((",".join(header) + "\n").encode())
+    for start in range(0, len(columns[0]), _CSV_CHUNK):
+        parts = []
+        for column, spec, end in zip(columns, formats, ends):
+            cells = _TEXT[spec](column[start:start + _CSV_CHUNK])
+            parts += [cells, np.full((len(cells), 1), end, np.uint8)]
+        text = bytearray(sum(part.size for part in parts))
+        np.concatenate(parts, axis=1,
+                       out=np.frombuffer(text, np.uint8).reshape(len(parts[0]), -1))
+        del parts
+        fh.write(text.translate(None, b"\0"))
 
+
+# Each command opens --out after its own input checks, so that a refused input leaves no file,
+# and before the work the file is for, so that an unwritable path costs no run.  table's
+# checks end in the closed form (an offset direction, an i2s offset cycle over the cap), which
+# is its work as well: it opens --out after it.
 
 def cmd_table(args, config: CoexConfig) -> int:
     grid = _l_grid(args)
     powers = build_table(args.direction, grid, config)
-    _write_csv(args.out, ["l", "power_linear", "power_db"],
-               [grid, powers, power_db(powers)], [_L, _LIN, _DB])
+    with _open_out(args.out) as fh:
+        _write_csv(fh, ["l", "power_linear", "power_db"], [grid, powers, power_db(powers)],
+                   [_L, _LIN, _DB])
     return 0
 
 
@@ -410,16 +423,17 @@ def cmd_simulate(args, config: CoexConfig) -> int:
     overlay = next(c for c in DIRECTIONS if c.victim == d.victim and not c.offset)
     closed = build_table(overlay.name, grid, config)
     psd = psd_interference(args.direction, grid, config)
-    # each estimator is read from this module at call time, where a benchmark may wrap it
-    if d.offset:
-        est = estimate_ofdm_to_ofdm(config, args.symbols)
-    elif d.victim == "ofdm":
-        est = estimate_oqam_to_ofdm(config, args.symbols)
-    else:
-        est = estimate_ofdm_to_oqam(config, args.symbols)
-    _write_csv(args.out, ["l", "power_mc", "std_err", "power_closed", "power_psd"],
-               [est.l_values, est.powers, est.std_errors, closed, psd],
-               [_L, _LIN, _LIN, _LIN, _LIN])
+    with _open_out(args.out) as fh:
+        # each estimator is read from this module at call time, where a benchmark may wrap it
+        if d.offset:
+            est = estimate_ofdm_to_ofdm(config, args.symbols)
+        elif d.victim == "ofdm":
+            est = estimate_oqam_to_ofdm(config, args.symbols)
+        else:
+            est = estimate_ofdm_to_oqam(config, args.symbols)
+        _write_csv(fh, ["l", "power_mc", "std_err", "power_closed", "power_psd"],
+                   [est.l_values, est.powers, est.std_errors, closed, psd],
+                   [_L, _LIN, _LIN, _LIN, _LIN])
     return 0
 
 
@@ -437,10 +451,11 @@ def cmd_verify(args, config: CoexConfig) -> int:
 
 def cmd_psd(args, config: CoexConfig) -> int:
     grid = _l_grid(args)
-    po = psd_ofdm_subcarrier(grid, config.cp_ratio)
-    pq = psd_oqam_subcarrier(grid, config.filt)
-    _write_csv(args.out, ["f_norm", "psd_cpofdm", "psd_oqam", "psd_cpofdm_db", "psd_oqam_db"],
-               [grid, po, pq, power_db(po), power_db(pq)], [_L, _LIN, _LIN, _DB, _DB])
+    with _open_out(args.out) as fh:
+        po = psd_ofdm_subcarrier(grid, config.cp_ratio)
+        pq = psd_oqam_subcarrier(grid, config.filt)
+        _write_csv(fh, ["f_norm", "psd_cpofdm", "psd_oqam", "psd_cpofdm_db", "psd_oqam_db"],
+                   [grid, po, pq, power_db(po), power_db(pq)], [_L, _LIN, _LIN, _DB, _DB])
     return 0
 
 

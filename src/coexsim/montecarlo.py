@@ -19,10 +19,18 @@ synthesize one burst per 256 victim windows (slots), o2o one per 32 windows,
 where a fresh timing offset is drawn per burst.  A burst synthesizes exactly the
 interferer symbols whose samples (txrx._extent) meet the samples its receiver reads.
 
-Determinism: a master seed spawns one independent substream per burst via
-numpy SeedSequence spawn keys, so results are bit-identical however bursts
-are scheduled.  Trial counts are the number of victim windows (slots)
-measured, and the reported standard errors treat them as independent.
+Determinism: every draw comes from Philox4x64-10 (Salmon et al., "Parallel
+random numbers: as easy as 1, 2, 3", SC'11), a counter-based generator
+written in numpy uint64 arithmetic and equal bit for bit to
+numpy.random.Philox.  The key is the seed as 128 bits (CoexConfig bounds
+it), and block j of burst b in a direction with tag t is the cipher of the
+counter (j, b, t, 0): four 64-bit words that depend on nothing else, so
+results are bit-identical however bursts are grouped or scheduled.  PAM
+sign i is bit i of a burst's words (bit i mod 64 of word i // 64, a set bit
+is -1); QPSK takes its real signs first, then its imaginary signs; o2o takes
+its offset from the first word and its signs from the words after it.
+Trial counts are the number of victim windows (slots) measured, and the
+reported standard errors treat them as independent.
 They are not: windows of one burst share its interferer symbols and, for
 o2o, its timing offset.  The ratio of a batch-means standard error over bursts
 (Flegal & Jones, Ann. Stat. 2010) to the reported one was measured on the
@@ -65,9 +73,16 @@ __all__ = ["McEstimate", "l_values", "estimate_oqam_to_ofdm", "estimate_ofdm_to_
            "estimate_ofdm_to_ofdm"]
 
 _MAX_BURST_SAMPLES = 2 ** 23  # a burst's samples as _burst_count counts them: 128 MiB complex
-# bursts whose generators one loop builds, as 10^4 s2i or i2s windows' 40: built between bursts
-# each took 2-5x longer, and all at once 10^6 o2o windows held 31,250 of them (about 30 MB)
+# bursts whose words one _philox call computes, as 10^4 s2i or i2s windows' 40: a call takes
+# about 0.25 ms whatever its size, and 10^6 o2o windows' 31,250 bursts at once would hold
+# about 1 MB of words before the first burst ran
 _RNG_CHUNK = 64
+
+# Philox4x64's multipliers and key increments (Random123; numpy.random.Philox's too)
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_WORD = (1 << 64) - 1
+_LOW, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,18 +118,52 @@ def l_values(config: CoexConfig, direction: str, n_symbols: int) -> np.ndarray:
     return m + shift - victims
 
 
-def _rng(seed: int, tag: int, burst: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(tag, burst)))
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low words of the 128-bit products m x, the high one from 32-bit limbs.
+
+    Every partial sum stays below 2^64; the low word is the product that uint64 wraps.
+    """
+    m_hi, m_lo = np.uint64(m >> 32), np.uint64(m & 0xFFFFFFFF)
+    x_hi, x_lo = x >> _32, x & _LOW
+    lo_lo, hi_lo = x_lo * m_lo, x_lo * m_hi
+    middle = (lo_lo >> _32) + (hi_lo & _LOW) + x_hi * m_lo
+    return x_hi * m_hi + (hi_lo >> _32) + (middle >> _32), x * np.uint64(m)
 
 
-def _draw_pam(rng: np.random.Generator, n: int, variance: float) -> np.ndarray:
-    """i.i.d. 2-PAM at the requested variance."""
-    return rng.choice([1.0, -1.0], size=n) * np.sqrt(variance)
+def _philox(key: int, counter: np.ndarray) -> np.ndarray:
+    """Philox4x64-10 under the 128-bit key of every counter: uint64 (4, ...) -> (..., 4) words.
+
+    The key's low word is k0, and a counter's word 0 is its lowest.  Counter c gives the words
+    numpy.random.Philox(key=key, counter=c - 1).random_raw(4) does.  counter needs ndim >= 2:
+    each step is then an array operation, which wraps, not a scalar one, which warns.
+    """
+    c0, c1, c2, c3 = counter
+    k0, k1 = key & _WORD, key >> 64
+    for _ in range(10):
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ np.uint64(k1), lo0
+        k0, k1 = (k0 + _PHILOX_W[0]) & _WORD, (k1 + _PHILOX_W[1]) & _WORD
+    return np.stack([c0, c1, c2, c3], axis=-1)
 
 
-def _draw_qpsk(rng: np.random.Generator, n: int, variance: float) -> np.ndarray:
-    """i.i.d. QPSK at the requested variance (proper: E d^2 = 0)."""
-    return (_draw_pam(rng, n, 1.0) + 1j * _draw_pam(rng, n, 1.0)) * np.sqrt(variance / 2)
+def _draw_pam(source: np.ndarray, n: int, variance: float) -> np.ndarray:
+    """i.i.d. 2-PAM at the requested variance: symbol i is negative where bit i of the words
+    source is set, bit i mod 64 of word i // 64 whatever the host's byte order."""
+    bits = np.unpackbits(source.astype("<u8").view(np.uint8), bitorder="little")[:n]
+    return np.where(bits, -1.0, 1.0) * np.sqrt(variance)
+
+
+def _draw_qpsk(source: np.ndarray, n: int, variance: float) -> np.ndarray:
+    """i.i.d. QPSK at the requested variance (proper: E d^2 = 0), real signs first."""
+    signs = _draw_pam(source, 2 * n, 1.0)
+    return (signs[:n] + 1j * signs[n:]) * np.sqrt(variance / 2)
+
+
+def _draw_offset(word: int, samples: int) -> int:
+    """(word samples) >> 64: each offset in [0, samples) within samples/2^64 of 1/samples
+    relative, at most 2^-41 at _MAX_BURST_SAMPLES."""
+    return word * samples >> 64
 
 
 def _burst_count(config: CoexConfig, d: Direction, n_total: int) -> int:
@@ -122,6 +171,7 @@ def _burst_count(config: CoexConfig, d: Direction, n_total: int) -> int:
         raise ConfigError("n_symbols must be >= 1")
     # before any array exists: the windows at M + L samples, an interferer symbol + step each side
     first, last, step = _extent(config, d.interferer)
+    _extent(config, d.victim)  # an OQAM victim, like an OQAM interferer, refuses an odd M here
     span = min(d.burst, n_total) * config.symbol_samples + 2 * (last - first + step)
     if span > _MAX_BURST_SAMPLES:  # CoexConfig takes M = 10^30
         raise ConfigError(f"M = {config.M}: a burst spans {span} > {_MAX_BURST_SAMPLES} samples")
@@ -165,6 +215,25 @@ def _span(config: CoexConfig, d: Direction, size: int, offset: int) -> tuple[int
     return _reach(first + offset, last + offset, v_first, (size - 1) * v_step + v_last, step)
 
 
+def _burst_words(config: CoexConfig, d: Direction, n_symbols: int, first: int,
+                 stop: int) -> np.ndarray:
+    """One row of Philox words for each of the bursts [first, stop), from one _philox call.
+
+    Block j of burst b is the cipher of the counter (j, b, d.tag, 0).  Every row is as long
+    as the first burst, the longest, needs: an o2o offset word, then a bit per PAM and two per
+    QPSK symbol of its span at offset 0, and one symbol more for o2o, as a delay moves the
+    span's count by at most one (_reach's two floors sum to within one of their sum's floor).
+    """
+    n_lo, n_hi = _span(config, d, min(d.burst, n_symbols - first * d.burst), 0)
+    bits = (n_hi - n_lo + d.offset) * (1 if d.interferer == "oqam" else 2)
+    words = d.offset + -(-bits // 64)
+    counter = np.zeros((4, stop - first, -(-words // 4)), dtype=np.uint64)
+    counter[0] = np.arange(counter.shape[2])
+    counter[1] = np.arange(first, stop)[:, None]
+    counter[2] = d.tag
+    return _philox(config.seed, counter).reshape(stop - first, -1)
+
+
 def _bursts(config: CoexConfig, d: Direction, roles: tuple[int, np.ndarray, float],
             n_symbols: int, add) -> None:
     """Pass add() each burst's |demodulated|^2 windows: (windows, victims) rows in window order.
@@ -176,16 +245,18 @@ def _bursts(config: CoexConfig, d: Direction, roles: tuple[int, np.ndarray, floa
     ws = _Workspace()
     n_bursts = _burst_count(config, d, n_symbols)
     for chunk in range(0, n_bursts, _RNG_CHUNK):
-        bursts = range(chunk, min(chunk + _RNG_CHUNK, n_bursts))
-        for b, rng in zip(bursts, [_rng(config.seed, d.tag, b) for b in bursts]):
+        stop = min(chunk + _RNG_CHUNK, n_bursts)
+        for b, words in zip(range(chunk, stop), _burst_words(config, d, n_symbols, chunk, stop)):
             size = min(d.burst, n_symbols - b * d.burst)
-            off = int(rng.integers(0, config.symbol_samples)) if d.offset else 0
+            off = 0
+            if d.offset:
+                off, words = _draw_offset(int(words[0]), config.symbol_samples), words[1:]
             n_lo, n_hi = _span(config, d, size, off)
             if d.interferer == "oqam":
-                sig = oqam_modulate(config, m, _draw_pam(rng, n_hi - n_lo, config.var_pam),
+                sig = oqam_modulate(config, m, _draw_pam(words, n_hi - n_lo, config.var_pam),
                                     (n_lo, n_hi), workspace=ws)
             else:
-                sig = ofdm_modulate(config, m, _draw_qpsk(rng, n_hi - n_lo, config.var_qam),
+                sig = ofdm_modulate(config, m, _draw_qpsk(words, n_hi - n_lo, config.var_qam),
                                     (n_lo, n_hi), workspace=ws)
             sig = shift_samples(sig, off)
             if shift:

@@ -61,7 +61,8 @@ from .filterbank import PrototypeFilter, phydyas_k4, sample_taps
 
 __all__ = ["CoexConfig", "Direction", "DIRECTIONS", "lookup_direction", "DiscreteSignal",
            "ofdm_modulate", "oqam_modulate", "apply_frequency_shift", "shift_samples",
-           "oqam_phase", "ConfigError", "MAX_OFFSET_CYCLE", "MAX_SET_ENTRIES", "require_finite"]
+           "oqam_phase", "ConfigError", "MAX_OFFSET_CYCLE", "MAX_SET_ENTRIES", "SEED_BITS",
+           "require_finite"]
 
 
 class ConfigError(ValueError):
@@ -83,6 +84,9 @@ def _integer(value, lo=-inf, hi=inf) -> int:
         raise ValueError(f"entries must lie in [{lo}, {hi}], got {n}")
     return n
 
+
+# bits of a seed: montecarlo's Philox4x64 key
+SEED_BITS = 128
 
 # entries a set may hold, counted before a {range} is built and as a list is read: only simulate
 # reads the sets, and its one-window burst of over 4 M samples caps M below 2^21.  Bounded by M
@@ -168,6 +172,8 @@ class CoexConfig:
             raise ConfigError("delta_f must lie in (-0.5, 0.5]")
         if self._read("seed") < 0:
             raise ConfigError("seed must be non-negative")
+        if self.seed >> SEED_BITS:  # the Monte-Carlo key: a wider seed would alias another
+            raise ConfigError(f"seed: {self.seed} is not below 2^{SEED_BITS}")
         self._read("filt")
 
     def _read(self, name: str, *args):
@@ -270,14 +276,21 @@ class DiscreteSignal:
         return self.samples[i:i + length]
 
 
+def _slot_step(M: int) -> int:
+    """M/2, the samples from one OQAM slot to the next; an odd M has no whole half period."""
+    if M % 2:
+        raise ConfigError("OQAM requires even M (half-period slots must be whole samples)")
+    return M // 2
+
+
 def _extent(config: CoexConfig, waveform: str, received: bool = False) -> tuple[int, int, int]:
     """(first, last, step): symbol (slot) n of waveform covers samples n step + [first, last]:
     an OQAM slot the K M + 1 taps of _tap_blocks, sent or received, a sent CP-OFDM symbol its
     L prefix and M useful samples, a received one the M useful samples only.
     """
     if waveform == "oqam":
-        half = config.filt.overlap_K * config.M // 2
-        return -half, half, config.M // 2
+        step = _slot_step(config.M)
+        return -config.filt.overlap_K * step, config.filt.overlap_K * step, step
     return 0 if received else -config.cp_samples, config.M - 1, config.symbol_samples
 
 
@@ -400,10 +413,8 @@ def _tap_blocks(filt: PrototypeFilter, M: int) -> tuple[np.ndarray, np.ndarray]:
 
     Built once per (filter, M) and shared by every modem call, so both arrays are read-only.
     """
-    if M % 2:
-        raise ConfigError("OQAM requires even M (half-period slots must be whole samples)")
+    hop = _slot_step(M)
     taps = sample_taps(filt, M)
-    hop = M // 2
     # K M + 1 taps: nb = 2K + 1 blocks (9 for K = 4), the last of them one tap
     blocks = np.zeros(-(-len(taps) // hop) * hop)
     blocks[:len(taps)] = taps

@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import errno
 import itertools
 import json
 import os
@@ -322,8 +323,9 @@ def test_csv_bytes_match_per_scalar_formatting(tmp_path):
     with np.errstate(divide="ignore"):
         db = np.append(power_db(power[:5]), 10 * np.log10(0.0))
     path = tmp_path / "awkward.csv"
-    cli._write_csv(str(path), ["l", "power_linear", "power_db"], [l, power, db],
-                   [cli._L, cli._LIN, cli._DB])
+    with open(path, "wb") as fh:
+        cli._write_csv(fh, ["l", "power_linear", "power_db"], [l, power, db],
+                       [cli._L, cli._LIN, cli._DB])
     old = "".join(f"{a:.10g},{b:.17e},{c:.6f}\n" for a, b, c in zip(l, power, db))
     assert path.read_bytes() == ("l,power_linear,power_db\n" + old).encode()
     lines = path.read_text().splitlines()
@@ -355,7 +357,8 @@ def test_chunked_csv_bytes_match_rowwise_reference(tmp_path, rows):
     with np.errstate(divide="ignore"):
         db = power_db(power)
     args = (["l", "power_linear", "power_db"], [l, power, db], [cli._L, cli._LIN, cli._DB])
-    cli._write_csv(str(tmp_path / "chunked.csv"), *args)
+    with open(tmp_path / "chunked.csv", "wb") as fh:
+        cli._write_csv(fh, *args)
     rowwise_write_csv(str(tmp_path / "rowwise.csv"), *args)
     written = (tmp_path / "chunked.csv").read_bytes()
     assert written == (tmp_path / "rowwise.csv").read_bytes()
@@ -759,8 +762,43 @@ class TestErrorMapping:
         path = tmp_path / "scenario.yaml"
         path.write_text(config_text)
         rc = main([*args, "--config", str(path), "--out", str(tmp_path / "x.csv")])
-        assert rc == 2
+        assert rc == 2 and not (tmp_path / "x.csv").exists()
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("seed", [2 ** 128 - 1, 2 ** 128])
+    def test_seed_is_a_128_bit_key(self, config_file, tmp_path, capsys, seed):
+        # a seed of 2^128 or more would alias seed mod 2^128 in the Monte-Carlo key
+        out = tmp_path / "s.csv"
+        rc = main(["simulate", "--config", config_file, "--direction", "s2i", "--symbols", "10",
+                   "--seed", str(seed), "--out", str(out)])
+        if seed < 2 ** 128:
+            assert rc == 0 and out.exists()
+            return
+        assert rc == 2 and not out.exists()
+        assert capsys.readouterr().err == f"error: seed: {seed} is not below 2^128\n"
+
+    @pytest.mark.parametrize("cause", ["missing-directory", "directory"])
+    @pytest.mark.parametrize("args", [["table", "--direction", "s2i"], ["psd"],
+                                      ["simulate", "--direction", "s2i", "--symbols", "10"]],
+                             ids=["table", "psd", "simulate"])
+    def test_unwritable_out_exits_2(self, config_file, tmp_path, capsys, monkeypatch, args,
+                                    cause):
+        # reported as a usage error, and found before the Monte-Carlo run
+        if cause == "directory":
+            out, reason = tmp_path, os.strerror(errno.EISDIR)
+        else:
+            out, reason = tmp_path / "missing" / "x.csv", os.strerror(errno.ENOENT)
+        estimate, calls = mc._estimate, []
+
+        def spy(*args):
+            calls.append(args)
+            return estimate(*args)
+
+        monkeypatch.setattr(mc, "_estimate", spy)
+        rc = main([*args, "--config", config_file, "--out", str(out)])
+        assert rc == 2 and calls == []
+        assert capsys.readouterr() == ("", f"error: cannot write {out}: {reason}\n")
+        assert not (tmp_path / "missing").exists()
 
     @pytest.mark.parametrize("args", [["table", "--direction", "s2i", "--out", "x.csv"],
                                       ["verify"], ["psd", "--out", "x.csv"],
@@ -885,10 +923,12 @@ class TestParserBuiltOnce:
 
 
 class TestImportFootprint:
-    """verify, table and psd load neither numpy.random nor numpy.polynomial."""
+    """No command loads numpy.random or numpy.polynomial: the Monte-Carlo draws are montecarlo's
+    own Philox."""
     MODULES = ("numpy.random", "numpy.polynomial")
     LOADED = ("import json, sys\n{run}\n"
               "print(json.dumps([m for m in {modules!r} if m in sys.modules]))")
+    SIMULATE = ["simulate", "--symbols", "10", "--out", "s.csv", "--direction"]
 
     @pytest.fixture(scope="class")
     def checked(self, tmp_path_factory):
@@ -898,27 +938,39 @@ class TestImportFootprint:
         preloaded = json.loads(done.stdout)
         return [m for m in self.MODULES if m not in preloaded]
 
-    def loaded(self, args, config_file, cwd):
-        run = f"from coexsim.cli import main\nassert main({[*args, '--config', config_file]!r}) == 0"
+    def loaded(self, args, config_file, cwd, before=""):
+        run = (f"{before}\nfrom coexsim.cli import main\n"
+               f"assert main({[*args, '--config', config_file]!r}) == 0")
         done = run_fresh(self.LOADED.format(run=run, modules=self.MODULES), cwd)
         assert done.returncode == 0, done.stderr
         return json.loads(done.stdout.splitlines()[-1])
 
     @pytest.mark.parametrize("args", [["verify"],
                                       ["table", "--direction", "i2s", "--out", "t.csv"],
-                                      ["psd", "--out", "p.csv"]],
-                             ids=["verify", "table", "psd"])
+                                      ["psd", "--out", "p.csv"],
+                                      [*SIMULATE, "s2i"], [*SIMULATE, "i2s"], [*SIMULATE, "o2o"]],
+                             ids=["verify", "table", "psd", "simulate-s2i", "simulate-i2s",
+                                  "simulate-o2o"])
     def test_command_leaves_modules_unloaded(self, checked, config_file, tmp_path, args):
         if not checked:
             pytest.skip("a bare `import numpy` loads every module checked here")
-        assert [m for m in self.loaded(args, config_file, tmp_path) if m in checked] == []
+        if "i2s" in args and args[0] == "simulate":
+            config_file = tmp_path / "i2s.yaml"
+            config_file.write_text(I2S_CONFIG)
+        assert [m for m in self.loaded(args, str(config_file), tmp_path) if m in checked] == []
 
-    def test_simulate_loads_numpy_random(self, checked, config_file, tmp_path):
-        # the control: a Monte-Carlo run draws its symbols from numpy.random
+    def test_an_import_during_the_run_is_seen(self, checked, config_file, tmp_path):
+        # the control: a symbol draw that imports numpy.random shows in the same probe
         if "numpy.random" not in checked:
             pytest.skip("a bare `import numpy` loads numpy.random")
-        args = ["simulate", "--direction", "s2i", "--symbols", "10", "--out", "s.csv"]
-        assert "numpy.random" in self.loaded(args, config_file, tmp_path)
+        before = ("import coexsim.montecarlo as mc\n"
+                  "draw = mc._draw_pam\n"
+                  "def importing(*args):\n"
+                  "    import numpy.random\n"
+                  "    return draw(*args)\n"
+                  "mc._draw_pam = importing")
+        assert "numpy.random" in self.loaded([*self.SIMULATE, "s2i"], config_file, tmp_path,
+                                             before)
 
 
 def _either(valid, invalid):
@@ -963,7 +1015,8 @@ _SCENARIO = st.tuples(st.fixed_dictionaries({
                        st.one_of(st.sampled_from([0.5000001, -0.5, float("inf"), float("nan")]),
                                  _JUNK)),
     "seed": _either(st.integers(0, 2 ** 70),
-                    st.one_of(st.sampled_from([-1, 1.5, float("inf"), float("nan")]), _JUNK))}),
+                    st.one_of(st.sampled_from([-1, 1.5, float("inf"), float("nan"), 2 ** 128]),
+                              _JUNK))}),
     _either(st.just({}), st.just({"unknown_key": 1}))).map(lambda kv: {**kv[0], **kv[1]})
 _GRID = _either(
     st.tuples(st.integers(-40, 40), st.sampled_from([0.25, 0.5, 1.0, 3.0]), st.integers(0, 4)).map(

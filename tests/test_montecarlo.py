@@ -22,8 +22,7 @@ from coexsim.montecarlo import estimate_ofdm_to_ofdm, estimate_ofdm_to_oqam, est
 from coexsim.txrx import CoexConfig, lookup_direction
 from test_txrx import K3, floor_phase, superpose
 
-# spawn key (3, 0): a substream disjoint from the estimators' tags 0-2
-_TAG_FLOOR = 3
+_WORD = (1 << 64) - 1
 S2I, I2S = lookup_direction("s2i"), lookup_direction("i2s")
 
 
@@ -63,6 +62,12 @@ def window_class_estimates(config, n_symbols):
     return [mc.McEstimate(l_values, acc.mean(), acc.std_error(), acc.count) for acc in accs]
 
 
+def pam_words(rng, n):
+    """Words whose bits 0 .. n-1 are set where rng.choice([1.0, -1.0], size=n) is negative."""
+    bits = np.packbits(rng.choice([1.0, -1.0], size=n) < 0, bitorder="little")
+    return np.pad(bits, (0, -len(bits) % 8)).view("<u8")
+
+
 def self_reconstruction_floor(config, n_symbols):
     """Own-signal reconstruction error of an isolated OQAM link.
 
@@ -72,9 +77,11 @@ def self_reconstruction_floor(config, n_symbols):
     """
     active = sorted(config.secondary_set)
     K = phydyas_k4().overlap_K
-    rng = mc._rng(config.seed, _TAG_FLOOR, 0)
+    # numpy's generator, not the estimators' Philox: the frozen value below predates it
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(3, 0)))
     n_lo, n_hi = -2 * K, n_symbols + 2 * K
-    data = {m: mc._draw_pam(rng, n_hi - n_lo, config.var_pam) for m in active}
+    data = {m: mc._draw_pam(pam_words(rng, n_hi - n_lo), n_hi - n_lo, config.var_pam)
+            for m in active}
     sig = superpose(txrx.oqam_modulate, config, data, (n_lo, n_hi))
     vals = txrx._oqam_demod_slots(config, sig, (0, n_symbols), active)
     sent = np.array([data[m][-n_lo:-n_lo + n_symbols] for m in active]).T
@@ -488,15 +495,90 @@ class TestBurstPlan:
 
     @pytest.mark.parametrize("chunk", [1, 2, 4])
     def test_chunk_size_leaves_the_estimate_unchanged(self, monkeypatch, chunk):
-        # 5 o2o bursts, the last one short: chunks of 1, 2 and 4 end on every burst
-        cfg = s2i_config(delta_f=0.3)
-        whole = estimate_ofdm_to_ofdm(cfg, 4 * 32 + 5)
+        # 5 bursts in each direction, the last one short: chunks of 1, 2 and 4 end on every burst
+        runs = [((i2s_config if d.name == "i2s" else s2i_config)(delta_f=0.3), d.name,
+                 4 * d.burst + 5) for d in txrx.DIRECTIONS]
+        whole = [mc._estimate(*run) for run in runs]
         monkeypatch.setattr(mc, "_RNG_CHUNK", chunk)
-        assert same_estimate(whole, estimate_ofdm_to_ofdm(cfg, 4 * 32 + 5))
+        for run, estimate in zip(runs, whole):
+            assert same_estimate(estimate, mc._estimate(*run)), run[1]
 
     def test_ten_thousand_windows_take_one_chunk(self):
         for d in (S2I, I2S):
             assert mc._burst_count(s2i_config(), d, 10_000) <= mc._RNG_CHUNK
+
+
+def explicit_philox(key, counter):
+    """Philox4x64-10 of one counter on Python ints, as Random123 writes it."""
+    multipliers = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+    increments = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+    c, k = list(counter), [key & _WORD, key >> 64]
+    for _ in range(10):
+        p0, p1 = multipliers[0] * c[0], multipliers[1] * c[2]
+        c = [(p1 >> 64) ^ c[1] ^ k[0], p1 & _WORD, (p0 >> 64) ^ c[3] ^ k[1], p0 & _WORD]
+        k = [(k[0] + increments[0]) & _WORD, (k[1] + increments[1]) & _WORD]
+    return c
+
+
+class TestPhilox:
+    KEYS = [0, 1, (1 << 128) - 1]
+    # all-ones words carry through every 32-bit limb of the high-word products
+    COUNTERS = [(0, 0, 0, 0), (_WORD,) * 4, (_WORD, 0, _WORD, 0), (0, _WORD, 0, _WORD),
+                (3, 17, 2, 0), (_WORD, 5, 1, 0)]
+
+    @pytest.mark.parametrize("key", KEYS, ids=["0", "1", "2^128-1"])
+    def test_equals_numpy_philox(self, key):
+        # numpy increments its counter before it generates: counter c - 1 yields block c
+        got = mc._philox(key, np.array(self.COUNTERS, dtype=np.uint64).T)
+        for words, counter in zip(got, self.COUNTERS):
+            c = sum(w << 64 * i for i, w in enumerate(counter))
+            reference = np.random.Philox(key=key, counter=(c - 1) % (1 << 256)).random_raw(4)
+            assert words.tolist() == reference.tolist() == explicit_philox(key, counter)
+
+    def test_counter_shape_is_kept(self):
+        counter = np.arange(4 * 6, dtype=np.uint64).reshape(4, 2, 3)
+        got = mc._philox(7, counter)
+        assert got.shape == (2, 3, 4)
+        assert got[1, 2].tolist() == explicit_philox(7, counter[:, 1, 2].tolist())
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+    def test_signs_are_the_bits_of_the_words(self, n):
+        words = np.array([0x8000000000000001, 0x0123456789ABCDEF, _WORD, 0x5555000000000000],
+                         dtype=np.uint64)
+        bits = [int(words[i // 64]) >> (i % 64) & 1 for i in range(n)]
+        assert mc._draw_pam(words, n, 4.0).tolist() == [-2.0 if b else 2.0 for b in bits]
+        half = n // 2
+        qpsk = mc._draw_qpsk(words, half, 2.0)
+        signs = [-1.0 if b else 1.0 for b in bits[:2 * half]]
+        assert qpsk.tolist() == [complex(re, im) for re, im in zip(signs[:half], signs[half:])]
+
+    def test_signs_do_not_depend_on_the_byte_order(self):
+        words = np.array([0x0123456789ABCDEF], dtype=np.uint64)
+        assert np.array_equal(mc._draw_pam(words, 64, 1.0),
+                              mc._draw_pam(words.astype(">u8"), 64, 1.0))
+
+    def test_offsets_cover_the_range_in_order(self):
+        S = 576
+        edges = [mc._draw_offset(w, S) for w in (0, (1 << 64) // S - 1, -(-(1 << 64) // S),
+                                                   _WORD)]
+        assert edges == [0, 0, 1, S - 1]
+
+    @pytest.mark.parametrize("cp", [0, Fraction(1, 8), Fraction(7, 16)])
+    def test_o2o_rows_hold_the_signs_at_every_offset(self, cp):
+        cfg = s2i_config(M=16, cp_ratio=cp, incumbent_set=frozenset({0}))
+        d = lookup_direction("o2o")
+        rows = mc._burst_words(cfg, d, 3 * d.burst + 1, 0, 4)
+        assert rows.shape[0] == 4
+        spans = (mc._span(cfg, d, d.burst, off) for off in range(cfg.symbol_samples))
+        # the first word is the offset's, then two signs per QPSK symbol
+        assert 64 * (rows.shape[1] - 1) >= max(2 * (n_hi - n_lo) for n_lo, n_hi in spans)
+
+    def test_a_burst_s_words_do_not_depend_on_its_chunk(self):
+        cfg = s2i_config()
+        whole = mc._burst_words(cfg, S2I, 4 * 256 + 5, 0, 5)
+        for b in range(5):
+            alone = mc._burst_words(cfg, S2I, 4 * 256 + 5, b, b + 1)[0]
+            assert np.array_equal(whole[b, :len(alone)], alone)
 
 
 class TestValidation:
