@@ -29,7 +29,7 @@ import sys
 
 import numpy as np
 
-from coexsim.cli import _DB, _L, _LIN, _TEXT, _cells
+from coexsim.csvtext import DB, L, LIN, _TEXT, _cells
 
 _BLOCK = 10 ** 5
 _SEED = 20161
@@ -76,9 +76,9 @@ def _cases(rng):
     """(spec, blocks of values) for each renderer."""
     lin_ties = np.arange((1 << 18) + 1, 10 << 18, 2) / 2.0 ** 18
     db_ties = np.arange(1, 10 ** 4 << 7, 2) / 2.0 ** 7
-    return [(_LIN, itertools.chain(_random_blocks(rng, (-330, 333), False), _blocks(lin_ties))),
-            (_L, itertools.chain(_random_blocks(rng, (-17, 34), True), _blocks(_l_edges(rng)))),
-            (_DB, itertools.chain(_random_blocks(rng, (-30, 15), True),
+    return [(LIN, itertools.chain(_random_blocks(rng, (-330, 333), False), _blocks(lin_ties))),
+            (L, itertools.chain(_random_blocks(rng, (-17, 34), True), _blocks(_l_edges(rng)))),
+            (DB, itertools.chain(_random_blocks(rng, (-30, 15), True),
                                   _blocks(np.concatenate([db_ties, -db_ties]))))]
 
 

@@ -77,10 +77,10 @@ def check_frequency_response_vs_dft(filt: PrototypeFilter) -> CheckResult:
     n = 512  # pulse samples per symbol period
     taps = sample_taps(filt, n)
     t = (np.arange(len(taps)) - filt.overlap_K * n / 2) / n
-    worst = 0.0
-    for f in (0.0, 0.25, 0.5, 1.0, 2.0):
-        dft = np.sum(taps * np.exp(-2j * np.pi * f * t)) / n
-        worst = max(worst, abs(frequency_response(filt, f) - dft))
+    # multiples of 1/4, then frequencies where a time axis K periods off is no phase of 1
+    fs = [0.0, 0.25, 0.5, 1.0, 2.0, 0.1, 0.3, 0.7, 1.3, 2.6]
+    dft = np.array([np.sum(taps * np.exp(-2j * np.pi * f * t)) for f in fs]) / n
+    worst = float(np.max(np.abs(frequency_response(filt, fs) - dft)))
     return CheckResult("frequency-response-vs-dft", worst <= _DFT_TOL,
                        f"max |analytic - sampled transform| = {worst:.2e}")
 

@@ -176,7 +176,7 @@ def _triangular(rows: list[np.ndarray]) -> np.ndarray:
     for row in rows:
         row = np.array(row, dtype=float)
         for i in range(size):
-            if row[i] == 0:
+            if abs(row[i]) < _TINY:  # a subnormal has too few bits for an accurate rotation
                 continue
             h = hypot(r[i, i], row[i])
             c, s = r[i, i] / h, row[i] / h

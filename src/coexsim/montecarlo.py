@@ -34,11 +34,11 @@ reported standard errors treat them as independent.
 They are not: windows of one burst share its interferer symbols and, for
 o2o, its timing offset.  The ratio of a batch-means standard error over bursts
 (Flegal & Jones, Ann. Stat. 2010) to the reported one was measured on the
-reference scenario (10^4 windows, burst means weighted by burst size) at
-3.45-4.01 for o2o, where the shared offset dominates the variance, so its
-reported errors are about 4x too small; at 0.84-1.35 for s2i and 0.69-1.40
-for i2s (40 bursts each).  Reporting the batch-means value instead is an
-open ROADMAP item.
+acceptance scenarios (seeds 1-100, 10^4 windows, |l| <= 20, burst means
+weighted by burst size) at 3.11-4.05 for o2o (313 bursts), where the shared
+offset dominates the variance, so its reported errors are 3-4x too small;
+at 0.65-1.57 for s2i and 0.53-1.69 for i2s (40 bursts each).  Reporting the
+batch-means value instead is an open ROADMAP item.
 
 Buffers: each run owns one txrx workspace, which every burst's synthesis,
 frequency shift and receiver share in all three directions, and which holds

@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 from coexsim import checks, closedform
 from coexsim.checks import (
     _parseval_estimates,
+    check_decay_envelope,
+    check_frequency_response_vs_dft,
     check_oracle_equivalence,
     check_parseval,
     check_reciprocity,
@@ -185,6 +187,33 @@ class TestSymmetryAndReciprocityStrictness:
         assert ls.shape == (200,)
         assert np.array_equal(ls[:21], np.arange(21))
         assert np.all((ls[21:] > -30.0) & (ls[21:] < 30.0)) and np.unique(ls[21:]).size == 179
+
+
+class TestFrequencyResponseStrictness:
+    def test_time_axis_off_by_k_periods_fails(self, monkeypatch):
+        # K n leading zeros put every tap K periods late on the check's time axis: a phase of
+        # exactly 1 at the multiples of 1/K, so only the off-lattice frequencies see it
+        taps = checks.sample_taps
+        monkeypatch.setattr(checks, "sample_taps", lambda filt, n: np.concatenate(
+            [np.zeros(filt.overlap_K * n), taps(filt, n)]))
+        result = check_frequency_response_vs_dft(FILT)
+        assert not result.passed, result.detail
+
+
+class TestDecayEnvelopeStrictness:
+    CP = Fraction(1, 8)
+
+    @pytest.mark.parametrize("name", ["_oqam_to_ofdm_grid", "_ofdm_to_oqam_grid"])
+    @pytest.mark.parametrize("step_db, passed", [(1.5, False), (0.5, True)])
+    def test_largest_step_against_the_bound(self, monkeypatch, name, step_db, passed):
+        # a grid falling 1 dB per integer l but for one rise of step_db from l = 9 to 10: the
+        # 1 dB bound is pinned from both sides (the other grid's steps are all negative)
+        def grid(ls, *args):
+            return 10 ** ((-ls + (ls >= 10) * (step_db + 1)) / 10)
+        monkeypatch.setattr(checks, name, grid)
+        result = check_decay_envelope(FILT, self.CP)
+        assert result.passed is passed, result.detail
+        assert f"{step_db:+.3f}" in result.detail
 
 
 @settings(max_examples=15, deadline=None, database=None)

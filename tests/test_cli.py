@@ -21,6 +21,7 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 import coexsim.cli as cli
+import coexsim.csvtext as csvtext
 import coexsim.montecarlo as mc
 import coexsim.txrx as txrx
 from coexsim.checks import run_all_checks
@@ -256,6 +257,29 @@ class TestConfigLoading:
         assert private == []
 
 
+class TestWriterSpan:
+    """cli calls the writer through its own global _write_csv, which a benchmark wraps."""
+
+    def test_cli_writer_is_the_csvtext_writer(self):
+        assert cli._write_csv is csvtext.write_csv
+
+    @pytest.mark.parametrize("args", [
+        ["table", "--direction", "s2i", "--lmin", "0", "--lmax", "2"],
+        ["psd", "--lmin", "0", "--lmax", "2"],
+        ["simulate", "--direction", "s2i", "--symbols", "10"]], ids=["table", "psd", "simulate"])
+    def test_each_command_writes_through_it_once(self, config_file, tmp_path, monkeypatch, args):
+        calls = []
+
+        def spy(*a, **kw):
+            calls.append(a[1])
+            return csvtext.write_csv(*a, **kw)
+        monkeypatch.setattr(cli, "_write_csv", spy)
+        out = tmp_path / "out.csv"
+        assert main([*args, "--config", config_file, "--out", str(out)]) == 0
+        assert len(calls) == 1
+        assert out.read_text().splitlines()[0] == ",".join(calls[0])
+
+
 class TestTableCommand:
     def test_grid_and_symmetry(self, config_file, tmp_path):
         out = tmp_path / "table.csv"
@@ -324,8 +348,8 @@ def test_csv_bytes_match_per_scalar_formatting(tmp_path):
         db = np.append(power_db(power[:5]), 10 * np.log10(0.0))
     path = tmp_path / "awkward.csv"
     with open(path, "wb") as fh:
-        cli._write_csv(fh, ["l", "power_linear", "power_db"], [l, power, db],
-                       [cli._L, cli._LIN, cli._DB])
+        csvtext.write_csv(fh, ["l", "power_linear", "power_db"], [l, power, db],
+                          [csvtext.L, csvtext.LIN, csvtext.DB])
     old = "".join(f"{a:.10g},{b:.17e},{c:.6f}\n" for a, b, c in zip(l, power, db))
     assert path.read_bytes() == ("l,power_linear,power_db\n" + old).encode()
     lines = path.read_text().splitlines()
@@ -346,8 +370,8 @@ def rowwise_write_csv(path, header, columns, formats):
 
 
 # one row, and a second chunk that ends one row short, full, and a one-row third chunk
-@pytest.mark.parametrize("rows", [1, 2 * cli._CSV_CHUNK - 1, 2 * cli._CSV_CHUNK,
-                                  2 * cli._CSV_CHUNK + 1])
+@pytest.mark.parametrize("rows", [1, 2 * csvtext._CSV_CHUNK - 1, 2 * csvtext._CSV_CHUNK,
+                                  2 * csvtext._CSV_CHUNK + 1])
 def test_chunked_csv_bytes_match_rowwise_reference(tmp_path, rows):
     rng = np.random.default_rng(rows)
     l = -50 + 0.01 * np.arange(rows)
@@ -356,9 +380,10 @@ def test_chunked_csv_bytes_match_rowwise_reference(tmp_path, rows):
     power[-1] = -0.0
     with np.errstate(divide="ignore"):
         db = power_db(power)
-    args = (["l", "power_linear", "power_db"], [l, power, db], [cli._L, cli._LIN, cli._DB])
+    args = (["l", "power_linear", "power_db"], [l, power, db],
+            [csvtext.L, csvtext.LIN, csvtext.DB])
     with open(tmp_path / "chunked.csv", "wb") as fh:
-        cli._write_csv(fh, *args)
+        csvtext.write_csv(fh, *args)
     rowwise_write_csv(str(tmp_path / "rowwise.csv"), *args)
     written = (tmp_path / "chunked.csv").read_bytes()
     assert written == (tmp_path / "rowwise.csv").read_bytes()
@@ -366,7 +391,7 @@ def test_chunked_csv_bytes_match_rowwise_reference(tmp_path, rows):
 
 
 def percent_e17(values):
-    """The reference for cli._lin_text: Python's % with .17e, one value at a time."""
+    """The reference for csvtext._lin_text: Python's % with .17e, one value at a time."""
     return [("%.17e" % v).encode() for v in np.asarray(values, dtype=float).tolist()]
 
 
@@ -379,7 +404,7 @@ class TestRenderLin:
     def test_reference_tables(self, direction, cp):
         config = replace(load_config(str(self.REFERENCE)), cp_ratio=cp)
         values = build_table(direction, self.TABLE_L, config)
-        assert cli._cells(cli._lin_text(values)) == percent_e17(values)
+        assert csvtext._cells(csvtext._lin_text(values)) == percent_e17(values)
 
     def test_random_bit_patterns(self):
         rng = np.random.default_rng(31)
@@ -388,25 +413,25 @@ class TestRenderLin:
         exponent = rng.integers(1023 - 330, 1023 + 333, 50_000, dtype=np.uint64)
         in_range = (exponent << np.uint64(52)) | rng.integers(0, 2 ** 52, 50_000, dtype=np.uint64)
         values = np.concatenate([anything, in_range]).view(np.float64)
-        assert cli._cells(cli._lin_text(values)) == percent_e17(values)
+        assert csvtext._cells(csvtext._lin_text(values)) == percent_e17(values)
 
     def test_powers_of_ten_and_their_neighbours(self):
         # the largest double below each power of ten is the only value that could round up to
         # it, a carry into the exponent
         powers = np.array([float(f"1e{k}") for k in range(-99, 101)])
         values = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
-        assert cli._cells(cli._lin_text(values)) == percent_e17(values)
+        assert csvtext._cells(csvtext._lin_text(values)) == percent_e17(values)
 
     def test_exact_ties(self):
         # q / 2^18 in [1, 2) for odd q is exactly halfway between two 18-digit decimals
         values = np.arange((1 << 18) + 1, (1 << 18) + 20_000, 2) / 2.0 ** 18
         assert "%.17e" % values[0] == "1.00000381469726562e+00"  # 1.000003814697265625, to even
-        assert cli._cells(cli._lin_text(values)) == percent_e17(values)
+        assert csvtext._cells(csvtext._lin_text(values)) == percent_e17(values)
 
     def test_values_outside_the_rendered_range(self):
         values = np.array([0.0, -0.0, -1.0, -2.5e-7, 5e-324, 2.2e-309, np.inf, -np.inf, np.nan,
                            1e-100, 9.99e-100, 1e-99, 1e100, 1e300, 1.7976931348623157e308, 0.1])
-        rendered = cli._cells(cli._lin_text(values))
+        rendered = csvtext._cells(csvtext._lin_text(values))
         assert rendered == percent_e17(values)
         assert rendered[:3] == [b"0.00000000000000000e+00", b"-0.00000000000000000e+00",
                                 b"-1.00000000000000000e+00"]
@@ -416,15 +441,16 @@ class TestRenderLin:
     def test_reference_tables_never_fall_back(self, monkeypatch):
         # the fallback keeps the bytes either way: only this shows the fast path carries the
         # validate tables (s2i and i2s over l = -50 .. 50, step 0.01, at cp 1/8)
-        seen = []
+        seen, percent = [], csvtext._percent
 
-        def spy(values):
-            seen.extend(values.tolist())
-            return percent_e17(values)
-        monkeypatch.setattr(cli, "_percent_lin", spy)
+        def spy(values, spec):
+            if spec == csvtext.LIN:  # not the other columns' calls, as l = 0's in the tables
+                seen.extend(values.tolist())
+            return percent(values, spec)
+        monkeypatch.setattr(csvtext, "_percent", spy)
         # 0.5 is an exact 18-digit decimal: a scaled value on an integer goes to the fallback
         values = np.array([0.1, 0.0, 0.5, 0.3])
-        assert cli._cells(cli._lin_text(values)) == percent_e17(values)
+        assert csvtext._cells(csvtext._lin_text(values)) == percent_e17(values)
         assert seen == [0.0, 0.5]
         seen.clear()
         for direction in ("s2i", "i2s"):
@@ -442,8 +468,8 @@ class TestRenderFixedPoint:
     def percent(values, spec):
         return [(f"%{spec}" % v).encode() for v in np.asarray(values, dtype=float).tolist()]
 
-    @pytest.mark.parametrize("spec, exponents", [(cli._L, (-17, 34)), (cli._DB, (-30, 15))],
-                             ids=["l", "db"])
+    @pytest.mark.parametrize("spec, exponents",
+                             [(csvtext.L, (-17, 34)), (csvtext.DB, (-30, 15))], ids=["l", "db"])
     def test_random_values(self, spec, exponents):
         # any bit pattern, and both signs around the range each renderer computes
         rng = np.random.default_rng(47)
@@ -453,7 +479,7 @@ class TestRenderFixedPoint:
                                | rng.integers(0, 2 ** 52, 20_000, dtype=np.uint64)
                                | rng.integers(0, 2, 20_000, dtype=np.uint64) << np.uint64(63)])
         values = bits.view(np.float64)
-        assert cli._cells(cli._TEXT[spec](values)) == self.percent(values, spec)
+        assert csvtext._cells(csvtext._TEXT[spec](values)) == self.percent(values, spec)
 
     def test_exact_ties_round_to_even(self):
         # q / 2^(10-X), q odd, is halfway between two 10-digit decimals; q / 2^7 between
@@ -461,17 +487,17 @@ class TestRenderFixedPoint:
         ties = np.concatenate([np.arange(1025, 10240, 2) / 2.0 ** 10,
                                np.arange(1, 40_000, 2) / 2.0 ** 13])
         assert "%.10g" % ties[0] == "1.000976562"  # 1.0009765625, to even
-        assert cli._cells(cli._l_text(-ties)) == self.percent(-ties, cli._L)
+        assert csvtext._cells(csvtext._l_text(-ties)) == self.percent(-ties, csvtext.L)
         ties = np.arange(1, 1 << 16, 2) / 2.0 ** 7
         assert "%.6f" % ties[0] == "0.007812"  # 0.0078125, to even
-        assert cli._cells(cli._db_text(-ties)) == self.percent(-ties, cli._DB)
+        assert csvtext._cells(csvtext._db_text(-ties)) == self.percent(-ties, csvtext.DB)
 
     def test_edges(self):
         values = np.array([0.0, -0.0, 1e-4, -9.99999999995e-5, 9.999999999e-5, 123456.789012345678,
                            9999999999.4, 9999999999.5, 1e10, 0.1 * 3, 1e-300, 5e-324, 1.0, -7.5,
                            9999.9999994, 9999.9999995, 1e4, -1e-9, 1e300, np.inf, -np.inf, np.nan])
-        for spec in (cli._L, cli._DB):
-            assert cli._cells(cli._TEXT[spec](values)) == self.percent(values, spec)
+        for spec in (csvtext.L, csvtext.DB):
+            assert csvtext._cells(csvtext._TEXT[spec](values)) == self.percent(values, spec)
 
     def test_reference_tables_fall_back_only_at_zero(self, monkeypatch):
         # the validate tables' only cell that goes through % is l = 0 ("0"); l = -0.01 and
@@ -481,13 +507,13 @@ class TestRenderFixedPoint:
         def spy(values, spec):
             seen.extend((spec, v) for v in values.tolist())
             return self.percent(values, spec)
-        monkeypatch.setattr(cli, "_percent", spy)
+        monkeypatch.setattr(csvtext, "_percent", spy)
         for direction in ("s2i", "i2s"):
             rc = main(["table", "--config", str(TestRenderLin.REFERENCE), "--direction",
                        direction, "--lmin", "-50", "--lmax", "50", "--lstep", "0.01",
                        "--out", os.devnull])
             assert rc == 0
-        assert seen == [(cli._L, 0.0)] * 2
+        assert seen == [(csvtext.L, 0.0)] * 2
 
 
 class TestYamlLoader:

@@ -403,6 +403,15 @@ class TestProperties:
         assert np.max(gaps(s2i, _ofdm_to_oqam_grid(ls, filt, Fraction(0), 2.0))) <= 1e-12
 
 
+    def test_subnormal_coefficient(self):
+        # a subnormal entry has too few bits to pivot a rotation on: symmetry and reciprocity
+        # were off by 1e-11 with it
+        filt = PrototypeFilter(3, (1.0, 1.0, 2.2250738585e-313))
+        ls = np.array([0.0, 1.0, 2.5])
+        s2i = _oqam_to_ofdm_grid(ls, filt, 1.0)
+        assert np.max(gaps(s2i, _oqam_to_ofdm_grid(-ls, filt, 1.0))) <= 1e-12
+        assert np.max(gaps(s2i, _ofdm_to_oqam_grid(ls, filt, Fraction(0), 2.0))) <= 1e-12
+
 class TestStructure:
     def test_monotone_decay_envelope(self, filt):
         ls = np.arange(1.0, 21.0)
