@@ -1,10 +1,10 @@
 """Monte-Carlo estimation of post-demodulation cross-interference powers.
 
-Estimators synthesize random bursts with full guard context (every measured
-victim window or slot has its complete filter/window support inside the
-synthesized signal), demodulate every victim subcarrier, and average the
-squared interference samples.  Reported spectral distances follow the
-victim's frequency reference:
+Estimators measure the interference after demodulation, through the real
+modems: every measured victim window or slot meets every interferer symbol
+that reaches it (full guard context), every victim subcarrier is
+demodulated, and the squared interference samples are averaged.  Reported
+spectral distances follow the victim's frequency reference:
 
     oqam -> ofdm (s2i):  l = m_s + delta_f - m_i
     ofdm -> oqam (i2s):  l = m_i - delta_f - m_s
@@ -14,10 +14,36 @@ The i2s estimator reports interference per victim complex symbol period
 (twice the per-slot mean over the two staggered real slots), matching the
 closed-form convention.
 
-Bursts: one loop serves all three rows of txrx.DIRECTIONS.  s2i and i2s
-synthesize one burst per 256 victim windows (slots), o2o one per 32 windows,
-where a fresh timing offset is drawn per burst.  A burst synthesizes exactly the
-interferer symbols whose samples (txrx._extent) meet the samples its receiver reads.
+Bursts: one loop serves all three rows of txrx.DIRECTIONS: 256 victim
+windows (slots) per burst for s2i and i2s, 32 for o2o, which draws a fresh
+timing offset per burst.  A burst draws exactly the interferer symbols whose
+samples (txrx._extent) meet the samples its receiver reads (_span).  The
+modems, the delay and the frequency shift are linear, so a burst is a
+superposition: _responses runs unit symbols through the real chain
+(modulator, delay, frequency shift, receiver) and tabulates each window's
+victim values before detection, one per symbol the window meets, and a
+burst's values are its symbols, gathered per window, times that table, one
+small matrix product per window (real for PAM symbols, which multiply the
+table's real and imaginary parts), then |.|^2 (a CP-OFDM victim) or Re(.)^2
+(an OQAM victim).  A window meets at most width symbols (10 for s2i, 4-5 for
+i2s at the reference scenario, 1-2 for o2o), and comb r sends unit symbols
+at n = r mod width, so each window meets one of them at most and width
+receiver runs fill the table.  Comb r + moved is comb r delayed by one
+pattern of the interferer (txrx._pattern: 4 OQAM slots of M/2 samples, one
+CP-OFDM symbol), so the combs take gcd(moved, width) modulations: 2 for s2i,
+1 for i2s and o2o.  The geometry repeats after a period, the lcm of the two
+waveforms' patterns, so the table spans min(period, burst) windows: 16 s2i
+windows and 36 i2s slots at cp 1/8, one o2o window.  One period later a
+window meets the symbols one period later, and its value turns by exp(2 pi j
+shift period / M) (_turn): |.|^2 drops the turn, and i2s turns its symbols
+before the product.  Every s2i and i2s burst has one geometry (victim
+windows from 0), so their table is built once per run; o2o builds one per
+burst offset.  The product's inner dimension is width, so its bytes, like
+the OQAM synthesis's, do not depend on the BLAS thread count.  The table
+costs width receiver runs of min(period, burst) windows, where the full
+chain ran one per burst: where the period exceeds a burst (cp 511/512) a run
+of fewer than width bursts reads more windows through the receiver than the
+bursts hold (2,560 for a 2,000-window s2i run).
 
 Determinism: every draw comes from Philox4x64-10 (Salmon et al., "Parallel
 random numbers: as easy as 1, 2, 3", SC'11), a counter-based generator
@@ -40,17 +66,22 @@ offset dominates the variance, so its reported errors are 3-4x too small;
 at 0.65-1.57 for s2i and 0.53-1.69 for i2s (40 bursts each).  Reporting the
 batch-means value instead is an open ROADMAP item.
 
-Buffers: each run owns one txrx workspace, which every burst's synthesis,
-frequency shift and receiver share in all three directions, and which holds
-every array as long as a burst's signal.  A signal built in the workspace
-aliases it, so each burst consumes its signal before the next burst writes
-to the workspace.  Allocated per burst, such arrays made the run time depend
-on whether glibc had kept their pages or given them back to the system.
+Buffers: each run owns one txrx workspace, which the combs' synthesis,
+frequency shift and receivers share, and which holds each burst's product.
+A signal built in the workspace aliases it: a comb's signal stays in the
+modulator's (or the shift's) buffer while the receiver reads its delayed
+copies, _RESPONSE_BLOCK windows at a time, and the next class of combs
+overwrites it.  The table is the run's (s2i, i2s) or the burst's (o2o).
+An s2i or i2s burst runs no modem: it allocates its symbols, their gather
+and its detected rows, none of them as large as a burst's signal.
+Allocated per burst, burst-sized arrays made the run time depend on whether
+glibc had kept their pages or given them back to the system.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
 
 import numpy as np
 
@@ -64,6 +95,7 @@ from .txrx import (
     oqam_modulate,
     shift_samples,
     _extent,
+    _pattern,
     _ofdm_demod_window,
     _oqam_demod_slots,
     _Workspace,
@@ -77,6 +109,10 @@ _MAX_BURST_SAMPLES = 2 ** 23  # a burst's samples as _burst_count counts them: 1
 # about 0.25 ms whatever its size, and 10^6 o2o windows' 31,250 bursts at once would hold
 # about 1 MB of words before the first burst ran
 _RNG_CHUNK = 64
+# victim windows a response run reads at a time: 1 MiB of CP-OFDM spectra at M = 512.  Read
+# whole, a 256-window cp 511/512 s2i table kept 8.7 MiB of heap alive at once, and glibc gave
+# the heap's top back to the system after every run: 1,600 page faults and +3 ms per run
+_RESPONSE_BLOCK = 128
 
 # Philox4x64's multipliers and key increments (Random123; numpy.random.Philox's too)
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
@@ -179,16 +215,27 @@ def _burst_count(config: CoexConfig, d: Direction, n_total: int) -> int:
 
 
 class _MomentSums:
-    """Per-column running count, sum and sum of squares; mean and standard error from them."""
+    """Per-column running count, sum, and sums of the rows less the first row and of their
+    squares; mean and standard error from them.
+
+    The spread is summed about the first row, not about zero: about zero, a column of
+    equal values would report the rounding of its sum of squares, sqrt(eps) of the
+    mean, as its standard error.
+    """
 
     def __init__(self):
         self.count = 0
-        self.total = self.total_sq = 0.0  # the first add makes them arrays
+        self.total = self.shifted = self.shifted_sq = 0.0  # the first add makes them arrays
+        self.origin = None
 
     def add(self, rows: np.ndarray):
+        if self.origin is None:
+            self.origin = rows[0].copy()
+        deviations = rows - self.origin
         self.count += rows.shape[0]
         self.total += rows.sum(axis=0)
-        self.total_sq += (rows ** 2).sum(axis=0)
+        self.shifted += deviations.sum(axis=0)
+        self.shifted_sq += (deviations ** 2).sum(axis=0)
 
     def mean(self) -> np.ndarray:
         return self.total / self.count
@@ -196,7 +243,7 @@ class _MomentSums:
     def std_error(self) -> np.ndarray:
         if self.count < 2:
             return np.zeros_like(self.total)
-        var = (self.total_sq - self.total ** 2 / self.count) / (self.count - 1)
+        var = (self.shifted_sq - self.shifted ** 2 / self.count) / (self.count - 1)
         return np.sqrt(np.maximum(var, 0.0) / self.count)
 
 
@@ -234,16 +281,72 @@ def _burst_words(config: CoexConfig, d: Direction, n_symbols: int, first: int,
     return _philox(config.seed, counter).reshape(stop - first, -1)
 
 
+def _responses(config: CoexConfig, d: Direction, roles: tuple[int, np.ndarray, float],
+               windows: int, off: int, ws: _Workspace) -> tuple[np.ndarray, np.ndarray]:
+    """Unit responses of victim windows [0, windows) with the interferer delayed by off.
+
+    Returns (table, index), table complex (windows, width, victims): row r of window w holds
+    the window's victim values before detection (|.|^2 or Re(.)^2) for a unit symbol
+    index[w, r] symbols after the first one the windows meet.  width is the most symbols a
+    window meets, so comb r, unit symbols at n = r mod width and zeros elsewhere, reaches
+    each window with one of them at most: width receiver runs fill the table, and an entry
+    is exactly 0 where a window meets no symbol of its comb.  Comb r + moved, moved the
+    symbols in one pattern of the interferer (txrx._pattern), is comb r delayed by that
+    pattern, bit for bit, so one modulation and one frequency shift per class of r mod
+    gcd(moved, width) serve every comb of the class, the delayed combs' values turned by
+    _turn.  The receiver reads _RESPONSE_BLOCK windows at a time.
+    """
+    m, victims, shift = roles
+    first, last, step = _extent(config, d.interferer)
+    v_first, v_last, v_step = _extent(config, d.victim, received=True)
+    w = np.arange(windows)
+    lo, hi = _reach(first + off, last + off, w * v_step + v_first, w * v_step + v_last, step)
+    width, n_lo, n_hi = int(np.max(hi - lo)), int(lo[0]), int(hi[-1])  # _span's two ends
+    pattern = _pattern(config, d.interferer)
+    moved = pattern // step
+    classes = gcd(moved, width)
+    # delayed k patterns, the comb must still cover n_lo: it starts k moved symbols earlier
+    delays = width // classes
+    n_first = n_lo - moved * (delays - 1)
+    modulate = oqam_modulate if d.interferer == "oqam" else ofdm_modulate
+    demodulate = _oqam_demod_slots if d.victim == "oqam" else _ofdm_demod_window
+    table = np.empty((windows, width, len(victims)), complex)
+    for c in range(classes):
+        units = np.zeros(n_hi - n_first)
+        units[(c - n_first) % width::width] = 1.0
+        comb = shift_samples(modulate(config, m, units, (n_first, n_hi), workspace=ws), off)
+        if shift:
+            comb = apply_frequency_shift(config, comb, shift, workspace=ws)
+        for k in range(delays):
+            delayed, turn = shift_samples(comb, k * pattern), _turn(config, shift, k * pattern)
+            for w0 in range(0, windows, _RESPONSE_BLOCK):
+                w1 = min(w0 + _RESPONSE_BLOCK, windows)
+                np.multiply(demodulate(config, delayed, (w0, w1), victims, workspace=ws), turn,
+                            out=table[w0:w1, (c + k * moved) % width])
+    return table, (lo - n_lo)[:, None] + (np.arange(width) - lo[:, None]) % width
+
+
+def _turn(config: CoexConfig, shift: float, delay) -> np.ndarray:
+    """exp(2 pi j shift delay / M): a signal delayed by delay samples, then shifted, is the
+    shifted signal delayed and turned by this, as the shift's ramp runs in absolute time."""
+    return np.exp(2j * np.pi * shift * (np.asarray(delay) / config.M))
+
+
 def _bursts(config: CoexConfig, d: Direction, roles: tuple[int, np.ndarray, float],
             n_symbols: int, add) -> None:
-    """Pass add() each burst's |demodulated|^2 windows: (windows, victims) rows in window order.
+    """Pass add() each burst's detected windows: (windows, victims) rows in window order.
 
     roles is _roles(config, d).  A callback, not a generator: a consumer's loop variable kept
     each burst's rows alive through the next burst: 15x the page faults, +40% s2i run time.
     """
-    m, victims, shift = roles
+    _, victims, shift = roles
     ws = _Workspace()
     n_bursts = _burst_count(config, d, n_symbols)
+    period = lcm(_pattern(config, d.interferer), _pattern(config, d.victim))
+    windows = min(period // _extent(config, d.victim, received=True)[2], d.burst, n_symbols)
+    advance = period // _extent(config, d.interferer)[2]  # the interferer symbols in a period
+    if not d.offset:
+        table, index = _responses(config, d, roles, windows, 0, ws)
     for chunk in range(0, n_bursts, _RNG_CHUNK):
         stop = min(chunk + _RNG_CHUNK, n_bursts)
         for b, words in zip(range(chunk, stop), _burst_words(config, d, n_symbols, chunk, stop)):
@@ -251,20 +354,26 @@ def _bursts(config: CoexConfig, d: Direction, roles: tuple[int, np.ndarray, floa
             off = 0
             if d.offset:
                 off, words = _draw_offset(int(words[0]), config.symbol_samples), words[1:]
+                table, index = _responses(config, d, roles, windows, off, ws)
             n_lo, n_hi = _span(config, d, size, off)
             if d.interferer == "oqam":
-                sig = oqam_modulate(config, m, _draw_pam(words, n_hi - n_lo, config.var_pam),
-                                    (n_lo, n_hi), workspace=ws)
+                symbols = _draw_pam(words, n_hi - n_lo, config.var_pam)
             else:
-                sig = ofdm_modulate(config, m, _draw_qpsk(words, n_hi - n_lo, config.var_qam),
-                                    (n_lo, n_hi), workspace=ws)
-            sig = shift_samples(sig, off)
-            if shift:
-                sig = apply_frequency_shift(config, sig, shift, workspace=ws)
-            if d.victim == "oqam":
-                add(_oqam_demod_slots(config, sig, (0, size), victims, workspace=ws) ** 2)
-            else:
-                add(np.abs(_ofdm_demod_window(config, sig, (0, size), victims, workspace=ws)) ** 2)
+                symbols = _draw_qpsk(words, n_hi - n_lo, config.var_qam)
+            # window w + k windows, k periods on, meets window w's symbols k advance later.  An
+            # index past the burst's symbols has a table entry of 0 or is a window past size
+            periods = np.arange(-(-size // windows))
+            gathered = np.take(symbols, index[:, None] + advance * periods[:, None], mode="clip")
+            if d.victim == "oqam" and shift:
+                # |.|^2 drops a period's turn, Re(.) does not
+                gathered = gathered * _turn(config, shift, period * periods)[:, None]
+            values = ws.array("mc.values", (len(periods), windows, len(victims)))
+            if np.iscomplexobj(gathered):
+                np.matmul(gathered, table, out=values.transpose(1, 0, 2))
+            else:  # PAM: real symbols times the table's real and imaginary parts
+                np.matmul(gathered, table.view(float), out=values.view(float).transpose(1, 0, 2))
+            values = values.reshape(-1, len(victims))[:size]
+            add(values.real ** 2 if d.victim == "oqam" else np.abs(values) ** 2)
 
 
 def _estimate(config: CoexConfig, direction: str, n_symbols: int) -> McEstimate:

@@ -37,8 +37,10 @@ its FFT runs while the fold is still in cache.  Slot n's fold starts at
 sample p0 = (n - K) M/2, so its phase exp(-2 pi j k p0 / M) is exactly
 (-1)^(k (n + K)) for any K.  With the conjugate phase map it is a quarter
 turn, one of +-1 and +-j, that repeats every 4 slots: one 4-row table,
-taken from oqam_phase on the first 4 slots, rotates every block.  Both
-receivers return only the subcarriers they are asked for, in that order.
+taken from oqam_phase on the first 4 slots, rotates every block.  The
+OQAM receiver returns the rotated complex values, whose real parts are the
+symbols.  Both receivers return only the subcarriers they are asked for, in
+that order.
 
 OQAM phase map: slot n of subcarrier m carries oqam_phase(m, n) = (-1)^(m n)
 j^(m+n); the modulator applies it, the demodulator its conjugate.  Adjacent
@@ -294,6 +296,16 @@ def _extent(config: CoexConfig, waveform: str, received: bool = False) -> tuple[
     return 0 if received else -config.cp_samples, config.M - 1, config.symbol_samples
 
 
+def _pattern(config: CoexConfig, waveform: str) -> int:
+    """The samples after which waveform repeats: symbol (slot) n + pattern / step, sent or
+    received, is symbol n delayed by pattern samples.  Every CP-OFDM block is symbol 0's, so
+    one symbol; an OQAM slot's phase map (-1)^(m n) j^(m + n) repeats after 4 slots, and so
+    does the carrier, which each M/2-sample step turns by (-1)^m: 2M samples.
+    """
+    step = _extent(config, waveform)[2]
+    return 4 * step if waveform == "oqam" else step
+
+
 def _symbols(n_range) -> tuple[int, int]:
     """n_range as (n0, n1); a ValueError unless it is a tuple of integers n0 < n1, not an array."""
     if not (isinstance(n_range, tuple) and len(n_range) == 2
@@ -462,13 +474,15 @@ def oqam_modulate(config: CoexConfig, m: int, vec, n_range: tuple[int, int], *,
 
 def _oqam_demod_slots(config: CoexConfig, signal: DiscreteSignal, n_range: tuple[int, int],
                       subcarriers, *, workspace: _Workspace | None = None) -> np.ndarray:
-    """Real demodulated values of slots n_range[0] .. n_range[1]-1: (slots, len(subcarriers)).
+    """Rotated values of slots n_range[0] .. n_range[1]-1: (slots, len(subcarriers)), complex.
 
     Correlates against the pulse times the receive exponential, normalizes
-    by the measured tap energy, rotates by the conjugate modulation phase
-    and takes the real part.  A clean own-signal returns the symbol up to
-    the prototype's near-perfect-reconstruction floor.  The signal is read
-    in place; the folds and spectra go to the workspace, the result is new.
+    by the measured tap energy and rotates by the conjugate modulation
+    phase; the real part is the demodulated PAM symbol.  A clean own-signal
+    returns the symbol up to the prototype's near-perfect-reconstruction
+    floor.  The rotated value is linear over complex amplitudes, so a caller
+    can superpose it before taking the real part.  The signal is read in
+    place; the folds and spectra go to the workspace, the result is new.
     """
     n0, n1 = _symbols(n_range)
     M = config.M
@@ -497,7 +511,7 @@ def _oqam_demod_slots(config: CoexConfig, signal: DiscreteSignal, n_range: tuple
     folds = ws.array("oqam.fold", (block, 2, hop))
     products = ws.array("oqam.product", (block, hop))
     spectra = ws.array("oqam.spectrum", (block, M))
-    out = np.empty((nsym, len(m)))
+    out = np.empty((nsym, len(m)), complex)
     with np.errstate():  # restores the thread's buffer size on exit
         np.setbufsize(_UFUNC_BUFFER)
         for j in range(0, nsym, block):
@@ -511,7 +525,7 @@ def _oqam_demod_slots(config: CoexConfig, signal: DiscreteSignal, n_range: tuple
                 folded[:, b % 2] += np.multiply(x[j + b:j + b + size], pulse[b], out=product)
             folded[:, (nb - 1) % 2, 0] += tail[j:j + size] * pulse[nb - 1, 0]
             spec = np.fft.fft(folded.reshape(size, M), axis=1, out=spectra[:size])[:, k]
-            out[j:j + size] = np.real(spec * turn[:size])
+            np.multiply(spec, turn[:size], out=out[j:j + size])
     return out
 
 

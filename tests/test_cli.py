@@ -516,6 +516,64 @@ class TestRenderFixedPoint:
         assert seen == [(csvtext.L, 0.0)] * 2
 
 
+class TestPowersOfTenTakeTheFastPath:
+    """Powers of ten and their one-ulp neighbours render in numpy, never through _percent.
+
+    np.log10 may be one off next to a power of ten; csvtext._exponent fixes the exponent
+    from the scaled value's floor.  Without that fix such a row would go to the % fallback,
+    which keeps the bytes right, so only a spy on _percent shows it.
+    """
+
+    @staticmethod
+    def spied(monkeypatch):
+        seen, percent = [], csvtext._percent
+
+        def spy(values, spec):
+            seen.extend(values.tolist())
+            return percent(values, spec)
+        monkeypatch.setattr(csvtext, "_percent", spy)
+        return seen
+
+    @staticmethod
+    def exponent(x):
+        """floor(log10 x), exactly."""
+        q, e = Fraction(x), int(np.floor(np.log10(x)))
+        while Fraction(10) ** e > q:
+            e -= 1
+        while Fraction(10) ** (e + 1) <= q:
+            e += 1
+        return e
+
+    @staticmethod
+    def neighbourhood(ks):
+        powers = np.array([float(f"1e{k}") for k in ks])
+        return np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
+
+    @pytest.mark.parametrize("spec, ks, digits", [(csvtext.LIN, range(-98, 100), 17),
+                                                  (csvtext.L, range(-4, 10), 9),
+                                                  (csvtext.DB, range(-20, 4), None)],
+                             ids=["lin", "l", "db"])
+    def test_no_row_falls_back(self, monkeypatch, spec, ks, digits):
+        values = self.neighbourhood(ks)
+        if spec == csvtext.LIN:
+            # the documented fallback: a scaled value x 10^(17 - E) within _TIE_GAP of an
+            # integer or a half, every exact 18-digit decimal among them (1.0, 1e17 + 16)
+            def fraction(x):
+                scaled = Fraction(x) * Fraction(10) ** (17 - self.exponent(x))
+                return scaled - (scaled.numerator // scaled.denominator)
+            gap = 2 * csvtext._TIE_GAP
+            values = np.array([x for x in values.tolist()
+                               if gap < fraction(x) < 1 - gap and abs(fraction(x) - 0.5) > gap])
+            assert len(values) > 500
+        if digits is not None:  # the rows the exponent fix-up serves
+            off = [x for x in values.tolist() if np.floor(np.log10(x)) != self.exponent(x)]
+            assert len(off) >= len(ks) // 2
+        seen = self.spied(monkeypatch)
+        rendered = csvtext._cells(csvtext._TEXT[spec](values))
+        assert rendered == [(f"%{spec}" % v).encode() for v in values.tolist()]
+        assert seen == []
+
+
 class TestYamlLoader:
     CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))
 

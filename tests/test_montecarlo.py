@@ -83,7 +83,7 @@ def self_reconstruction_floor(config, n_symbols):
     data = {m: mc._draw_pam(pam_words(rng, n_hi - n_lo), n_hi - n_lo, config.var_pam)
             for m in active}
     sig = superpose(txrx.oqam_modulate, config, data, (n_lo, n_hi))
-    vals = txrx._oqam_demod_slots(config, sig, (0, n_symbols), active)
+    vals = txrx._oqam_demod_slots(config, sig, (0, n_symbols), active).real
     sent = np.array([data[m][-n_lo:-n_lo + n_symbols] for m in active]).T
     return float(np.sum((vals - sent) ** 2) / (n_symbols * len(active)) / config.var_pam)
 
@@ -203,6 +203,31 @@ class TestStatistics:
             assert a[l] == pytest.approx(b[l], rel=1e-12)
 
 
+def exact_std_error(column):
+    """sqrt(sum((x - mean)^2) / (n - 1) / n) of the doubles column, summed exactly."""
+    q = [Fraction(x) for x in column.tolist()]
+    mean = sum(q) / len(q)
+    return float(np.sqrt(float(sum((x - mean) ** 2 for x in q) / (len(q) - 1) / len(q))))
+
+
+class TestMomentSums:
+    @pytest.mark.parametrize("case", ["ulps apart", "far from zero"])
+    def test_std_error_is_the_rows_own_spread(self, case):
+        # an o2o burst whose windows each meet one constant-modulus symbol has powers equal
+        # but for rounding (cp 7/16, 17 windows): unshifted, the sum of squares less its
+        # mean term cancelled to its own rounding, 0 or sqrt(eps) of the mean
+        x = 2.84124657475236383e-04
+        if case == "ulps apart":
+            ulps = np.array([0, 1, -1, 0, 2, 0, -1, 1, 0, 0, -2, 1, 0, 0, 1, -1, 0])
+            rows = (x + ulps * np.spacing(x))[:, None]
+        else:
+            rows = 1e3 + 1e-3 * np.sin(np.arange(40.0))[:, None]
+        acc = mc._MomentSums()
+        acc.add(rows[:9])
+        acc.add(rows[9:])
+        assert acc.std_error()[0] == pytest.approx(exact_std_error(rows[:, 0]), rel=1e-9, abs=0)
+
+
 class TestWindowClasses:
     def test_classes_partition_trials(self):
         cfg = s2i_config()
@@ -257,9 +282,16 @@ class TestWorkspace:
                                        s2i_config(delta_f=delta_f))
 
     @staticmethod
-    def burst_allocations(cfg, d):
-        """Peak bytes allocated by each of 3 bursts, over what the previous one left behind."""
-        rises = []
+    def burst_allocations(monkeypatch, cfg, d):
+        """Peak bytes allocated by each of 3 bursts, over what the previous one left behind,
+        and the response tables the run built."""
+        rises, tables = [], []
+        responses = mc._responses
+
+        def built(*args):
+            table, index = responses(*args)
+            tables.append(table)
+            return table, index
 
         def add(rows):
             current, peak = tracemalloc.get_traced_memory()
@@ -267,16 +299,18 @@ class TestWorkspace:
             tracemalloc.reset_peak()
             start[0] = current
 
+        monkeypatch.setattr(mc, "_responses", built)
         tracemalloc.start()
         try:
             start = [tracemalloc.get_traced_memory()[0]]
             mc._bursts(cfg, d, mc._roles(cfg, d), 3 * d.burst, add)
         finally:
             tracemalloc.stop()
-        return rises
+        return rises, tables
 
-    def test_later_s2i_bursts_allocate_no_burst_sized_array(self):
-        """OQAM synthesis and the CP-OFDM receiver write into the run's workspace.
+    def test_later_s2i_bursts_allocate_no_burst_sized_array(self, monkeypatch):
+        """The first burst builds the run's one response table; later bursts reuse it, and the
+        product writes into the run's workspace.
 
         A fresh burst-sized array per burst leaves its pages to the allocator, which
         may give them back to the system and fault them in again at every burst.
@@ -284,20 +318,19 @@ class TestWorkspace:
         cfg = s2i_config()
         n_lo, n_hi = mc._span(cfg, S2I, S2I.burst, 0)
         signal_bytes = (n_hi - n_lo) * cfg.M // 2 * 16
-        rises = self.burst_allocations(cfg, S2I)
-        assert rises[0] > signal_bytes  # the first burst sizes the workspace
+        rises, tables = self.burst_allocations(monkeypatch, cfg, S2I)
+        assert len(tables) == 1 and rises[0] > tables[0].nbytes  # built by the first burst
         assert max(rises[1:]) < signal_bytes / 4
 
-    def test_later_i2s_bursts_allocate_less_than_one_spectrum_block(self):
-        """The OQAM receiver's spectra and CP-OFDM synthesis write into the run's workspace.
+    def test_later_i2s_bursts_allocate_less_than_one_spectrum_block(self, monkeypatch):
+        """The first burst builds the run's one response table; later bursts run no receiver.
 
-        A later burst may allocate its small per-call arrays, but not one 64-slot block
+        A later burst may allocate its small per-burst arrays, but not one 64-slot block
         of receiver spectra (512 KiB at M = 512).
         """
         cfg = i2s_config()
-        n_lo, n_hi = mc._span(cfg, I2S, I2S.burst, 0)
-        rises = self.burst_allocations(cfg, I2S)
-        assert rises[0] > (n_hi - n_lo) * cfg.symbol_samples * 16  # it sizes the workspace
+        rises, tables = self.burst_allocations(monkeypatch, cfg, I2S)
+        assert len(tables) == 1 and rises[0] > tables[0].nbytes  # built by the first burst
         assert max(rises[1:]) < txrx._DEMOD_BLOCK * cfg.M * 16
 
     def test_shared_ofdm_modulate_equals_fresh(self):
@@ -503,9 +536,101 @@ class TestBurstPlan:
         for run, estimate in zip(runs, whole):
             assert same_estimate(estimate, mc._estimate(*run)), run[1]
 
+    @pytest.mark.parametrize("direction", ["s2i", "i2s", "o2o"])
+    def test_responses_are_built_once_per_run_or_per_offset(self, monkeypatch, direction):
+        # s2i and i2s bursts share one geometry, so one table serves the run; each o2o burst
+        # draws its own offset.  A table modulates one comb per class of r mod gcd(moved,
+        # width), moved the symbols in one interferer pattern: 4 OQAM slots against s2i's
+        # width of 10 make 2 classes; a CP-OFDM interferer moves one symbol, so 1 class
+        d = lookup_direction(direction)
+        cfg = (i2s_config if direction == "i2s" else s2i_config)(delta_f=0.3)
+        calls, widths, responses = [], [], mc._responses
+        modulate = mc.oqam_modulate if d.interferer == "oqam" else mc.ofdm_modulate
+
+        def built(*args):
+            table, index = responses(*args)
+            widths.append(index.shape[1])
+            return table, index
+
+        def counted(*args, **kwargs):
+            calls.append(args[2].copy())
+            return modulate(*args, **kwargs)
+
+        monkeypatch.setattr(mc, "_responses", built)
+        monkeypatch.setattr(mc, "oqam_modulate" if d.interferer == "oqam" else "ofdm_modulate",
+                            counted)
+        mc._estimate(cfg, direction, 4 * d.burst + 5)
+        assert len(widths) == (5 if d.offset else 1)
+        classes = 2 if direction == "s2i" else 1
+        assert len(calls) == classes * len(widths)
+        # a class's comb: unit symbols every width-th; a table's classes are residues c, c + 1
+        for c, (units, width) in enumerate(zip(calls, np.repeat(widths, classes))):
+            ones = np.flatnonzero(units)
+            assert np.all((units == 0) | (units == 1)) and np.all(np.diff(ones) == width)
+            assert ones[0] < width and len(ones) == -(-(len(units) - ones[0]) // width)
+            if c % classes:
+                assert (ones[0] - np.flatnonzero(calls[c - 1])[0]) % width == 1
+
     def test_ten_thousand_windows_take_one_chunk(self):
         for d in (S2I, I2S):
             assert mc._burst_count(s2i_config(), d, 10_000) <= mc._RNG_CHUNK
+
+
+def full_burst_rows(config, d, n_symbols):
+    """Test-only reference: each burst's detected rows from the whole chain, burst by burst.
+
+    Synthesizes every burst's Philox symbols with the public modulators, delays and shifts
+    the signal, and demodulates and detects every window of the burst.
+    """
+    m, victims, shift = mc._roles(config, d)
+    n_bursts = mc._burst_count(config, d, n_symbols)
+    out = []
+    for b, words in enumerate(mc._burst_words(config, d, n_symbols, 0, n_bursts)):
+        size = min(d.burst, n_symbols - b * d.burst)
+        off = 0
+        if d.offset:
+            off, words = mc._draw_offset(int(words[0]), config.symbol_samples), words[1:]
+        n_lo, n_hi = mc._span(config, d, size, off)
+        if d.interferer == "oqam":
+            symbols = mc._draw_pam(words, n_hi - n_lo, config.var_pam)
+            sig = txrx.oqam_modulate(config, m, symbols, (n_lo, n_hi))
+        else:
+            symbols = mc._draw_qpsk(words, n_hi - n_lo, config.var_qam)
+            sig = txrx.ofdm_modulate(config, m, symbols, (n_lo, n_hi))
+        sig = txrx.apply_frequency_shift(config, txrx.shift_samples(sig, off), shift)
+        if d.victim == "oqam":
+            out.append(txrx._oqam_demod_slots(config, sig, (0, size), victims).real ** 2)
+        else:
+            out.append(np.abs(txrx._ofdm_demod_window(config, sig, (0, size), victims)) ** 2)
+    return out
+
+
+class TestSuperposition:
+    """The bursts' rows, one product of their symbols with the unit responses, are the rows
+    of the whole link-level chain run on every burst.
+
+    2 * 256 + 17 windows end on a short burst; cp 511/512 has a period (lcm of 2M and
+    the CP-OFDM symbol) of 1,024 windows, longer than a burst.
+    """
+
+    N_SYMBOLS = 2 * 256 + 17
+
+    @pytest.mark.parametrize("filt", [phydyas_k4(), K3], ids=["K4", "K3"])
+    @pytest.mark.parametrize("delta_f", [0.0, 0.3])
+    @pytest.mark.parametrize("cp", [0, Fraction(1, 8), Fraction(7, 16), Fraction(511, 512)],
+                             ids=["cp0", "cp1_8", "cp7_16", "cp511_512"])
+    @pytest.mark.parametrize("direction", ["s2i", "i2s", "o2o"])
+    def test_rows_equal_the_full_burst_chain(self, direction, cp, delta_f, filt):
+        d = lookup_direction(direction)
+        cfg = (i2s_config if direction == "i2s" else s2i_config)(cp_ratio=cp, delta_f=delta_f,
+                                                                 filt=filt)
+        rows = []
+        mc._bursts(cfg, d, mc._roles(cfg, d), self.N_SYMBOLS, lambda r: rows.append(r.copy()))
+        reference = full_burst_rows(cfg, d, self.N_SYMBOLS)
+        assert [len(r) for r in rows] == [len(r) for r in reference]
+        rows, reference = np.concatenate(rows), np.concatenate(reference)
+        error = np.max(np.abs(rows - reference), axis=0)
+        assert np.all(error <= 1e-12 * np.max(reference, axis=0))
 
 
 def explicit_philox(key, counter):

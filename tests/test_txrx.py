@@ -73,21 +73,22 @@ def loop_oqam_modulate(config, data, n_range):
 def loop_oqam_demod(config, signal, n_range, subcarriers):
     """Test-only reference: slot-by-slot OQAM demodulation with exactly reduced carriers.
 
-    Correlates each slot's full tap window against taps * exp(-2 pi j ((m p) mod M) / M),
-    rotates by the conjugate phase map and takes the real part: (slots, len(subcarriers)).
+    Correlates each slot's full tap window against taps * exp(-2 pi j ((m p) mod M) / M)
+    and rotates by the conjugate phase map: (slots, len(subcarriers)) complex, whose real
+    part is the demodulated symbol.
     """
     n0, n1 = n_range
     M = config.M
     taps = sample_taps(phydyas_k4(), M)
     half = (len(taps) - 1) // 2
     subs = np.asarray(subcarriers)
-    out = np.zeros((n1 - n0, len(subs)))
+    out = np.zeros((n1 - n0, len(subs)), dtype=complex)
     for j, n in enumerate(range(n0, n1)):
         p = n * M // 2 - half + np.arange(len(taps))
         seg = signal.window(p[0], len(taps)) * taps
         carriers = np.exp(-2j * np.pi * ((subs[:, None] * p[None, :]) % M) / M)
         corr = np.sqrt(M) / np.dot(taps, taps) * (carriers @ seg)
-        out[j] = np.real(corr * np.conj(oqam_phase(subs, n)))
+        out[j] = corr * np.conj(oqam_phase(subs, n))
     return out
 
 
@@ -115,7 +116,7 @@ def padded_fold_oqam_demod(config, signal, n_range, subcarriers):
     turn *= np.sqrt(M) / float(np.dot(taps, taps))
     block = min(txrx._DEMOD_BLOCK, nsym)
     turn = turn[np.arange(block) % 4]
-    out = np.empty((nsym, len(m)))
+    out = np.empty((nsym, len(m)), dtype=complex)
     for j in range(0, nsym, block):
         size = min(block, nsym - j)
         folded = np.empty((size, 2, hop), dtype=complex)
@@ -124,7 +125,7 @@ def padded_fold_oqam_demod(config, signal, n_range, subcarriers):
         for b in range(2, nb):
             folded[:, b % 2] += x[j + b:j + b + size] * pulse[b]
         spec = np.fft.fft(folded.reshape(size, M), axis=1)[:, k]
-        out[j:j + size] = np.real(spec * turn[:size])
+        out[j:j + size] = spec * turn[:size]
     return out
 
 
@@ -267,7 +268,7 @@ class TestFilterRecord:
         subs = sorted(cfg.secondary_set)
         data = {m: rng.choice([1.0, -1.0], n1 - n0) for m in subs}
         sig = superpose(oqam_modulate, cfg, data, (n0, n1))
-        rec = _oqam_demod_slots(cfg, sig, (0, 40), subs)
+        rec = _oqam_demod_slots(cfg, sig, (0, 40), subs).real
         sent = np.array([data[m][-n0:40 - n0] for m in subs]).T
         assert np.max(np.abs(rec - sent)) <= 0.05
 
@@ -494,7 +495,7 @@ class TestOqam:
     def test_single_symbol_recovered(self):
         cfg = small_config()
         sig = oqam_modulate(cfg, 0, np.array([1.0]), (0, 1))
-        rec = _oqam_demod_slots(cfg, sig, (0, 1), [0])[0, 0]
+        rec = _oqam_demod_slots(cfg, sig, (0, 1), [0])[0, 0].real
         assert abs(rec - 1.0) < 1e-3
 
     def test_zero_signal_demodulates_to_zero(self):
@@ -511,7 +512,7 @@ class TestOqam:
                 for m in sorted(cfg.secondary_set)}
         sig = superpose(oqam_modulate, cfg, data, (n0, n1))
         subs = sorted(cfg.secondary_set)
-        rec = _oqam_demod_slots(cfg, sig, (0, 40), subs)
+        rec = _oqam_demod_slots(cfg, sig, (0, 40), subs).real
         sent = np.array([data[m][-n0:40 - n0] for m in subs]).T
         assert np.mean((rec - sent) ** 2) / cfg.var_pam < 1e-5
 
