@@ -21,24 +21,27 @@ samples (txrx._extent) meet the samples its receiver reads (_span).  The
 modems, the delay and the frequency shift are linear, so a burst is a
 superposition: _responses runs unit symbols through the real chain
 (modulator, delay, frequency shift, receiver) and tabulates each window's
-victim values before detection, one per symbol the window meets, and a
-burst's values are its symbols, gathered per window, times that table, one
-small matrix product per window (real for PAM symbols, which multiply the
-table's real and imaginary parts), then |.|^2 (a CP-OFDM victim) or Re(.)^2
-(an OQAM victim).  A window meets at most width symbols (10 for s2i, 4-5 for
-i2s at the reference scenario, 1-2 for o2o), and comb r sends unit symbols
-at n = r mod width, so each window meets one of them at most and width
-receiver runs fill the table.  Comb r + moved is comb r delayed by one
-pattern of the interferer (txrx._pattern: 4 OQAM slots of M/2 samples, one
-CP-OFDM symbol), so the combs take gcd(moved, width) modulations: 2 for s2i,
-1 for i2s and o2o.  The geometry repeats after a period, the lcm of the two
-waveforms' patterns, so the table spans min(period, burst) windows: 16 s2i
-windows and 36 i2s slots at cp 1/8, one o2o window.  One period later a
-window meets the symbols one period later, and its value turns by exp(2 pi j
-shift period / M) (_turn): |.|^2 drops the turn, and i2s turns its symbols
-before the product.  Every s2i and i2s burst has one geometry (victim
-windows from 0), so their table is built once per run; o2o builds one per
-burst offset.  The product's inner dimension is width, so its bytes, like
+victim values before detection, one per symbol the window meets, as real
+weights: a window's symbols as floats (one per PAM, two per QPSK symbol)
+times its weights are the floats detection squares, Re and Im of its values
+for a CP-OFDM victim, Re alone for an OQAM one.  A window meets at most
+width symbols (10 for s2i, 4-5 for i2s at the reference scenario, 1-2 for
+o2o), and comb r sends unit symbols at n = r mod width, so each window meets
+one of them at most and width receiver runs fill the table.  Comb r + moved
+is comb r delayed by one pattern of the interferer (txrx._pattern: 4 OQAM
+slots of M/2 samples, one CP-OFDM symbol), so the combs take gcd(moved,
+width) modulations: 2 for s2i, 1 for i2s and o2o.  The geometry repeats
+after a period, the lcm of the two waveforms' patterns, so the table spans
+min(period, burst) windows: 16 s2i windows and 36 i2s slots at cp 1/8, one
+o2o window.  One period later a window meets the symbols one period later,
+and its value turns by exp(2 pi j shift period / M) (_turn): |.|^2 drops the
+turn, and i2s turns its symbols, gathered complex, before it splits them.
+Every s2i and i2s burst has one geometry (victim windows from 0), so their
+table is built once per run and o2o's once per burst offset, and the gather
+plan, which symbol floats each window meets in each period, once per burst
+size and geometry.  A burst is then one gather, one real matmul, a square
+in place and, for a CP-OFDM victim, the sum of the Re and Im halves.  The
+product's inner dimension is the floats a window gathers, so its bytes, like
 the OQAM synthesis's, do not depend on the BLAS thread count.  The table
 costs width receiver runs of min(period, burst) windows, where the full
 chain ran one per burst: where the period exceeds a burst (cp 511/512) a run
@@ -67,21 +70,22 @@ at 0.65-1.57 for s2i and 0.53-1.69 for i2s (40 bursts each).  Reporting the
 batch-means value instead is an open ROADMAP item.
 
 Buffers: each run owns one txrx workspace, which the combs' synthesis,
-frequency shift and receivers share, and which holds each burst's product.
-A signal built in the workspace aliases it: a comb's signal stays in the
-modulator's (or the shift's) buffer while the receiver reads its delayed
-copies, _RESPONSE_BLOCK windows at a time, and the next class of combs
-overwrites it.  The table is the run's (s2i, i2s) or the burst's (o2o).
-An s2i or i2s burst runs no modem: it allocates its symbols, their gather
-and its detected rows, none of them as large as a burst's signal.
-Allocated per burst, burst-sized arrays made the run time depend on whether
-glibc had kept their pages or given them back to the system.
+frequency shift and receivers share, and which holds each burst's product,
+squared in place into its detected rows; _MomentSums.add overwrites those
+with their deviations.  A signal built in the workspace aliases it: a comb's
+signal stays in the modulator's (or the shift's) buffer while the receiver
+reads its delayed copies, _RESPONSE_BLOCK windows at a time, and the next
+class of combs overwrites it.  The table is the run's (s2i, i2s) or the
+burst's (o2o).  An s2i or i2s burst runs no modem: it allocates its symbols
+and their gather, neither as large as a burst's signal.  Allocated per
+burst, burst-sized arrays made the run time depend on whether glibc had kept
+their pages or given them back to the system.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import numpy as np
 
@@ -192,8 +196,10 @@ def _draw_pam(source: np.ndarray, n: int, variance: float) -> np.ndarray:
 
 def _draw_qpsk(source: np.ndarray, n: int, variance: float) -> np.ndarray:
     """i.i.d. QPSK at the requested variance (proper: E d^2 = 0), real signs first."""
-    signs = _draw_pam(source, 2 * n, 1.0)
-    return (signs[:n] + 1j * signs[n:]) * np.sqrt(variance / 2)
+    signs = _draw_pam(source, 2 * n, variance / 2)
+    symbols = np.empty(n, complex)
+    symbols.real, symbols.imag = signs[:n], signs[n:]
+    return symbols
 
 
 def _draw_offset(word: int, samples: int) -> int:
@@ -215,34 +221,35 @@ def _burst_count(config: CoexConfig, d: Direction, n_total: int) -> int:
 
 
 class _MomentSums:
-    """Per-column running count, sum, and sums of the rows less the first row and of their
+    """Per-column count and sums of the rows less the first row (the origin) and of their
     squares; mean and standard error from them.
 
-    The spread is summed about the first row, not about zero: about zero, a column of
-    equal values would report the rounding of its sum of squares, sqrt(eps) of the
-    mean, as its standard error.
+    Each add takes three passes over its rows: the deviations from the origin, written
+    over the rows, their column sums, and their column sums of squares (einsum).  The mean
+    is the origin plus the mean deviation.  The spread is summed about the origin, not
+    about zero: about zero, a column of equal values would report the rounding of its sum
+    of squares, sqrt(eps) of the mean, as its standard error.
     """
 
     def __init__(self):
         self.count = 0
-        self.total = self.shifted = self.shifted_sq = 0.0  # the first add makes them arrays
+        self.shifted = self.shifted_sq = 0.0  # the first add makes them arrays
         self.origin = None
 
     def add(self, rows: np.ndarray):
         if self.origin is None:
             self.origin = rows[0].copy()
-        deviations = rows - self.origin
+        deviations = np.subtract(rows, self.origin, out=rows)
         self.count += rows.shape[0]
-        self.total += rows.sum(axis=0)
-        self.shifted += deviations.sum(axis=0)
-        self.shifted_sq += (deviations ** 2).sum(axis=0)
+        self.shifted += np.einsum("ij->j", deviations)
+        self.shifted_sq += np.einsum("ij,ij->j", deviations, deviations)
 
     def mean(self) -> np.ndarray:
-        return self.total / self.count
+        return self.origin + self.shifted / self.count
 
     def std_error(self) -> np.ndarray:
         if self.count < 2:
-            return np.zeros_like(self.total)
+            return np.zeros_like(self.origin)
         var = (self.shifted_sq - self.shifted ** 2 / self.count) / (self.count - 1)
         return np.sqrt(np.maximum(var, 0.0) / self.count)
 
@@ -285,16 +292,18 @@ def _responses(config: CoexConfig, d: Direction, roles: tuple[int, np.ndarray, f
                windows: int, off: int, ws: _Workspace) -> tuple[np.ndarray, np.ndarray]:
     """Unit responses of victim windows [0, windows) with the interferer delayed by off.
 
-    Returns (table, index), table complex (windows, width, victims): row r of window w holds
-    the window's victim values before detection (|.|^2 or Re(.)^2) for a unit symbol
-    index[w, r] symbols after the first one the windows meet.  width is the most symbols a
-    window meets, so comb r, unit symbols at n = r mod width and zeros elsewhere, reaches
-    each window with one of them at most: width receiver runs fill the table, and an entry
-    is exactly 0 where a window meets no symbol of its comb.  Comb r + moved, moved the
-    symbols in one pattern of the interferer (txrx._pattern), is comb r delayed by that
-    pattern, bit for bit, so one modulation and one frequency shift per class of r mod
-    gcd(moved, width) serve every comb of the class, the delayed combs' values turned by
-    _turn.  The receiver reads _RESPONSE_BLOCK windows at a time.
+    Returns (table, index), table real (outs, windows, width ins, victims): T = X + jY in
+    slot r of window w is the window's victim values before detection for a unit symbol
+    index[w, r] symbols after the first one the windows meet.  A symbol d = a + jb is ins
+    floats, a alone for PAM, and dT is outs: Re(dT) = aX - bY for an OQAM victim, then
+    Im(dT) = aY + bX for a CP-OFDM one.  width is the most symbols a window meets, so comb
+    r, unit symbols at n = r mod width and zeros elsewhere, reaches each window with one
+    of them at most: width receiver runs fill the table, and an entry is exactly 0 where a
+    window meets no symbol of its comb.  Comb r + moved, moved the symbols in one pattern
+    of the interferer (txrx._pattern), is comb r delayed by that pattern, bit for bit, so
+    one modulation and one frequency shift per class of r mod gcd(moved, width) serve
+    every comb of the class, the delayed combs' values turned by _turn.  The receiver
+    reads _RESPONSE_BLOCK windows at a time, whose X and Y go straight to the table.
     """
     m, victims, shift = roles
     first, last, step = _extent(config, d.interferer)
@@ -310,7 +319,8 @@ def _responses(config: CoexConfig, d: Direction, roles: tuple[int, np.ndarray, f
     n_first = n_lo - moved * (delays - 1)
     modulate = oqam_modulate if d.interferer == "oqam" else ofdm_modulate
     demodulate = _oqam_demod_slots if d.victim == "oqam" else _ofdm_demod_window
-    table = np.empty((windows, width, len(victims)), complex)
+    ins, outs = 1 + (d.interferer == "ofdm"), 1 + (d.victim == "ofdm")
+    table = np.empty((outs, windows, width, ins, len(victims)))
     for c in range(classes):
         units = np.zeros(n_hi - n_first)
         units[(c - n_first) % width::width] = 1.0
@@ -318,12 +328,22 @@ def _responses(config: CoexConfig, d: Direction, roles: tuple[int, np.ndarray, f
         if shift:
             comb = apply_frequency_shift(config, comb, shift, workspace=ws)
         for k in range(delays):
-            delayed, turn = shift_samples(comb, k * pattern), _turn(config, shift, k * pattern)
+            delayed = shift_samples(comb, k * pattern)
             for w0 in range(0, windows, _RESPONSE_BLOCK):
                 w1 = min(w0 + _RESPONSE_BLOCK, windows)
-                np.multiply(demodulate(config, delayed, (w0, w1), victims, workspace=ws), turn,
-                            out=table[w0:w1, (c + k * moved) % width])
-    return table, (lo - n_lo)[:, None] + (np.arange(width) - lo[:, None]) % width
+                values = demodulate(config, delayed, (w0, w1), victims, workspace=ws)
+                if k and shift:  # the turn of no delay is 1
+                    values *= _turn(config, shift, k * pattern)
+                x, y = values.real, values.imag
+                slot = table[:, w0:w1, (c + k * moved) % width]
+                for o in range(outs):  # (Re, a): X, (Re, b): -Y, (Im, a): Y, (Im, b): X
+                    for i in range(ins):
+                        if i > o:
+                            np.negative(y, out=slot[o, :, i])
+                        else:
+                            slot[o, :, i] = x if o == i else y
+    index = (lo - n_lo)[:, None] + (np.arange(width) - lo[:, None]) % width
+    return table.reshape(outs, windows, width * ins, len(victims)), index
 
 
 def _turn(config: CoexConfig, shift: float, delay) -> np.ndarray:
@@ -332,12 +352,19 @@ def _turn(config: CoexConfig, shift: float, delay) -> np.ndarray:
     return np.exp(2j * np.pi * shift * (np.asarray(delay) / config.M))
 
 
+def _floats(ws: _Workspace, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """A float array of shape in the workspace's (complex) buffer name."""
+    size = prod(shape)
+    return ws.array(name, (-(-size // 2),)).view(float)[:size].reshape(shape)
+
+
 def _bursts(config: CoexConfig, d: Direction, roles: tuple[int, np.ndarray, float],
             n_symbols: int, add) -> None:
     """Pass add() each burst's detected windows: (windows, victims) rows in window order.
 
-    roles is _roles(config, d).  A callback, not a generator: a consumer's loop variable kept
-    each burst's rows alive through the next burst: 15x the page faults, +40% s2i run time.
+    roles is _roles(config, d).  The rows are the workspace's, which add() may overwrite and
+    the next burst does.  A callback, not a generator: a consumer's loop variable kept each
+    burst's rows alive through the next burst: 15x the page faults, +40% s2i run time.
     """
     _, victims, shift = roles
     ws = _Workspace()
@@ -345,8 +372,12 @@ def _bursts(config: CoexConfig, d: Direction, roles: tuple[int, np.ndarray, floa
     period = lcm(_pattern(config, d.interferer), _pattern(config, d.victim))
     windows = min(period // _extent(config, d.victim, received=True)[2], d.burst, n_symbols)
     advance = period // _extent(config, d.interferer)[2]  # the interferer symbols in a period
+    # |.|^2 drops a period's turn, Re(.) does not: i2s turns its symbols, gathered complex
+    turned = d.victim == "oqam" and shift
+    turns = _turn(config, shift, period * np.arange(-(-d.burst // windows)))[:, None]
     if not d.offset:
         table, index = _responses(config, d, roles, windows, 0, ws)
+    plans = {}  # gather indices per (burst size, symbol count, table index)
     for chunk in range(0, n_bursts, _RNG_CHUNK):
         stop = min(chunk + _RNG_CHUNK, n_bursts)
         for b, words in zip(range(chunk, stop), _burst_words(config, d, n_symbols, chunk, stop)):
@@ -356,24 +387,31 @@ def _bursts(config: CoexConfig, d: Direction, roles: tuple[int, np.ndarray, floa
                 off, words = _draw_offset(int(words[0]), config.symbol_samples), words[1:]
                 table, index = _responses(config, d, roles, windows, off, ws)
             n_lo, n_hi = _span(config, d, size, off)
+            n = n_hi - n_lo
+            plan = plans.get(key := (size, n, index.tobytes()))
+            if plan is None:
+                # window w + k windows, k periods on, meets window w's symbols k advance later.
+                # An index past the burst's symbols has a table entry of 0 or is a window past
+                # size.  Unturned QPSK symbols are gathered as (Re, Im) float pairs
+                periods = np.arange(-(-size // windows))[:, None]
+                plan = np.minimum(index[:, None] + advance * periods, n - 1)
+                if d.interferer == "ofdm" and not turned:
+                    plan = (2 * plan[..., None] + np.arange(2)).reshape(*plan.shape[:2], -1)
+                plans[key] = plan
             if d.interferer == "oqam":
-                symbols = _draw_pam(words, n_hi - n_lo, config.var_pam)
+                symbols = _draw_pam(words, n, config.var_pam)
             else:
-                symbols = _draw_qpsk(words, n_hi - n_lo, config.var_qam)
-            # window w + k windows, k periods on, meets window w's symbols k advance later.  An
-            # index past the burst's symbols has a table entry of 0 or is a window past size
-            periods = np.arange(-(-size // windows))
-            gathered = np.take(symbols, index[:, None] + advance * periods[:, None], mode="clip")
-            if d.victim == "oqam" and shift:
-                # |.|^2 drops a period's turn, Re(.) does not
-                gathered = gathered * _turn(config, shift, period * periods)[:, None]
-            values = ws.array("mc.values", (len(periods), windows, len(victims)))
-            if np.iscomplexobj(gathered):
-                np.matmul(gathered, table, out=values.transpose(1, 0, 2))
-            else:  # PAM: real symbols times the table's real and imaginary parts
-                np.matmul(gathered, table.view(float), out=values.view(float).transpose(1, 0, 2))
-            values = values.reshape(-1, len(victims))[:size]
-            add(values.real ** 2 if d.victim == "oqam" else np.abs(values) ** 2)
+                symbols = _draw_qpsk(words, n, config.var_qam)
+            if turned:
+                gathered = (np.take(symbols, plan) * turns[:plan.shape[1]]).view(float)
+            else:
+                gathered = np.take(symbols.view(float), plan)
+            power = _floats(ws, "mc.power", (len(table), plan.shape[1], windows, len(victims)))
+            np.matmul(gathered, table, out=power.transpose(0, 2, 1, 3))
+            np.square(power, out=power)
+            if d.victim == "ofdm":  # (Re y)^2 + (Im y)^2
+                np.add(power[0], power[1], out=power[0])
+            add(power[0].reshape(-1, len(victims))[:size])
 
 
 def _estimate(config: CoexConfig, direction: str, n_symbols: int) -> McEstimate:

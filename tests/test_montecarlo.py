@@ -203,6 +203,11 @@ class TestStatistics:
             assert a[l] == pytest.approx(b[l], rel=1e-12)
 
 
+def exact_mean(column):
+    """The mean of the doubles column, summed exactly and rounded once."""
+    return float(sum(Fraction(x) for x in column.tolist()) / len(column))
+
+
 def exact_std_error(column):
     """sqrt(sum((x - mean)^2) / (n - 1) / n) of the doubles column, summed exactly."""
     q = [Fraction(x) for x in column.tolist()]
@@ -211,21 +216,31 @@ def exact_std_error(column):
 
 
 class TestMomentSums:
-    @pytest.mark.parametrize("case", ["ulps apart", "far from zero"])
+    @pytest.mark.parametrize("case", ["ulps apart", "far from zero", "all zero", "single row"])
     def test_std_error_is_the_rows_own_spread(self, case):
         # an o2o burst whose windows each meet one constant-modulus symbol has powers equal
         # but for rounding (cp 7/16, 17 windows): unshifted, the sum of squares less its
-        # mean term cancelled to its own rounding, 0 or sqrt(eps) of the mean
+        # mean term cancelled to its own rounding, 0 or sqrt(eps) of the mean.  The mean,
+        # the origin plus the mean deviation, is the exact mean within rounding
         x = 2.84124657475236383e-04
         if case == "ulps apart":
             ulps = np.array([0, 1, -1, 0, 2, 0, -1, 1, 0, 0, -2, 1, 0, 0, 1, -1, 0])
             rows = (x + ulps * np.spacing(x))[:, None]
-        else:
+        elif case == "far from zero":
             rows = 1e3 + 1e-3 * np.sin(np.arange(40.0))[:, None]
+        elif case == "all zero":
+            rows = np.zeros((17, 1))
+        else:
+            rows = np.array([[x]])
+        mean = exact_mean(rows[:, 0])
+        error = exact_std_error(rows[:, 0]) if len(rows) > 1 else 0.0
         acc = mc._MomentSums()
-        acc.add(rows[:9])
-        acc.add(rows[9:])
-        assert acc.std_error()[0] == pytest.approx(exact_std_error(rows[:, 0]), rel=1e-9, abs=0)
+        for part in np.split(rows.copy(), [9] if len(rows) > 1 else []):  # add overwrites it
+            acc.add(part)
+        assert acc.count == len(rows)
+        # abs=0: an exact 0 (all zero, a single row) must come out exactly 0
+        assert acc.mean()[0] == pytest.approx(mean, rel=1e-15, abs=0)
+        assert acc.std_error()[0] == pytest.approx(error, rel=1e-9, abs=0)
 
 
 class TestWindowClasses:
@@ -544,12 +559,13 @@ class TestBurstPlan:
         # width of 10 make 2 classes; a CP-OFDM interferer moves one symbol, so 1 class
         d = lookup_direction(direction)
         cfg = (i2s_config if direction == "i2s" else s2i_config)(delta_f=0.3)
-        calls, widths, responses = [], [], mc._responses
+        calls, widths, offsets, responses = [], [], [], mc._responses
         modulate = mc.oqam_modulate if d.interferer == "oqam" else mc.ofdm_modulate
 
         def built(*args):
             table, index = responses(*args)
             widths.append(index.shape[1])
+            offsets.append(args[4])
             return table, index
 
         def counted(*args, **kwargs):
@@ -561,6 +577,11 @@ class TestBurstPlan:
                             counted)
         mc._estimate(cfg, direction, 4 * d.burst + 5)
         assert len(widths) == (5 if d.offset else 1)
+        # a table is as wide as the most symbols a window meets: an o2o window reads samples
+        # [0, M), and symbol n, delayed by off, covers n S + off + [-L, M)
+        M, L, S = cfg.M, cfg.cp_samples, cfg.symbol_samples
+        meets = [sum(-M < n * S + off < M + L for n in range(-2, 3)) for off in offsets]
+        assert widths == ({"s2i": [10], "i2s": [5]}[direction] if not d.offset else meets)
         classes = 2 if direction == "s2i" else 1
         assert len(calls) == classes * len(widths)
         # a class's comb: unit symbols every width-th; a table's classes are residues c, c + 1
@@ -698,6 +719,14 @@ class TestPhilox:
         # the first word is the offset's, then two signs per QPSK symbol
         assert 64 * (rows.shape[1] - 1) >= max(2 * (n_hi - n_lo) for n_lo, n_hi in spans)
 
+    @pytest.mark.parametrize("direction", ["s2i", "o2o"])
+    def test_block_j_of_burst_b_is_the_cipher_of_j_b_tag(self, direction):
+        d, cfg = lookup_direction(direction), s2i_config(seed=(1 << 100) + 7)
+        rows = mc._burst_words(cfg, d, 3 * d.burst, 1, 3)
+        for b, row in zip((1, 2), rows):
+            blocks = [explicit_philox(cfg.seed, (j, b, d.tag, 0)) for j in range(len(row) // 4)]
+            assert row.tolist() == sum(blocks, [])
+
     def test_a_burst_s_words_do_not_depend_on_its_chunk(self):
         cfg = s2i_config()
         whole = mc._burst_words(cfg, S2I, 4 * 256 + 5, 0, 5)
@@ -735,3 +764,15 @@ class TestValidation:
         for d in txrx.DIRECTIONS:
             with pytest.raises(txrx.ConfigError, match="a burst spans"):
                 mc._burst_count(cfg, d, 1)
+
+    @pytest.mark.parametrize("direction", ["s2i", "i2s", "o2o"])
+    def test_burst_cap_is_inclusive(self, monkeypatch, direction):
+        # a burst of exactly _MAX_BURST_SAMPLES samples runs; one sample more is refused
+        d, cfg = lookup_direction(direction), s2i_config()
+        first, last, step = txrx._extent(cfg, d.interferer)
+        span = d.burst * cfg.symbol_samples + 2 * (last - first + step)
+        monkeypatch.setattr(mc, "_MAX_BURST_SAMPLES", span)
+        assert mc._burst_count(cfg, d, 3 * d.burst) == 3
+        monkeypatch.setattr(mc, "_MAX_BURST_SAMPLES", span - 1)
+        with pytest.raises(txrx.ConfigError, match=rf"a burst spans {span} > {span - 1} samples"):
+            mc._burst_count(cfg, d, 3 * d.burst)
