@@ -7,8 +7,8 @@ Commands (exit codes: 0 success, 1 check failure, 2 usage/config error):
     coexsim verify   --config cfg.yaml
     coexsim psd      --config cfg.yaml --lmin -10 --lmax 10 --lstep 0.1 --out psd.csv
 
-The config file is YAML with exactly the scenario keys (unknown keys are
-rejected to catch typos in physics parameters):
+The config file is YAML with exactly the scenario keys (unknown and repeated
+keys are rejected to catch typos in physics parameters):
 
     M: 512
     cp_ratio: 1/8            # rational string or number
@@ -49,8 +49,23 @@ from .txrx import DIRECTIONS, CoexConfig, ConfigError, lookup_direction
 
 __all__ = ["main", "load_config", "ConfigError"]
 
+
+class _UniqueKeys:
+    """YAML loader mixin: a key repeated in one mapping is an error; YAML would keep the last."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if isinstance(key_node, yaml.ScalarNode) and key_node.tag != "tag:yaml.org,2002:merge":
+                if (key := self.construct_object(key_node)) in seen:
+                    raise yaml.constructor.ConstructorError(
+                        None, None, f"repeated key {key!r}", key_node.start_mark)
+                seen.add(key)
+        return super().construct_mapping(node, deep)
+
+
 # libyaml's safe loader where PyYAML was built with it: the same values, about 5x faster
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_YAML_LOADER = type("Loader", (_UniqueKeys, getattr(yaml, "CSafeLoader", yaml.SafeLoader)), {})
 _MAX_L_POINTS = 10 ** 6  # an i2s table this size: 0.9-1.4 s, 64 MiB peak RSS on a 2-vCPU Xeon
 
 

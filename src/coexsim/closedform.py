@@ -58,17 +58,20 @@ Direction conventions (time in symbol periods, l possibly fractional):
                  victim slots.  At cp_ratio = 0 this reduces exactly to the
                  s2i sum, so equal-energy systems interfere equally.
 
-The contributing shifts of each victim frame are enumerated here from exact
-rational bounds, independently of the quadrature oracle's geometry; a test
-checks that the two enumerations agree, and that _slot_offsets' formula
-gives the i2s offset cycle the oracle finds by walking its own shifts.
+The contributing shifts are one integer lattice per direction, enumerated
+independently of the quadrature oracle's walk.  Victim slot n of an i2s cycle
+sees the CP-OFDM symbol lattice (1 + cp)Z shifted by cp + n/2.  1/2 and 1 + cp
+generate gZ, g = 1/lcm(2, q) at cp = p/q, which holds cp = (1 + cp) - 2/2, so
+the lattices of the N = (1 + cp)/g slots of one cycle are together gZ, each
+shift once.  In units of g (1/2 for s2i) every overlap's ends are integers.  A
+test checks the shifts and N against the cycle the oracle walks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, floor, gcd, hypot, lcm, sqrt
+from math import hypot, lcm, sqrt
 
 import numpy as np
 
@@ -91,76 +94,55 @@ def power_db(power) -> np.ndarray | float:
     return 10 * np.log10(np.maximum(power, DB_FLOOR))
 
 
-def _lattice_taus(filt: PrototypeFilter, spacing: Fraction, offset: Fraction,
-                  width: Fraction) -> tuple[Fraction, ...]:
-    """Ascending tau in spacing*Z + offset whose support meets [0, width] in nonzero measure."""
-    hw = Fraction(filt.overlap_K, 2)
-    n_lo = floor((-hw - offset) / spacing) + 1
-    n_hi = ceil((width + hw - offset) / spacing) - 1
-    return tuple(offset + n * spacing for n in range(n_lo, n_hi + 1))
+def _lattice(filt: PrototypeFilter, cp: Fraction | None) -> tuple[int, int, int, np.ndarray]:
+    """Victim count N, units per symbol period D, window W and the shifts tau, W and tau in 1/D.
 
-
-def _slot_offsets(cp: Fraction) -> list[Fraction]:
-    """Interferer-lattice offsets (cp + n/2) mod (1+cp) of victim slots n over one cycle.
-
-    At cp = p/q the offsets repeat after 2(p+q)/gcd(2, q) slots, at most MAX_OFFSET_CYCLE.
+    cp None: s2i, the window [0, 1] against the half-period lattice, D = 2.  A Fraction p/q:
+    i2s, the window [0, 1 + cp] for one offset cycle, D = 1/g = lcm(2, q) and N = W.  tau
+    ascends over the integers whose support (tau - KD/2, tau + KD/2) meets (0, W).
     """
-    cycle = 2 * (cp.numerator + cp.denominator) // gcd(2, cp.denominator)
-    if cycle > MAX_OFFSET_CYCLE:  # refused before any offset is built
-        raise ConfigError(f"cp_ratio = {cp}: i2s offset cycle of {cycle} slots, "
+    unit = lcm(2, 1 if cp is None else cp.denominator)
+    window = unit if cp is None else unit + cp.numerator * unit // cp.denominator
+    victims = 1 if cp is None else window
+    if victims > MAX_OFFSET_CYCLE:  # refused before any shift is built
+        raise ConfigError(f"cp_ratio = {cp}: i2s offset cycle of {victims} slots, "
                           f"over {MAX_OFFSET_CYCLE}")
-    return [(cp + Fraction(n, 2)) % (1 + cp) for n in range(cycle)]
+    half = filt.overlap_K * unit // 2
+    return victims, unit, window, np.arange(1 - half, window + half)
 
 
 @lru_cache(maxsize=64)
 def _forms(filt: PrototypeFilter, cp: Fraction | None) -> tuple[int, Fraction, tuple]:
-    """Victim count, then _shift_forms of every shift that the victims see.
+    """Victim count, base length delta and (j, rows) pairs of _power_sum, ascending in j.
 
-    cp None: s2i, the window [0, 1] on the half-period lattice.  A Fraction: i2s, the window
-    [0, 1 + cp] on the CP-OFDM symbol lattice at each slot offset of the cycle, in turn.
-    Shared by every call with the same (filter, cp), so each form is read-only.
+    The shifts are _lattice's.  Shift tau overlaps [0, W] on [a, b], and every length b - a is
+    j delta, delta the gcd of the lengths.  The shift's form is Re(c^H c) = Re(c)^T Re(c) +
+    Im(c)^T Im(c), with c_k = (G_|k|/K) exp(j pi k (a + b - 2 tau)/K), times (b - a)^2 =
+    j^2 delta^2, of which j^2 goes into the sincs.  A shift mirrored about the window's center
+    has the same length and Re c and the opposite Im c, so the shifts are counted per exact
+    (length, |a + b - 2 tau|), in that order, and their rows weighted by the root of the count.
+    The rows of one length are kept as an upper-triangular factor R (_triangular): R^T R is
+    the same form, in at most 2K - 1 rows, row i zero left of column i.  Shared by every call
+    with the same (filter, cp), so each form is read-only.
     """
-    width = Fraction(1) if cp is None else 1 + cp
-    lattices = ([(Fraction(1, 2), Fraction(0))] if cp is None
-                else [(width, offset) for offset in _slot_offsets(cp)])
-    taus = (tau for spacing, offset in lattices
-            for tau in _lattice_taus(filt, spacing, offset, width))
-    return len(lattices), *_shift_forms(filt, taus, width)
-
-
-def _shift_forms(filt: PrototypeFilter, taus, width: Fraction) -> tuple[Fraction, tuple]:
-    """Base length delta and (j, rows) pairs of _power_sum for the shifts taus, ascending in j.
-
-    Shift tau overlaps [0, width] on [a, b], and every length b - a is j delta, delta the
-    gcd of the exact lengths.  The shift's form is Re(c^H c) = Re(c)^T Re(c) + Im(c)^T Im(c),
-    with c_k = (G_|k|/K) exp(j pi k (a + b - 2 tau)/K), times (b - a)^2 = j^2 delta^2, of
-    which j^2 goes into the sincs.  A shift mirrored about the window's center has the same
-    length and Re c and the opposite Im c, so the shifts are counted per
-    (length, |a + b - 2 tau|) and their rows weighted by the root of the count.  The rows of
-    one length are kept as an upper-triangular factor R (_triangular): R^T R is the same
-    form, in at most 2K - 1 rows, row i zero left of column i.
-    """
+    victims, unit, window, taus = _lattice(filt, cp)
     K = filt.overlap_K
-    hw = Fraction(K, 2)
-    counts: dict[tuple[Fraction, Fraction], int] = {}
-    for tau in taus:
-        a, b = max(Fraction(0), tau - hw), min(width, tau + hw)
-        key = b - a, abs(a + b - 2 * tau)
-        counts[key] = counts.get(key, 0) + 1
-    scale = lcm(*(length.denominator for length, _ in counts))
-    delta = Fraction(gcd(*(int(length * scale) for length, _ in counts)), scale)
+    half = K * unit // 2
+    a, b = np.maximum(taus - half, 0), np.minimum(taus + half, window)
+    (lengths, phases), counts = np.unique(np.stack([b - a, np.abs(a + b - 2 * taus)]), axis=1,
+                                          return_counts=True)
+    base = int(np.gcd.reduce(lengths))
+    delta = Fraction(base, unit)
     ks = np.arange(-K + 1, K)
     gains = np.array([filt.coeff(k) for k in ks]) * float(delta) / K
     rows: dict[int, list] = {}
-    for (length, phase), count in counts.items():
-        c = sqrt(count) * gains * np.exp(1j * np.pi * ks * float(phase / K))
-        rows.setdefault(int(length / delta), []).extend((c.real, c.imag) if phase else (c.real,))
-    forms = []
-    for j in sorted(rows):
-        r = _triangular(rows[j])
+    for length, phase, count in zip(lengths.tolist(), phases.tolist(), counts.tolist()):
+        c = sqrt(count) * gains * np.exp(1j * np.pi * ks * (phase / (unit * K)))
+        rows.setdefault(length // base, []).extend((c.real, c.imag) if phase else (c.real,))
+    forms = tuple((j, _triangular(group)) for j, group in rows.items())
+    for _, r in forms:
         r.flags.writeable = False
-        forms.append((j, r))
-    return delta, tuple(forms)
+    return victims, delta, forms
 
 
 def _triangular(rows: list[np.ndarray]) -> np.ndarray:
@@ -219,7 +201,7 @@ def _sines(turns_k: np.ndarray, turns_l: np.ndarray, j: int, zero, out: np.ndarr
 def _power_sum(K: int, l_grid: np.ndarray, delta: Fraction, forms) -> np.ndarray:
     """sum over the shifts of |integral over the window of g(u - tau) exp(j 2 pi l u) du|^2.
 
-    delta and forms are _shift_forms': the shifts grouped by the length j delta of their
+    delta and forms are _forms': the shifts grouped by the length j delta of their
     overlap with the window, each group the rows r of a factor of its form, and the power
     sum_r (r . v_j)^2.  v_j holds sin(j theta) / theta = j sinc(j theta), theta = pi x delta,
     at the 2K - 1 frequencies x = k/K + l.

@@ -26,14 +26,18 @@ FILT = phydyas_k4()
 
 @pytest.fixture
 def drop_outermost_shift(monkeypatch):
-    """Call it to drop each lattice's outermost shift from the closed forms.
+    """Call it to drop the outermost shift, the largest, from each direction's lattice.
 
     The forms are cached per (filter, prefix), so a warm entry would hide the fault: the
     cache is cleared when the fault is applied and again after the test.
     """
     def apply():
-        taus = closedform._lattice_taus
-        monkeypatch.setattr(closedform, "_lattice_taus", lambda *a: taus(*a)[:-1])
+        lattice = closedform._lattice
+
+        def dropped(*args):
+            *geometry, taus = lattice(*args)
+            return *geometry, taus[:-1]
+        monkeypatch.setattr(closedform, "_lattice", dropped)
         closedform._forms.cache_clear()
     yield apply
     monkeypatch.undo()

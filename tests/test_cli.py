@@ -574,6 +574,10 @@ class TestPowersOfTenTakeTheFastPath:
         assert seen == []
 
 
+# the pure-Python safe loader with the same repeated-key check as the loader load_config uses
+PURE_LOADER = type("PureLoader", (cli._UniqueKeys, yaml.SafeLoader), {})
+
+
 class TestYamlLoader:
     CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))
 
@@ -583,13 +587,13 @@ class TestYamlLoader:
     @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
     def test_configs_load_equal_under_both_loaders(self, monkeypatch, path):
         fast = load_config(str(path))
-        monkeypatch.setattr(cli, "_YAML_LOADER", yaml.SafeLoader)
+        monkeypatch.setattr(cli, "_YAML_LOADER", PURE_LOADER)
         assert load_config(str(path)) == fast
 
     @pytest.mark.parametrize("loader", ["fast", "pure"])
     def test_malformed_yaml_exits_2(self, tmp_path, capsys, monkeypatch, loader):
         if loader == "pure":
-            monkeypatch.setattr(cli, "_YAML_LOADER", yaml.SafeLoader)
+            monkeypatch.setattr(cli, "_YAML_LOADER", PURE_LOADER)
         path = tmp_path / "broken.yaml"
         path.write_text("M: [512\ncp_ratio: 1/8\n")
         rc = main(["table", "--config", str(path), "--direction", "s2i",
@@ -860,6 +864,30 @@ class TestErrorMapping:
             return
         assert rc == 2 and not out.exists()
         assert capsys.readouterr().err == f"error: seed: {seed} is not below 2^128\n"
+
+    @pytest.mark.parametrize("config_text, key, line", [
+        (GOOD_CONFIG + "cp_ratio: 7/16\n", "cp_ratio", 9),
+        (GOOD_CONFIG.replace("range: [-5, 5]", "range: [-5, 5], range: [-3, 3]"), "range", 3),
+    ], ids=["top-level", "range"])
+    def test_repeated_key_exits_2(self, tmp_path, capsys, config_text, key, line):
+        # a YAML loader keeps the last of a repeated key: the first cp_ratio would be ignored
+        path = tmp_path / "scenario.yaml"
+        path.write_text(config_text)
+        rc = main(["table", "--direction", "i2s", "--config", str(path),
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 2 and not (tmp_path / "x.csv").exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: malformed config {path}: repeated key '{key}'\n")
+        assert f'"{path}", line {line},' in err
+
+    def test_merged_keys_are_not_repeated(self, tmp_path):
+        # a YAML merge key brings a mapping's keys in for the ones written after it to override
+        merged = tmp_path / "merged.yaml"
+        merged.write_text(GOOD_CONFIG.replace("{range: [-5, 5]}",
+                                              "{<<: {range: [0, 1]}, range: [-5, 5]}"))
+        plain = tmp_path / "plain.yaml"
+        plain.write_text(GOOD_CONFIG)
+        assert load_config(str(merged)) == load_config(str(plain))
 
     @pytest.mark.parametrize("cause", ["missing-directory", "directory"])
     @pytest.mark.parametrize("args", [["table", "--direction", "s2i"], ["psd"],

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from datetime import timedelta
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import numpy as np
@@ -14,12 +15,10 @@ from hypothesis import given, settings, strategies as st
 import coexsim.closedform as closedform
 from coexsim.closedform import (
     _forms,
-    _lattice_taus,
+    _lattice,
     _ofdm_to_oqam_grid,
     _oqam_to_ofdm_grid,
     _power_sum,
-    _shift_forms,
-    _slot_offsets,
     build_table,
     power_db,
 )
@@ -98,6 +97,25 @@ def direct_power_sum(filt, l_grid, taus, width):
                 * np.exp(1j * np.pi * exact_turns(l_grid, k, K, a + b)) * sinc
         total += np.abs(out) ** 2
     return total
+
+
+def oracle_shifts(filt, cp):
+    """Every shift the closed form sums, from the oracle's own walk: s2i window 0 (cp None) or
+    the i2s slots of one offset cycle at cp, concatenated; then the window's width."""
+    if cp is None:
+        return _victim_taus("s2i", Fraction(0), filt)[0], Fraction(1)
+    return [tau for slot in _victim_taus("i2s", cp, filt) for tau in slot], 1 + cp
+
+
+def edit_shifts(monkeypatch, edit):
+    """Patch _lattice to return edit(shifts), and clear the cached forms that would hide it."""
+    lattice = closedform._lattice
+
+    def edited(*args):
+        *geometry, taus = lattice(*args)
+        return *geometry, edit(taus)
+    monkeypatch.setattr(closedform, "_lattice", edited)
+    _forms.cache_clear()
 
 
 CP_RATIOS = st.fractions(min_value=0, max_value=2, max_denominator=16)
@@ -234,8 +252,7 @@ class TestPowerSum:
     def test_s2i_matches_direct(self, filt, grid):
         victims, delta, forms = _forms(filt, None)
         new = _power_sum(filt.overlap_K, grid, delta, forms)
-        taus = _lattice_taus(filt, Fraction(1, 2), Fraction(0), Fraction(1))
-        ref = direct_power_sum(filt, grid, taus, 1)
+        ref = direct_power_sum(filt, grid, *oracle_shifts(filt, None))
         assert victims == 1
         assert np.max(np.abs(new - ref) / ref) <= 1e-13
 
@@ -245,10 +262,8 @@ class TestPowerSum:
         # the forms of a whole offset cycle against all of its shifts, one by one
         victims, delta, forms = _forms(filt, cp)
         new = _power_sum(filt.overlap_K, self.GRID, delta, forms)
-        offsets = _slot_offsets(cp)
-        taus = [t for off in offsets for t in _lattice_taus(filt, 1 + cp, off, 1 + cp)]
-        ref = direct_power_sum(filt, self.GRID, taus, 1 + cp)
-        assert victims == len(offsets)
+        ref = direct_power_sum(filt, self.GRID, *oracle_shifts(filt, cp))
+        assert victims == len(_victim_taus("i2s", cp, filt))
         assert np.max(np.abs(new - ref) / ref) <= 1e-13
 
     def test_i2s_matches_direct_over_a_long_cycle(self, filt):
@@ -259,16 +274,22 @@ class TestPowerSum:
         victims, delta, forms = _forms(filt, cp)
         assert delta == Fraction(1, 512) and forms[-1][0] == 1023
         new = _power_sum(filt.overlap_K, grid, delta, forms)
-        taus = [t for off in _slot_offsets(cp) for t in _lattice_taus(filt, 1 + cp, off, 1 + cp)]
-        ref = direct_power_sum(filt, grid, taus, 1 + cp)
+        ref = direct_power_sum(filt, grid, *oracle_shifts(filt, cp))
         assert np.max(np.abs(new - ref) / ref) <= 1e-13
+
+    def test_matches_direct_far_out(self, filt):
+        # l near 10^4: pi delta l is reduced mod 2 pi exactly before its cos and sin, or the
+        # recurrence's 2 cos theta is off by 1e-12 at cp 7/16
+        grid = 1e4 + self.GRID[::100]
+        for key, taus, width in self.shift_sets(filt, Fraction(7, 16)):
+            new = _power_sum(filt.overlap_K, grid, *_forms(filt, key)[1:])
+            ref = direct_power_sum(filt, grid, taus, width)
+            assert np.max(np.abs(new - ref) / ref) <= 1e-13
 
     @staticmethod
     def shift_sets(filt, cp):
-        """(key, taus, width) of s2i and of i2s at cp: the _forms key and its explicit shifts."""
-        s2i = _lattice_taus(filt, Fraction(1, 2), Fraction(0), Fraction(1))
-        i2s = [t for off in _slot_offsets(cp) for t in _lattice_taus(filt, 1 + cp, off, 1 + cp)]
-        return (None, s2i, Fraction(1)), (cp, i2s, 1 + cp)
+        """(key, taus, width) of s2i and of i2s at cp: the _forms key and its oracle shifts."""
+        return tuple((key, *oracle_shifts(filt, key)) for key in (None, cp))
 
     def test_matches_direct_where_a_sinc_argument_is_zero(self, filt):
         # k/K + l = 0 for K = 4, and a subnormal l, which x delta / 2 cannot resolve
@@ -287,6 +308,15 @@ class TestPowerSum:
                 row[0, k + 3] = 1.0
                 l = np.array([-k / 4, 5e-324 if k == 0 else -k / 4])
                 assert _power_sum(4, l, Fraction(1, 8), ((j, row),)).tolist() == [j * j] * 2
+
+    def test_sines_restart_every_twelve_steps(self, monkeypatch):
+        # the error bounds above hold for two direct sines every 12 steps of the recurrence:
+        # lengths up to 25 delta take them at j = 1, 12, 13, 24 and 25, and no others
+        calls = []
+        sines = closedform._sines
+        monkeypatch.setattr(closedform, "_sines", lambda *a: calls.append(a[2]) or sines(*a))
+        _power_sum(4, np.array([0.3]), Fraction(1, 8), ((25, np.ones((1, 7))),))
+        assert calls == [1, 12, 13, 24, 25]
 
     @pytest.mark.parametrize("size", [1, closedform._BLOCK - 1, closedform._BLOCK,
                                       closedform._BLOCK + 1])
@@ -315,36 +345,43 @@ class TestPowerSum:
                 with pytest.raises(ValueError):
                     r[0, 0] = 0.0
 
-    def test_dropped_shift_moves_the_sum(self, filt):
-        # forms of an explicit shift list less its last shift, as the fault-injection tests
-        # of checks drop it; the full list gives _forms' bytes
-        for key, taus, width in self.shift_sets(filt, Fraction(1, 8)):
+    def test_forms_do_not_depend_on_the_shift_order(self, filt, monkeypatch):
+        # the shifts reach _triangular grouped and sorted by (length, phase), whatever
+        # order the lattice lists them in
+        for key in (None, Fraction(7, 16)):
             full = _power_sum(filt.overlap_K, self.GRID, *_forms(filt, key)[1:])
-            dropped = _power_sum(filt.overlap_K, self.GRID, *_shift_forms(filt, taus[:-1], width))
+            edit_shifts(monkeypatch, lambda taus: taus[::-1])
+            reversed_ = _power_sum(filt.overlap_K, self.GRID, *_forms(filt, key)[1:])
+            monkeypatch.undo()
+            _forms.cache_clear()
+            assert reversed_.tobytes() == full.tobytes()
+
+    def test_dropped_shift_moves_the_sum(self, filt, monkeypatch):
+        # the fault the fault-injection tests of checks apply: the lattice less its last shift
+        for key in (None, Fraction(1, 8)):
+            full = _power_sum(filt.overlap_K, self.GRID, *_forms(filt, key)[1:])
+            edit_shifts(monkeypatch, lambda taus: taus[:-1])
+            dropped = _power_sum(filt.overlap_K, self.GRID, *_forms(filt, key)[1:])
+            monkeypatch.undo()
+            _forms.cache_clear()
             assert not np.array_equal(full, dropped)
-            assert _power_sum(filt.overlap_K, self.GRID,
-                              *_shift_forms(filt, taus, width)).tobytes() == full.tobytes()
-            assert _power_sum(filt.overlap_K, self.GRID,
-                              *_forms(filt, key)[1:]).tobytes() == full.tobytes()
 
     def test_warm_call_builds_no_shift_or_offset_list(self, monkeypatch):
-        # the forms are cached per (filter, cp): cp = 511/512 has 1,023 offsets and 2,046
-        # shifts, and a second call rebuilds and hashes none of them
+        # the forms are cached per (filter, cp): cp = 511/512 has 1,023 victim slots and
+        # 3,070 shifts, and a second call builds and groups none of them
         config = CoexConfig(cp_ratio=Fraction(511, 512))
         build_table("i2s", [0.0], config)
         calls = []
-        for name in ("_lattice_taus", "_slot_offsets"):
-            spied = getattr(closedform, name)
-            monkeypatch.setattr(closedform, name,
-                                lambda *a, f=spied, n=name: calls.append(n) or f(*a))
+        lattice = closedform._lattice
+        monkeypatch.setattr(closedform, "_lattice", lambda *a: calls.append(a) or lattice(*a))
         misses = _forms.cache_info().misses
         build_table("i2s", [0.0], config)
         assert _forms.cache_info().misses == misses
         assert calls == []
-        # the spies see a cold call
+        # the spy sees a cold call: one lattice for the whole cycle
         _forms.cache_clear()
         build_table("i2s", [0.0], config)
-        assert calls.count("_slot_offsets") == 1 and calls.count("_lattice_taus") == 1023
+        assert len(calls) == 1
 
     def test_bytes_do_not_depend_on_blas_threads(self):
         code = ("import hashlib, numpy as np; from fractions import Fraction; "
@@ -429,35 +466,52 @@ class TestStructure:
 
 
 class TestGeometry:
+    # every prefix ratio p/q with q <= 16, p <= 2q, and two long cycles (1,023 and 4,095 slots)
+    RATIOS = sorted({Fraction(p, q) for q in range(1, 17) for p in range(2 * q + 1)}
+                    | {Fraction(511, 512), Fraction(2047, 2048)})
+
     def test_closed_form_shifts_match_oracle(self, filt):
-        # every prefix ratio p/q with q <= 16, p <= 2q; every victim of one cycle.  The cycle
-        # length is the closed form's formula against the oracle's walk over its own shifts
-        ratios = sorted({Fraction(p, q) for q in range(1, 17) for p in range(2 * q + 1)})
-        assert len(ratios) == 161
+        # the one lattice against the oracle's walk over every slot of its own cycle: the same
+        # victim count and the same shifts, each as often
+        assert len(self.RATIOS) == 163
         mismatched = []
-        for cp in ratios:
-            offsets, walked = _slot_offsets(cp), _victim_taus("i2s", cp, filt)
-            assert len(offsets) == len(walked)
-            for nv, (off, oracle_i2s) in enumerate(zip(offsets, walked)):
-                # s2i: CP-OFDM window nv against the half-period slot lattice
-                s2i = _lattice_taus(filt, Fraction(1, 2), -nv * (1 + cp) % Fraction(1, 2),
-                                    Fraction(1))
-                # i2s: OQAM slot nv against the CP-OFDM symbol lattice; both ascend in tau
-                i2s = _lattice_taus(filt, 1 + cp, off, 1 + cp)
-                if list(s2i) != _window_taus("s2i", nv, cp, filt) or list(i2s) != oracle_i2s:
-                    mismatched.append((cp, nv))
+        for cp in [None, *self.RATIOS]:
+            victims, unit, window, taus = _lattice(filt, cp)
+            walked = [_victim_taus("s2i", Fraction(0), filt)] if cp is None \
+                else _victim_taus("i2s", cp, filt)
+            shifts, width = oracle_shifts(filt, cp)
+            if (victims != len(walked) or Fraction(window, unit) != width
+                    or sorted(Fraction(int(t), unit) for t in taus) != sorted(shifts)):
+                mismatched.append(cp)
         assert mismatched == []
 
-    def test_offset_cycle_cap(self):
+    def test_lengths_match_oracle(self, filt):
+        # delta and the multiples j of it that _forms groups by, from the exact overlap lengths
+        # of the oracle's shifts
+        hw = Fraction(filt.overlap_K, 2)
+        mismatched = []
+        for cp in [None, *self.RATIOS]:
+            shifts, width = oracle_shifts(filt, cp)
+            lengths = {min(width, tau + hw) - max(Fraction(0), tau - hw) for tau in shifts}
+            scale = max(length.denominator for length in lengths)
+            delta = Fraction(gcd(*(int(length * scale) for length in lengths)), scale)
+            _, got_delta, forms = _forms(filt, cp)
+            if got_delta != delta or [j for j, _ in forms] != sorted(x / delta for x in lengths):
+                mismatched.append(cp)
+        assert mismatched == []
+
+    def test_offset_cycle_cap(self, filt, monkeypatch):
         # every k/512 prefix fits (511/512 is the longest, 1,023 slots); 1/2047 has exactly
-        # MAX_OFFSET_CYCLE slots, 1/4096 one more, refused before its offsets are built, as
-        # is Fraction(0.1) = p/2^55 with its p + 2^55 slots
-        assert max(len(_slot_offsets(Fraction(k, 512))) for k in range(513)) == 1023
-        assert len(_slot_offsets(Fraction(1, 2047))) == MAX_OFFSET_CYCLE == 4096
+        # MAX_OFFSET_CYCLE slots, 1/4096 one more, refused before any array is built, as is
+        # Fraction(0.1) = p/2^55 with its p + 2^55 slots
+        assert max(_lattice(filt, Fraction(k, 512))[0] for k in range(513)) == 1023
+        assert _lattice(filt, Fraction(1, 2047))[0] == MAX_OFFSET_CYCLE == 4096
+        monkeypatch.setattr(closedform, "np", None)  # any array would raise AttributeError
         for cp, cycle in ((Fraction(1, 4096), 4097), (Fraction(0.1), 39631676720860365)):
             with pytest.raises(ConfigError, match=rf"^cp_ratio = {cp}: i2s offset cycle of "
                                                   rf"{cycle} slots, over 4096$"):
-                _slot_offsets(cp)
+                _lattice(filt, cp)
+        monkeypatch.undo()
         with pytest.raises(ConfigError, match="i2s offset cycle"):
             build_table("i2s", [0.0], CoexConfig(M=2 ** 20, cp_ratio=Fraction(1, 2 ** 20)))
 
